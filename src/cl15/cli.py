@@ -273,6 +273,7 @@ def play_session(
     machine = extract_solution(proof, formula_level=formula_level).spawn()
     goal, desc = _goal_of(proof, formula_level)
     game = _interpret(goal, interp)
+    game_position = game.start()
     say(f"playing: {desc}")
     say("you are the environment (B); at each grant enter a move, 'pass', or 'quit'")
 
@@ -290,7 +291,7 @@ def play_session(
             run.append(Labmove(TOP, action.move))
             say(f"machine moves: {action.move}")
             say(f"position: {position()}")
-            if not game.legal(tuple(run)):
+            if not game_position.extend(run[-1]):
                 say("machine made an illegal move; environment wins")
                 ended = True
         elif isinstance(action, GrantPermission):
@@ -311,18 +312,17 @@ def play_session(
                     continue
                 run.append(Labmove(BOT, text))
                 say(f"position: {position()}")
-                if not game.legal(tuple(run)):
+                if not game_position.extend(run[-1]):
                     say("warning: illegal move; recorded (machine wins)")
                     ended = True
                 break
         else:
             say("machine idles")
             break
-    final = tuple(run)
-    winner = game.winner(final)
+    winner = game_position.winner()
     say(f"winner: {winner.value}")
     say("transcript:")
-    say(render_run(final) or "(empty)")
+    say(render_run(tuple(run)) or "(empty)")
     return OK if winner is TOP else FAIL
 
 

@@ -1,8 +1,21 @@
 """Executable game semantics: legality and winner for base and composite games.
 
-A game exposes `legal(run)` (is this finite run a legal position) and
-`winner(run)` (total: illegal runs are lost by the offender, the player
-whose move ends the shortest illegal prefix).
+Every game evaluates runs through a *position*.  `Game.start()` returns the
+position of the empty run; `Position.extend(lm)` appends one labmove and
+says at once whether the run is still legal; the first illegal move fixes
+the offender, who loses, and later moves are ignored.  `Position.winner()`
+is total: the offender rule first, then the winner of the legal run.
+`Game.legal(run)`, `Game.offender(run)` and `Game.winner(run)` replay the
+run through a fresh position.
+
+Cost model.  A composite position routes each labmove to one component
+position, parsing the move once, so a play costs time linear in its length
+(a branching-recurrence position replays its run once when a new stem
+splits its thread classes).  A cirquent position keeps one position per
+played cell, keyed by oformula and coordinates, and its winner quantifies
+each undergroup only over the overgroups that contain its oformulas, with
+each coordinate ranging over the values that undergroup's moves used plus
+one fresh value.
 
 Every constructor here defines position legality move-locally or through
 projections, so prefix closure holds by construction and is checked in
@@ -10,6 +23,7 @@ tests rather than enforced at call time.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 from .cirquent import Cirquent, is_valid
@@ -22,10 +36,6 @@ from .runs import (
     Player,
     Run,
     is_numeral,
-    negate_run,
-    project_branch,
-    project_cell,
-    project_prefix,
     split_bit_move,
     split_cell_move,
     split_index_move,
@@ -36,32 +46,73 @@ class GameError(ValueError):
     """Malformed game description or unusable inputs."""
 
 
+class Position:
+    """The run of one game so far, extended one labmove at a time."""
+
+    def __init__(self) -> None:
+        self.offender: Player | None = None
+
+    def extend(self, lm: Labmove) -> bool:
+        """Append a labmove; False once the run is illegal.  The first
+        illegal labmove fixes the offender and later ones are ignored."""
+        if self.offender is None and not self._step(lm):
+            self.offender = lm.player
+        return self.offender is None
+
+    def winner(self) -> Player:
+        """Total winner of the run so far."""
+        if self.offender is not None:
+            return self.offender.opponent
+        return self._won()
+
+    def _step(self, lm: Labmove) -> bool:
+        """Append a labmove to a legal run; is the result legal?"""
+        raise NotImplementedError
+
+    def _won(self) -> Player:
+        """Winner of the run, which is legal."""
+        raise NotImplementedError
+
+
 class Game:
     """Abstract constant game."""
 
-    def legal(self, run: Run) -> bool:
+    def start(self) -> Position:
+        """The position of the empty run."""
         raise NotImplementedError
 
-    def winner(self, run: Run) -> Player:
-        """Total winner function; applies the offender rule to illegal runs."""
-        offender = self.offender(run)
-        if offender is not None:
-            return offender.opponent
-        return self.won_legal(run)
+    def replay(self, run: Run) -> Position:
+        """The position after `run`, stopped at its first illegal labmove."""
+        pos = self.start()
+        for lm in run:
+            if not pos.extend(lm):
+                break
+        return pos
+
+    def legal(self, run: Run) -> bool:
+        return self.replay(run).offender is None
 
     def offender(self, run: Run) -> Player | None:
         """The player whose move ends the shortest illegal prefix, if any."""
-        for i in range(1, len(run) + 1):
-            if not self.legal(run[:i]):
-                return run[i - 1].player
-        return None
+        return self.replay(run).offender
+
+    def winner(self, run: Run) -> Player:
+        """Total winner function; applies the offender rule to illegal runs."""
+        return self.replay(run).winner()
 
     def won_legal(self, run: Run) -> Player:
-        """Winner of a run assumed legal."""
-        raise NotImplementedError
+        """Winner of a run assumed legal; there it equals `winner(run)`."""
+        return self.winner(run)
 
 
 Interpretation = dict[str, Game]
+
+
+def _combine(results, conjunctive: bool) -> Player:
+    """TOP iff all (conjunctive) or any (disjunctive) of the winners is TOP."""
+    if conjunctive:
+        return TOP if all(r is TOP for r in results) else BOT
+    return TOP if any(r is TOP for r in results) else BOT
 
 
 class FiniteGame(Game):
@@ -77,20 +128,21 @@ class FiniteGame(Game):
                 raise GameError(f"missing label for {run}")
         self.tree = frozenset(tree)
         self.labels = dict(labels)
+        # Nodes are numbered parents first; each maps its labmoves to children.
+        nodes = sorted((run for run in self.labels if run in self.tree), key=len)
+        self._ids = {run: i for i, run in enumerate(nodes)}
+        self._children: list[dict[Labmove, int]] = [{} for _ in nodes]
+        for run in nodes[1:]:
+            self._children[self._ids[run[:-1]]][run[-1]] = self._ids[run]
+        self._node_labels = [self.labels[run] for run in nodes]
 
-    def legal(self, run: Run) -> bool:
-        return run in self.tree
-
-    def won_legal(self, run: Run) -> Player:
-        return self.labels[run]
+    def start(self) -> Position:
+        return _TreePosition(self)
 
     def moves_after(self, run: Run) -> list[Labmove]:
         """Labmoves extending the given position inside the tree."""
-        out = []
-        for cand in self.tree:
-            if len(cand) == len(run) + 1 and cand[:len(run)] == run:
-                out.append(cand[-1])
-        return out
+        node = self._ids.get(run)
+        return [] if node is None else list(self._children[node])
 
     def move_alphabet(self) -> list[str]:
         """All move strings occurring anywhere in the tree."""
@@ -101,6 +153,23 @@ class FiniteGame(Game):
         return list(seen)
 
 
+class _TreePosition(Position):
+    def __init__(self, game: FiniteGame):
+        super().__init__()
+        self.game = game
+        self.node = 0
+
+    def _step(self, lm: Labmove) -> bool:
+        child = self.game._children[self.node].get(lm)
+        if child is None:
+            return False
+        self.node = child
+        return True
+
+    def _won(self) -> Player:
+        return self.game._node_labels[self.node]
+
+
 class EnumerationGame(Game):
     """Every run of canonical numeral moves is legal; a predicate picks the
     runs lost by the machine."""
@@ -108,21 +177,37 @@ class EnumerationGame(Game):
     def __init__(self, loses: Callable[[Run], bool]):
         self.loses = loses
 
-    def legal(self, run: Run) -> bool:
-        return all(is_numeral(lm.move) for lm in run)
+    def start(self) -> Position:
+        return _EnumerationPosition(self.loses)
 
-    def won_legal(self, run: Run) -> Player:
-        return BOT if self.loses(run) else TOP
+
+class _EnumerationPosition(Position):
+    def __init__(self, loses: Callable[[Run], bool]):
+        super().__init__()
+        self.loses = loses
+        self.run: list[Labmove] = []
+
+    def _step(self, lm: Labmove) -> bool:
+        self.run.append(lm)
+        return is_numeral(lm.move)
+
+    def _won(self) -> Player:
+        return BOT if self.loses(tuple(self.run)) else TOP
 
 
 class PermissiveGame(Game):
     """Everything is legal and won by the machine; used for translation
     experiments where only the run matters."""
 
-    def legal(self, run: Run) -> bool:
+    def start(self) -> Position:
+        return _PermissivePosition()
+
+
+class _PermissivePosition(Position):
+    def _step(self, lm: Labmove) -> bool:
         return True
 
-    def won_legal(self, run: Run) -> Player:
+    def _won(self) -> Player:
         return TOP
 
 
@@ -178,17 +263,27 @@ def render_finite_game(g: FiniteGame) -> str:
     return "\n".join(lines)
 
 
-# Composite games
+# Composite games.  Each position routes a labmove, parsed once, to the
+# position of the one component it acts on.
 
 class NegGame(Game):
     def __init__(self, base: Game):
         self.base = base
 
-    def legal(self, run: Run) -> bool:
-        return self.base.legal(negate_run(run))
+    def start(self) -> Position:
+        return _NegPosition(self.base.start())
 
-    def won_legal(self, run: Run) -> Player:
-        return self.base.won_legal(negate_run(run)).opponent
+
+class _NegPosition(Position):
+    def __init__(self, base: Position):
+        super().__init__()
+        self.base = base
+
+    def _step(self, lm: Labmove) -> bool:
+        return self.base.extend(Labmove(lm.player.opponent, lm.move))
+
+    def _won(self) -> Player:
+        return self.base.winner().opponent
 
 
 class _ChoicelessPair(Game):
@@ -201,21 +296,25 @@ class _ChoicelessPair(Game):
         self.left = left
         self.right = right
 
-    def legal(self, run: Run) -> bool:
-        for lm in run:
-            split = split_index_move(lm.move)
-            if split is None or split[0] not in (1, 2):
-                return False
-        return self.left.legal(project_prefix(run, "1.")) and self.right.legal(
-            project_prefix(run, "2.")
-        )
+    def start(self) -> Position:
+        return _PairPosition(self.left.start(), self.right.start(), self.conjunctive)
 
-    def won_legal(self, run: Run) -> Player:
-        lw = self.left.won_legal(project_prefix(run, "1."))
-        rw = self.right.won_legal(project_prefix(run, "2."))
-        if self.conjunctive:
-            return TOP if lw is TOP and rw is TOP else BOT
-        return TOP if lw is TOP or rw is TOP else BOT
+
+class _PairPosition(Position):
+    def __init__(self, left: Position, right: Position, conjunctive: bool):
+        super().__init__()
+        self.sides = (left, right)
+        self.conjunctive = conjunctive
+
+    def _step(self, lm: Labmove) -> bool:
+        split = split_index_move(lm.move)
+        if split is None or split[0] > 2:
+            return False
+        side, rest = split
+        return self.sides[side - 1].extend(Labmove(lm.player, rest))
+
+    def _won(self) -> Player:
+        return _combine((side.winner() for side in self.sides), self.conjunctive)
 
 
 class AndGame(_ChoicelessPair):
@@ -224,15 +323,6 @@ class AndGame(_ChoicelessPair):
 
 class OrGame(_ChoicelessPair):
     conjunctive = False
-
-
-def _touched_copies(run: Run) -> list[int]:
-    seen: dict[int, None] = {}
-    for lm in run:
-        split = split_index_move(lm.move)
-        if split is not None:
-            seen.setdefault(split[0], None)
-    return list(seen)
 
 
 class _CopyBank(Game):
@@ -246,23 +336,30 @@ class _CopyBank(Game):
     def __init__(self, base: Game):
         self.base = base
 
-    def legal(self, run: Run) -> bool:
-        for lm in run:
-            if split_index_move(lm.move) is None:
-                return False
-        return all(
-            self.base.legal(project_prefix(run, f"{u}.")) for u in _touched_copies(run)
-        )
+    def start(self) -> Position:
+        return _CopyBankPosition(self)
 
-    def won_legal(self, run: Run) -> Player:
-        results = [
-            self.base.won_legal(project_prefix(run, f"{u}."))
-            for u in _touched_copies(run)
-        ]
-        results.append(self.base.won_legal(()))
-        if self.conjunctive:
-            return TOP if all(r is TOP for r in results) else BOT
-        return TOP if any(r is TOP for r in results) else BOT
+
+class _CopyBankPosition(Position):
+    def __init__(self, game: _CopyBank):
+        super().__init__()
+        self.game = game
+        self.copies: dict[int, Position] = {}
+
+    def _step(self, lm: Labmove) -> bool:
+        split = split_index_move(lm.move)
+        if split is None:
+            return False
+        u, rest = split
+        copy = self.copies.get(u)
+        if copy is None:
+            copy = self.copies[u] = self.game.base.start()
+        return copy.extend(Labmove(lm.player, rest))
+
+    def _won(self) -> Player:
+        results = [copy.winner() for copy in self.copies.values()]
+        results.append(self.game.base.start().winner())
+        return _combine(results, self.game.conjunctive)
 
 
 class PstGame(_CopyBank):
@@ -311,25 +408,38 @@ class _ThreadBank(Game):
     def __init__(self, base: Game):
         self.base = base
 
-    def _reps(self, run: Run) -> list[InfiniteBitstring]:
-        used = set()
-        for lm in run:
-            split = split_bit_move(lm.move)
-            if split is not None:
-                used.add(split[0])
-        return thread_representatives(used)
+    def start(self) -> Position:
+        return _ThreadBankPosition(self)
 
-    def legal(self, run: Run) -> bool:
-        for lm in run:
-            if split_bit_move(lm.move) is None:
-                return False
-        return all(self.base.legal(project_branch(run, x)) for x in self._reps(run))
 
-    def won_legal(self, run: Run) -> Player:
-        results = [self.base.won_legal(project_branch(run, x)) for x in self._reps(run)]
-        if self.conjunctive:
-            return TOP if all(r is TOP for r in results) else BOT
-        return TOP if any(r is TOP for r in results) else BOT
+class _ThreadBankPosition(Position):
+    """One base position per thread class.  A move with a new stem refines
+    the classes, and the positions are rebuilt from the stored moves."""
+
+    def __init__(self, game: _ThreadBank):
+        super().__init__()
+        self.game = game
+        self.moves: list[tuple[str, Labmove]] = []
+        self.stems: set[str] = set()
+        self.threads = [(x, game.base.start()) for x in thread_representatives(self.stems)]
+
+    def _step(self, lm: Labmove) -> bool:
+        split = split_bit_move(lm.move)
+        if split is None:
+            return False
+        stem, rest = split
+        if stem not in self.stems:
+            self.stems.add(stem)
+            self.threads = [
+                (x, self.game.base.replay([m for w, m in self.moves if x.has_prefix(w)]))
+                for x in thread_representatives(self.stems)
+            ]
+        inner = Labmove(lm.player, rest)
+        self.moves.append((stem, inner))
+        return all(pos.extend(inner) for x, pos in self.threads if x.has_prefix(stem))
+
+    def _won(self) -> Player:
+        return _combine((pos.winner() for _, pos in self.threads), self.game.conjunctive)
 
 
 class StGame(_ThreadBank):
@@ -378,61 +488,70 @@ class CirquentGame(Game):
         self.cirquent = c
         self.base_games = [interpret_formula(f, interp) for f in c.oformulas]
         self.membership = [
-            [a in g for g in c.overgroups] for a in range(1, c.size + 1)
+            tuple(a in g for g in c.overgroups) for a in range(1, c.size + 1)
+        ]
+        # Per undergroup: the overgroups that contain any of its oformulas.
+        self.under_overs = [
+            tuple(j for j, g in enumerate(c.overgroups) if g & under)
+            for under in c.undergroups
         ]
 
-    def _move_ok(self, move: str) -> bool:
-        split = split_cell_move(move)
+    def start(self) -> Position:
+        return _CirquentPosition(self)
+
+
+class _CirquentPosition(Position):
+    """One base position per played cell.  A legal move of oformula a has
+    nonzero coordinates exactly in the overgroups containing a, so its
+    coordinate tuple names its cell, and every cell never played holds the
+    empty run."""
+
+    def __init__(self, game: CirquentGame):
+        super().__init__()
+        self.game = game
+        self.cells: dict[tuple[int, tuple[int, ...]], Position] = {}
+
+    def _step(self, lm: Labmove) -> bool:
+        split = split_cell_move(lm.move)
         if split is None:
             return False
-        a, coords, _ = split
-        if not 1 <= a <= self.cirquent.size:
+        a, coords, rest = split
+        g = self.game
+        if not 1 <= a <= g.cirquent.size or len(coords) != len(g.cirquent.overgroups):
             return False
-        if len(coords) != len(self.cirquent.overgroups):
+        if any((u > 0) != member for u, member in zip(coords, g.membership[a - 1])):
             return False
-        member = self.membership[a - 1]
-        return all((u > 0) == member[j] for j, u in enumerate(coords))
+        cell = self.cells.get((a, coords))
+        if cell is None:
+            cell = self.cells[(a, coords)] = g.base_games[a - 1].start()
+        return cell.extend(Labmove(lm.player, rest))
 
-    def _coordinate_candidates(self, run: Run) -> list[tuple[int, ...]]:
-        """Positive coordinate vectors covering every equivalence class of
-        the winner/legality quantifiers: per coordinate, each used nonzero
-        value plus one fresh value."""
-        n = len(self.cirquent.overgroups)
-        used: list[set[int]] = [set() for _ in range(n)]
-        for lm in run:
-            split = split_cell_move(lm.move)
-            if split is None:
-                continue
-            _, coords, _ = split
-            if len(coords) != n:
-                continue
-            for j, u in enumerate(coords):
-                if u > 0:
-                    used[j].add(u)
-        per_coord = [sorted(s) + [max(s, default=0) + 1] for s in used]
-        vectors: list[tuple[int, ...]] = [()]
-        for options in per_coord:
-            vectors = [v + (o,) for v in vectors for o in options]
-        return vectors
-
-    def legal(self, run: Run) -> bool:
-        if not all(self._move_ok(lm.move) for lm in run):
-            return False
-        for xs in self._coordinate_candidates(run):
-            for a in range(1, self.cirquent.size + 1):
-                if not self.base_games[a - 1].legal(project_cell(run, a, xs)):
-                    return False
-        return True
-
-    def won_legal(self, run: Run) -> Player:
-        for xs in self._coordinate_candidates(run):
-            for under in self.cirquent.undergroups:
-                if not any(
-                    self.base_games[a - 1].won_legal(project_cell(run, a, xs)) is TOP
-                    for a in under
-                ):
+    def _won(self) -> Player:
+        g = self.game
+        won = {key: cell.winner() is TOP for key, cell in self.cells.items()}
+        empty_won: dict[int, bool] = {}
+        n = len(g.cirquent.overgroups)
+        for under, overs in zip(g.cirquent.undergroups, g.under_overs):
+            options = []
+            for j in overs:
+                used = sorted({coords[j] for a, coords in won if a in under and coords[j]})
+                options.append(used + [used[-1] + 1 if used else 1])
+            xs = [0] * n
+            for values in itertools.product(*options):
+                for j, u in zip(overs, values):
+                    xs[j] = u
+                if not any(self._cell_won(a, xs, won, empty_won) for a in under):
                     return BOT
         return TOP
+
+    def _cell_won(self, a: int, xs: list[int], won: dict, empty_won: dict[int, bool]) -> bool:
+        coords = tuple(u if member else 0 for u, member in zip(xs, self.game.membership[a - 1]))
+        result = won.get((a, coords))
+        if result is None:
+            result = empty_won.get(a)
+            if result is None:
+                result = empty_won[a] = self.game.base_games[a - 1].start().winner() is TOP
+        return result
 
 
 def interpret_cirquent(c: Cirquent, interp: Interpretation) -> Game:

@@ -135,11 +135,13 @@ def simulate(m: MachineStrategy, e: EnvStrategy, g: Game, budget: int) -> SimRes
     """Run the machine against the environment for at most `budget` machine
     turns.  Environment moves happen only on explicit grants; the loop stops
     early on machine idling or on the first illegal move (the offender rule
-    already fixes the winner).  The winner is computed on the final position."""
+    already fixes the winner).  One game position follows the play, so each
+    labmove is judged once, and the winner is that of the final position."""
     if budget < 1:
         raise StrategyError("budget must be at least 1")
     machine = m.spawn()
     env = e.spawn()
+    position = g.start()
     run: list[Labmove] = []
     trace: list[str] = []
     grants = 0
@@ -151,7 +153,7 @@ def simulate(m: MachineStrategy, e: EnvStrategy, g: Game, budget: int) -> SimRes
         if isinstance(action, MakeMove):
             run.append(Labmove(TOP, action.move))
             trace.append(f"{step} M:move {action.move}")
-            if not g.legal(tuple(run)):
+            if not position.extend(run[-1]):
                 first_illegality = f"machine offender: move {action.move!r} is illegal"
                 break
         elif isinstance(action, GrantPermission):
@@ -161,14 +163,13 @@ def simulate(m: MachineStrategy, e: EnvStrategy, g: Game, budget: int) -> SimRes
             if mv is not None:
                 run.append(Labmove(BOT, mv))
                 trace.append(f"{step} E:{mv}")
-                if not g.legal(tuple(run)):
+                if not position.extend(run[-1]):
                     first_illegality = f"environment offender: move {mv!r} is illegal"
                     break
         else:
             trace.append(f"{step} M:idle")
             break
-    final = tuple(run)
-    return SimResult(final, g.winner(final), grants, steps, first_illegality, trace)
+    return SimResult(tuple(run), position.winner(), grants, steps, first_illegality, trace)
 
 
 # Axiom strategy: mirror each environment move between the paired oformulas.

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from hypothesis import HealthCheck, settings
+
 from cl15 import cl15 as rules
 from cl15.cirquent import Cirquent, parse_cirquent
 from cl15.formula import AtomRef, Or, parse_formula
@@ -13,6 +15,18 @@ from cl15.runs import format_cell_move, project_cell, project_prefix
 from cl15.strategy import declubsuit, depst, pair, transform_strategy
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# Property tests draw the same examples on every run, a bounded number of
+# them, with no per-example deadline on this slow reference code.
+settings.register_profile(
+    "cl15",
+    derandomize=True,
+    database=None,
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile("cl15")
 
 
 def C(text: str) -> Cirquent:

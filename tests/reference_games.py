@@ -1,0 +1,193 @@
+"""The from-scratch, projection-based legality and winner of every game,
+kept as a test-only reference for the incremental positions in
+`cl15.games`.
+
+Each function judges a whole run at once: composite games project the run
+onto every component (every touched copy, every thread representative,
+every candidate coordinate vector) and judge the projections afresh.  The
+offender is found by judging every prefix.  This is slow, cubic in run
+length and exponential in the number of overgroups, and it is meant to be:
+it is the direct reading of the definitions that the positions must agree
+with.
+"""
+from __future__ import annotations
+
+from cl15.games import (
+    AndGame,
+    CirquentGame,
+    CostGame,
+    EnumerationGame,
+    FiniteGame,
+    Game,
+    NegGame,
+    OrGame,
+    PcostGame,
+    PermissiveGame,
+    PstGame,
+    StGame,
+    thread_representatives,
+)
+from cl15.runs import (
+    BOT,
+    TOP,
+    Player,
+    Run,
+    is_numeral,
+    negate_run,
+    project_branch,
+    project_cell,
+    project_prefix,
+    split_bit_move,
+    split_cell_move,
+    split_index_move,
+)
+
+
+def reference_legal(g: Game, run: Run) -> bool:
+    if isinstance(g, FiniteGame):
+        return run in g.tree
+    if isinstance(g, EnumerationGame):
+        return all(is_numeral(lm.move) for lm in run)
+    if isinstance(g, PermissiveGame):
+        return True
+    if isinstance(g, NegGame):
+        return reference_legal(g.base, negate_run(run))
+    if isinstance(g, (AndGame, OrGame)):
+        for lm in run:
+            split = split_index_move(lm.move)
+            if split is None or split[0] not in (1, 2):
+                return False
+        return reference_legal(g.left, project_prefix(run, "1.")) and reference_legal(
+            g.right, project_prefix(run, "2.")
+        )
+    if isinstance(g, (PstGame, PcostGame)):
+        for lm in run:
+            if split_index_move(lm.move) is None:
+                return False
+        return all(
+            reference_legal(g.base, project_prefix(run, f"{u}.")) for u in _touched_copies(run)
+        )
+    if isinstance(g, (StGame, CostGame)):
+        for lm in run:
+            if split_bit_move(lm.move) is None:
+                return False
+        return all(reference_legal(g.base, project_branch(run, x)) for x in _reps(run))
+    if isinstance(g, CirquentGame):
+        if not all(_cell_move_ok(g, lm.move) for lm in run):
+            return False
+        for xs in _coordinate_candidates(g, run):
+            for a in range(1, g.cirquent.size + 1):
+                if not reference_legal(g.base_games[a - 1], project_cell(run, a, xs)):
+                    return False
+        return True
+    raise TypeError(f"no reference for {type(g).__name__}")
+
+
+def reference_won_legal(g: Game, run: Run) -> Player:
+    """Winner of a run assumed legal."""
+    if isinstance(g, FiniteGame):
+        return g.labels[run]
+    if isinstance(g, EnumerationGame):
+        return BOT if g.loses(run) else TOP
+    if isinstance(g, PermissiveGame):
+        return TOP
+    if isinstance(g, NegGame):
+        return reference_won_legal(g.base, negate_run(run)).opponent
+    if isinstance(g, (AndGame, OrGame)):
+        lw = reference_won_legal(g.left, project_prefix(run, "1."))
+        rw = reference_won_legal(g.right, project_prefix(run, "2."))
+        return _combine([lw, rw], isinstance(g, AndGame))
+    if isinstance(g, (PstGame, PcostGame)):
+        results = [
+            reference_won_legal(g.base, project_prefix(run, f"{u}."))
+            for u in _touched_copies(run)
+        ]
+        results.append(reference_won_legal(g.base, ()))
+        return _combine(results, isinstance(g, PstGame))
+    if isinstance(g, (StGame, CostGame)):
+        results = [reference_won_legal(g.base, project_branch(run, x)) for x in _reps(run)]
+        return _combine(results, isinstance(g, StGame))
+    if isinstance(g, CirquentGame):
+        for xs in _coordinate_candidates(g, run):
+            for under in g.cirquent.undergroups:
+                if not any(
+                    reference_won_legal(g.base_games[a - 1], project_cell(run, a, xs)) is TOP
+                    for a in under
+                ):
+                    return BOT
+        return TOP
+    raise TypeError(f"no reference for {type(g).__name__}")
+
+
+def reference_offender(g: Game, run: Run) -> Player | None:
+    """The player whose move ends the shortest illegal prefix, if any."""
+    for i in range(1, len(run) + 1):
+        if not reference_legal(g, run[:i]):
+            return run[i - 1].player
+    return None
+
+
+def reference_winner(g: Game, run: Run) -> Player:
+    """Total winner: the offender rule, then the winner of the legal run."""
+    offender = reference_offender(g, run)
+    if offender is not None:
+        return offender.opponent
+    return reference_won_legal(g, run)
+
+
+def _combine(results: list[Player], conjunctive: bool) -> Player:
+    if conjunctive:
+        return TOP if all(r is TOP for r in results) else BOT
+    return TOP if any(r is TOP for r in results) else BOT
+
+
+def _touched_copies(run: Run) -> list[int]:
+    seen: dict[int, None] = {}
+    for lm in run:
+        split = split_index_move(lm.move)
+        if split is not None:
+            seen.setdefault(split[0], None)
+    return list(seen)
+
+
+def _reps(run: Run):
+    used = set()
+    for lm in run:
+        split = split_bit_move(lm.move)
+        if split is not None:
+            used.add(split[0])
+    return thread_representatives(used)
+
+
+def _cell_move_ok(g: CirquentGame, move: str) -> bool:
+    split = split_cell_move(move)
+    if split is None:
+        return False
+    a, coords, _ = split
+    c = g.cirquent
+    if not 1 <= a <= c.size or len(coords) != len(c.overgroups):
+        return False
+    return all((u > 0) == (a in over) for u, over in zip(coords, c.overgroups))
+
+
+def _coordinate_candidates(g: CirquentGame, run: Run) -> list[tuple[int, ...]]:
+    """Positive coordinate vectors covering every equivalence class of the
+    winner/legality quantifiers: per coordinate, each used nonzero value
+    plus one fresh value."""
+    n = len(g.cirquent.overgroups)
+    used: list[set[int]] = [set() for _ in range(n)]
+    for lm in run:
+        split = split_cell_move(lm.move)
+        if split is None:
+            continue
+        _, coords, _ = split
+        if len(coords) != n:
+            continue
+        for j, u in enumerate(coords):
+            if u > 0:
+                used[j].add(u)
+    per_coord = [sorted(s) + [max(s, default=0) + 1] for s in used]
+    vectors: list[tuple[int, ...]] = [()]
+    for options in per_coord:
+        vectors = [v + (o,) for v in vectors for o in options]
+    return vectors

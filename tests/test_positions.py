@@ -1,0 +1,199 @@
+"""Incremental game positions against the brute-force oracle in
+`cl15.harness` and the projection-based reference in `reference_games`,
+on random legal runs and random offender runs."""
+from __future__ import annotations
+
+import time
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cl15.cirquent import Cirquent, make_cirquent
+from cl15.formula import And, AtomRef, Cost, NegAtom, Or, Pcost, Pst, St
+from cl15.games import EnumerationGame, interpret_cirquent, interpret_formula
+from cl15.harness import (
+    brute_force_legal,
+    brute_force_winner,
+    move_builder,
+    random_finite_interpretation,
+    rng_chooser,
+)
+from cl15.runs import BOT, TOP, Labmove, format_cell_move
+
+from conftest import C
+from reference_games import (
+    reference_legal,
+    reference_offender,
+    reference_winner,
+    reference_won_legal,
+)
+
+ATOMS = ("P", "Q")
+JUNK = ("x", "0", "3.1", "01.1", "9.9.9.9", ";", "1;;.m", "2;0,0.1", "1;1.1")
+
+literals = st.builds(AtomRef, st.sampled_from(ATOMS)) | st.builds(
+    NegAtom, st.sampled_from(ATOMS)
+)
+formulas = st.recursive(
+    literals,
+    lambda inner: st.one_of(
+        st.builds(And, inner, inner),
+        st.builds(Or, inner, inner),
+        st.builds(Pst, inner),
+        st.builds(Pcost, inner),
+        st.builds(St, inner),
+        st.builds(Cost, inner),
+    ),
+    max_leaves=3,
+)
+
+
+@st.composite
+def cirquents(draw) -> Cirquent:
+    """A valid cirquent of 1-3 oformulas, 1-2 undergroups, 1-3 overgroups."""
+    size = draw(st.integers(1, 3))
+    oformulas = draw(st.lists(formulas, min_size=size, max_size=size))
+
+    def groups(count: int) -> list[set[int]]:
+        out: list[set[int]] = [set() for _ in range(count)]
+        for a in range(1, size + 1):
+            out[draw(st.integers(0, count - 1))].add(a)
+        for g in out:
+            g |= draw(st.sets(st.integers(1, size), min_size=0 if g else 1, max_size=size))
+        return out
+
+    return make_cirquent(
+        oformulas,
+        groups(draw(st.integers(1, 2))),
+        groups(draw(st.integers(1, 3))),
+    )
+
+
+@st.composite
+def plays(draw, subjects, offending: bool):
+    """A subject, an interpretation, its game and a run.  The run is legal,
+    built from structure-shaped moves that keep it legal; with `offending`
+    it continues with an illegal labmove and a few more moves after it.
+    The positions under test pick the moves; the checks then catch a move
+    they accept wrongly (on legal runs) or reject wrongly (on offender
+    runs)."""
+    subject = draw(subjects)
+    interp = random_finite_interpretation(ATOMS, 2, 2, draw(st.integers(0, 10_000)))
+    if isinstance(subject, Cirquent):
+        game = interpret_cirquent(subject, interp)
+    else:
+        game = interpret_formula(subject, interp)
+    rng = draw(st.randoms(use_true_random=False))
+    build = move_builder(subject, interp)
+
+    def labmove(move: str) -> Labmove:
+        return Labmove(TOP if rng.random() < 0.5 else BOT, move)
+
+    run: tuple[Labmove, ...] = ()
+    for _ in range(draw(st.integers(2, 8))):
+        for _ in range(12):
+            lm = labmove(build(rng_chooser(rng)))
+            if game.legal(run + (lm,)):
+                run += (lm,)
+                break
+    if offending:
+        for _ in range(12):
+            lm = labmove(rng.choice(JUNK) if rng.random() < 0.3 else build(rng_chooser(rng)))
+            if not game.legal(run + (lm,)):
+                run += (lm,)
+                break
+        run += tuple(labmove(build(rng_chooser(rng))) for _ in range(rng.randint(0, 3)))
+    return subject, interp, game, run
+
+
+def _check_against_reference(game, run):
+    """Every prefix's verdict, the offender and the winner, as positions
+    give them, equal the reference's."""
+    offender = reference_offender(game, run)
+    pos = game.start()
+    still_legal = True
+    for i, lm in enumerate(run, start=1):
+        still_legal = still_legal and reference_legal(game, run[:i])
+        assert pos.extend(lm) == still_legal
+        assert pos.offender == (None if still_legal else offender)
+    assert pos.winner() is reference_winner(game, run)
+    assert game.legal(run) == (offender is None) == reference_legal(game, run)
+    assert game.offender(run) == offender
+    assert game.winner(run) is pos.winner()
+
+
+def _check_against_oracle(subject, interp, game, run):
+    assert game.legal(run) == brute_force_legal(subject, interp, run)
+    assert game.winner(run) is brute_force_winner(subject, interp, run)
+
+
+@given(plays(formulas, offending=False))
+def test_formula_positions_agree_on_legal_runs(case):
+    subject, interp, game, run = case
+    assert game.legal(run)
+    _check_against_reference(game, run)
+    _check_against_oracle(subject, interp, game, run)
+
+
+@given(plays(formulas, offending=True))
+def test_formula_positions_agree_on_offender_runs(case):
+    subject, interp, game, run = case
+    assert game.offender(run) is not None
+    _check_against_reference(game, run)
+    _check_against_oracle(subject, interp, game, run)
+
+
+@given(plays(cirquents(), offending=False))
+def test_cirquent_positions_agree_on_legal_runs(case):
+    subject, interp, game, run = case
+    assert game.legal(run)
+    _check_against_reference(game, run)
+    _check_against_oracle(subject, interp, game, run)
+
+
+@given(plays(cirquents(), offending=True))
+def test_cirquent_positions_agree_on_offender_runs(case):
+    subject, interp, game, run = case
+    assert game.offender(run) is not None
+    _check_against_reference(game, run)
+    _check_against_oracle(subject, interp, game, run)
+
+
+def test_six_copies_of_an_overgroup_agree_with_reference():
+    # `~P | P` with six copies of overgroup {1,2}: a 12-move legal run over
+    # coordinates 1 and 2 gives the reference 3**6 coordinate vectors.  P
+    # lets the machine win a cell only if its run there has even length.
+    c = C("oformulas: ~P | P ; under: {1,2} ; over: " + "{1,2}" * 6)
+    game = interpret_cirquent(c, {"P": EnumerationGame(lambda run: len(run) % 2 == 1)})
+    vectors = [(1,) * 6, (2,) * 6, (1, 2) * 3, (2, 1) * 3, (1, 1, 1, 2, 2, 2), (2, 2, 1, 1, 2, 1)]
+    run = tuple(
+        Labmove(BOT if a == 2 else TOP, format_cell_move(a, xs, str(k)))
+        for k, xs in enumerate(vectors, start=1)
+        for a in (2, 1)
+    )
+    assert len(run) == 12
+    pos = game.start()
+    assert all(pos.extend(lm) for lm in run)
+    assert reference_legal(game, run)
+    assert pos.winner() is reference_won_legal(game, run) is TOP
+    cut = run[:-1]
+    assert game.winner(cut) is reference_won_legal(game, cut) is BOT
+    stray = cut + (Labmove(TOP, format_cell_move(1, (1, 2, 1, 2, 1, 0), "1")),)
+    assert not reference_legal(game, stray)
+    assert game.offender(stray) is TOP and game.winner(stray) is BOT
+
+
+def test_long_cirquent_play_is_linear():
+    # 400 labmoves over 3 overgroups and 20 cells; the reference would take
+    # minutes, the positions take well under a second.
+    c = C("oformulas: ~P | P ; under: {1,2} ; over: {1,2}{1,2}{1,2}")
+    game = interpret_cirquent(c, {"P": EnumerationGame(lambda run: False)})
+    run = tuple(
+        Labmove(BOT if a == 2 else TOP, format_cell_move(a, (k % 5 + 1, k % 4 + 1, 1), "7"))
+        for k in range(200)
+        for a in (2, 1)
+    )
+    start = time.perf_counter()
+    assert game.legal(run)
+    assert game.winner(run) is TOP
+    assert time.perf_counter() - start < 2.0
