@@ -487,7 +487,10 @@ def _parse_params(text: str, lineno: int) -> dict[str, object]:
             if not value.endswith("}"):
                 raise ProofError(f"line {lineno}: bad set parameter {chunk!r}")
             inner = value[1:-1].strip()
-            params[key] = frozenset(int(p) for p in inner.split(",")) if inner else frozenset()
+            try:
+                params[key] = frozenset(int(p) for p in inner.split(",")) if inner else frozenset()
+            except ValueError as exc:
+                raise ProofError(f"line {lineno}: bad set parameter {chunk!r}") from exc
         else:
             try:
                 params[key] = int(value)

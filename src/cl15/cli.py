@@ -232,7 +232,10 @@ def cmd_project(args) -> int:
     elif args.branch is not None:
         result = project_branch(run, parse_bitstring_spec(args.branch))
     else:
-        coords = tuple(int(p) for p in args.coords.split(",")) if args.coords else ()
+        try:
+            coords = tuple(int(p) for p in args.coords.split(",")) if args.coords else ()
+        except ValueError as exc:
+            raise RunError(f"bad --coords {args.coords!r}: expected numbers like 1,2") from exc
         result = project_cell(run, args.cell, coords)
     text = render_run(result)
     if text:

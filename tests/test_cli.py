@@ -272,3 +272,22 @@ def test_play_command_through_main(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == OK, out
     assert "machine moves: 1;1.2.m" in out
+
+
+def test_project_bad_coords_is_a_usage_error(capsys):
+    assert main(["project", RUNFILE, "--cell", "1", "--coords", "a"]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad --coords 'a': expected numbers like 1,2\n"
+
+
+def test_check_bad_set_parameter_is_a_usage_error(tmp_path, capsys):
+    text = read_fixture("p2.proof")
+    assert "add_over={" in text
+    bad = tmp_path / "bad.proof"
+    bad.write_text(text.replace("add_over={", "add_over={x", 1))
+    assert main(["check", str(bad)]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line ")
+    assert "bad set parameter 'add_over={x" in captured.err
