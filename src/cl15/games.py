@@ -145,10 +145,12 @@ class FiniteGame(Game):
         return [] if node is None else list(self._children[node])
 
     def move_alphabet(self) -> list[str]:
-        """All move strings occurring anywhere in the tree."""
+        """All move strings occurring anywhere in the tree, in the order of
+        `labels` (file order or generation order), so that choices among
+        them do not depend on the interpreter's hash seed."""
         seen: dict[str, None] = {}
-        for run in self.tree:
-            for lm in run:
+        for run in self.labels:
+            for lm in run if run in self.tree else ():
                 seen.setdefault(lm.move, None)
         return list(seen)
 

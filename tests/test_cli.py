@@ -1,8 +1,14 @@
 """Command-line behavior: exit codes, exact messages, file round trips, and
 the interactive play loop driven through StringIO."""
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import cl15
 
 from cl15.cl15 import parse_proof
 from cl15.cli import (
@@ -291,3 +297,17 @@ def test_check_bad_set_parameter_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: line ")
     assert "bad set parameter 'add_over={x" in captured.err
+
+
+def test_random_adversary_transcript_ignores_the_hash_seed():
+    argv = [sys.executable, "-m", "cl15.cli", "simulate", P2, "--adversary", "random",
+            "--seed", "7"]
+    src = str(Path(cl15.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == OK, done.stderr
+        outputs.append(done.stdout)
+    assert " E:" in outputs[0]
+    assert outputs[0] == outputs[1]
