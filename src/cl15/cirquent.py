@@ -118,8 +118,10 @@ def _parse_groups(text: str, what: str) -> tuple[Group, ...]:
     return tuple(groups)
 
 
-def parse_cirquent(text: str) -> Cirquent:
-    """Parse the one-line cirquent text format."""
+def parse_cirquent(text: str, formulas: dict[str, Formula] | None = None) -> Cirquent:
+    """Parse the one-line cirquent text format.  `formulas`, if given, maps
+    oformula texts already parsed to their formulas; each text is parsed at
+    most once and equal texts share one (frozen) formula."""
     sections: dict[str, str] = {}
     for part in text.split(";"):
         part = part.strip()
@@ -142,7 +144,11 @@ def parse_cirquent(text: str) -> Cirquent:
     of_texts = [p.strip() for p in sections["oformulas"].split("|")]
     if not all(of_texts):
         raise CirquentError("empty oformula entry")
-    oformulas = tuple(parse_formula(t) for t in of_texts)
+    known = {} if formulas is None else formulas
+    for t in of_texts:
+        if t not in known:
+            known[t] = parse_formula(t)
+    oformulas = tuple(known[t] for t in of_texts)
     unders = _parse_groups(sections["under"], "under")
     overs = _parse_groups(sections["over"], "over")
     return Cirquent(oformulas, unders, overs)

@@ -551,8 +551,10 @@ def _build_rule(name: str, params: dict[str, object], cirq: Cirquent, lineno: in
 
 def parse_proof(text: str) -> Proof:
     """Parse the proof file format: `step <k>: rule=<name> <params>` headers
-    each followed by one cirquent line; `#` starts a comment."""
+    each followed by one cirquent line; `#` starts a comment.  Each distinct
+    oformula text in the file is parsed once."""
     steps: list[ProofStep] = []
+    formulas: dict[str, Formula] = {}
     pending: tuple[int, str, dict[str, object]] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -570,7 +572,7 @@ def parse_proof(text: str) -> Proof:
         if pending is None:
             raise ProofError(f"line {lineno}: expected a 'step <k>: rule=...' header")
         try:
-            cirq = parse_cirquent(line)
+            cirq = parse_cirquent(line, formulas)
         except CirquentError as exc:
             raise ProofError(f"line {lineno}: {exc}") from exc
         steps.append(ProofStep(cirq, _build_rule(pending[1], pending[2], cirq, lineno)))

@@ -45,6 +45,7 @@ from .runs import (
 from .strategy import (
     GrantPermission,
     MakeMove,
+    ProofViolation,
     PureGranter,
     StrategyError,
     extract_solution,
@@ -170,12 +171,11 @@ def cmd_check(args) -> int:
 
 def cmd_extract(args) -> int:
     proof = rules.parse_proof(_read(args.proof))
-    failure = rules.verify_proof(proof)
-    if failure is not None:
-        k, violation = failure
-        print(f"step {k}: violation: {violation.reason}")
+    try:
+        extract_solution(proof, formula_level=args.level == "formula")
+    except ProofViolation as exc:
+        print(f"step {exc.step}: violation: {exc.violation.reason}")
         return FAIL
-    extract_solution(proof, formula_level=args.level == "formula")
     _, desc = _goal_of(proof, args.level == "formula")
     text = f"strategy level={args.level}\n{rules.render_proof(proof)}\n"
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -206,12 +206,11 @@ def _make_adversary(spec: str, game: Game, goal, interp: Interpretation, seed: i
 
 def cmd_simulate(args) -> int:
     proof, formula_level = _load_subject(args.subject, args.level)
-    failure = rules.verify_proof(proof)
-    if failure is not None:
-        k, violation = failure
-        print(f"step {k}: violation: {violation.reason}")
+    try:
+        machine = extract_solution(proof, formula_level=formula_level)
+    except ProofViolation as exc:
+        print(f"step {exc.step}: violation: {exc.violation.reason}")
         return FAIL
-    machine = extract_solution(proof, formula_level=formula_level)
     goal, desc = _goal_of(proof, formula_level)
     interp = _build_interp(args, goal)
     game = _interpret(goal, interp)
@@ -268,12 +267,11 @@ def play_session(
     def say(msg: str) -> None:
         print(msg, file=out_stream)
 
-    failure = rules.verify_proof(proof)
-    if failure is not None:
-        k, violation = failure
-        say(f"step {k}: violation: {violation.reason}")
+    try:
+        machine = extract_solution(proof, formula_level=formula_level).spawn()
+    except ProofViolation as exc:
+        say(f"step {exc.step}: violation: {exc.violation.reason}")
         return FAIL
-    machine = extract_solution(proof, formula_level=formula_level).spawn()
     goal, desc = _goal_of(proof, formula_level)
     game = _interpret(goal, interp)
     game_position = game.start()

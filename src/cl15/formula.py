@@ -231,10 +231,14 @@ def parse_formula(text: str) -> Formula:
     if not tokens:
         raise FormulaError("empty formula")
     parser = _Parser(tokens, text)
-    node = parser.parse_impl()
-    if parser.peek() is not None:
-        raise FormulaError(f"trailing input from token {parser.peek()!r}")
-    return normalize_negation(node)
+    try:
+        node = parser.parse_impl()
+        if parser.peek() is not None:
+            raise FormulaError(f"trailing input from token {parser.peek()!r}")
+        return normalize_negation(node)
+    except RecursionError:
+        # The recursive descent's depth is bounded by the interpreter's.
+        raise FormulaError("formula nested too deeply") from None
 
 
 # Rendering with minimal parentheses.  Precedence: atoms/prefix 3, /\ 2, \/ 1.

@@ -213,14 +213,6 @@ class _PermissivePosition(Position):
         return TOP
 
 
-def make_finite_game(tree: set[Run], labels: dict[Run, Player]) -> Game:
-    return FiniteGame(tree, labels)
-
-
-def make_enumeration_game(loses: Callable[[Run], bool]) -> Game:
-    return EnumerationGame(loses)
-
-
 def parse_finite_game(text: str) -> FiniteGame:
     """Parse the finite-game text format: a `finitegame` header, then one
     line per legal run `<labmoves joined by ;> => T|B` with `()` for the

@@ -40,9 +40,6 @@ class Labmove:
 
 Run = tuple[Labmove, ...]
 
-EMPTY_RUN: Run = ()
-
-
 def labmove(player: Player, move: str) -> Labmove:
     return Labmove(player, move)
 

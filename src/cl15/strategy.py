@@ -2,10 +2,11 @@
 rule-by-rule strategy transformers.
 
 A machine strategy is a stateful per-play agent: `next(run, step)` returns
-an action, and `spawn()` yields a fresh instance for a new play.  The
-transformers wrap an inner strategy for a rule's premise into an outer
-strategy for its conclusion by translating moves both ways and keeping an
-imagined inner run.
+an action, and `spawn()` yields a fresh instance for a new play.  Each rule
+application has a translator that turns a strategy for its premise into
+one for its conclusion by translating moves both ways and keeping an
+imagined inner run.  An extracted strategy is one flat `Pipeline`: the
+axiom strategy and a tuple of translators, one layer per proof step.
 """
 from __future__ import annotations
 
@@ -29,6 +30,15 @@ from . import cl15 as rules
 
 class StrategyError(ValueError):
     """Unusable strategy construction inputs."""
+
+
+class ProofViolation(StrategyError):
+    """The proof given for extraction does not verify."""
+
+    def __init__(self, step: int, violation: rules.Violation):
+        super().__init__(f"proof does not verify at step {step}: {violation.reason}")
+        self.step = step
+        self.violation = violation
 
 
 # Actions
@@ -204,10 +214,6 @@ class AxiomStrategy(MachineStrategy):
         return GRANT
 
 
-def axiom_strategy(n: int) -> MachineStrategy:
-    return AxiomStrategy(n)
-
-
 # Translators
 
 @dataclass(frozen=True)
@@ -222,48 +228,96 @@ class Translator:
     inner_to_outer: Callable[[str], str | None]
 
 
-class TranslatedStrategy(MachineStrategy):
-    """Wrap an inner strategy with a move translator.  The wrapper feeds
-    translated environment moves to the inner strategy, relays its grants,
-    and emits its moves outward through the inverse map."""
+def _cellwise(fn: Callable[[int, tuple[int, ...], str], str | None]) -> Callable[[str], str | None]:
+    """Lift a map of split cell moves `(oformula, coords, payload)` to a map
+    of moves; a move that is not a cell move maps to None."""
+
+    def move_map(move: str) -> str | None:
+        split = split_cell_move(move)
+        return None if split is None else fn(*split)
+
+    return move_map
+
+
+class Pipeline(MachineStrategy):
+    """A base strategy seen through translators, innermost first.  Layer i
+    keeps the imagined run inside translator i; its outer run is layer
+    i+1's imagined run, or the real run for the outermost layer.  A turn
+    enters the layers from the outside in, each reading its new outer
+    environment moves through `outer_to_inner`; the base's moves then climb
+    out through `inner_to_outer`.  A layer that absorbs a move asks its
+    inner side again, at most `_FUEL` times per entry, then grants.  Grants
+    and idling go straight out.  There is no recursion, so chains of any
+    length work."""
 
     _FUEL = 64
 
-    def __init__(self, inner: MachineStrategy, translator: Translator):
-        self.inner_template = inner
-        self.translator = translator
-        self._inner = inner.spawn()
-        self._imagined: list[Labmove] = []
-        self._cursor = 0
-        self._inner_step = 0
+    def __init__(self, base: MachineStrategy, translators: tuple[Translator, ...]):
+        self.base = base
+        self.translators = translators
+        self._base = base.spawn()
+        self._base_step = 0
+        self._imagined: list[list[Labmove]] = [[] for _ in translators]
+        self._cursor = [0] * len(translators)
+        self._fuel = [0] * len(translators)
 
-    def spawn(self) -> "TranslatedStrategy":
-        return TranslatedStrategy(self.inner_template, self.translator)
+    def spawn(self) -> "Pipeline":
+        return Pipeline(self.base, self.translators)
 
     @property
     def imagined_run(self) -> Run:
-        return tuple(self._imagined)
+        """The imagined run inside the outermost translator."""
+        return tuple(self._imagined[-1])
+
+    def _enter(self, i: int, outer: Run | list[Labmove]) -> None:
+        imagined = self._imagined[i]
+        to_inner = self.translators[i].outer_to_inner
+        for lm in outer[self._cursor[i]:]:
+            if lm.player is BOT:
+                inner_move = to_inner(lm.move)
+                if inner_move is not None:
+                    imagined.append(Labmove(BOT, inner_move))
+        self._cursor[i] = len(outer)
+        self._fuel[i] = self._FUEL
 
     def next(self, run: Run, step: int) -> Action:
-        for lm in run[self._cursor:]:
-            if lm.player is BOT:
-                inner_move = self.translator.outer_to_inner(lm.move)
-                if inner_move is not None:
-                    self._imagined.append(Labmove(BOT, inner_move))
-        self._cursor = len(run)
-        for _ in range(self._FUEL):
-            self._inner_step += 1
-            action = self._inner.next(tuple(self._imagined), self._inner_step)
-            if isinstance(action, MakeMove):
-                self._imagined.append(Labmove(TOP, action.move))
-                outer = self.translator.inner_to_outer(action.move)
-                if outer is not None:
-                    return MakeMove(outer)
-                continue
-            if isinstance(action, GrantPermission):
+        top = len(self.translators) - 1
+        if top < 0:
+            return self._base.next(run, step)
+        imagined, fuel = self._imagined, self._fuel
+        i = top
+        self._enter(i, run)
+        while True:
+            # Layer i asks its inner side for an action.
+            if fuel[i] == 0:
                 return GRANT
-            return IDLE
-        return GRANT
+            fuel[i] -= 1
+            if i > 0:
+                i -= 1
+                self._enter(i, imagined[i + 1])
+                continue
+            self._base_step += 1
+            action = self._base.next(tuple(imagined[0]), self._base_step)
+            if not isinstance(action, MakeMove):
+                return GRANT if isinstance(action, GrantPermission) else IDLE
+            # The move climbs until a layer absorbs it or it leaves the top.
+            move: str | None = action.move
+            while True:
+                imagined[i].append(Labmove(TOP, move))
+                move = self.translators[i].inner_to_outer(move)
+                if move is None:
+                    break
+                if i == top:
+                    return MakeMove(move)
+                i += 1
+
+
+def translate(m: MachineStrategy, translator: Translator) -> Pipeline:
+    """A strategy for the outer game of `translator`, given one for its
+    inner game: the pipeline of `m` extended by one layer."""
+    if isinstance(m, Pipeline):
+        return Pipeline(m.base, m.translators + (translator,))
+    return Pipeline(m, (translator,))
 
 
 def identity_translator(name: str) -> Translator:
@@ -319,22 +373,16 @@ def _swap_index(a: int, i: int) -> int:
 
 
 def _oformula_exchange_translator(i: int) -> Translator:
-    def both_ways(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        a, coords, rest = split
+    @_cellwise
+    def both_ways(a: int, coords: tuple[int, ...], rest: str) -> str | None:
         return format_cell_move(_swap_index(a, i), coords, rest)
 
     return Translator(f"exchange_oformulas@{i}", both_ways, both_ways)
 
 
 def _overgroup_exchange_translator(i: int) -> Translator:
-    def both_ways(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        a, coords, rest = split
+    @_cellwise
+    def both_ways(a: int, coords: tuple[int, ...], rest: str) -> str | None:
         if len(coords) < i + 1:
             return None
         cs = list(coords)
@@ -351,22 +399,16 @@ def _weakening_translator(conclusion: Cirquent, under: int, oformula: int) -> Tr
     d = deleted_of
     dropped = set(deleted_overs)
 
-    def outer_to_inner(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        a, coords, rest = split
+    @_cellwise
+    def outer_to_inner(a: int, coords: tuple[int, ...], rest: str) -> str | None:
         if a == d:
             return None
         a2 = a - 1 if a > d else a
         coords2 = tuple(u for j, u in enumerate(coords, start=1) if j not in dropped)
         return format_cell_move(a2, coords2, rest)
 
-    def inner_to_outer(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        a, coords, rest = split
+    @_cellwise
+    def inner_to_outer(a: int, coords: tuple[int, ...], rest: str) -> str | None:
         a2 = a + 1 if a >= d else a
         cs = list(coords)
         for j in sorted(dropped):
@@ -377,11 +419,8 @@ def _weakening_translator(conclusion: Cirquent, under: int, oformula: int) -> Tr
 
 
 def _contraction_translator(a: int) -> Translator:
-    def outer_to_inner(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        c, coords, rest = split
+    @_cellwise
+    def outer_to_inner(c: int, coords: tuple[int, ...], rest: str) -> str | None:
         if c != a:
             return format_cell_move(c + 1 if c > a else c, coords, rest)
         payload = split_index_move(rest)
@@ -392,11 +431,8 @@ def _contraction_translator(a: int) -> Translator:
             return format_cell_move(a, coords, f"{(k + 1) // 2}.{tail}")
         return format_cell_move(a + 1, coords, f"{k // 2}.{tail}")
 
-    def inner_to_outer(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        c, coords, rest = split
+    @_cellwise
+    def inner_to_outer(c: int, coords: tuple[int, ...], rest: str) -> str | None:
         if c not in (a, a + 1):
             return format_cell_move(c - 1 if c > a + 1 else c, coords, rest)
         payload = split_index_move(rest)
@@ -410,11 +446,8 @@ def _contraction_translator(a: int) -> Translator:
 
 
 def _overgroup_duplication_translator(j: int) -> Translator:
-    def outer_to_inner(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        a, coords, rest = split
+    @_cellwise
+    def outer_to_inner(a: int, coords: tuple[int, ...], rest: str) -> str | None:
         if len(coords) < j + 1:
             return None
         u1, u2 = coords[j - 1], coords[j]
@@ -426,11 +459,8 @@ def _overgroup_duplication_translator(j: int) -> Translator:
             return None
         return format_cell_move(a, coords[:j - 1] + (merged,) + coords[j + 1:], rest)
 
-    def inner_to_outer(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        a, coords, rest = split
+    @_cellwise
+    def inner_to_outer(a: int, coords: tuple[int, ...], rest: str) -> str | None:
         if len(coords) < j:
             return None
         u = coords[j - 1]
@@ -444,11 +474,8 @@ def _merging_translator(premise: Cirquent, j: int) -> Translator:
     in_j = premise.overgroups[j - 1]
     in_j1 = premise.overgroups[j]
 
-    def outer_to_inner(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        a, coords, rest = split
+    @_cellwise
+    def outer_to_inner(a: int, coords: tuple[int, ...], rest: str) -> str | None:
         if len(coords) < j:
             return None
         v = coords[j - 1]
@@ -465,11 +492,8 @@ def _merging_translator(premise: Cirquent, j: int) -> Translator:
             expanded = (0, 0)
         return format_cell_move(a, coords[:j - 1] + expanded + coords[j:], rest)
 
-    def inner_to_outer(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        a, coords, rest = split
+    @_cellwise
+    def inner_to_outer(a: int, coords: tuple[int, ...], rest: str) -> str | None:
         if len(coords) < j + 1:
             return None
         v1, v2 = coords[j - 1], coords[j]
@@ -489,11 +513,8 @@ def _merging_translator(premise: Cirquent, j: int) -> Translator:
 
 
 def _binary_intro_translator(a: int, kind: str) -> Translator:
-    def outer_to_inner(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        c, coords, rest = split
+    @_cellwise
+    def outer_to_inner(c: int, coords: tuple[int, ...], rest: str) -> str | None:
         if c != a:
             return format_cell_move(c + 1 if c > a else c, coords, rest)
         payload = split_index_move(rest)
@@ -502,11 +523,8 @@ def _binary_intro_translator(a: int, kind: str) -> Translator:
         i, tail = payload
         return format_cell_move(a if i == 1 else a + 1, coords, tail)
 
-    def inner_to_outer(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        c, coords, rest = split
+    @_cellwise
+    def inner_to_outer(c: int, coords: tuple[int, ...], rest: str) -> str | None:
         if c == a:
             return format_cell_move(a, coords, f"1.{rest}")
         if c == a + 1:
@@ -517,11 +535,8 @@ def _binary_intro_translator(a: int, kind: str) -> Translator:
 
 
 def _pst_intro_translator(a: int, j: int) -> Translator:
-    def outer_to_inner(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        c, coords, rest = split
+    @_cellwise
+    def outer_to_inner(c: int, coords: tuple[int, ...], rest: str) -> str | None:
         if c != a:
             coords2 = coords[:j - 1] + (0,) + coords[j - 1:]
             return format_cell_move(c, coords2, rest)
@@ -532,11 +547,8 @@ def _pst_intro_translator(a: int, j: int) -> Translator:
         coords2 = coords[:j - 1] + (u,) + coords[j - 1:]
         return format_cell_move(a, coords2, tail)
 
-    def inner_to_outer(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        c, coords, rest = split
+    @_cellwise
+    def inner_to_outer(c: int, coords: tuple[int, ...], rest: str) -> str | None:
         if len(coords) < j:
             return None
         u = coords[j - 1]
@@ -554,13 +566,10 @@ def _pcost_intro_translator(a: int, add_over: frozenset[int]) -> Translator:
     positions = tuple(sorted(add_over))
     n = len(positions)
 
-    def outer_to_inner(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        c, coords, rest = split
+    @_cellwise
+    def outer_to_inner(c: int, coords: tuple[int, ...], rest: str) -> str | None:
         if c != a:
-            return move
+            return format_cell_move(c, coords, rest)
         if positions and len(coords) < positions[-1]:
             return None
         if any(coords[p - 1] != 0 for p in positions):
@@ -577,13 +586,10 @@ def _pcost_intro_translator(a: int, add_over: frozenset[int]) -> Translator:
             cs[p - 1] = us[k]
         return format_cell_move(a, tuple(cs), tail)
 
-    def inner_to_outer(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        c, coords, rest = split
+    @_cellwise
+    def inner_to_outer(c: int, coords: tuple[int, ...], rest: str) -> str | None:
         if c != a:
-            return move
+            return format_cell_move(c, coords, rest)
         us = tuple(coords[p - 1] for p in positions if p <= len(coords))
         if len(us) != n or any(u < 1 for u in us):
             return None
@@ -634,10 +640,11 @@ def transform_strategy(
     conclusion: Cirquent,
     inner: MachineStrategy,
 ) -> MachineStrategy:
-    """Wrap a strategy for the premise game into one for the conclusion game."""
+    """Check the rule application, then extend a strategy for the premise
+    game by its translator into one for the conclusion game."""
     if rules.check_step(premise, conclusion, rule) is not None:
         raise StrategyError("rule application does not check")
-    return TranslatedStrategy(inner, make_translator(rule, premise, conclusion))
+    return translate(inner, make_translator(rule, premise, conclusion))
 
 
 def declubsuit_translator() -> Translator:
@@ -652,11 +659,8 @@ def declubsuit_translator() -> Translator:
         u, rest = payload
         return format_cell_move(1, (u,), rest)
 
-    def inner_to_outer(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        a, coords, rest = split
+    @_cellwise
+    def inner_to_outer(a: int, coords: tuple[int, ...], rest: str) -> str | None:
         if a != 1 or len(coords) != 1 or coords[0] < 1:
             return None
         return f"{coords[0]}.{rest}"
@@ -665,7 +669,7 @@ def declubsuit_translator() -> Translator:
 
 
 def declubsuit(m: MachineStrategy) -> MachineStrategy:
-    return TranslatedStrategy(m, declubsuit_translator())
+    return translate(m, declubsuit_translator())
 
 
 def depst_translator() -> Translator:
@@ -687,29 +691,26 @@ def depst_translator() -> Translator:
 
 
 def depst(m: MachineStrategy) -> MachineStrategy:
-    return TranslatedStrategy(m, depst_translator())
+    return translate(m, depst_translator())
 
 
 def extract_solution(proof: rules.Proof, formula_level: bool = False) -> MachineStrategy:
-    """Fold the axiom strategy through the rule transformers along a
-    verified proof.  With formula_level=True (final cirquent must be a
-    one-oformula clubsuit), return the strategy for the bare formula game."""
+    """Verify the proof, then run the axiom strategy through one translator
+    per rule application.  With formula_level=True (final cirquent must be
+    a one-oformula clubsuit), return the strategy for the bare formula game.
+    Raises ProofViolation if the proof does not verify."""
     report = rules.verify_proof(proof)
     if report is not None:
-        k, violation = report
-        raise StrategyError(f"proof does not verify at step {k}: {violation.reason}")
+        raise ProofViolation(*report)
     axiom_rule = proof.steps[0].rule
     assert isinstance(axiom_rule, rules.Axiom)
-    strat: MachineStrategy = AxiomStrategy(len(axiom_rule.formulas))
-    for k in range(1, len(proof.steps)):
-        strat = transform_strategy(
-            proof.steps[k].rule,
-            proof.steps[k - 1].cirquent,
-            proof.steps[k].cirquent,
-            strat,
-        )
+    steps = proof.steps
+    translators = [
+        make_translator(steps[k].rule, steps[k - 1].cirquent, steps[k].cirquent)
+        for k in range(1, len(steps))
+    ]
     if formula_level:
-        if as_clubsuit(proof.steps[-1].cirquent) is None:
+        if as_clubsuit(steps[-1].cirquent) is None:
             raise StrategyError("final cirquent is not a one-oformula clubsuit")
-        strat = depst(declubsuit(strat))
-    return strat
+        translators += [declubsuit_translator(), depst_translator()]
+    return Pipeline(AxiomStrategy(len(axiom_rule.formulas)), tuple(translators))

@@ -311,3 +311,85 @@ def test_random_adversary_transcript_ignores_the_hash_seed():
         outputs.append(done.stdout)
     assert " E:" in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+# --- verification once, long proofs, deep formulas ------------------------------------
+
+def _count_check_steps(monkeypatch):
+    import cl15.cl15 as rules
+
+    calls = []
+    original = rules.check_step
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rules, "check_step", counting)
+    return calls
+
+
+def test_extract_and_simulate_verify_once(tmp_path, monkeypatch, capsys):
+    steps = len(parse_proof(read_fixture("p2.proof")).steps)
+    calls = _count_check_steps(monkeypatch)
+    assert main(["extract", P2, "--out", str(tmp_path / "p2.strategy")]) == OK
+    assert len(calls) == steps - 1
+    calls.clear()
+    assert main(["simulate", P2]) == OK
+    assert len(calls) == steps - 1
+
+
+def _exchange_chain(steps: int) -> str:
+    """A proof of alternating `exchange_oformulas pos=1` steps over ~P | P."""
+    cirquents = ("oformulas: ~P | P ; under: {1,2} ; over: {1,2}",
+                 "oformulas: P | ~P ; under: {1,2} ; over: {1,2}")
+    lines = ["step 1: rule=axiom", cirquents[0]]
+    for k in range(2, steps + 1):
+        lines += [f"step {k}: rule=exchange_oformulas pos=1", cirquents[(k - 1) % 2]]
+    return "\n".join(lines) + "\n"
+
+
+def test_long_proof_checks_extracts_and_plays(tmp_path, capsys):
+    proof = tmp_path / "chain.proof"
+    proof.write_text(_exchange_chain(5000))
+    assert main(["check", str(proof)]) == OK
+    assert capsys.readouterr().out == "ok (5000 steps)\n"
+    assert main(["extract", str(proof), "--out", str(tmp_path / "chain.strategy")]) == OK
+    capsys.readouterr()
+    assert main(["simulate", str(proof), "--adversary", "random", "--budget", "40"]) == OK
+    out = capsys.readouterr().out
+    assert " M:move " in out
+    assert out.splitlines()[-1].startswith("winner: T ")
+
+
+def _axiom_proof(formula: str, negation: str) -> str:
+    return (f"step 1: rule=axiom\n"
+            f"oformulas: {negation} | {formula} ; under: {{1,2}} ; over: {{1,2}}\n")
+
+
+@pytest.mark.parametrize("formula, negation", [
+    ("(" * 400 + "P" + ")" * 400, "~" + "(" * 400 + "P" + ")" * 400),
+    ("!" * 2000 + "P", "?" * 2000 + "~P"),
+], ids=["400-parentheses", "2000-prefix-operators"])
+def test_formula_nested_too_deeply_is_a_usage_error(tmp_path, capsys, formula, negation):
+    proof = tmp_path / "deep.proof"
+    proof.write_text(_axiom_proof(formula, negation))
+    assert main(["check", str(proof)]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: formula nested too deeply\n"
+
+
+def test_moderately_nested_formulas_still_parse(tmp_path):
+    # A fresh interpreter, so that the test runner's own stack does not count.
+    proof = tmp_path / "deep.proof"
+    nested = "(" * 240 + "P" + ")" * 240
+    proof.write_text(_axiom_proof(nested, "~" + nested))
+    code = ("import sys; from cl15.cli import main; from cl15.formula import parse_formula\n"
+            "parse_formula('!' * 900 + 'P')\n"
+            "sys.exit(main(['check', sys.argv[1]]))\n")
+    src = str(Path(cl15.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code, str(proof)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (OK, "ok (1 steps)\n", "")

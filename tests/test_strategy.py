@@ -1,5 +1,9 @@
 """Machine strategies: the simulator contract, the axiom mirror, the pairing
-arithmetic, per-rule move translators, and proof-to-strategy extraction."""
+arithmetic, per-rule move translators, the translator pipeline, and
+proof-to-strategy extraction."""
+import random
+import zlib
+
 import pytest
 
 from cl15.cirquent import clubsuit
@@ -7,17 +11,23 @@ from cl15.cl15 import PcostIntro, parse_proof
 from cl15.formula import parse_formula
 from cl15.games import PermissiveGame, interpret_cirquent, interpret_formula, parse_finite_game
 from cl15.runs import BOT, TOP, Labmove
+from cl15.harness import ScriptMachine
 from cl15.strategy import (
     GRANT,
+    IDLE,
     AxiomStrategy,
+    GrantPermission,
     IdleStrategy,
     MachineStrategy,
     MakeMove,
+    ProofViolation,
     PureGranter,
     ScriptEnv,
     SilentEnv,
     StrategyError,
+    Translator,
     declubsuit_translator,
+    depst,
     depst_translator,
     extract_solution,
     fold_positives,
@@ -25,6 +35,7 @@ from cl15.strategy import (
     pair,
     simulate,
     transform_strategy,
+    translate,
     unfold_positives,
     unpair,
 )
@@ -198,6 +209,132 @@ def test_run_correspondence_identity(label):
         check(seed)
 
 
+# --- translator pipeline ---------------------------------------------------------
+
+def test_fuel_caps_absorbed_moves_per_turn():
+    # depst absorbs every inner move outside copy 1.
+    strat = depst(ScriptMachine([f"2.m{k}" for k in range(100)])).spawn()
+    assert strat.next((), 1) == GRANT
+    assert len(strat.imagined_run) == 64
+    assert strat.next((), 2) == GRANT
+    assert len(strat.imagined_run) == 100
+    assert all(lm.player is TOP for lm in strat.imagined_run)
+
+
+class _NestedReference(MachineStrategy):
+    """One translator around an inner strategy, recursing into it: the
+    semantics the flat pipeline must keep."""
+
+    _FUEL = 64
+
+    def __init__(self, inner, translator):
+        self.inner_template = inner
+        self.translator = translator
+        self._inner = inner.spawn()
+        self._imagined = []
+        self._cursor = 0
+        self._inner_step = 0
+
+    def spawn(self):
+        return _NestedReference(self.inner_template, self.translator)
+
+    @property
+    def imagined_run(self):
+        return tuple(self._imagined)
+
+    def next(self, run, step):
+        for lm in run[self._cursor:]:
+            if lm.player is BOT:
+                inner_move = self.translator.outer_to_inner(lm.move)
+                if inner_move is not None:
+                    self._imagined.append(Labmove(BOT, inner_move))
+        self._cursor = len(run)
+        for _ in range(self._FUEL):
+            self._inner_step += 1
+            action = self._inner.next(tuple(self._imagined), self._inner_step)
+            if isinstance(action, MakeMove):
+                self._imagined.append(Labmove(TOP, action.move))
+                outer = self.translator.inner_to_outer(action.move)
+                if outer is not None:
+                    return MakeMove(outer)
+                continue
+            if isinstance(action, GrantPermission):
+                return GRANT
+            return IDLE
+        return GRANT
+
+
+class _LoggingScript(MachineStrategy):
+    """Plays a script of moves, grants (None) and one final idle ("idle"),
+    and logs every run and step it is shown."""
+
+    def __init__(self, script, log):
+        self.script, self.log, self._i = tuple(script), log, 0
+
+    def spawn(self):
+        return _LoggingScript(self.script, self.log)
+
+    def next(self, run, step):
+        self.log.append((tuple(run), step))
+        if self._i >= len(self.script):
+            return GRANT
+        entry = self.script[self._i]
+        self._i += 1
+        if entry == "idle":
+            return IDLE
+        return GRANT if entry is None else MakeMove(entry)
+
+
+def _hashing_translator(k, drop_in, drop_out):
+    """Rewrites moves, dropping or absorbing them by a hash of the move."""
+
+    def hit(move, modulus):
+        return modulus and zlib.crc32(f"{k}/{move}".encode()) % modulus == 0
+
+    return Translator(
+        f"hash{k}",
+        lambda m: None if hit(m, drop_in) else f"{m}<{k}",
+        lambda m: None if hit(m, drop_out) else m[:12] + f">{k}",
+    )
+
+
+def _drive(strategy, env_moves, budget):
+    m = strategy.spawn()
+    queue, run, actions = list(env_moves), [], []
+    for step in range(1, budget + 1):
+        action = m.next(tuple(run), step)
+        actions.append(action)
+        if isinstance(action, MakeMove):
+            run.append(Labmove(TOP, action.move))
+        elif isinstance(action, GrantPermission):
+            if queue:
+                run.append(Labmove(BOT, queue.pop(0)))
+        else:
+            break
+    return actions, m.imagined_run
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pipeline_matches_nested_translation(seed):
+    rng = random.Random(seed)
+    layers = rng.randint(1, 6)
+    translators = [
+        _hashing_translator(k, rng.choice((0, 2, 4)), rng.choice((0, 2, 3, 60)))
+        for k in range(layers)
+    ]
+    script = [rng.choice((None, "idle", f"m{i}")) if rng.random() < 0.2 else f"m{i}"
+              for i in range(rng.randint(0, 300))]
+    env = [f"e{i}" for i in range(rng.randint(0, 20))]
+    flat_log, nested_log = [], []
+    flat = _LoggingScript(script, flat_log)
+    nested = _LoggingScript(script, nested_log)
+    for tr in translators:
+        flat = translate(flat, tr)
+        nested = _NestedReference(nested, tr)
+    assert _drive(flat, env, 80) == _drive(nested, env, 80)
+    assert flat_log == nested_log
+
+
 # --- extraction ---------------------------------------------------------------
 
 def test_transform_strategy_requires_a_checking_application():
@@ -210,6 +347,17 @@ def test_extract_solution_rejects_broken_proof():
     proof = parse_proof(read_fixture("p1-broken.proof"))
     with pytest.raises(StrategyError, match="step 2"):
         extract_solution(proof)
+
+
+def test_extract_solution_reports_the_violation():
+    proof = parse_proof(read_fixture("p1-broken.proof"))
+    with pytest.raises(ProofViolation) as info:
+        extract_solution(proof)
+    assert info.value.step == 2
+    assert info.value.violation.reason == "premise does not split the disjunction as required"
+    assert str(info.value) == (
+        "proof does not verify at step 2: premise does not split the disjunction as required"
+    )
 
 
 def test_extract_solution_formula_level_needs_clubsuit_final():
@@ -227,6 +375,12 @@ def test_p1_cirquent_level_copycat():
     assert Labmove(TOP, "1;1.2.m") in res.run
     assert res.winner is TOP
     assert res.first_illegality is None
+
+
+def test_axiom_only_proof_extracts_the_mirror():
+    proof = parse_proof(read_fixture("p1.proof"))
+    axiom_only = proof.__class__(proof.steps[:1])
+    assert _feed(extract_solution(axiom_only), ["1;1.m", "2;3.n"]) == ["2;1.m", "1;3.n"]
 
 
 def test_p1_formula_level_copycat():
