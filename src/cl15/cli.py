@@ -415,6 +415,10 @@ def main(argv=None) -> int:
             rules.ProofError, StrategyError, HarnessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except RecursionError:
+        # Comparing, negating and rendering formulas recurse once per level.
+        print("error: formula nested too deeply", file=sys.stderr)
+        return USAGE
 
 
 if __name__ == "__main__":

@@ -240,15 +240,15 @@ def _cellwise(fn: Callable[[int, tuple[int, ...], str], str | None]) -> Callable
 
 
 class Pipeline(MachineStrategy):
-    """A base strategy seen through translators, innermost first.  Layer i
-    keeps the imagined run inside translator i; its outer run is layer
-    i+1's imagined run, or the real run for the outermost layer.  A turn
-    enters the layers from the outside in, each reading its new outer
-    environment moves through `outer_to_inner`; the base's moves then climb
-    out through `inner_to_outer`.  A layer that absorbs a move asks its
-    inner side again, at most `_FUEL` times per entry, then grants.  Grants
-    and idling go straight out.  There is no recursion, so chains of any
-    length work."""
+    """A base strategy seen through translators, innermost first.  A turn
+    first passes each new environment move of the real run inward through
+    `outer_to_inner`, outermost first, until a layer drops it.  Then the
+    base's moves climb out through `inner_to_outer`.  A layer that absorbs
+    a move asks again, up to `_FUEL` asks since a layer outside it last
+    asked, and then grants.  Grants and idling go straight out.  A turn
+    costs the translator calls its moves make, plus a copy of the base's
+    run, and `spawn()` is O(1): only the base's run and the one inside the
+    outermost translator are kept.  Nothing recurses."""
 
     _FUEL = 64
 
@@ -257,9 +257,9 @@ class Pipeline(MachineStrategy):
         self.translators = translators
         self._base = base.spawn()
         self._base_step = 0
-        self._imagined: list[list[Labmove]] = [[] for _ in translators]
-        self._cursor = [0] * len(translators)
-        self._fuel = [0] * len(translators)
+        self._cursor = 0
+        self._base_run: list[Labmove] = []
+        self._top_run = self._base_run if len(translators) == 1 else []
 
     def spawn(self) -> "Pipeline":
         return Pipeline(self.base, self.translators)
@@ -267,49 +267,49 @@ class Pipeline(MachineStrategy):
     @property
     def imagined_run(self) -> Run:
         """The imagined run inside the outermost translator."""
-        return tuple(self._imagined[-1])
-
-    def _enter(self, i: int, outer: Run | list[Labmove]) -> None:
-        imagined = self._imagined[i]
-        to_inner = self.translators[i].outer_to_inner
-        for lm in outer[self._cursor[i]:]:
-            if lm.player is BOT:
-                inner_move = to_inner(lm.move)
-                if inner_move is not None:
-                    imagined.append(Labmove(BOT, inner_move))
-        self._cursor[i] = len(outer)
-        self._fuel[i] = self._FUEL
+        return tuple(self._top_run)
 
     def next(self, run: Run, step: int) -> Action:
-        top = len(self.translators) - 1
+        translators = self.translators
+        top = len(translators) - 1
         if top < 0:
             return self._base.next(run, step)
-        imagined, fuel = self._imagined, self._fuel
-        i = top
-        self._enter(i, run)
+        for lm in run[self._cursor:]:
+            if lm.player is BOT:
+                move: str | None = lm.move
+                for i in range(top, -1, -1):
+                    move = translators[i].outer_to_inner(move)
+                    if move is None:
+                        break
+                    if i == top and top:
+                        self._top_run.append(Labmove(BOT, move))
+                else:
+                    self._base_run.append(Labmove(BOT, move))
+        self._cursor = len(run)
+        asks: list[list[int]] = []  # [layer, asks] of absorbing layers, outermost first
         while True:
-            # Layer i asks its inner side for an action.
-            if fuel[i] == 0:
-                return GRANT
-            fuel[i] -= 1
-            if i > 0:
-                i -= 1
-                self._enter(i, imagined[i + 1])
-                continue
             self._base_step += 1
-            action = self._base.next(tuple(imagined[0]), self._base_step)
+            action = self._base.next(tuple(self._base_run), self._base_step)
             if not isinstance(action, MakeMove):
                 return GRANT if isinstance(action, GrantPermission) else IDLE
             # The move climbs until a layer absorbs it or it leaves the top.
-            move: str | None = action.move
-            while True:
-                imagined[i].append(Labmove(TOP, move))
-                move = self.translators[i].inner_to_outer(move)
+            move = action.move
+            self._base_run.append(Labmove(TOP, move))
+            for i in range(top + 1):
+                if i == top and top:
+                    self._top_run.append(Labmove(TOP, move))
+                move = translators[i].inner_to_outer(move)
                 if move is None:
                     break
-                if i == top:
-                    return MakeMove(move)
-                i += 1
+            else:
+                return MakeMove(move)
+            while asks and asks[-1][0] < i:
+                asks.pop()
+            if not asks or asks[-1][0] != i:
+                asks.append([i, 1])
+            if asks[-1][1] == self._FUEL:
+                return GRANT
+            asks[-1][1] += 1
 
 
 def translate(m: MachineStrategy, translator: Translator) -> Pipeline:

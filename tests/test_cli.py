@@ -393,3 +393,22 @@ def test_moderately_nested_formulas_still_parse(tmp_path):
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (OK, "ok (1 steps)\n", "")
+
+
+@pytest.mark.parametrize("depth, command, expected", [
+    (300, ["check"], (OK, "ok (1 steps)\n", "")),
+    (400, ["check"], (USAGE, "", "error: formula nested too deeply\n")),
+    (400, ["extract", "--out", "deep.strategy"], (USAGE, "", "error: formula nested too deeply\n")),
+    (400, ["simulate"], (USAGE, "", "error: formula nested too deeply\n")),
+], ids=["check-300", "check-400", "extract-400", "simulate-400"])
+def test_formula_too_deep_to_compare_is_a_usage_error(tmp_path, depth, command, expected):
+    # The formulas parse; comparing them against each other recurses.  A
+    # fresh interpreter, so that the test runner's own stack does not count.
+    proof = tmp_path / "deep.proof"
+    proof.write_text(_axiom_proof("!" * depth + "P", "?" * depth + "~P"))
+    src = str(Path(cl15.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "cl15.cli", *command, str(proof)],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == expected
+    assert not (tmp_path / "deep.strategy").exists()

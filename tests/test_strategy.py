@@ -2,6 +2,7 @@
 arithmetic, per-rule move translators, the translator pipeline, and
 proof-to-strategy extraction."""
 import random
+import time
 import zlib
 
 import pytest
@@ -20,6 +21,7 @@ from cl15.strategy import (
     IdleStrategy,
     MachineStrategy,
     MakeMove,
+    Pipeline,
     ProofViolation,
     PureGranter,
     ScriptEnv,
@@ -31,6 +33,7 @@ from cl15.strategy import (
     depst_translator,
     extract_solution,
     fold_positives,
+    identity_translator,
     make_translator,
     pair,
     simulate,
@@ -333,6 +336,64 @@ def test_pipeline_matches_nested_translation(seed):
         nested = _NestedReference(nested, tr)
     assert _drive(flat, env, 80) == _drive(nested, env, 80)
     assert flat_log == nested_log
+
+
+@pytest.mark.parametrize("drop_out", [(2, 1), (1, 2), (2, 2, 1), (2, 1, 2), (2, 2, 2, 1)])
+@pytest.mark.parametrize("seed", range(2))
+def test_pipeline_matches_nested_fuel_across_layers(drop_out, seed):
+    # A layer with drop_out 1 absorbs every move that reaches it; the others
+    # absorb about half the move texts.  The script repeats each text for a
+    # block of turns.  It opens with 40 moves that layer 0 absorbs, 10 that
+    # pass it and are absorbed further out, which refills layer 0's fuel,
+    # and 70 more that layer 0 absorbs: layer 0 runs out of fuel while an
+    # outer layer has asks in the same turn.  Then the two alternate, so the
+    # outer layer runs out while layer 0 keeps being refilled.
+    rng = random.Random(seed)
+    translators = [_hashing_translator(k, 2, modulus) for k, modulus in enumerate(drop_out)]
+    pool = [f"m{j}" for j in range(8)]
+    absorbed = [text for text in pool if translators[0].inner_to_outer(text) is None]
+    passed = [text for text in pool if text not in absorbed] or absorbed
+    script = [absorbed[0]] * 40 + [passed[0]] * 10 + [absorbed[0]] * 70
+    script += [passed[0], absorbed[0]] * 70
+    while len(script) < 300:
+        text = rng.choice([None] + pool)
+        script += [text] * rng.randint(1, 90)
+    script = script[:300]
+    env = [f"e{i}" for i in range(30)]
+    flat_log, nested_log = [], []
+    flat = _LoggingScript(script, flat_log)
+    nested = _LoggingScript(script, nested_log)
+    for tr in translators:
+        flat = translate(flat, tr)
+        nested = _NestedReference(nested, tr)
+    flat_actions = _drive(flat, env, 200)
+    assert flat_actions == _drive(nested, env, 200)
+    assert flat_log == nested_log
+    # Some turns granted on fuel alone: more grants went out than the base made.
+    base_grants = sum(1 for k in range(len(flat_log)) if k >= len(script) or script[k] is None)
+    assert flat_actions[0].count(GRANT) > base_grants
+
+
+def test_grant_only_turns_cost_no_layer_walk():
+    class Recorder(PureGranter):
+        runs = []
+
+        def spawn(self):
+            return Recorder()
+
+        def next(self, run, step):
+            Recorder.runs.append(run)
+            return GRANT
+
+    strat = Pipeline(Recorder(), (identity_translator("id"),) * 5000).spawn()
+    start = time.perf_counter()
+    actions = [strat.next((), step) for step in range(1, 2001)]
+    elapsed = time.perf_counter() - start
+    assert actions == [GRANT] * 2000
+    assert elapsed < 1.0
+    env_move = Labmove(BOT, "1;1.m")
+    assert strat.next((env_move,), 2001) == GRANT
+    assert Recorder.runs[-1] == (env_move,)
 
 
 # --- extraction ---------------------------------------------------------------
