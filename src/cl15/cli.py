@@ -4,6 +4,7 @@ human-as-environment play mode."""
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import re
 import sys
@@ -22,8 +23,6 @@ from .games import (
 from .harness import (
     HarnessError,
     RotatingCopycat,
-    ScriptAdversary,
-    SilentAdversary,
     random_adversary,
     random_finite_interpretation,
     scripted_adversary,
@@ -47,6 +46,8 @@ from .strategy import (
     MakeMove,
     ProofViolation,
     PureGranter,
+    ScriptEnv,
+    SilentEnv,
     StrategyError,
     extract_solution,
     simulate,
@@ -186,7 +187,7 @@ def cmd_extract(args) -> int:
 
 def _make_adversary(spec: str, game: Game, goal, interp: Interpretation, seed: int):
     if spec == "silent":
-        return SilentAdversary()
+        return SilentEnv()
     if spec == "random":
         return random_adversary(game, goal, interp, seed)
     if spec == "scripted":
@@ -198,7 +199,7 @@ def _make_adversary(spec: str, game: Game, goal, interp: Interpretation, seed: i
             for ln in _read(spec[len("script:"):]).splitlines()
             if ln.strip() and not ln.strip().startswith("#")
         ]
-        return ScriptAdversary(moves)
+        return ScriptEnv(moves)
     raise HarnessError(
         f"unknown adversary {spec!r} (use silent, random, scripted, or script:<file>)"
     )
@@ -402,10 +403,15 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: once per process, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else USAGE

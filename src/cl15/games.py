@@ -3,19 +3,24 @@
 Every game evaluates runs through a *position*.  `Game.start()` returns the
 position of the empty run; `Position.extend(lm)` appends one labmove and
 says at once whether the run is still legal; the first illegal move fixes
-the offender, who loses, and later moves are ignored.  `Position.winner()`
-is total: the offender rule first, then the winner of the legal run.
-`Game.legal(run)`, `Game.offender(run)` and `Game.winner(run)` replay the
-run through a fresh position.
+the offender, who loses, and later moves are ignored.  `Position.allows(lm)`
+says whether `extend(lm)` would keep the run legal and changes nothing, so
+a caller that follows a run can probe candidate moves on its one position.
+`Position.winner()` is total: the offender rule first, then the winner of
+the legal run.  `Game.legal(run)`, `Game.offender(run)` and
+`Game.winner(run)` replay the run through a fresh position.
 
 Cost model.  A composite position routes each labmove to one component
 position, parsing the move once, so a play costs time linear in its length
 (a branching-recurrence position replays its run once when a new stem
-splits its thread classes).  A cirquent position keeps one position per
-played cell, keyed by oformula and coordinates, and its winner quantifies
-each undergroup only over the overgroups that contain its oformulas, with
-each coordinate ranging over the values that undergroup's moves used plus
-one fresh value.
+splits its thread classes).  A probe with `allows` takes the same route
+without storing anything: it costs the depth of the move, where an untouched
+copy or cell is asked through a fresh empty position of its base game, plus
+a replay of the affected thread classes' moves when the probe names a new
+stem.  A cirquent position keeps one position per played cell, keyed by
+oformula and coordinates, and its winner quantifies each undergroup only
+over the overgroups that contain its oformulas, with each coordinate
+ranging over the values that undergroup's moves used plus one fresh value.
 
 Every constructor here defines position legality move-locally or through
 projections, so prefix closure holds by construction and is checked in
@@ -59,6 +64,10 @@ class Position:
             self.offender = lm.player
         return self.offender is None
 
+    def allows(self, lm: Labmove) -> bool:
+        """Would `extend(lm)` keep the run legal?  Changes nothing."""
+        return self.offender is None and self._allows(lm)
+
     def winner(self) -> Player:
         """Total winner of the run so far."""
         if self.offender is not None:
@@ -69,9 +78,32 @@ class Position:
         """Append a labmove to a legal run; is the result legal?"""
         raise NotImplementedError
 
+    def _allows(self, lm: Labmove) -> bool:
+        """Would appending the labmove to this legal run keep it legal?"""
+        raise NotImplementedError
+
     def _won(self) -> Player:
         """Winner of the run, which is legal."""
         raise NotImplementedError
+
+
+class _RoutingPosition(Position):
+    """A position that passes each labmove, parsed once by `_route`, to the
+    position of the one component it acts on."""
+
+    def _route(self, lm: Labmove, store: bool) -> tuple[Position, Labmove] | None:
+        """The component position and the labmove it receives, or None if
+        the move is illegal here.  A component not played yet is created
+        from its base game, and kept only if `store`."""
+        raise NotImplementedError
+
+    def _step(self, lm: Labmove) -> bool:
+        routed = self._route(lm, True)
+        return routed is not None and routed[0].extend(routed[1])
+
+    def _allows(self, lm: Labmove) -> bool:
+        routed = self._route(lm, False)
+        return routed is not None and routed[0].allows(routed[1])
 
 
 class Game:
@@ -135,6 +167,11 @@ class FiniteGame(Game):
         for run in nodes[1:]:
             self._children[self._ids[run[:-1]]][run[-1]] = self._ids[run]
         self._node_labels = [self.labels[run] for run in nodes]
+        alphabet: dict[str, None] = {}
+        for run in self.labels:
+            for lm in run if run in self.tree else ():
+                alphabet.setdefault(lm.move, None)
+        self._alphabet = tuple(alphabet)
 
     def start(self) -> Position:
         return _TreePosition(self)
@@ -148,11 +185,7 @@ class FiniteGame(Game):
         """All move strings occurring anywhere in the tree, in the order of
         `labels` (file order or generation order), so that choices among
         them do not depend on the interpreter's hash seed."""
-        seen: dict[str, None] = {}
-        for run in self.labels:
-            for lm in run if run in self.tree else ():
-                seen.setdefault(lm.move, None)
-        return list(seen)
+        return list(self._alphabet)
 
 
 class _TreePosition(Position):
@@ -167,6 +200,9 @@ class _TreePosition(Position):
             return False
         self.node = child
         return True
+
+    def _allows(self, lm: Labmove) -> bool:
+        return lm in self.game._children[self.node]
 
     def _won(self) -> Player:
         return self.game._node_labels[self.node]
@@ -193,6 +229,9 @@ class _EnumerationPosition(Position):
         self.run.append(lm)
         return is_numeral(lm.move)
 
+    def _allows(self, lm: Labmove) -> bool:
+        return is_numeral(lm.move)
+
     def _won(self) -> Player:
         return BOT if self.loses(tuple(self.run)) else TOP
 
@@ -207,6 +246,9 @@ class PermissiveGame(Game):
 
 class _PermissivePosition(Position):
     def _step(self, lm: Labmove) -> bool:
+        return True
+
+    def _allows(self, lm: Labmove) -> bool:
         return True
 
     def _won(self) -> Player:
@@ -268,13 +310,13 @@ class NegGame(Game):
         return _NegPosition(self.base.start())
 
 
-class _NegPosition(Position):
+class _NegPosition(_RoutingPosition):
     def __init__(self, base: Position):
         super().__init__()
         self.base = base
 
-    def _step(self, lm: Labmove) -> bool:
-        return self.base.extend(Labmove(lm.player.opponent, lm.move))
+    def _route(self, lm: Labmove, store: bool) -> tuple[Position, Labmove]:
+        return self.base, Labmove(lm.player.opponent, lm.move)
 
     def _won(self) -> Player:
         return self.base.winner().opponent
@@ -294,18 +336,18 @@ class _ChoicelessPair(Game):
         return _PairPosition(self.left.start(), self.right.start(), self.conjunctive)
 
 
-class _PairPosition(Position):
+class _PairPosition(_RoutingPosition):
     def __init__(self, left: Position, right: Position, conjunctive: bool):
         super().__init__()
         self.sides = (left, right)
         self.conjunctive = conjunctive
 
-    def _step(self, lm: Labmove) -> bool:
+    def _route(self, lm: Labmove, store: bool) -> tuple[Position, Labmove] | None:
         split = split_index_move(lm.move)
         if split is None or split[0] > 2:
-            return False
+            return None
         side, rest = split
-        return self.sides[side - 1].extend(Labmove(lm.player, rest))
+        return self.sides[side - 1], Labmove(lm.player, rest)
 
     def _won(self) -> Player:
         return _combine((side.winner() for side in self.sides), self.conjunctive)
@@ -334,21 +376,23 @@ class _CopyBank(Game):
         return _CopyBankPosition(self)
 
 
-class _CopyBankPosition(Position):
+class _CopyBankPosition(_RoutingPosition):
     def __init__(self, game: _CopyBank):
         super().__init__()
         self.game = game
         self.copies: dict[int, Position] = {}
 
-    def _step(self, lm: Labmove) -> bool:
+    def _route(self, lm: Labmove, store: bool) -> tuple[Position, Labmove] | None:
         split = split_index_move(lm.move)
         if split is None:
-            return False
+            return None
         u, rest = split
         copy = self.copies.get(u)
         if copy is None:
-            copy = self.copies[u] = self.game.base.start()
-        return copy.extend(Labmove(lm.player, rest))
+            copy = self.game.base.start()
+            if store:
+                self.copies[u] = copy
+        return copy, Labmove(lm.player, rest)
 
     def _won(self) -> Player:
         results = [copy.winner() for copy in self.copies.values()]
@@ -417,6 +461,13 @@ class _ThreadBankPosition(Position):
         self.stems: set[str] = set()
         self.threads = [(x, game.base.start()) for x in thread_representatives(self.stems)]
 
+    def _replay(self, reps: list[InfiniteBitstring]) -> list[tuple[InfiniteBitstring, Position]]:
+        """A position per representative, holding the stored moves it sees."""
+        return [
+            (x, self.game.base.replay([m for w, m in self.moves if x.has_prefix(w)]))
+            for x in reps
+        ]
+
     def _step(self, lm: Labmove) -> bool:
         split = split_bit_move(lm.move)
         if split is None:
@@ -424,13 +475,24 @@ class _ThreadBankPosition(Position):
         stem, rest = split
         if stem not in self.stems:
             self.stems.add(stem)
-            self.threads = [
-                (x, self.game.base.replay([m for w, m in self.moves if x.has_prefix(w)]))
-                for x in thread_representatives(self.stems)
-            ]
+            self.threads = self._replay(thread_representatives(self.stems))
         inner = Labmove(lm.player, rest)
         self.moves.append((stem, inner))
         return all(pos.extend(inner) for x, pos in self.threads if x.has_prefix(stem))
+
+    def _allows(self, lm: Labmove) -> bool:
+        split = split_bit_move(lm.move)
+        if split is None:
+            return False
+        stem, rest = split
+        inner = Labmove(lm.player, rest)
+        if stem in self.stems:
+            threads = self.threads
+        else:
+            # Only the refined classes inside the new stem receive the move.
+            reps = thread_representatives(self.stems | {stem})
+            threads = self._replay([x for x in reps if x.has_prefix(stem)])
+        return all(pos.allows(inner) for x, pos in threads if x.has_prefix(stem))
 
     def _won(self) -> Player:
         return _combine((pos.winner() for _, pos in self.threads), self.game.conjunctive)
@@ -494,7 +556,7 @@ class CirquentGame(Game):
         return _CirquentPosition(self)
 
 
-class _CirquentPosition(Position):
+class _CirquentPosition(_RoutingPosition):
     """One base position per played cell.  A legal move of oformula a has
     nonzero coordinates exactly in the overgroups containing a, so its
     coordinate tuple names its cell, and every cell never played holds the
@@ -505,20 +567,22 @@ class _CirquentPosition(Position):
         self.game = game
         self.cells: dict[tuple[int, tuple[int, ...]], Position] = {}
 
-    def _step(self, lm: Labmove) -> bool:
+    def _route(self, lm: Labmove, store: bool) -> tuple[Position, Labmove] | None:
         split = split_cell_move(lm.move)
         if split is None:
-            return False
+            return None
         a, coords, rest = split
         g = self.game
         if not 1 <= a <= g.cirquent.size or len(coords) != len(g.cirquent.overgroups):
-            return False
+            return None
         if any((u > 0) != member for u, member in zip(coords, g.membership[a - 1])):
-            return False
+            return None
         cell = self.cells.get((a, coords))
         if cell is None:
-            cell = self.cells[(a, coords)] = g.base_games[a - 1].start()
-        return cell.extend(Labmove(lm.player, rest))
+            cell = g.base_games[a - 1].start()
+            if store:
+                self.cells[(a, coords)] = cell
+        return cell, Labmove(lm.player, rest)
 
     def _won(self) -> Player:
         g = self.game

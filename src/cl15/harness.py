@@ -54,8 +54,6 @@ from .strategy import (
     GrantPermission,
     MachineStrategy,
     MakeMove,
-    ScriptEnv,
-    SilentEnv,
     extract_solution,
     simulate,
 )
@@ -421,26 +419,13 @@ def random_run(
 
 # Adversaries
 
-class SilentAdversary(SilentEnv):
-    name = "silent"
-
-    def spawn(self) -> "SilentAdversary":
-        return SilentAdversary()
-
-
-class ScriptAdversary(ScriptEnv):
-    """Plays the given literal moves, one per grant."""
-
-    name = "script"
-
-    def spawn(self) -> "ScriptAdversary":
-        return ScriptAdversary(self.moves)
-
-
 class StructuredAdversary(EnvStrategy):
     """Builds structure-shaped candidate moves, keeps only ones legal in the
     current position (up to `retries` attempts per grant), and quiesces after
-    `max_moves` moves or `max_grants` grants."""
+    `max_moves` moves or `max_grants` grants.  One game position follows the
+    play: each grant extends it with the labmoves of the run it has not seen,
+    then probes candidates with `Position.allows`, so the runs a spawned
+    adversary is shown must each extend the one before."""
 
     def __init__(
         self,
@@ -462,6 +447,8 @@ class StructuredAdversary(EnvStrategy):
         self._choose = make_chooser()
         self._moves = 0
         self._grants = 0
+        self._position = game.start()
+        self._seen = 0
 
     def spawn(self) -> "StructuredAdversary":
         return StructuredAdversary(
@@ -478,9 +465,12 @@ class StructuredAdversary(EnvStrategy):
         self._grants += 1
         if self._moves >= self.max_moves or self._grants > self.max_grants:
             return None
+        for lm in run[self._seen:]:
+            self._position.extend(lm)
+        self._seen = len(run)
         for _ in range(self.retries):
             candidate = self.builder(self._choose)
-            if self.game.legal(run + (Labmove(BOT, candidate),)):
+            if self._position.allows(Labmove(BOT, candidate)):
                 self._moves += 1
                 return candidate
         return None

@@ -101,6 +101,8 @@ class PureGranter(MachineStrategy):
 
 
 class SilentEnv(EnvStrategy):
+    name = "silent"
+
     def spawn(self) -> "SilentEnv":
         return SilentEnv()
 
@@ -110,6 +112,8 @@ class SilentEnv(EnvStrategy):
 
 class ScriptEnv(EnvStrategy):
     """Plays a fixed list of moves, one per grant, then stays silent."""
+
+    name = "script"
 
     def __init__(self, moves: list[str] | tuple[str, ...]):
         self.moves = tuple(moves)

@@ -13,7 +13,6 @@ from cl15.cl15 import parse_proof, verify_proof
 from cl15.formula import parse_formula, render_formula
 from cl15.games import interpret_cirquent, interpret_formula
 from cl15.harness import (
-    SilentAdversary,
     brute_force_legal,
     brute_force_winner,
     random_adversary,
@@ -36,7 +35,7 @@ from cl15.runs import (
     project_cell,
     project_prefix,
 )
-from cl15.strategy import PureGranter
+from cl15.strategy import PureGranter, SilentEnv
 
 from conftest import (
     FIXTURES,
@@ -179,7 +178,7 @@ def test_criterion_5_extracted_strategies_win(capsys):
                 )
                 kind = s % 3
                 if kind == 0:
-                    adversary = SilentAdversary()
+                    adversary = SilentEnv()
                 elif kind == 1:
                     adversary = random_adversary(game, structure, interp, s)
                 else:

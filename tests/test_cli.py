@@ -15,6 +15,7 @@ from cl15.cli import (
     FAIL,
     OK,
     USAGE,
+    build_parser,
     main,
     parse_interpretation,
     play_session,
@@ -58,6 +59,39 @@ def test_check_missing_file(capsys):
 def test_usage_errors():
     assert main([]) == USAGE
     assert main(["frobnicate"]) == USAGE
+
+
+def test_one_parser_serves_every_call_like_a_fresh_process(monkeypatch, capsys):
+    # The parser is built on the first call, not at import, and kept: help,
+    # a usage error and a valid command must print what each prints alone.
+    commands = [["--help"], ["frobnicate"], ["check", P2], ["check", "--help"], ["check", P2]]
+    src = str(Path(cl15.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    fresh = []
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-m", "cl15.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    done = subprocess.run([sys.executable, "-c", "import cl15.cli as c; "
+                           "print(c._parser.cache_info().currsize)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout == "0\n"
+
+    import cl15.cli as cli
+
+    builds = []
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    in_process = []
+    for argv in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    cli._parser.cache_clear()
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [OK, USAGE, OK, OK, OK]
+    assert len(builds) == 1
 
 
 # --- extract + simulate ---------------------------------------------------------

@@ -12,7 +12,6 @@ from cl15.harness import (
     HarnessError,
     LoopCounterstrategy,
     ScriptMachine,
-    SilentAdversary,
     TrialReport,
     brute_force_legal,
     brute_force_winner,
@@ -33,7 +32,7 @@ from cl15.harness import (
     summarize_trials,
 )
 from cl15.runs import BOT, TOP, Labmove
-from cl15.strategy import IdleStrategy, PureGranter
+from cl15.strategy import IdleStrategy, PureGranter, SilentEnv
 
 from conftest import C, read_fixture
 
@@ -168,11 +167,11 @@ def test_trial_report_line_format():
 def test_run_trial_with_proof_and_silent_adversary():
     proof = parse_proof(read_fixture("p1.proof"))
     interp = random_finite_interpretation(["P"], 2, 2, 1)
-    report = run_trial(proof, interp, SilentAdversary(), 50, trial_id=1, seed=1)
+    report = run_trial(proof, interp, SilentEnv(), 50, trial_id=1, seed=1)
     assert report.passed and report.winner is TOP
     assert report.adversary == "silent"
     report2 = run_trial(
-        proof, interp, SilentAdversary(), 50, formula_level=True
+        proof, interp, SilentEnv(), 50, formula_level=True
     )
     assert report2.passed
     assert report2.description == "~P \\/ P"
@@ -183,14 +182,14 @@ def test_run_trial_reports_losses_honestly():
     interp = {"P": random_finite_interpretation(["P"], 1, 1, 2)["P"]}
     f = parse_formula("P /\\ ~P")
     game = interpret_formula(f, interp)
-    report = run_trial(IdleStrategy(), interp, SilentAdversary(), 10, game=game)
+    report = run_trial(IdleStrategy(), interp, SilentEnv(), 10, game=game)
     assert report.winner is BOT and not report.passed
     assert report.description == "custom game"
 
 
 def test_run_trial_requires_game_for_bare_strategy():
     with pytest.raises(HarnessError):
-        run_trial(IdleStrategy(), {}, SilentAdversary(), 10)
+        run_trial(IdleStrategy(), {}, SilentEnv(), 10)
 
 
 def test_structured_adversaries_stay_legal():

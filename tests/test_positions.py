@@ -1,16 +1,24 @@
 """Incremental game positions against the brute-force oracle in
 `cl15.harness` and the projection-based reference in `reference_games`,
-on random legal runs and random offender runs."""
+on random legal runs and random offender runs; probes with
+`Position.allows` against replays; and the adversary transcripts that
+those probes decide."""
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import random
 import time
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cl15.cirquent import Cirquent, make_cirquent
-from cl15.formula import And, AtomRef, Cost, NegAtom, Or, Pcost, Pst, St
-from cl15.games import EnumerationGame, interpret_cirquent, interpret_formula
+from cl15.cli import main
+from cl15.formula import And, AtomRef, Cost, NegAtom, Or, Pcost, Pst, St, render_formula
+from cl15.games import EnumerationGame, Position, interpret_cirquent, interpret_formula
 from cl15.harness import (
     brute_force_legal,
     brute_force_winner,
@@ -20,7 +28,7 @@ from cl15.harness import (
 )
 from cl15.runs import BOT, TOP, Labmove, format_cell_move
 
-from conftest import C
+from conftest import C, FIXTURES
 from reference_games import (
     reference_legal,
     reference_offender,
@@ -197,3 +205,122 @@ def test_long_cirquent_play_is_linear():
     assert game.legal(run)
     assert game.winner(run) is TOP
     assert time.perf_counter() - start < 2.0
+
+
+# Probes.  A probe must agree with a replay of the run plus the probed
+# labmove, and must leave the position exactly as it was.
+
+def _snapshot(obj):
+    """Everything a position holds, recursively, as comparable data."""
+    if isinstance(obj, Position):
+        return type(obj).__name__, _snapshot(vars(obj))
+    if isinstance(obj, dict):
+        return {key: _snapshot(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_snapshot(item) for item in obj)
+    return obj
+
+
+def _candidates(subject, interp, rng, count):
+    build = move_builder(subject, interp)
+    return [
+        Labmove(TOP if rng.random() < 0.5 else BOT,
+                rng.choice(JUNK) if rng.random() < 0.2 else build(rng_chooser(rng)))
+        for _ in range(count)
+    ]
+
+
+def _check_probes(subject, interp, game, run, rng):
+    """Probe a few candidates before each labmove of the run and after the
+    last; the probed position then extends and wins as a fresh replay."""
+    probed, plain = game.start(), game.start()
+    for i in range(len(run) + 1):
+        for lm in _candidates(subject, interp, rng, 4):
+            before = _snapshot(probed)
+            assert probed.allows(lm) == game.legal(run[:i] + (lm,))
+            assert _snapshot(probed) == before
+        if i < len(run):
+            assert probed.extend(run[i]) == plain.extend(run[i])
+            assert probed.offender == plain.offender
+    assert probed.winner() is plain.winner() is game.winner(run)
+
+
+@given(plays(formulas, offending=False), st.randoms(use_true_random=False))
+def test_formula_probes_agree_with_replays_on_legal_runs(case, rng):
+    _check_probes(*case, rng)
+
+
+@given(plays(formulas, offending=True), st.randoms(use_true_random=False))
+def test_formula_probes_agree_with_replays_on_offender_runs(case, rng):
+    _check_probes(*case, rng)
+
+
+@given(plays(cirquents(), offending=False), st.randoms(use_true_random=False))
+def test_cirquent_probes_agree_with_replays_on_legal_runs(case, rng):
+    _check_probes(*case, rng)
+
+
+@given(plays(cirquents(), offending=True), st.randoms(use_true_random=False))
+def test_cirquent_probes_agree_with_replays_on_offender_runs(case, rng):
+    _check_probes(*case, rng)
+
+
+P, Q = AtomRef("P"), AtomRef("Q")
+
+
+@pytest.mark.parametrize("subject", [
+    St(P), Cost(NegAtom("P")), St(Or(P, NegAtom("Q"))), Cost(Pst(P)), St(Cost(And(P, Q))),
+], ids=render_formula)
+def test_branching_probes_with_new_stems(subject):
+    # Probes whose stem the run has not used yet refine the thread classes
+    # in temporary positions; both verdicts must occur and match replays.
+    verdicts = set()
+    for seed in range(30):
+        rng = random.Random(seed)
+        interp = random_finite_interpretation(ATOMS, 2, 2, seed)
+        game = interpret_formula(subject, interp)
+        build = move_builder(subject, interp)
+        pos, run = game.start(), ()
+        for _ in range(8):
+            for lm in _candidates(subject, interp, rng, 6):
+                stem = lm.move.partition(".")[0]
+                if pos.offender is None and stem not in pos.stems:
+                    before = _snapshot(pos)
+                    verdict = pos.allows(lm)
+                    assert verdict == game.legal(run + (lm,))
+                    assert _snapshot(pos) == before
+                    verdicts.add(verdict)
+            lm = Labmove(TOP if rng.random() < 0.5 else BOT, build(rng_chooser(rng)))
+            pos.extend(lm)
+            run += (lm,)
+        assert pos.winner() is game.winner(run)
+    assert verdicts == {True, False}
+
+
+# Transcripts of `simulate` with the probing adversaries, pinned from the
+# version that probed each candidate by replaying the whole run: a probe on
+# the live position must accept and reject exactly the same candidates.
+PINNED_TRANSCRIPTS = {
+    ("p1", "cirquent", "random"): ("387270eabfbaaa37", "89ca79034aa2a36a", "a0eb6d9e7d289e23"),
+    ("p1", "cirquent", "scripted"): ("19c8e69a3a680792", "e4e20c3aab608a27", "feaecd07fb031a86"),
+    ("p1", "formula", "random"): ("4f5351a9fbc41ece", "5ecbc6fa658f0792", "a2ee61360b59b938"),
+    ("p1", "formula", "scripted"): ("80b99b7d720de85d", "4737ce7069e377f3", "708c48298b521b7f"),
+    ("p2", "cirquent", "random"): ("860a94aaaa3d91cf", "bca4431f7ee219ce", "e8bad3d54d8d84d5"),
+    ("p2", "cirquent", "scripted"): ("cf8fb7ce47b8d4ed", "0a22a13266b4b1d2", "20a073897817c537"),
+    ("p2", "formula", "random"): ("ebd612fc4de8843e", "d0a25047ff78bfb4", "a57832f8e9085895"),
+    ("p2", "formula", "scripted"): ("e1ada00b61a44d3f", "714d6951cf7c3795", "499fdd754c33e434"),
+}
+
+
+@pytest.mark.parametrize("proof, level, adversary", sorted(PINNED_TRANSCRIPTS),
+                         ids=["-".join(key) for key in sorted(PINNED_TRANSCRIPTS)])
+def test_probing_adversary_transcripts_are_pinned(proof, level, adversary):
+    digests = []
+    for seed in ("1", "2", "13"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["simulate", str(FIXTURES / f"{proof}.proof"), "--level", level,
+                         "--adversary", adversary, "--seed", seed]) == 0
+        assert out.getvalue().startswith("game: ")
+        digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest()[:16])
+    assert tuple(digests) == PINNED_TRANSCRIPTS[proof, level, adversary]
