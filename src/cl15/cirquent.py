@@ -118,10 +118,15 @@ def _parse_groups(text: str, what: str) -> tuple[Group, ...]:
     return tuple(groups)
 
 
-def parse_cirquent(text: str, formulas: dict[str, Formula] | None = None) -> Cirquent:
+def parse_cirquent(
+    text: str,
+    formulas: dict[str, Formula] | None = None,
+    groups: dict[str, tuple[Group, ...]] | None = None,
+) -> Cirquent:
     """Parse the one-line cirquent text format.  `formulas`, if given, maps
     oformula texts already parsed to their formulas; each text is parsed at
-    most once and equal texts share one (frozen) formula."""
+    most once and equal texts share one (frozen) formula.  `groups` does
+    the same for the texts of `under:` and `over:` sections."""
     sections: dict[str, str] = {}
     for part in text.split(";"):
         part = part.strip()
@@ -149,9 +154,12 @@ def parse_cirquent(text: str, formulas: dict[str, Formula] | None = None) -> Cir
         if t not in known:
             known[t] = parse_formula(t)
     oformulas = tuple(known[t] for t in of_texts)
-    unders = _parse_groups(sections["under"], "under")
-    overs = _parse_groups(sections["over"], "over")
-    return Cirquent(oformulas, unders, overs)
+    known_groups = {} if groups is None else groups
+    for what in ("under", "over"):
+        t = sections[what]
+        if t not in known_groups:
+            known_groups[t] = _parse_groups(t, what)
+    return Cirquent(oformulas, known_groups[sections["under"]], known_groups[sections["over"]])
 
 
 def _render_groups(groups: tuple[Group, ...]) -> str:

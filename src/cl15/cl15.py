@@ -369,9 +369,14 @@ def check_axiom(c: Cirquent, formulas: tuple[Formula, ...]) -> bool:
     return axiom_violation(c, formulas) is None
 
 
-def check_step(premise: Cirquent, conclusion: Cirquent, rule: RuleInstance) -> Violation | None:
-    """Is (premise, conclusion) exactly an instance of rule?  None if so."""
-    for name, c in (("premise", premise), ("conclusion", conclusion)):
+def check_step(
+    premise: Cirquent, conclusion: Cirquent, rule: RuleInstance, premise_valid: bool = False
+) -> Violation | None:
+    """Is (premise, conclusion) exactly an instance of rule?  None if so.
+    Both cirquents are validated first, or only the conclusion when the
+    caller has already validated the premise (`premise_valid`)."""
+    sides = (("premise", premise), ("conclusion", conclusion))
+    for name, c in sides[premise_valid:]:
         issues = validate_cirquent(c)
         if issues:
             return Violation(f"invalid {name}: {issues[0]}")
@@ -443,7 +448,9 @@ def verify_proof(proof: Proof, goal: Formula | None = None) -> tuple[int, Violat
         step = proof.steps[k]
         if isinstance(step.rule, Axiom):
             return (k + 1, Violation("axiom allowed only at step 1"))
-        v = check_step(proof.steps[k - 1].cirquent, step.cirquent, step.rule)
+        # The premise was validated as the previous step's conclusion, or
+        # is the axiom cirquent, which is valid.
+        v = check_step(proof.steps[k - 1].cirquent, step.cirquent, step.rule, True)
         if v is not None:
             return (k + 1, v)
     if goal is not None and proof.steps[-1].cirquent != clubsuit(goal):
@@ -552,9 +559,10 @@ def _build_rule(name: str, params: dict[str, object], cirq: Cirquent, lineno: in
 def parse_proof(text: str) -> Proof:
     """Parse the proof file format: `step <k>: rule=<name> <params>` headers
     each followed by one cirquent line; `#` starts a comment.  Each distinct
-    oformula text in the file is parsed once."""
+    oformula text and group section text in the file is parsed once."""
     steps: list[ProofStep] = []
     formulas: dict[str, Formula] = {}
+    groups: dict[str, tuple[Group, ...]] = {}
     pending: tuple[int, str, dict[str, object]] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -572,7 +580,7 @@ def parse_proof(text: str) -> Proof:
         if pending is None:
             raise ProofError(f"line {lineno}: expected a 'step <k>: rule=...' header")
         try:
-            cirq = parse_cirquent(line, formulas)
+            cirq = parse_cirquent(line, formulas, groups)
         except CirquentError as exc:
             raise ProofError(f"line {lineno}: {exc}") from exc
         steps.append(ProofStep(cirq, _build_rule(pending[1], pending[2], cirq, lineno)))

@@ -7,11 +7,18 @@ application has a translator that turns a strategy for its premise into
 one for its conclusion by translating moves both ways and keeping an
 imagined inner run.  An extracted strategy is one flat `Pipeline`: the
 axiom strategy and a tuple of translators, one layer per proof step.
+
+Rule translators map split cell moves `(oformula, coords, payload)`;
+`declubsuit`, `depst` and any translator built on move texts map texts.
+The pipeline splits a move only where it passes from the real run, the
+base or a text layer into a cell layer, and formats it only where it
+passes back, so a run of cell layers never touches move text.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from .cirquent import Cirquent, as_clubsuit
 from .games import Game
@@ -220,27 +227,32 @@ class AxiomStrategy(MachineStrategy):
 
 # Translators
 
+Cell = tuple[int, tuple[int, ...], str]
+
+
 @dataclass(frozen=True)
 class Translator:
     """Move maps between an outer (conclusion) play and an imagined inner
     (premise) play.  `outer_to_inner` translates environment moves inward
     (None drops the move); `inner_to_outer` translates the inner machine's
-    moves outward (None absorbs the move into the imagined run only)."""
+    moves outward (None absorbs the move into the imagined run only).  The
+    maps take and return move texts, or split cell moves (`Cell`) when
+    `cells` is set."""
 
     name: str
-    outer_to_inner: Callable[[str], str | None]
-    inner_to_outer: Callable[[str], str | None]
+    outer_to_inner: Callable[[Any], Any]
+    inner_to_outer: Callable[[Any], Any]
+    cells: bool = False
 
 
-def _cellwise(fn: Callable[[int, tuple[int, ...], str], str | None]) -> Callable[[str], str | None]:
-    """Lift a map of split cell moves `(oformula, coords, payload)` to a map
-    of moves; a move that is not a cell move maps to None."""
+def _reform(move: str | Cell) -> str | Cell | None:
+    """The move in the other form: a text split into a cell move (None if
+    it is not one), or a cell move formatted as text."""
+    return split_cell_move(move) if isinstance(move, str) else format_cell_move(*move)
 
-    def move_map(move: str) -> str | None:
-        split = split_cell_move(move)
-        return None if split is None else fn(*split)
 
-    return move_map
+def _text(move: str | Cell) -> str:
+    return move if isinstance(move, str) else format_cell_move(*move)
 
 
 class Pipeline(MachineStrategy):
@@ -249,10 +261,13 @@ class Pipeline(MachineStrategy):
     `outer_to_inner`, outermost first, until a layer drops it.  Then the
     base's moves climb out through `inner_to_outer`.  A layer that absorbs
     a move asks again, up to `_FUEL` asks since a layer outside it last
-    asked, and then grants.  Grants and idling go straight out.  A turn
-    costs the translator calls its moves make, plus a copy of the base's
-    run, and `spawn()` is O(1): only the base's run and the one inside the
-    outermost translator are kept.  Nothing recurses."""
+    asked, and then grants.  Grants and idling go straight out.  A move is
+    split on entering a cell layer from text, where a text that is not a
+    cell move is dropped or absorbed as that layer would, and formatted on
+    leaving a cell layer for text: the base and the real run see texts.  A
+    turn costs the translator calls its moves make, plus a copy of the
+    base's run, and `spawn()` is O(1): only the base's run and the one
+    inside the outermost translator are kept.  Nothing recurses."""
 
     _FUEL = 64
 
@@ -263,7 +278,7 @@ class Pipeline(MachineStrategy):
         self._base_step = 0
         self._cursor = 0
         self._base_run: list[Labmove] = []
-        self._top_run = self._base_run if len(translators) == 1 else []
+        self._top_run: list[tuple[Player, str | Cell]] = []
 
     def spawn(self) -> "Pipeline":
         return Pipeline(self.base, self.translators)
@@ -271,7 +286,9 @@ class Pipeline(MachineStrategy):
     @property
     def imagined_run(self) -> Run:
         """The imagined run inside the outermost translator."""
-        return tuple(self._top_run)
+        if len(self.translators) < 2:
+            return tuple(self._base_run)
+        return tuple(Labmove(player, _text(move)) for player, move in self._top_run)
 
     def next(self, run: Run, step: int) -> Action:
         translators = self.translators
@@ -280,15 +297,20 @@ class Pipeline(MachineStrategy):
             return self._base.next(run, step)
         for lm in run[self._cursor:]:
             if lm.player is BOT:
-                move: str | None = lm.move
+                move: str | Cell | None = lm.move
                 for i in range(top, -1, -1):
-                    move = translators[i].outer_to_inner(move)
+                    t = translators[i]
+                    if t.cells == isinstance(move, str):
+                        move = _reform(move)
+                        if move is None:
+                            break
+                    move = t.outer_to_inner(move)
                     if move is None:
                         break
                     if i == top and top:
-                        self._top_run.append(Labmove(BOT, move))
+                        self._top_run.append((BOT, move))
                 else:
-                    self._base_run.append(Labmove(BOT, move))
+                    self._base_run.append(Labmove(BOT, _text(move)))
         self._cursor = len(run)
         asks: list[list[int]] = []  # [layer, asks] of absorbing layers, outermost first
         while True:
@@ -301,12 +323,17 @@ class Pipeline(MachineStrategy):
             self._base_run.append(Labmove(TOP, move))
             for i in range(top + 1):
                 if i == top and top:
-                    self._top_run.append(Labmove(TOP, move))
-                move = translators[i].inner_to_outer(move)
+                    self._top_run.append((TOP, move))
+                t = translators[i]
+                if t.cells == isinstance(move, str):
+                    move = _reform(move)
+                    if move is None:
+                        break
+                move = t.inner_to_outer(move)
                 if move is None:
                     break
             else:
-                return MakeMove(move)
+                return MakeMove(_text(move))
             while asks and asks[-1][0] < i:
                 asks.pop()
             if not asks or asks[-1][0] != i:
@@ -324,8 +351,8 @@ def translate(m: MachineStrategy, translator: Translator) -> Pipeline:
     return Pipeline(m, (translator,))
 
 
-def identity_translator(name: str) -> Translator:
-    return Translator(name, lambda m: m, lambda m: m)
+def identity_translator(name: str, cells: bool = False) -> Translator:
+    return Translator(name, lambda m: m, lambda m: m, cells)
 
 
 # Positive-pair pairing used by the coordinate-compressing translators.
@@ -340,11 +367,9 @@ def unpair(v: int) -> tuple[int, int]:
     """Inverse of pair."""
     if v < 1:
         raise ValueError("unpair needs a positive integer")
-    s = 2
-    while (s - 1) * s // 2 < v:
-        s += 1
-    u1 = v - (s - 2) * (s - 1) // 2
-    return u1, s - u1
+    k = (math.isqrt(8 * v - 7) - 1) // 2  # the largest k with k(k+1)/2 < v
+    u1 = v - k * (k + 1) // 2
+    return u1, k + 2 - u1
 
 
 def fold_positives(us: tuple[int, ...]) -> int:
@@ -377,81 +402,81 @@ def _swap_index(a: int, i: int) -> int:
 
 
 def _oformula_exchange_translator(i: int) -> Translator:
-    @_cellwise
-    def both_ways(a: int, coords: tuple[int, ...], rest: str) -> str | None:
-        return format_cell_move(_swap_index(a, i), coords, rest)
+    def both_ways(cell: Cell) -> Cell | None:
+        a, coords, rest = cell
+        return _swap_index(a, i), coords, rest
 
-    return Translator(f"exchange_oformulas@{i}", both_ways, both_ways)
+    return Translator(f"exchange_oformulas@{i}", both_ways, both_ways, cells=True)
 
 
 def _overgroup_exchange_translator(i: int) -> Translator:
-    @_cellwise
-    def both_ways(a: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def both_ways(cell: Cell) -> Cell | None:
+        a, coords, rest = cell
         if len(coords) < i + 1:
             return None
         cs = list(coords)
         cs[i - 1], cs[i] = cs[i], cs[i - 1]
-        return format_cell_move(a, tuple(cs), rest)
+        return a, tuple(cs), rest
 
-    return Translator(f"exchange_overs@{i}", both_ways, both_ways)
+    return Translator(f"exchange_overs@{i}", both_ways, both_ways, cells=True)
 
 
 def _weakening_translator(conclusion: Cirquent, under: int, oformula: int) -> Translator:
     _, deleted_of, deleted_overs = rules.premise_of_weakening(conclusion, under, oformula)
     if deleted_of is None:
-        return identity_translator(f"weakening@{under},{oformula}")
+        return identity_translator(f"weakening@{under},{oformula}", cells=True)
     d = deleted_of
     dropped = set(deleted_overs)
 
-    @_cellwise
-    def outer_to_inner(a: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def outer_to_inner(cell: Cell) -> Cell | None:
+        a, coords, rest = cell
         if a == d:
             return None
         a2 = a - 1 if a > d else a
         coords2 = tuple(u for j, u in enumerate(coords, start=1) if j not in dropped)
-        return format_cell_move(a2, coords2, rest)
+        return a2, coords2, rest
 
-    @_cellwise
-    def inner_to_outer(a: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def inner_to_outer(cell: Cell) -> Cell | None:
+        a, coords, rest = cell
         a2 = a + 1 if a >= d else a
         cs = list(coords)
         for j in sorted(dropped):
             cs.insert(j - 1, 0)
-        return format_cell_move(a2, tuple(cs), rest)
+        return a2, tuple(cs), rest
 
-    return Translator(f"weakening@{under},{oformula}", outer_to_inner, inner_to_outer)
+    return Translator(f"weakening@{under},{oformula}", outer_to_inner, inner_to_outer, cells=True)
 
 
 def _contraction_translator(a: int) -> Translator:
-    @_cellwise
-    def outer_to_inner(c: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def outer_to_inner(cell: Cell) -> Cell | None:
+        c, coords, rest = cell
         if c != a:
-            return format_cell_move(c + 1 if c > a else c, coords, rest)
+            return c + 1 if c > a else c, coords, rest
         payload = split_index_move(rest)
         if payload is None:
             return None
         k, tail = payload
         if k % 2 == 1:
-            return format_cell_move(a, coords, f"{(k + 1) // 2}.{tail}")
-        return format_cell_move(a + 1, coords, f"{k // 2}.{tail}")
+            return a, coords, f"{(k + 1) // 2}.{tail}"
+        return a + 1, coords, f"{k // 2}.{tail}"
 
-    @_cellwise
-    def inner_to_outer(c: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def inner_to_outer(cell: Cell) -> Cell | None:
+        c, coords, rest = cell
         if c not in (a, a + 1):
-            return format_cell_move(c - 1 if c > a + 1 else c, coords, rest)
+            return c - 1 if c > a + 1 else c, coords, rest
         payload = split_index_move(rest)
         if payload is None:
             return None
         k, tail = payload
         outer_k = 2 * k - 1 if c == a else 2 * k
-        return format_cell_move(a, coords, f"{outer_k}.{tail}")
+        return a, coords, f"{outer_k}.{tail}"
 
-    return Translator(f"contraction@{a}", outer_to_inner, inner_to_outer)
+    return Translator(f"contraction@{a}", outer_to_inner, inner_to_outer, cells=True)
 
 
 def _overgroup_duplication_translator(j: int) -> Translator:
-    @_cellwise
-    def outer_to_inner(a: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def outer_to_inner(cell: Cell) -> Cell | None:
+        a, coords, rest = cell
         if len(coords) < j + 1:
             return None
         u1, u2 = coords[j - 1], coords[j]
@@ -461,25 +486,25 @@ def _overgroup_duplication_translator(j: int) -> Translator:
             merged = pair(u1, u2)
         else:
             return None
-        return format_cell_move(a, coords[:j - 1] + (merged,) + coords[j + 1:], rest)
+        return a, coords[:j - 1] + (merged,) + coords[j + 1:], rest
 
-    @_cellwise
-    def inner_to_outer(a: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def inner_to_outer(cell: Cell) -> Cell | None:
+        a, coords, rest = cell
         if len(coords) < j:
             return None
         u = coords[j - 1]
         expanded = (0, 0) if u == 0 else unpair(u)
-        return format_cell_move(a, coords[:j - 1] + expanded + coords[j:], rest)
+        return a, coords[:j - 1] + expanded + coords[j:], rest
 
-    return Translator(f"dup_over@{j}", outer_to_inner, inner_to_outer)
+    return Translator(f"dup_over@{j}", outer_to_inner, inner_to_outer, cells=True)
 
 
 def _merging_translator(premise: Cirquent, j: int) -> Translator:
     in_j = premise.overgroups[j - 1]
     in_j1 = premise.overgroups[j]
 
-    @_cellwise
-    def outer_to_inner(a: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def outer_to_inner(cell: Cell) -> Cell | None:
+        a, coords, rest = cell
         if len(coords) < j:
             return None
         v = coords[j - 1]
@@ -494,10 +519,10 @@ def _merging_translator(premise: Cirquent, j: int) -> Translator:
             expanded = (0, v)
         else:
             expanded = (0, 0)
-        return format_cell_move(a, coords[:j - 1] + expanded + coords[j:], rest)
+        return a, coords[:j - 1] + expanded + coords[j:], rest
 
-    @_cellwise
-    def inner_to_outer(a: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def inner_to_outer(cell: Cell) -> Cell | None:
+        a, coords, rest = cell
         if len(coords) < j + 1:
             return None
         v1, v2 = coords[j - 1], coords[j]
@@ -511,69 +536,67 @@ def _merging_translator(premise: Cirquent, j: int) -> Translator:
             merged = v2
         else:
             merged = 0
-        return format_cell_move(a, coords[:j - 1] + (merged,) + coords[j + 1:], rest)
+        return a, coords[:j - 1] + (merged,) + coords[j + 1:], rest
 
-    return Translator(f"merging@{j}", outer_to_inner, inner_to_outer)
+    return Translator(f"merging@{j}", outer_to_inner, inner_to_outer, cells=True)
 
 
 def _binary_intro_translator(a: int, kind: str) -> Translator:
-    @_cellwise
-    def outer_to_inner(c: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def outer_to_inner(cell: Cell) -> Cell | None:
+        c, coords, rest = cell
         if c != a:
-            return format_cell_move(c + 1 if c > a else c, coords, rest)
+            return c + 1 if c > a else c, coords, rest
         payload = split_index_move(rest)
         if payload is None or payload[0] not in (1, 2):
             return None
         i, tail = payload
-        return format_cell_move(a if i == 1 else a + 1, coords, tail)
+        return a if i == 1 else a + 1, coords, tail
 
-    @_cellwise
-    def inner_to_outer(c: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def inner_to_outer(cell: Cell) -> Cell | None:
+        c, coords, rest = cell
         if c == a:
-            return format_cell_move(a, coords, f"1.{rest}")
+            return a, coords, f"1.{rest}"
         if c == a + 1:
-            return format_cell_move(a, coords, f"2.{rest}")
-        return format_cell_move(c - 1 if c > a + 1 else c, coords, rest)
+            return a, coords, f"2.{rest}"
+        return c - 1 if c > a + 1 else c, coords, rest
 
-    return Translator(f"{kind}@{a}", outer_to_inner, inner_to_outer)
+    return Translator(f"{kind}@{a}", outer_to_inner, inner_to_outer, cells=True)
 
 
 def _pst_intro_translator(a: int, j: int) -> Translator:
-    @_cellwise
-    def outer_to_inner(c: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def outer_to_inner(cell: Cell) -> Cell | None:
+        c, coords, rest = cell
         if c != a:
-            coords2 = coords[:j - 1] + (0,) + coords[j - 1:]
-            return format_cell_move(c, coords2, rest)
+            return c, coords[:j - 1] + (0,) + coords[j - 1:], rest
         payload = split_index_move(rest)
         if payload is None:
             return None
         u, tail = payload
-        coords2 = coords[:j - 1] + (u,) + coords[j - 1:]
-        return format_cell_move(a, coords2, tail)
+        return a, coords[:j - 1] + (u,) + coords[j - 1:], tail
 
-    @_cellwise
-    def inner_to_outer(c: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def inner_to_outer(cell: Cell) -> Cell | None:
+        c, coords, rest = cell
         if len(coords) < j:
             return None
         u = coords[j - 1]
         coords2 = coords[:j - 1] + coords[j:]
         if c != a:
-            return format_cell_move(c, coords2, rest) if u == 0 else None
+            return (c, coords2, rest) if u == 0 else None
         if u < 1:
             return None
-        return format_cell_move(a, coords2, f"{u}.{rest}")
+        return a, coords2, f"{u}.{rest}"
 
-    return Translator(f"pst@{a},{j}", outer_to_inner, inner_to_outer)
+    return Translator(f"pst@{a},{j}", outer_to_inner, inner_to_outer, cells=True)
 
 
 def _pcost_intro_translator(a: int, add_over: frozenset[int]) -> Translator:
     positions = tuple(sorted(add_over))
     n = len(positions)
 
-    @_cellwise
-    def outer_to_inner(c: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def outer_to_inner(cell: Cell) -> Cell | None:
+        c, coords, rest = cell
         if c != a:
-            return format_cell_move(c, coords, rest)
+            return cell
         if positions and len(coords) < positions[-1]:
             return None
         if any(coords[p - 1] != 0 for p in positions):
@@ -588,12 +611,12 @@ def _pcost_intro_translator(a: int, add_over: frozenset[int]) -> Translator:
         cs = list(coords)
         for k, p in enumerate(positions):
             cs[p - 1] = us[k]
-        return format_cell_move(a, tuple(cs), tail)
+        return a, tuple(cs), tail
 
-    @_cellwise
-    def inner_to_outer(c: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def inner_to_outer(cell: Cell) -> Cell | None:
+        c, coords, rest = cell
         if c != a:
-            return format_cell_move(c, coords, rest)
+            return cell
         us = tuple(coords[p - 1] for p in positions if p <= len(coords))
         if len(us) != n or any(u < 1 for u in us):
             return None
@@ -601,9 +624,9 @@ def _pcost_intro_translator(a: int, add_over: frozenset[int]) -> Translator:
         cs = list(coords)
         for p in positions:
             cs[p - 1] = 0
-        return format_cell_move(a, tuple(cs), f"{v}.{rest}")
+        return a, tuple(cs), f"{v}.{rest}"
 
-    return Translator(f"pcost@{a}", outer_to_inner, inner_to_outer)
+    return Translator(f"pcost@{a}", outer_to_inner, inner_to_outer, cells=True)
 
 
 def make_translator(rule: rules.RuleInstance, premise: Cirquent, conclusion: Cirquent) -> Translator:
@@ -611,11 +634,11 @@ def make_translator(rule: rules.RuleInstance, premise: Cirquent, conclusion: Cir
     if isinstance(rule, rules.OformulaExchange):
         return _oformula_exchange_translator(rule.pos)
     if isinstance(rule, rules.UndergroupExchange):
-        return identity_translator(f"exchange_unders@{rule.pos}")
+        return identity_translator(f"exchange_unders@{rule.pos}", cells=True)
     if isinstance(rule, rules.OvergroupExchange):
         return _overgroup_exchange_translator(rule.pos)
     if isinstance(rule, rules.UndergroupDuplication):
-        return identity_translator(f"dup_under@{rule.pos}")
+        return identity_translator(f"dup_under@{rule.pos}", cells=True)
     if isinstance(rule, rules.OvergroupDuplication):
         return _overgroup_duplication_translator(rule.pos)
     if isinstance(rule, rules.Merging):
@@ -638,19 +661,6 @@ def make_translator(rule: rules.RuleInstance, premise: Cirquent, conclusion: Cir
     raise StrategyError(f"no translator for rule {rule!r}")
 
 
-def transform_strategy(
-    rule: rules.RuleInstance,
-    premise: Cirquent,
-    conclusion: Cirquent,
-    inner: MachineStrategy,
-) -> MachineStrategy:
-    """Check the rule application, then extend a strategy for the premise
-    game by its translator into one for the conclusion game."""
-    if rules.check_step(premise, conclusion, rule) is not None:
-        raise StrategyError("rule application does not check")
-    return translate(inner, make_translator(rule, premise, conclusion))
-
-
 def declubsuit_translator() -> Translator:
     """Between the one-oformula cirquent game (inner) and the
     parallel-recurrence game over the same formula (outer):
@@ -663,8 +673,11 @@ def declubsuit_translator() -> Translator:
         u, rest = payload
         return format_cell_move(1, (u,), rest)
 
-    @_cellwise
-    def inner_to_outer(a: int, coords: tuple[int, ...], rest: str) -> str | None:
+    def inner_to_outer(move: str) -> str | None:
+        split = split_cell_move(move)
+        if split is None:
+            return None
+        a, coords, rest = split
         if a != 1 or len(coords) != 1 or coords[0] < 1:
             return None
         return f"{coords[0]}.{rest}"

@@ -12,7 +12,15 @@ from cl15.cirquent import Cirquent, parse_cirquent
 from cl15.formula import AtomRef, Or, parse_formula
 from cl15.harness import ScriptMachine, play_translated
 from cl15.runs import format_cell_move, project_cell, project_prefix
-from cl15.strategy import declubsuit, depst, pair, transform_strategy
+from cl15.strategy import (
+    MachineStrategy,
+    StrategyError,
+    declubsuit,
+    depst,
+    make_translator,
+    pair,
+    translate,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -225,6 +233,14 @@ def single_corruptions(premise, conclusion, rule):
     for desc, rule2 in _rule_mutants(rule):
         out.append((desc, premise, conclusion, rule2))
     return out
+
+
+def transform_strategy(rule, premise, conclusion, inner: MachineStrategy) -> MachineStrategy:
+    """Check the rule application, then extend a strategy for the premise
+    game by its translator into one for the conclusion game."""
+    if rules.check_step(premise, conclusion, rule) is not None:
+        raise StrategyError("rule application does not check")
+    return translate(inner, make_translator(rule, premise, conclusion))
 
 
 # Scripted plays through one translation layer, for the run-correspondence

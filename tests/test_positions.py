@@ -300,6 +300,14 @@ def test_branching_probes_with_new_stems(subject):
 # Transcripts of `simulate` with the probing adversaries, pinned from the
 # version that probed each candidate by replaying the whole run: a probe on
 # the live position must accept and reject exactly the same candidates.
+# The `script` entries play SCRIPTS under fixtures/interp.txt, in
+# coordinates and copies 2-3, which the translators fold into and out of
+# other values; they were pinned from the version that split and formatted
+# each move at every translator.
+SCRIPTS = {
+    "cirquent": ("1;2.1.3.m", "1;3.1.2.m", "1;3.1.3.m", "1;2.1.2.m"),
+    "formula": ("1.3.m", "1.2.m", "1.3.m"),
+}
 PINNED_TRANSCRIPTS = {
     ("p1", "cirquent", "random"): ("387270eabfbaaa37", "89ca79034aa2a36a", "a0eb6d9e7d289e23"),
     ("p1", "cirquent", "scripted"): ("19c8e69a3a680792", "e4e20c3aab608a27", "feaecd07fb031a86"),
@@ -309,18 +317,26 @@ PINNED_TRANSCRIPTS = {
     ("p2", "cirquent", "scripted"): ("cf8fb7ce47b8d4ed", "0a22a13266b4b1d2", "20a073897817c537"),
     ("p2", "formula", "random"): ("ebd612fc4de8843e", "d0a25047ff78bfb4", "a57832f8e9085895"),
     ("p2", "formula", "scripted"): ("e1ada00b61a44d3f", "714d6951cf7c3795", "499fdd754c33e434"),
+    ("p2", "cirquent", "script"): ("15fc9cf06560bd11",) * 3,
+    ("p2", "formula", "script"): ("84631d074bf5c692",) * 3,
 }
 
 
 @pytest.mark.parametrize("proof, level, adversary", sorted(PINNED_TRANSCRIPTS),
                          ids=["-".join(key) for key in sorted(PINNED_TRANSCRIPTS)])
-def test_probing_adversary_transcripts_are_pinned(proof, level, adversary):
+def test_probing_adversary_transcripts_are_pinned(proof, level, adversary, tmp_path):
+    extra = []
+    if adversary == "script":
+        script = tmp_path / "moves.script"
+        script.write_text("\n".join(SCRIPTS[level]) + "\n", encoding="utf-8")
+        adversary = f"script:{script}"
+        extra = ["--interp", str(FIXTURES / "interp.txt")]
     digests = []
     for seed in ("1", "2", "13"):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(["simulate", str(FIXTURES / f"{proof}.proof"), "--level", level,
-                         "--adversary", adversary, "--seed", seed]) == 0
+                         "--adversary", adversary, "--seed", seed, *extra]) == 0
         assert out.getvalue().startswith("game: ")
         digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest()[:16])
-    assert tuple(digests) == PINNED_TRANSCRIPTS[proof, level, adversary]
+    assert tuple(digests) == PINNED_TRANSCRIPTS[proof, level, adversary.partition(":")[0]]

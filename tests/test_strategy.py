@@ -11,7 +11,7 @@ from cl15.cirquent import clubsuit
 from cl15.cl15 import PcostIntro, parse_proof
 from cl15.formula import parse_formula
 from cl15.games import PermissiveGame, interpret_cirquent, interpret_formula, parse_finite_game
-from cl15.runs import BOT, TOP, Labmove
+from cl15.runs import BOT, TOP, Labmove, format_cell_move, split_cell_move
 from cl15.harness import ScriptMachine
 from cl15.strategy import (
     GRANT,
@@ -37,13 +37,12 @@ from cl15.strategy import (
     make_translator,
     pair,
     simulate,
-    transform_strategy,
     translate,
     unfold_positives,
     unpair,
 )
 
-from conftest import IDENTITY_CHECKS, read_fixture, rule_case
+from conftest import IDENTITY_CHECKS, RULE_CASES, C, read_fixture, rule_case, transform_strategy
 
 
 def _game_P():
@@ -170,6 +169,17 @@ def test_pair_unpair_roundtrip():
     assert len(seen) == 59
 
 
+def test_unpair_inverts_pair_on_small_and_huge_values():
+    for v in range(1, 10**5 + 1):
+        assert pair(*unpair(v)) == v
+    rng = random.Random(7)
+    for _ in range(2000):
+        v = rng.randint(1, 10**18)
+        u1, u2 = unpair(v)
+        assert u1 >= 1 and u2 >= 1
+        assert pair(u1, u2) == v
+
+
 def test_fold_unfold_roundtrip():
     for us in [(1,), (3,), (1, 2), (2, 1), (5, 4, 3), (1, 1, 1, 1)]:
         v = fold_positives(us)
@@ -183,9 +193,10 @@ def test_pcost_translator_folds_added_overgroup_coordinates():
     step = p2.steps[2]
     assert step.rule == PcostIntro(1, frozenset({2}))
     tr = make_translator(step.rule, p2.steps[1].cirquent, step.cirquent)
-    assert tr.outer_to_inner("1;1,0.7.m") == "1;1,7.m"
-    assert tr.outer_to_inner("1;1,0.x.m") is None
-    assert tr.inner_to_outer("1;1,7.m") == "1;1,0.7.m"
+    assert tr.cells
+    assert tr.outer_to_inner((1, (1, 0), "7.m")) == (1, (1, 7), "m")
+    assert tr.outer_to_inner((1, (1, 0), "x.m")) is None
+    assert tr.inner_to_outer((1, (1, 7), "m")) == (1, (1, 0), "7.m")
 
 
 def test_declubsuit_translator_verbatim():
@@ -394,6 +405,103 @@ def test_grant_only_turns_cost_no_layer_walk():
     env_move = Labmove(BOT, "1;1.m")
     assert strat.next((env_move,), 2001) == GRANT
     assert Recorder.runs[-1] == (env_move,)
+
+
+# --- cell-form translators against the text chain ----------------------------------
+
+def _text_form(tr):
+    """The translator as every layer once ran it: a cell map lifted to
+    texts by splitting the move, mapping it and formatting the result, with
+    None for a move that is not a cell move."""
+    if not tr.cells:
+        return tr
+
+    def lift(fn):
+        def move_map(move):
+            split = split_cell_move(move)
+            if split is None:
+                return None
+            cell = fn(split)
+            return None if cell is None else format_cell_move(*cell)
+
+        return move_map
+
+    return Translator(tr.name, lift(tr.outer_to_inner), lift(tr.inner_to_outer))
+
+
+MALFORMED = ("0;1.m", "3;01.m", "3;1.", "m", "1;.", ";1.m", "2;1,x.m", "1;1", "1;1,.m")
+
+
+def _random_move(rng):
+    """A cell move with coordinates 0-4 and copy indices 1-3 in its payload,
+    a formula-level move with copy indices 1-3, or a malformed text."""
+    roll = rng.random()
+    if roll < 0.15:
+        return rng.choice(MALFORMED)
+    payload = rng.choice(("m", "n", "{}.m", "{}.{}.m", "{}.{}.{}.m")).format(
+        *(rng.randint(1, 3) for _ in range(3)))
+    if roll < 0.3:
+        return payload if "." in payload else f"{rng.randint(1, 3)}.{payload}"
+    coords = tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 4)))
+    return format_cell_move(rng.randint(1, 4), coords, payload)
+
+
+def _nested_text_chain(base, translators):
+    for tr in translators:
+        base = _NestedReference(base, _text_form(tr))
+    return base
+
+
+@pytest.mark.parametrize("name", ["p1", "p2"])
+@pytest.mark.parametrize("formula_level", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+def test_extracted_cell_pipeline_matches_text_chain(name, formula_level, seed):
+    rng = random.Random(seed)
+    proof = parse_proof(read_fixture(f"{name}.proof"))
+    strat = extract_solution(proof, formula_level=formula_level)
+    assert any(tr.cells for tr in strat.translators)
+    env = [_random_move(rng) for _ in range(40)]
+    if formula_level:
+        env += [f"{rng.randint(1, 3)}.{rng.randint(1, 3)}.m" for _ in range(20)]
+    else:
+        env += [f"1;{rng.randint(1, 3)}.{rng.randint(1, 3)}.{rng.randint(1, 3)}.m"
+                for _ in range(20)]
+    rng.shuffle(env)
+    reference = _nested_text_chain(strat.base, strat.translators)
+    assert _drive(strat, env, 150) == _drive(reference, env, 150)
+
+
+def _random_chain(rng):
+    """1-6 layers drawn from the rule cases' translators, now and then
+    with a text layer between them."""
+    cases = [case for case in RULE_CASES if case[1] is not None]
+    chain = []
+    for k in range(rng.randint(1, 6)):
+        roll = rng.random()
+        if roll < 0.1:
+            chain.append(identity_translator(f"id{k}"))
+        elif roll < 0.2:
+            chain.append(_hashing_translator(k, rng.choice((0, 4)), rng.choice((0, 3))))
+        else:
+            _, prem, concl, rule = rng.choice(cases)
+            chain.append(make_translator(rule, C(prem), C(concl)))
+    return chain
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_cell_chains_match_text_chain(seed):
+    rng = random.Random(seed)
+    translators = _random_chain(rng)
+    script = [rng.choice((None,) * 9 + ("idle",)) if rng.random() < 0.1 else _random_move(rng)
+              for _ in range(rng.randint(0, 200))]
+    env = [_random_move(rng) for _ in range(rng.randint(0, 40))]
+    flat_log, nested_log = [], []
+    flat = _LoggingScript(script, flat_log)
+    for tr in translators:
+        flat = translate(flat, tr)
+    nested = _nested_text_chain(_LoggingScript(script, nested_log), translators)
+    assert _drive(flat, env, 120) == _drive(nested, env, 120)
+    assert flat_log == nested_log
 
 
 # --- extraction ---------------------------------------------------------------
