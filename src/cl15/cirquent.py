@@ -45,9 +45,17 @@ def make_cirquent(
 
 
 def validate_cirquent(c: Cirquent) -> list[str]:
-    """Return all invariant violations; empty list means valid."""
-    issues: list[str] = []
+    """Return all invariant violations; empty list means valid.  A cirquent
+    is valid when it has oformulas and groups of both kinds, no group is
+    empty, and each kind's groups cover exactly the indices 1..m."""
     m = len(c.oformulas)
+    full = set(range(1, m + 1))
+    unders = set().union(*c.undergroups)
+    overs = set().union(*c.overgroups)
+    if (m and c.undergroups and c.overgroups and all(c.undergroups) and all(c.overgroups)
+            and unders == full and overs == full):
+        return []
+    issues: list[str] = []
     if m == 0:
         issues.append("no oformulas")
     if not c.undergroups:
@@ -62,9 +70,9 @@ def validate_cirquent(c: Cirquent) -> list[str]:
                 if not 1 <= idx <= m:
                     issues.append(f"{kind} {pos} index {idx} out of range")
     for a in range(1, m + 1):
-        if not any(a in g for g in c.undergroups):
+        if a not in unders:
             issues.append(f"oformula {a} in no undergroup")
-        if not any(a in g for g in c.overgroups):
+        if a not in overs:
             issues.append(f"oformula {a} in no overgroup")
     return issues
 
@@ -166,14 +174,19 @@ def _render_groups(groups: tuple[Group, ...]) -> str:
     return "".join("{" + ",".join(str(i) for i in sorted(g)) + "}" for g in groups)
 
 
-def render_cirquent(c: Cirquent) -> str:
-    """Inverse of parse_cirquent."""
-    of = " | ".join(render_formula(f) for f in c.oformulas)
-    return (
-        f"oformulas: {of} ; "
-        f"under: {_render_groups(c.undergroups)} ; "
-        f"over: {_render_groups(c.overgroups)}"
-    )
+def render_cirquent(c: Cirquent, rendered: dict | None = None) -> str:
+    """Inverse of parse_cirquent.  `rendered`, if given, holds the texts of
+    oformulas (keyed by object identity, so the caller must keep them alive)
+    and of group tuples already rendered; each is rendered at most once."""
+    known = {} if rendered is None else rendered
+    for f in c.oformulas:
+        if id(f) not in known:
+            known[id(f)] = render_formula(f)
+    for gs in (c.undergroups, c.overgroups):
+        if gs not in known:
+            known[gs] = _render_groups(gs)
+    of = " | ".join(known[id(f)] for f in c.oformulas)
+    return f"oformulas: {of} ; under: {known[c.undergroups]} ; over: {known[c.overgroups]}"
 
 
 def render_diagram(c: Cirquent) -> str:

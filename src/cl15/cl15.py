@@ -463,23 +463,36 @@ def verify_proof(proof: Proof, goal: Formula | None = None) -> tuple[int, Violat
 
 # Proof file format
 
-_RULE_NAMES = {
-    "axiom": Axiom,
-    "exchange_oformulas": OformulaExchange,
-    "exchange_unders": UndergroupExchange,
-    "exchange_overs": OvergroupExchange,
-    "dup_under": UndergroupDuplication,
-    "dup_over": OvergroupDuplication,
-    "merging": Merging,
-    "weakening": Weakening,
-    "contraction": Contraction,
-    "or": OrIntro,
-    "and": AndIntro,
-    "pst": PstIntro,
-    "pcost": PcostIntro,
+@dataclass(frozen=True)
+class _RuleSpec:
+    """One rule in the file format: its name, its class, and the names of
+    its parameters, which are also the class's fields, in file order."""
+
+    name: str
+    cls: type
+    params: tuple[str, ...]
+
+
+_RULES = {
+    spec.name: spec
+    for spec in (
+        _RuleSpec("axiom", Axiom, ()),
+        _RuleSpec("exchange_oformulas", OformulaExchange, ("pos",)),
+        _RuleSpec("exchange_unders", UndergroupExchange, ("pos",)),
+        _RuleSpec("exchange_overs", OvergroupExchange, ("pos",)),
+        _RuleSpec("dup_under", UndergroupDuplication, ("pos",)),
+        _RuleSpec("dup_over", OvergroupDuplication, ("pos",)),
+        _RuleSpec("merging", Merging, ("over",)),
+        _RuleSpec("weakening", Weakening, ("under", "oformula")),
+        _RuleSpec("contraction", Contraction, ("oformula",)),
+        _RuleSpec("or", OrIntro, ("oformula",)),
+        _RuleSpec("and", AndIntro, ("oformula",)),
+        _RuleSpec("pst", PstIntro, ("oformula",)),
+        _RuleSpec("pcost", PcostIntro, ("oformula", "add_over")),
+    )
 }
 
-_RULE_RENDER = {v: k for k, v in _RULE_NAMES.items()}
+_RULE_OF_CLASS = {spec.cls: spec for spec in _RULES.values()}
 
 _STEP_RE = re.compile(r"step\s+(\d+)\s*:\s*rule=(\S+)\s*(.*)")
 
@@ -490,6 +503,8 @@ def _parse_params(text: str, lineno: int) -> dict[str, object]:
         if "=" not in chunk:
             raise ProofError(f"line {lineno}: bad parameter {chunk!r}")
         key, _, value = chunk.partition("=")
+        if key in params:
+            raise ProofError(f"line {lineno}: repeated parameter {key}")
         if value.startswith("{"):
             if not value.endswith("}"):
                 raise ProofError(f"line {lineno}: bad set parameter {chunk!r}")
@@ -507,60 +522,37 @@ def _parse_params(text: str, lineno: int) -> dict[str, object]:
 
 
 def _build_rule(name: str, params: dict[str, object], cirq: Cirquent, lineno: int) -> RuleInstance:
-    cls = _RULE_NAMES.get(name)
-    if cls is None:
+    spec = _RULES.get(name)
+    if spec is None:
         raise ProofError(f"line {lineno}: unknown rule {name!r}")
-
-    def need(key: str) -> object:
-        if key not in params:
-            raise ProofError(f"line {lineno}: rule {name} needs parameter {key}")
-        return params[key]
-
-    allowed = {
-        Axiom: set(),
-        OformulaExchange: {"pos"},
-        UndergroupExchange: {"pos"},
-        OvergroupExchange: {"pos"},
-        UndergroupDuplication: {"pos"},
-        OvergroupDuplication: {"pos"},
-        Merging: {"over"},
-        Weakening: {"under", "oformula"},
-        Contraction: {"oformula"},
-        OrIntro: {"oformula"},
-        AndIntro: {"oformula"},
-        PstIntro: {"oformula"},
-        PcostIntro: {"oformula", "add_over"},
-    }[cls]
-    extra = params.keys() - allowed
+    extra = params.keys() - spec.params
     if extra:
         raise ProofError(f"line {lineno}: rule {name} does not take {', '.join(sorted(extra))}")
-
-    if cls is Axiom:
+    if spec.cls is Axiom:
         # The axiom schema lists ~F,F pairs; recover the F's from the cirquent.
-        if len(cirq.oformulas) % 2 == 0:
-            formulas = cirq.oformulas[1::2]
+        return Axiom(cirq.oformulas[1::2] if len(cirq.oformulas) % 2 == 0 else ())
+    # add_over is optional, and is checked before the required parameters.
+    add = params.get("add_over", frozenset())
+    if not isinstance(add, frozenset):
+        raise ProofError(f"line {lineno}: add_over must be a set like {{1,2}}")
+    args: list[object] = []
+    for key in spec.params:
+        if key == "add_over":
+            args.append(add)
+        elif key not in params:
+            raise ProofError(f"line {lineno}: rule {name} needs parameter {key}")
         else:
-            formulas = ()
-        return Axiom(formulas)
-    if cls is Merging:
-        return Merging(int(need("over")))  # type: ignore[arg-type]
-    if cls is Weakening:
-        return Weakening(int(need("under")), int(need("oformula")))  # type: ignore[arg-type]
-    if cls is PcostIntro:
-        add = params.get("add_over", frozenset())
-        if not isinstance(add, frozenset):
-            raise ProofError(f"line {lineno}: add_over must be a set like {{1,2}}")
-        return PcostIntro(int(need("oformula")), add)  # type: ignore[arg-type]
-    if cls in (Contraction, OrIntro, AndIntro, PstIntro):
-        return cls(int(need("oformula")))  # type: ignore[operator]
-    return cls(int(need("pos")))  # type: ignore[operator]
+            args.append(int(params[key]))  # type: ignore[call-overload]
+    return spec.cls(*args)
 
 
 def parse_proof(text: str) -> Proof:
     """Parse the proof file format: `step <k>: rule=<name> <params>` headers
     each followed by one cirquent line; `#` starts a comment.  Each distinct
-    oformula text and group section text in the file is parsed once."""
+    cirquent line, oformula text and group section text in the file is
+    parsed once."""
     steps: list[ProofStep] = []
+    cirquents: dict[str, Cirquent] = {}
     formulas: dict[str, Formula] = {}
     groups: dict[str, tuple[Group, ...]] = {}
     pending: tuple[int, str, dict[str, object]] | None = None
@@ -579,10 +571,12 @@ def parse_proof(text: str) -> Proof:
             continue
         if pending is None:
             raise ProofError(f"line {lineno}: expected a 'step <k>: rule=...' header")
-        try:
-            cirq = parse_cirquent(line, formulas, groups)
-        except CirquentError as exc:
-            raise ProofError(f"line {lineno}: {exc}") from exc
+        cirq = cirquents.get(line)
+        if cirq is None:
+            try:
+                cirq = cirquents[line] = parse_cirquent(line, formulas, groups)
+            except CirquentError as exc:
+                raise ProofError(f"line {lineno}: {exc}") from exc
         steps.append(ProofStep(cirq, _build_rule(pending[1], pending[2], cirq, lineno)))
         pending = None
     if pending is not None:
@@ -592,25 +586,19 @@ def parse_proof(text: str) -> Proof:
     return Proof(tuple(steps))
 
 
-def _render_params(rule: RuleInstance) -> str:
-    if isinstance(rule, Axiom):
-        return ""
-    if isinstance(rule, Merging):
-        return f" over={rule.over}"
-    if isinstance(rule, Weakening):
-        return f" under={rule.under} oformula={rule.oformula}"
-    if isinstance(rule, PcostIntro):
-        inner = ",".join(str(j) for j in sorted(rule.add_over))
-        return f" oformula={rule.oformula} add_over={{{inner}}}"
-    if isinstance(rule, (Contraction, OrIntro, AndIntro, PstIntro)):
-        return f" oformula={rule.oformula}"
-    return f" pos={rule.pos}"
-
-
 def render_proof(proof: Proof) -> str:
-    """Inverse of parse_proof."""
+    """Inverse of parse_proof.  Each distinct oformula and group tuple is
+    rendered once per call."""
+    rendered: dict = {}
     lines = []
     for k, step in enumerate(proof.steps, start=1):
-        lines.append(f"step {k}: rule={_RULE_RENDER[type(step.rule)]}{_render_params(step.rule)}")
-        lines.append(render_cirquent(step.cirquent))
+        spec = _RULE_OF_CLASS[type(step.rule)]
+        params = ""
+        for key in spec.params:
+            value = getattr(step.rule, key)
+            if isinstance(value, frozenset):
+                value = "{" + ",".join(str(j) for j in sorted(value)) + "}"
+            params += f" {key}={value}"
+        lines.append(f"step {k}: rule={spec.name}{params}")
+        lines.append(render_cirquent(step.cirquent, rendered))
     return "\n".join(lines)

@@ -147,6 +147,9 @@ def project_branch(run: Run, x: InfiniteBitstring) -> Run:
 
 _NUMERAL_RE = re.compile(r"0|[1-9][0-9]*")
 _INDEX_MOVE_RE = re.compile(r"([1-9][0-9]*)\.(.+)", re.DOTALL)
+_CELL_MOVE_RE = re.compile(
+    r"([1-9][0-9]*);((?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*)?\.(.+)", re.DOTALL
+)
 
 
 def is_numeral(text: str) -> bool:
@@ -168,24 +171,11 @@ def split_cell_move(move: str) -> tuple[int, tuple[int, ...], str] | None:
     Returns None if the move is not of that shape; a >= 1 and each u_j >= 0,
     all canonical numerals.
     """
-    semi = move.find(";")
-    if semi <= 0:
+    m = _CELL_MOVE_RE.fullmatch(move)
+    if m is None:
         return None
-    a_text = move[:semi]
-    if not is_numeral(a_text) or a_text == "0":
-        return None
-    dot = move.find(".", semi)
-    if dot < 0 or dot == len(move) - 1:
-        return None
-    coords_text = move[semi + 1:dot]
-    if coords_text == "":
-        coords: tuple[int, ...] = ()
-    else:
-        parts = coords_text.split(",")
-        if not all(is_numeral(p) for p in parts):
-            return None
-        coords = tuple(int(p) for p in parts)
-    return int(a_text), coords, move[dot + 1:]
+    a, coords, rest = m.groups()
+    return int(a), tuple(map(int, coords.split(","))) if coords else (), rest
 
 
 def format_cell_move(a: int, coords: tuple[int, ...], rest: str) -> str:

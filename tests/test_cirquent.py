@@ -1,5 +1,7 @@
 """Cirquent construction, validation, text format, and diagrams."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cl15.cirquent import (
     Cirquent,
@@ -108,3 +110,87 @@ def test_diagram_marks_membership_columns():
     assert any("E" in ln and "F" in ln for ln in lines)
     star_rows = [ln for ln in lines if "*" in ln]
     assert len(star_rows) >= 3
+
+
+def _reference_validate_cirquent(c: Cirquent) -> list[str]:
+    """The enumerating validator: every oformula against every group."""
+    issues: list[str] = []
+    m = len(c.oformulas)
+    if m == 0:
+        issues.append("no oformulas")
+    if not c.undergroups:
+        issues.append("no undergroups")
+    if not c.overgroups:
+        issues.append("no overgroups")
+    for kind, groups in (("undergroup", c.undergroups), ("overgroup", c.overgroups)):
+        for pos, g in enumerate(groups, start=1):
+            if not g:
+                issues.append(f"empty {kind} {pos}")
+            for idx in g:
+                if not 1 <= idx <= m:
+                    issues.append(f"{kind} {pos} index {idx} out of range")
+    for a in range(1, m + 1):
+        if not any(a in g for g in c.undergroups):
+            issues.append(f"oformula {a} in no undergroup")
+        if not any(a in g for g in c.overgroups):
+            issues.append(f"oformula {a} in no overgroup")
+    return issues
+
+
+BREAKS = ("none", "empty group", "index 0", "index m+1", "uncovered oformula",
+          "no undergroups", "no overgroups", "no oformulas", "random")
+
+
+@st.composite
+def cirquents_valid_and_broken(draw):
+    """A valid cirquent of 1-4 oformulas in 1-3 groups of each kind, then
+    one way of breaking it (or none)."""
+    m = draw(st.integers(1, 4))
+    kinds = []
+    for _ in range(2):
+        n = draw(st.integers(1, 3))
+        groups = [set() for _ in range(n)]
+        for a in range(1, m + 1):
+            for j in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+                groups[j].add(a)
+        for g in groups:
+            if not g:
+                g.add(draw(st.integers(1, m)))
+        kinds.append(groups)
+    unders, overs = kinds
+    how = draw(st.sampled_from(BREAKS))
+    target = draw(st.sampled_from((unders, overs)))
+    j = draw(st.integers(0, len(target) - 1))
+    if how == "empty group":
+        target.insert(j, set())
+    elif how == "index 0":
+        target[j].add(0)
+    elif how == "index m+1":
+        target[j].add(m + 1)
+    elif how == "uncovered oformula":
+        a = draw(st.integers(1, m))
+        for g in target:
+            g.discard(a)
+    elif how == "no undergroups":
+        unders = []
+    elif how == "no overgroups":
+        overs = []
+    elif how == "no oformulas":
+        m = 0
+    elif how == "random":
+        m = draw(st.integers(0, 3))
+        pick = st.lists(st.sets(st.integers(0, m + 1), max_size=m + 1), max_size=3)
+        unders, overs = draw(pick), draw(pick)
+    return make_cirquent([parse_formula("P")] * m, unders, overs), how
+
+
+@settings(max_examples=200)
+@given(cirquents_valid_and_broken())
+def test_validation_matches_enumerating_reference(case):
+    c, how = case
+    issues = validate_cirquent(c)
+    assert issues == _reference_validate_cirquent(c)
+    if how == "none":
+        assert issues == []
+    elif how != "random":
+        assert issues

@@ -1,7 +1,9 @@
 """Proof checking: rule instances, corruption rejection, proof files."""
+import random
+
 import pytest
 
-from cl15.cirquent import Cirquent, render_cirquent
+from cl15.cirquent import Cirquent, parse_cirquent, render_cirquent
 from cl15.cl15 import (
     Axiom,
     Proof,
@@ -139,6 +141,8 @@ PLAIN_LINE = "oformulas: P ; under: {1} ; over: {1}"
         (PLAIN_LINE, "expected a 'step <k>: rule=...' header"),
         ("step 1: rule=axiom\nnot a cirquent", "line 2"),
         (f"step 1: rule=pcost oformula=1 add_over={{1,2\n{PLAIN_LINE}", "bad set parameter"),
+        (f"step 1: rule=axiom\n{AXIOM_LINE}\nstep 2: rule=dup_over pos=2 pos=1\n{AXIOM_LINE}",
+         "line 3: repeated parameter pos"),
     ],
 )
 def test_parse_proof_errors(text, fragment):
@@ -162,3 +166,54 @@ def test_render_proof_mentions_rule_parameters():
     assert "rule=pst" in text and "oformula=" in text
     assert "step 5:" in text
     assert parse_proof(text) == proof
+
+
+def test_render_proof_matches_step_by_step_render():
+    proofs = [parse_proof(read_fixture(name)) for name in ("p1.proof", "p2.proof")]
+    rng = random.Random(8)
+    for _ in range(30):
+        # Sharing one formula dict makes equal oformulas one object, as
+        # parse_proof does; a fresh dict per cirquent keeps them apart.
+        formulas: dict = {} if rng.random() < 0.5 else None
+        chain = [rng.choice(RULE_CASES) for _ in range(rng.randint(1, 12))]
+        proofs.append(Proof(tuple(
+            ProofStep(parse_cirquent(concl, formulas), rule) for _, _, concl, rule in chain
+        )))
+    for proof in proofs:
+        lines = render_proof(proof).split("\n")
+        assert lines[1::2] == [render_cirquent(step.cirquent) for step in proof.steps]
+        assert parse_proof("\n".join(lines)) == proof
+
+
+def test_repeated_cirquent_lines_parse_like_fresh_lines():
+    text = read_fixture("p2.proof")
+    lines = text.splitlines()
+    # Steps 4 and 5 repeat step 3's line, the second time with leading blanks.
+    repeated = "\n".join(lines[:4] + ["step 3: rule=dup_over pos=1",
+                                       "oformulas: ~P | P ; under: {1,2} ; over: {1,2}{1,2}{1,2}",
+                                       "step 4: rule=exchange_overs pos=1",
+                                       "oformulas: ~P | P ; under: {1,2} ; over: {1,2}{1,2}{1,2}",
+                                       "step 5: rule=exchange_overs pos=2",
+                                       "  oformulas: ~P | P ; under: {1,2} ; over: {1,2}{1,2}{1,2}"])
+    proof = parse_proof(repeated)
+    fresh = [parse_cirquent(line.strip()) for line in repeated.splitlines()[1::2]]
+    assert [step.cirquent for step in proof.steps] == fresh
+    assert proof.steps[3].cirquent is proof.steps[4].cirquent
+    assert verify_proof(proof) is None
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        # A good line seen before, under a header it does not fit.
+        (f"step 1: rule=axiom\n{AXIOM_LINE}\nstep 2: rule=or\n{AXIOM_LINE}",
+         "line 4: rule or needs parameter oformula"),
+        # A good line seen before, made bad by one more section.
+        (f"step 1: rule=axiom\n{AXIOM_LINE}\nstep 2: rule=dup_over pos=1\n{AXIOM_LINE} ; extra: 1",
+         "line 4: unknown sections: extra"),
+    ],
+)
+def test_repeated_line_errors_keep_their_line_number(text, fragment):
+    with pytest.raises(ProofError) as exc:
+        parse_proof(text)
+    assert fragment in str(exc.value)

@@ -165,3 +165,41 @@ def test_negate_run_is_an_involution():
     rng = random.Random(5)
     run = _random_run(rng, 10)
     assert negate_run(negate_run(run)) == run
+
+
+def _reference_split_cell_move(move: str) -> tuple[int, tuple[int, ...], str] | None:
+    """split_cell_move by hand: find the separators, then test each numeral."""
+    semi = move.find(";")
+    if semi <= 0:
+        return None
+    a_text = move[:semi]
+    if not is_numeral(a_text) or a_text == "0":
+        return None
+    dot = move.find(".", semi)
+    if dot < 0 or dot == len(move) - 1:
+        return None
+    coords_text = move[semi + 1:dot]
+    if coords_text == "":
+        coords: tuple[int, ...] = ()
+    else:
+        parts = coords_text.split(",")
+        if not all(is_numeral(p) for p in parts):
+            return None
+        coords = tuple(int(p) for p in parts)
+    return int(a_text), coords, move[dot + 1:]
+
+
+def test_split_cell_move_matches_reference():
+    from test_strategy import MALFORMED
+
+    rng = random.Random(20261018)
+    moves = list(MALFORMED) + ["1;2,3.1.2.m", "3;.tail", "12;0,10.x\ny", "1;0.\n"]
+    moves += ["".join(rng.choice("0123456789;,.m\n") for _ in range(rng.randint(0, 12)))
+              for _ in range(20_000)]
+    # Random strings seldom have the cell shape; these mostly do.
+    moves += [f"{rng.choice(['0', '1', '07', '23'])};"
+              + ",".join(rng.choice(["0", "1", "01", "10", "", "x"]) for _ in range(rng.randint(0, 3)))
+              + rng.choice([".m", ".", ".1.m", "m"])
+              for _ in range(5_000)]
+    for move in moves:
+        assert split_cell_move(move) == _reference_split_cell_move(move), move
