@@ -5,6 +5,7 @@ Indices are 1-based throughout.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .formula import Formula, parse_formula, render_formula
@@ -99,75 +100,92 @@ def as_clubsuit(c: Cirquent) -> Formula | None:
 
 # Text format: `oformulas: f1 | f2 ; under: {1,2}{2} ; over: {1}`
 
-def _parse_groups(text: str, what: str) -> tuple[Group, ...]:
-    text = text.strip()
-    if not text:
-        raise CirquentError(f"no {what} groups")
+# One scan: group 1 is a whole group; group 2 is the rest of the text from
+# any other non-space character on, which ends the scan.
+_GROUP_RE = re.compile(r"\s*(?:(\{[^}]*\})|(\S.*))", re.DOTALL)
+
+# The sections of a cirquent line, in the order they are parsed.
+_SECTIONS = dict.fromkeys(("oformulas", "under", "over"))
+
+
+def _parse_groups(text: str, what: str, known: dict[str, Group]) -> tuple[Group, ...]:
+    """The groups of an `under:` or `over:` section.  `known` maps each
+    group text already parsed, braces included, to its set."""
     groups: list[Group] = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        if text[i] != "{":
-            raise CirquentError(f"malformed {what} groups at {text[i:]!r}")
-        close = text.find("}", i)
-        if close < 0:
-            raise CirquentError(f"unclosed group in {what}")
-        inner = text[i + 1:close].strip()
-        if not inner:
-            groups.append(frozenset())
-        else:
+    for g, rest in _GROUP_RE.findall(text):
+        if rest:
+            if rest[0] == "{":
+                raise CirquentError(f"unclosed group in {what}")
+            raise CirquentError(f"malformed {what} groups at {rest.rstrip()!r}")
+        indices = known.get(g)
+        if indices is None:
+            inner = g[1:-1].strip()
             try:
-                groups.append(frozenset(int(p.strip()) for p in inner.split(",")))
+                indices = frozenset(int(p.strip()) for p in inner.split(",")) if inner else frozenset()
             except ValueError as exc:
                 raise CirquentError(f"bad index in {what} group: {inner!r}") from exc
-        i = close + 1
+            known[g] = indices
+        groups.append(indices)
+    if not groups:
+        raise CirquentError(f"no {what} groups")
     return tuple(groups)
+
+
+def _parse_oformulas(text: str, known: dict[str, Formula]) -> tuple[Formula, ...]:
+    """The formulas of an `oformulas:` section.  `known` maps each
+    oformula text already parsed to its formula."""
+    of_texts = [p.strip() for p in text.split("|")]
+    if not all(of_texts):
+        raise CirquentError("empty oformula entry")
+    for t in of_texts:
+        if t not in known:
+            known[t] = parse_formula(t)
+    return tuple(known[t] for t in of_texts)
 
 
 def parse_cirquent(
     text: str,
     formulas: dict[str, Formula] | None = None,
-    groups: dict[str, tuple[Group, ...]] | None = None,
+    groups: dict[str, Group] | None = None,
+    sections: dict[str, tuple] | None = None,
 ) -> Cirquent:
     """Parse the one-line cirquent text format.  `formulas`, if given, maps
     oformula texts already parsed to their formulas; each text is parsed at
     most once and equal texts share one (frozen) formula.  `groups` does
-    the same for the texts of `under:` and `over:` sections."""
-    sections: dict[str, str] = {}
+    the same for single group texts such as `{1,2}`, and `sections` for
+    whole section texts, name included."""
+    parts: dict[str, str] = {}
     for part in text.split(";"):
-        part = part.strip()
-        if not part:
+        name, colon, _ = part.partition(":")
+        if not colon:
+            if part.strip():
+                raise CirquentError(f"expected 'name: ...' section, got {part.strip()!r}")
             continue
-        if ":" not in part:
-            raise CirquentError(f"expected 'name: ...' section, got {part!r}")
-        name, _, body = part.partition(":")
         name = name.strip()
-        if name in sections:
+        if name in parts:
             raise CirquentError(f"duplicate section {name!r}")
-        sections[name] = body
-    required = {"oformulas", "under", "over"}
-    missing = required - sections.keys()
-    if missing:
-        raise CirquentError(f"missing sections: {', '.join(sorted(missing))}")
-    unknown = sections.keys() - required
-    if unknown:
-        raise CirquentError(f"unknown sections: {', '.join(sorted(unknown))}")
-    of_texts = [p.strip() for p in sections["oformulas"].split("|")]
-    if not all(of_texts):
-        raise CirquentError("empty oformula entry")
-    known = {} if formulas is None else formulas
-    for t in of_texts:
-        if t not in known:
-            known[t] = parse_formula(t)
-    oformulas = tuple(known[t] for t in of_texts)
+        parts[name] = part
+    if parts.keys() != _SECTIONS.keys():
+        missing = _SECTIONS.keys() - parts.keys()
+        if missing:
+            raise CirquentError(f"missing sections: {', '.join(sorted(missing))}")
+        raise CirquentError(f"unknown sections: {', '.join(sorted(parts.keys() - _SECTIONS.keys()))}")
+    known_formulas = {} if formulas is None else formulas
     known_groups = {} if groups is None else groups
-    for what in ("under", "over"):
-        t = sections[what]
-        if t not in known_groups:
-            known_groups[t] = _parse_groups(t, what)
-    return Cirquent(oformulas, known_groups[sections["under"]], known_groups[sections["over"]])
+    known_sections = {} if sections is None else sections
+    values = []
+    for name in _SECTIONS:
+        part = parts[name]
+        value = known_sections.get(part)
+        if value is None:
+            body = part.partition(":")[2]
+            if name == "oformulas":
+                value = _parse_oformulas(body, known_formulas)
+            else:
+                value = _parse_groups(body, name, known_groups)
+            known_sections[part] = value
+        values.append(value)
+    return Cirquent(*values)
 
 
 def _render_groups(groups: tuple[Group, ...]) -> str:

@@ -541,21 +541,26 @@ def _build_rule(name: str, params: dict[str, object], cirq: Cirquent, lineno: in
             args.append(add)
         elif key not in params:
             raise ProofError(f"line {lineno}: rule {name} needs parameter {key}")
+        elif isinstance(params[key], frozenset):
+            raise ProofError(f"line {lineno}: {key} must be a number, not a set")
         else:
-            args.append(int(params[key]))  # type: ignore[call-overload]
+            args.append(params[key])
     return spec.cls(*args)
 
 
 def parse_proof(text: str) -> Proof:
     """Parse the proof file format: `step <k>: rule=<name> <params>` headers
     each followed by one cirquent line; `#` starts a comment.  Each distinct
-    cirquent line, oformula text and group section text in the file is
-    parsed once."""
+    cirquent line, section, oformula text, group text and non-axiom step
+    header `(rule, parameters)` in the file is parsed once."""
     steps: list[ProofStep] = []
     cirquents: dict[str, Cirquent] = {}
     formulas: dict[str, Formula] = {}
-    groups: dict[str, tuple[Group, ...]] = {}
-    pending: tuple[int, str, dict[str, object]] | None = None
+    groups: dict[str, Group] = {}
+    sections: dict[str, tuple] = {}
+    # An axiom's formulas come from its cirquent, so only other rules are kept.
+    rules: dict[tuple[str, str], RuleInstance] = {}
+    pending: tuple[int, tuple[str, str], dict[str, object] | None] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -567,17 +572,24 @@ def parse_proof(text: str) -> Proof:
             number = int(m.group(1))
             if number != len(steps) + 1:
                 raise ProofError(f"line {lineno}: expected step {len(steps) + 1}, got {number}")
-            pending = (number, m.group(2), _parse_params(m.group(3), lineno))
+            header = m.group(2, 3)
+            pending = (number, header, None if header in rules else _parse_params(header[1], lineno))
             continue
         if pending is None:
             raise ProofError(f"line {lineno}: expected a 'step <k>: rule=...' header")
         cirq = cirquents.get(line)
         if cirq is None:
             try:
-                cirq = cirquents[line] = parse_cirquent(line, formulas, groups)
+                cirq = cirquents[line] = parse_cirquent(line, formulas, groups, sections)
             except CirquentError as exc:
                 raise ProofError(f"line {lineno}: {exc}") from exc
-        steps.append(ProofStep(cirq, _build_rule(pending[1], pending[2], cirq, lineno)))
+        _, header, params = pending
+        rule = rules.get(header)
+        if rule is None:
+            rule = _build_rule(header[0], params, cirq, lineno)  # type: ignore[arg-type]
+            if not isinstance(rule, Axiom):
+                rules[header] = rule
+        steps.append(ProofStep(cirq, rule))
         pending = None
     if pending is not None:
         raise ProofError(f"step {pending[0]} has no cirquent")

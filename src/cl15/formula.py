@@ -1,8 +1,8 @@
-"""Formula syntax: tokenizing, parsing, negation normalization, rendering.
+"""Formula syntax: tokenizing, parsing, negation, rendering.
 
 Stored formulas are always in negation normal form: negation appears only
 directly on atoms.  The parser accepts general negation (and `->` sugar)
-and normalizes immediately.
+and builds the normal form as it reads, in one pass.
 """
 from __future__ import annotations
 
@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 class FormulaError(ValueError):
     """Malformed formula text."""
-
-
-ATOM_RE = re.compile(r"[A-Z][A-Za-z0-9]*")
 
 
 @dataclass(frozen=True)
@@ -72,51 +69,45 @@ class Cost(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
-class Neg(Formula):
-    """General negation, parser-intermediate only.
+# Each connective's dual: the class of the negation of a node.
+_DUAL: dict[type, type] = {
+    And: Or, Or: And, Pst: Pcost, Pcost: Pst, St: Cost, Cost: St, AtomRef: NegAtom, NegAtom: AtomRef,
+}
 
-    Never present in normalized formulas; eliminate with normalize_negation.
-    """
-
-    body: Formula
+_PREFIX = {"!": Pst, "?": Pcost, "b!": St, "b?": Cost}
 
 
-# Tokenizer
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<atom>[A-Z][A-Za-z0-9]*)"
-    r"|(?P<op>b!|b\?|->|/\\|\\/|[~!?()]))"
-)
+# One scan: group 1 is a token, and group 2 any other non-space character.
+_TOKEN_RE = re.compile(r"\s*(?:([A-Z][A-Za-z0-9]*|b!|b\?|->|/\\|\\/|[~!?()])|(\S))")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise FormulaError(f"unknown token at position {pos}: {rest[:10]!r}")
-        tok = m.group("atom") or m.group("op")
-        tokens.append((tok, m.start("atom") if m.group("atom") else m.start("op")))
-        pos = m.end()
-    return tokens
+def _tokenize(text: str) -> tuple[list[str | None], list[int]]:
+    """The tokens of text, ending in a None sentinel, and their positions."""
+    tokens: list[str | None] = []
+    positions = []
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group(1)
+        if tok is None:
+            bad = m.start(2)
+            raise FormulaError(f"unknown token at position {m.start()}: {text[bad:bad + 10]!r}")
+        tokens.append(tok)
+        positions.append(m.start(1))
+    tokens.append(None)
+    return tokens, positions
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, int]], text: str):
+    """Recursive descent straight to negation normal form.  Each method
+    reads one construct under a polarity: with `neg` set it builds the
+    negation of what it reads, taking each node class from `_DUAL`."""
+
+    def __init__(self, tokens: list[str | None], positions: list[int]):
         self.tokens = tokens
-        self.text = text
+        self.positions = positions
         self.i = 0
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
     def take(self) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok is None:
             raise FormulaError("unexpected end of input")
         self.i += 1
@@ -125,120 +116,74 @@ class _Parser:
     def expect(self, tok: str) -> None:
         got = self.take()
         if got != tok:
-            raise FormulaError(f"expected {tok!r}, got {got!r} at position {self.tokens[self.i - 1][1]}")
+            raise FormulaError(f"expected {tok!r}, got {got!r} at position {self.positions[self.i - 1]}")
 
-    def parse_impl(self) -> Formula:
-        left = self.parse_or()
-        if self.peek() == "->":
-            self.take()
-            right = self.parse_impl()
-            return Or(Neg(left), right)
+    def parse_impl(self, neg: bool) -> Formula:
+        left = self.parse_or(neg)
+        if self.tokens[self.i] == "->":
+            self.i += 1
+            right = self.parse_impl(neg)
+            return (_DUAL[Or] if neg else Or)(negate(left), right)
         return left
 
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
-        while self.peek() == "\\/":
-            self.take()
-            node = Or(node, self.parse_and())
+    def parse_or(self, neg: bool) -> Formula:
+        node = self.parse_and(neg)
+        cls = _DUAL[Or] if neg else Or
+        while self.tokens[self.i] == "\\/":
+            self.i += 1
+            node = cls(node, self.parse_and(neg))
         return node
 
-    def parse_and(self) -> Formula:
-        node = self.parse_unary()
-        while self.peek() == "/\\":
-            self.take()
-            node = And(node, self.parse_unary())
+    def parse_and(self, neg: bool) -> Formula:
+        node = self.parse_unary(neg)
+        cls = _DUAL[And] if neg else And
+        while self.tokens[self.i] == "/\\":
+            self.i += 1
+            node = cls(node, self.parse_unary(neg))
         return node
 
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaError("unexpected end of input")
+    def parse_unary(self, neg: bool) -> Formula:
+        tok = self.take()
+        if tok.isalnum():
+            return (_DUAL[AtomRef] if neg else AtomRef)(tok)
         if tok == "~":
-            self.take()
-            return Neg(self.parse_unary())
-        if tok == "!":
-            self.take()
-            return Pst(self.parse_unary())
-        if tok == "?":
-            self.take()
-            return Pcost(self.parse_unary())
-        if tok == "b!":
-            self.take()
-            return St(self.parse_unary())
-        if tok == "b?":
-            self.take()
-            return Cost(self.parse_unary())
+            return self.parse_unary(not neg)
+        cls = _PREFIX.get(tok)
+        if cls is not None:
+            return (_DUAL[cls] if neg else cls)(self.parse_unary(neg))
         if tok == "(":
-            self.take()
-            node = self.parse_impl()
+            node = self.parse_impl(neg)
             self.expect(")")
             return node
-        if ATOM_RE.fullmatch(tok):
-            self.take()
-            return AtomRef(tok)
         raise FormulaError(f"unexpected token {tok!r}")
-
-
-def normalize_negation(f: Formula) -> Formula:
-    """Push general negation down to atoms, yielding negation normal form."""
-    if isinstance(f, Neg):
-        return _negate_normalized(normalize_negation(f.body))
-    if isinstance(f, (AtomRef, NegAtom)):
-        return f
-    if isinstance(f, And):
-        return And(normalize_negation(f.left), normalize_negation(f.right))
-    if isinstance(f, Or):
-        return Or(normalize_negation(f.left), normalize_negation(f.right))
-    if isinstance(f, Pst):
-        return Pst(normalize_negation(f.body))
-    if isinstance(f, Pcost):
-        return Pcost(normalize_negation(f.body))
-    if isinstance(f, St):
-        return St(normalize_negation(f.body))
-    if isinstance(f, Cost):
-        return Cost(normalize_negation(f.body))
-    raise FormulaError(f"not a formula node: {f!r}")
-
-
-def _negate_normalized(f: Formula) -> Formula:
-    if isinstance(f, AtomRef):
-        return NegAtom(f.name)
-    if isinstance(f, NegAtom):
-        return AtomRef(f.name)
-    if isinstance(f, And):
-        return Or(_negate_normalized(f.left), _negate_normalized(f.right))
-    if isinstance(f, Or):
-        return And(_negate_normalized(f.left), _negate_normalized(f.right))
-    if isinstance(f, Pst):
-        return Pcost(_negate_normalized(f.body))
-    if isinstance(f, Pcost):
-        return Pst(_negate_normalized(f.body))
-    if isinstance(f, St):
-        return Cost(_negate_normalized(f.body))
-    if isinstance(f, Cost):
-        return St(_negate_normalized(f.body))
-    raise FormulaError(f"not a normalized formula node: {f!r}")
 
 
 def negate(f: Formula) -> Formula:
     """Negation of a normalized formula, itself normalized."""
-    return _negate_normalized(f)
+    dual = _DUAL.get(type(f))
+    if dual is None:
+        raise FormulaError(f"not a normalized formula node: {f!r}")
+    if isinstance(f, (AtomRef, NegAtom)):
+        return dual(f.name)
+    if isinstance(f, (And, Or)):
+        return dual(negate(f.left), negate(f.right))
+    return dual(negate(f.body))
 
 
 def parse_formula(text: str) -> Formula:
     """Parse formula text into a normalized Formula."""
-    tokens = _tokenize(text)
-    if not tokens:
+    tokens, positions = _tokenize(text)
+    if len(tokens) == 1:
         raise FormulaError("empty formula")
-    parser = _Parser(tokens, text)
+    parser = _Parser(tokens, positions)
     try:
-        node = parser.parse_impl()
-        if parser.peek() is not None:
-            raise FormulaError(f"trailing input from token {parser.peek()!r}")
-        return normalize_negation(node)
+        node = parser.parse_impl(False)
     except RecursionError:
         # The recursive descent's depth is bounded by the interpreter's.
         raise FormulaError("formula nested too deeply") from None
+    if tokens[parser.i] is not None:
+        raise FormulaError(f"trailing input from token {tokens[parser.i]!r}")
+    return node
 
 
 # Rendering with minimal parentheses.  Precedence: atoms/prefix 3, /\ 2, \/ 1.
@@ -251,6 +196,9 @@ def _prec(f: Formula) -> int:
     return 3
 
 
+_PREFIX_SYMBOL = {cls: sym for sym, cls in _PREFIX.items()}
+
+
 def render_formula(f: Formula) -> str:
     """Render a normalized formula; parse_formula(render_formula(f)) == f."""
     if isinstance(f, AtomRef):
@@ -258,7 +206,7 @@ def render_formula(f: Formula) -> str:
     if isinstance(f, NegAtom):
         return "~" + f.name
     if isinstance(f, (Pst, Pcost, St, Cost)):
-        sym = {Pst: "!", Pcost: "?", St: "b!", Cost: "b?"}[type(f)]
+        sym = _PREFIX_SYMBOL[type(f)]
         body = render_formula(f.body)
         if _prec(f.body) < 3:
             body = "(" + body + ")"
@@ -282,6 +230,6 @@ def atoms(f: Formula) -> frozenset[str]:
         return frozenset({f.name})
     if isinstance(f, (And, Or)):
         return atoms(f.left) | atoms(f.right)
-    if isinstance(f, (Pst, Pcost, St, Cost, Neg)):
+    if isinstance(f, (Pst, Pcost, St, Cost)):
         return atoms(f.body)
     raise FormulaError(f"not a formula node: {f!r}")

@@ -143,6 +143,8 @@ PLAIN_LINE = "oformulas: P ; under: {1} ; over: {1}"
         (f"step 1: rule=pcost oformula=1 add_over={{1,2\n{PLAIN_LINE}", "bad set parameter"),
         (f"step 1: rule=axiom\n{AXIOM_LINE}\nstep 2: rule=dup_over pos=2 pos=1\n{AXIOM_LINE}",
          "line 3: repeated parameter pos"),
+        (f"step 1: rule=axiom\n{AXIOM_LINE}\nstep 2: rule=dup_over pos={{1}}\n{AXIOM_LINE}",
+         "line 4: pos must be a number, not a set"),
     ],
 )
 def test_parse_proof_errors(text, fragment):
@@ -217,3 +219,44 @@ def test_repeated_line_errors_keep_their_line_number(text, fragment):
     with pytest.raises(ProofError) as exc:
         parse_proof(text)
     assert fragment in str(exc.value)
+
+
+def test_repeated_step_headers_give_each_step_its_own_rule():
+    # Steps 2-3 and 5-6 share a header over different cirquents; step 4 is
+    # an axiom again, over another cirquent, after other steps.
+    steps = [
+        ("rule=axiom", AXIOM_LINE),
+        ("rule=dup_over pos=1", "oformulas: ~P | P ; under: {1,2} ; over: {1,2}{1,2}"),
+        ("rule=dup_over pos=1", "oformulas: ~P | P ; under: {1,2} ; over: {1,2}{1,2}{1,2}"),
+        ("rule=axiom", "oformulas: ~Q | Q | ~R | R ; under: {1,2}{3,4} ; over: {1,2}{3,4}"),
+        ("rule=pcost oformula=1 add_over={2}", "oformulas: ?~P | P ; under: {1,2} ; over: {1,2}{2}"),
+        ("rule=pcost oformula=1 add_over={2}", "oformulas: ?~Q | Q ; under: {1,2} ; over: {1,2}{2}"),
+    ]
+    proof = parse_proof("\n".join(f"step {k}: {header}\n{line}"
+                                  for k, (header, line) in enumerate(steps, start=1)))
+    alone = [parse_proof(f"step 1: {header}\n{line}").steps[0] for header, line in steps]
+    assert list(proof.steps) == alone
+    assert proof.steps[3].rule == Axiom((parse_formula("Q"), parse_formula("R")))
+    assert proof.steps[0].rule == Axiom((parse_formula("P"),))
+
+
+DUP_STEP = "step 2: rule=dup_over pos=1\noformulas: ~P | P ; under: {1,2} ; over: {1,2}{1,2}"
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        (f"step 1: rule=axiom\n{AXIOM_LINE}\n{DUP_STEP}\nstep 3: rule=dup_over pos=1\nunder: {{1}}",
+         "line 6: missing sections: oformulas, over"),
+        (f"step 1: rule=axiom\n{AXIOM_LINE}\n{DUP_STEP}\nstep 3: rule=dup_over pos=1\n"
+         f"step 4: rule=dup_over pos=1", "line 6: step 3 has no cirquent"),
+        (f"step 1: rule=axiom\n{AXIOM_LINE}\n{DUP_STEP}\nstep 4: rule=dup_over pos=1\n{AXIOM_LINE}",
+         "line 5: expected step 3, got 4"),
+        (f"step 1: rule=axiom\n{AXIOM_LINE}\n{DUP_STEP}\nstep 3: rule=axiom extra=1\n{AXIOM_LINE}",
+         "line 6: rule axiom does not take extra"),
+    ],
+)
+def test_repeated_header_errors_keep_their_line_number(text, fragment):
+    with pytest.raises(ProofError) as exc:
+        parse_proof(text)
+    assert str(exc.value) == fragment

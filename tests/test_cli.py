@@ -333,6 +333,20 @@ def test_check_bad_set_parameter_is_a_usage_error(tmp_path, capsys):
     assert "bad set parameter 'add_over={x" in captured.err
 
 
+@pytest.mark.parametrize("command", [["check"], ["extract", "--out", "p2.strategy"], ["simulate"]],
+                         ids=["check", "extract", "simulate"])
+def test_set_valued_number_parameter_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    text = read_fixture("p2.proof")
+    assert "rule=dup_over pos=1\n" in text
+    bad = tmp_path / "bad.proof"
+    bad.write_text(text.replace("rule=dup_over pos=1\n", "rule=dup_over pos={1}\n", 1))
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], str(bad), *command[1:]]) == USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: line 4: pos must be a number, not a set\n")
+    assert not (tmp_path / "p2.strategy").exists()
+
+
 def test_random_adversary_transcript_ignores_the_hash_seed():
     argv = [sys.executable, "-m", "cl15.cli", "simulate", P2, "--adversary", "random",
             "--seed", "7"]

