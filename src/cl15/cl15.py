@@ -4,13 +4,15 @@ plus whole-proof verification and the proof file format.
 Each rule has a deterministic constructor in its natural direction
 (conclusion from premise for Axiom/Exchange/Duplication/Merging, premise
 from conclusion for the rest); checking compares the constructed cirquent
-with the given one, so diagnostics are exact and checking is linear.
+with the given one, so diagnostics are exact and checking is linear.  One
+record per rule in `_RULES` holds its file-format name, its parameters and
+that check.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable
 
 from .cirquent import Cirquent, CirquentError, Group, clubsuit, parse_cirquent, render_cirquent, validate_cirquent
 from .formula import And, Formula, Or, Pcost, Pst, negate, render_formula
@@ -28,93 +30,81 @@ class Violation:
 # Rule instances (all indices 1-based)
 
 @dataclass(frozen=True)
-class Axiom:
+class Rule:
+    """A rule instance; each rule's class subclasses this one."""
+
+
+@dataclass(frozen=True)
+class Axiom(Rule):
     formulas: tuple[Formula, ...]
 
 
 @dataclass(frozen=True)
-class OformulaExchange:
+class OformulaExchange(Rule):
     pos: int
 
 
 @dataclass(frozen=True)
-class UndergroupExchange:
+class UndergroupExchange(Rule):
     pos: int
 
 
 @dataclass(frozen=True)
-class OvergroupExchange:
+class OvergroupExchange(Rule):
     pos: int
 
 
 @dataclass(frozen=True)
-class UndergroupDuplication:
+class UndergroupDuplication(Rule):
     pos: int
 
 
 @dataclass(frozen=True)
-class OvergroupDuplication:
+class OvergroupDuplication(Rule):
     pos: int
 
 
 @dataclass(frozen=True)
-class Merging:
+class Merging(Rule):
     over: int
 
 
 @dataclass(frozen=True)
-class Weakening:
+class Weakening(Rule):
     under: int
     oformula: int
 
 
 @dataclass(frozen=True)
-class Contraction:
+class Contraction(Rule):
     oformula: int
 
 
 @dataclass(frozen=True)
-class OrIntro:
+class OrIntro(Rule):
     oformula: int
 
 
 @dataclass(frozen=True)
-class AndIntro:
+class AndIntro(Rule):
     oformula: int
 
 
 @dataclass(frozen=True)
-class PstIntro:
+class PstIntro(Rule):
     oformula: int
 
 
 @dataclass(frozen=True)
-class PcostIntro:
+class PcostIntro(Rule):
     oformula: int
     add_over: frozenset[int] = frozenset()
-
-
-RuleInstance = Union[
-    Axiom,
-    OformulaExchange,
-    UndergroupExchange,
-    OvergroupExchange,
-    UndergroupDuplication,
-    OvergroupDuplication,
-    Merging,
-    Weakening,
-    Contraction,
-    OrIntro,
-    AndIntro,
-    PstIntro,
-    PcostIntro,
-]
 
 
 @dataclass(frozen=True)
 class ProofStep:
     cirquent: Cirquent
-    rule: RuleInstance
+    rule: Rule
 
 
 @dataclass(frozen=True)
@@ -122,15 +112,7 @@ class Proof:
     steps: tuple[ProofStep, ...]
 
 
-# Index remapping helpers
-
-def _swap_map(i: int) -> dict[int, int]:
-    return {i: i + 1, i + 1: i}
-
-
-def _apply_map(g: Group, mapping: dict[int, int]) -> Group:
-    return frozenset(mapping.get(a, a) for a in g)
-
+# Index remapping helper
 
 def _shift_after(g: Group, a: int) -> Group:
     """Renumber for an insertion at position a+1: indices > a move up by one;
@@ -154,53 +136,48 @@ def conclusion_of_oformula_exchange(premise: Cirquent, i: int) -> Cirquent:
         raise ValueError(f"position {i} out of range")
     of = list(premise.oformulas)
     of[i - 1], of[i] = of[i], of[i - 1]
-    mapping = _swap_map(i)
-    return Cirquent(
-        tuple(of),
-        tuple(_apply_map(g, mapping) for g in premise.undergroups),
-        tuple(_apply_map(g, mapping) for g in premise.overgroups),
-    )
+    swap = {i: i + 1, i + 1: i}
+
+    def renumber(groups: tuple[Group, ...]) -> tuple[Group, ...]:
+        return tuple(frozenset(swap.get(a, a) for a in g) for g in groups)
+
+    return Cirquent(tuple(of), renumber(premise.undergroups), renumber(premise.overgroups))
 
 
-def conclusion_of_undergroup_exchange(premise: Cirquent, i: int) -> Cirquent:
-    if not 1 <= i < len(premise.undergroups):
+# Group edits shared by the exchange, duplication and merging rules.  Each
+# edits one tuple of groups; _unders and _overs turn it into the check of a
+# rule that edits the premise's undergroups or overgroups.
+
+def _swap_groups(groups: tuple[Group, ...], i: int) -> tuple[Group, ...]:
+    if not 1 <= i < len(groups):
         raise ValueError(f"position {i} out of range")
-    groups = list(premise.undergroups)
-    groups[i - 1], groups[i] = groups[i], groups[i - 1]
-    return Cirquent(premise.oformulas, tuple(groups), premise.overgroups)
+    out = list(groups)
+    out[i - 1], out[i] = out[i], out[i - 1]
+    return tuple(out)
 
 
-def conclusion_of_overgroup_exchange(premise: Cirquent, i: int) -> Cirquent:
-    if not 1 <= i < len(premise.overgroups):
+def _duplicate_group(groups: tuple[Group, ...], i: int) -> tuple[Group, ...]:
+    if not 1 <= i <= len(groups):
         raise ValueError(f"position {i} out of range")
-    groups = list(premise.overgroups)
-    groups[i - 1], groups[i] = groups[i], groups[i - 1]
-    return Cirquent(premise.oformulas, premise.undergroups, tuple(groups))
+    out = list(groups)
+    out.insert(i, out[i - 1])
+    return tuple(out)
 
 
-def conclusion_of_undergroup_duplication(premise: Cirquent, i: int) -> Cirquent:
-    if not 1 <= i <= len(premise.undergroups):
-        raise ValueError(f"position {i} out of range")
-    groups = list(premise.undergroups)
-    groups.insert(i, groups[i - 1])
-    return Cirquent(premise.oformulas, tuple(groups), premise.overgroups)
-
-
-def conclusion_of_overgroup_duplication(premise: Cirquent, i: int) -> Cirquent:
-    if not 1 <= i <= len(premise.overgroups):
-        raise ValueError(f"position {i} out of range")
-    groups = list(premise.overgroups)
-    groups.insert(i, groups[i - 1])
-    return Cirquent(premise.oformulas, premise.undergroups, tuple(groups))
-
-
-def conclusion_of_merging(premise: Cirquent, j: int) -> Cirquent:
-    if not 1 <= j < len(premise.overgroups):
+def _merge_groups(groups: tuple[Group, ...], j: int) -> tuple[Group, ...]:
+    if not 1 <= j < len(groups):
         raise ValueError(f"position {j} out of range")
-    groups = list(premise.overgroups)
-    merged = groups[j - 1] | groups[j]
-    groups[j - 1:j + 1] = [merged]
-    return Cirquent(premise.oformulas, premise.undergroups, tuple(groups))
+    out = list(groups)
+    out[j - 1:j + 1] = [out[j - 1] | out[j]]
+    return tuple(out)
+
+
+def _unders(edit: Callable) -> Callable[..., bool]:
+    return lambda p, c, i: Cirquent(p.oformulas, edit(p.undergroups, i), p.overgroups) == c
+
+
+def _overs(edit: Callable) -> Callable[..., bool]:
+    return lambda p, c, i: Cirquent(p.oformulas, p.undergroups, edit(p.overgroups, i)) == c
 
 
 # Backward constructors (premise from conclusion)
@@ -369,8 +346,64 @@ def check_axiom(c: Cirquent, formulas: tuple[Formula, ...]) -> bool:
     return axiom_violation(c, formulas) is None
 
 
+@dataclass(frozen=True)
+class _RuleSpec:
+    """One rule: its name in the file format, its class, the names of its
+    parameters (also the class's fields, in file order), and its check.
+    `holds(premise, conclusion, *params)` says whether the pair is an
+    instance; `mismatch` explains a pair that is not.  The axiom has no
+    check, since it has no premise."""
+
+    name: str
+    cls: type
+    params: tuple[str, ...]
+    holds: Callable[..., bool] | None
+    mismatch: str
+
+
+def _backward(build: Callable[..., Cirquent]) -> Callable[..., bool]:
+    """The check of a rule built as premise = build(conclusion, *params)."""
+    return lambda premise, conclusion, *params: build(conclusion, *params) == premise
+
+
+_FORWARD_MISMATCH = "conclusion does not match the rule applied to the premise"
+
+_RULES = {
+    spec.name: spec
+    for spec in (
+        _RuleSpec("axiom", Axiom, (), None, "axiom has no premise"),
+        _RuleSpec("exchange_oformulas", OformulaExchange, ("pos",),
+                  lambda p, c, i: conclusion_of_oformula_exchange(p, i) == c, _FORWARD_MISMATCH),
+        _RuleSpec("exchange_unders", UndergroupExchange, ("pos",), _unders(_swap_groups),
+                  _FORWARD_MISMATCH),
+        _RuleSpec("exchange_overs", OvergroupExchange, ("pos",), _overs(_swap_groups),
+                  _FORWARD_MISMATCH),
+        _RuleSpec("dup_under", UndergroupDuplication, ("pos",), _unders(_duplicate_group),
+                  _FORWARD_MISMATCH),
+        _RuleSpec("dup_over", OvergroupDuplication, ("pos",), _overs(_duplicate_group),
+                  _FORWARD_MISMATCH),
+        _RuleSpec("merging", Merging, ("over",), _overs(_merge_groups), _FORWARD_MISMATCH),
+        _RuleSpec("weakening", Weakening, ("under", "oformula"),
+                  _backward(lambda c, under, a: premise_of_weakening(c, under, a)[0]),
+                  "premise is not the arc-deletion of the conclusion"),
+        _RuleSpec("contraction", Contraction, ("oformula",), _backward(premise_of_contraction),
+                  "premise is not the two-copy split of the conclusion"),
+        _RuleSpec("or", OrIntro, ("oformula",), _backward(premise_of_or),
+                  "premise does not split the disjunction as required"),
+        _RuleSpec("and", AndIntro, ("oformula",), _backward(premise_of_and),
+                  "premise does not split the conjunction as required"),
+        _RuleSpec("pst", PstIntro, ("oformula",), lambda p, c, a: bool(pst_positions(p, c, a)),
+                  "premise does not add a singleton overgroup as required"),
+        _RuleSpec("pcost", PcostIntro, ("oformula", "add_over"), _backward(premise_of_pcost),
+                  "premise does not match the stated overgroup additions"),
+    )
+}
+
+_RULE_OF_CLASS = {spec.cls: spec for spec in _RULES.values()}
+
+
 def check_step(
-    premise: Cirquent, conclusion: Cirquent, rule: RuleInstance, premise_valid: bool = False
+    premise: Cirquent, conclusion: Cirquent, rule: Rule, premise_valid: bool = False
 ) -> Violation | None:
     """Is (premise, conclusion) exactly an instance of rule?  None if so.
     Both cirquents are validated first, or only the conclusion when the
@@ -380,57 +413,17 @@ def check_step(
         issues = validate_cirquent(c)
         if issues:
             return Violation(f"invalid {name}: {issues[0]}")
+    spec = _RULE_OF_CLASS.get(type(rule))
+    if spec is None:
+        return Violation(f"unknown rule {rule!r}")
     try:
-        if isinstance(rule, Axiom):
-            return Violation("axiom has no premise")
-        if isinstance(rule, OformulaExchange):
-            expected = conclusion_of_oformula_exchange(premise, rule.pos)
-        elif isinstance(rule, UndergroupExchange):
-            expected = conclusion_of_undergroup_exchange(premise, rule.pos)
-        elif isinstance(rule, OvergroupExchange):
-            expected = conclusion_of_overgroup_exchange(premise, rule.pos)
-        elif isinstance(rule, UndergroupDuplication):
-            expected = conclusion_of_undergroup_duplication(premise, rule.pos)
-        elif isinstance(rule, OvergroupDuplication):
-            expected = conclusion_of_overgroup_duplication(premise, rule.pos)
-        elif isinstance(rule, Merging):
-            expected = conclusion_of_merging(premise, rule.over)
-        elif isinstance(rule, Weakening):
-            built, _, _ = premise_of_weakening(conclusion, rule.under, rule.oformula)
-            if built != premise:
-                return Violation("premise is not the arc-deletion of the conclusion")
+        if spec.holds is not None and spec.holds(
+            premise, conclusion, *[getattr(rule, key) for key in spec.params]
+        ):
             return None
-        elif isinstance(rule, Contraction):
-            built = premise_of_contraction(conclusion, rule.oformula)
-            if built != premise:
-                return Violation("premise is not the two-copy split of the conclusion")
-            return None
-        elif isinstance(rule, OrIntro):
-            built = premise_of_or(conclusion, rule.oformula)
-            if built != premise:
-                return Violation("premise does not split the disjunction as required")
-            return None
-        elif isinstance(rule, AndIntro):
-            built = premise_of_and(conclusion, rule.oformula)
-            if built != premise:
-                return Violation("premise does not split the conjunction as required")
-            return None
-        elif isinstance(rule, PstIntro):
-            if pst_positions(premise, conclusion, rule.oformula):
-                return None
-            return Violation("premise does not add a singleton overgroup as required")
-        elif isinstance(rule, PcostIntro):
-            built = premise_of_pcost(conclusion, rule.oformula, rule.add_over)
-            if built != premise:
-                return Violation("premise does not match the stated overgroup additions")
-            return None
-        else:
-            return Violation(f"unknown rule {rule!r}")
     except ValueError as exc:
         return Violation(str(exc))
-    if expected != conclusion:
-        return Violation("conclusion does not match the rule applied to the premise")
-    return None
+    return Violation(spec.mismatch)
 
 
 def verify_proof(proof: Proof, goal: Formula | None = None) -> tuple[int, Violation] | None:
@@ -463,37 +456,6 @@ def verify_proof(proof: Proof, goal: Formula | None = None) -> tuple[int, Violat
 
 # Proof file format
 
-@dataclass(frozen=True)
-class _RuleSpec:
-    """One rule in the file format: its name, its class, and the names of
-    its parameters, which are also the class's fields, in file order."""
-
-    name: str
-    cls: type
-    params: tuple[str, ...]
-
-
-_RULES = {
-    spec.name: spec
-    for spec in (
-        _RuleSpec("axiom", Axiom, ()),
-        _RuleSpec("exchange_oformulas", OformulaExchange, ("pos",)),
-        _RuleSpec("exchange_unders", UndergroupExchange, ("pos",)),
-        _RuleSpec("exchange_overs", OvergroupExchange, ("pos",)),
-        _RuleSpec("dup_under", UndergroupDuplication, ("pos",)),
-        _RuleSpec("dup_over", OvergroupDuplication, ("pos",)),
-        _RuleSpec("merging", Merging, ("over",)),
-        _RuleSpec("weakening", Weakening, ("under", "oformula")),
-        _RuleSpec("contraction", Contraction, ("oformula",)),
-        _RuleSpec("or", OrIntro, ("oformula",)),
-        _RuleSpec("and", AndIntro, ("oformula",)),
-        _RuleSpec("pst", PstIntro, ("oformula",)),
-        _RuleSpec("pcost", PcostIntro, ("oformula", "add_over")),
-    )
-}
-
-_RULE_OF_CLASS = {spec.cls: spec for spec in _RULES.values()}
-
 _STEP_RE = re.compile(r"step\s+(\d+)\s*:\s*rule=(\S+)\s*(.*)")
 
 
@@ -521,7 +483,7 @@ def _parse_params(text: str, lineno: int) -> dict[str, object]:
     return params
 
 
-def _build_rule(name: str, params: dict[str, object], cirq: Cirquent, lineno: int) -> RuleInstance:
+def _build_rule(name: str, params: dict[str, object], cirq: Cirquent, lineno: int) -> Rule:
     spec = _RULES.get(name)
     if spec is None:
         raise ProofError(f"line {lineno}: unknown rule {name!r}")
@@ -559,8 +521,9 @@ def parse_proof(text: str) -> Proof:
     groups: dict[str, Group] = {}
     sections: dict[str, tuple] = {}
     # An axiom's formulas come from its cirquent, so only other rules are kept.
-    rules: dict[tuple[str, str], RuleInstance] = {}
-    pending: tuple[int, tuple[str, str], dict[str, object] | None] | None = None
+    rules: dict[tuple[str, str], Rule] = {}
+    # The pending step: its number, header, parameters and header line.
+    pending: tuple[int, tuple[str, str], dict[str, object] | None, int] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -573,7 +536,8 @@ def parse_proof(text: str) -> Proof:
             if number != len(steps) + 1:
                 raise ProofError(f"line {lineno}: expected step {len(steps) + 1}, got {number}")
             header = m.group(2, 3)
-            pending = (number, header, None if header in rules else _parse_params(header[1], lineno))
+            params = None if header in rules else _parse_params(header[1], lineno)
+            pending = (number, header, params, lineno)
             continue
         if pending is None:
             raise ProofError(f"line {lineno}: expected a 'step <k>: rule=...' header")
@@ -583,10 +547,10 @@ def parse_proof(text: str) -> Proof:
                 cirq = cirquents[line] = parse_cirquent(line, formulas, groups, sections)
             except CirquentError as exc:
                 raise ProofError(f"line {lineno}: {exc}") from exc
-        _, header, params = pending
+        _, header, params, header_line = pending
         rule = rules.get(header)
         if rule is None:
-            rule = _build_rule(header[0], params, cirq, lineno)  # type: ignore[arg-type]
+            rule = _build_rule(header[0], params, cirq, header_line)  # type: ignore[arg-type]
             if not isinstance(rule, Axiom):
                 rules[header] = rule
         steps.append(ProofStep(cirq, rule))

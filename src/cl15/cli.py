@@ -10,8 +10,8 @@ import re
 import sys
 
 from . import cl15 as rules
-from .cirquent import Cirquent, CirquentError, as_clubsuit, render_cirquent
-from .formula import Formula, FormulaError, atoms, render_formula
+from .cirquent import Cirquent, CirquentError
+from .formula import Formula, FormulaError, atoms
 from .games import (
     Game,
     GameError,
@@ -50,6 +50,7 @@ from .strategy import (
     SilentEnv,
     StrategyError,
     extract_solution,
+    proof_goal,
     simulate,
 )
 
@@ -119,16 +120,6 @@ def _load_subject(path: str, level_flag: str | None) -> tuple[rules.Proof, bool]
     return rules.parse_proof(text), level_flag == "formula"
 
 
-def _goal_of(proof: rules.Proof, formula_level: bool) -> tuple[Formula | Cirquent, str]:
-    last = proof.steps[-1].cirquent
-    if formula_level:
-        goal = as_clubsuit(last)
-        if goal is None:
-            raise StrategyError("final cirquent is not a one-oformula clubsuit")
-        return goal, render_formula(goal)
-    return last, render_cirquent(last)
-
-
 def _goal_atoms(goal: Formula | Cirquent) -> frozenset[str]:
     if isinstance(goal, Cirquent):
         names: frozenset[str] = frozenset()
@@ -177,7 +168,7 @@ def cmd_extract(args) -> int:
     except ProofViolation as exc:
         print(f"step {exc.step}: violation: {exc.violation.reason}")
         return FAIL
-    _, desc = _goal_of(proof, args.level == "formula")
+    _, desc = proof_goal(proof, args.level == "formula")
     text = f"strategy level={args.level}\n{rules.render_proof(proof)}\n"
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -212,7 +203,7 @@ def cmd_simulate(args) -> int:
     except ProofViolation as exc:
         print(f"step {exc.step}: violation: {exc.violation.reason}")
         return FAIL
-    goal, desc = _goal_of(proof, formula_level)
+    goal, desc = proof_goal(proof, formula_level)
     interp = _build_interp(args, goal)
     game = _interpret(goal, interp)
     adversary = _make_adversary(args.adversary, game, goal, interp, args.seed)
@@ -273,7 +264,7 @@ def play_session(
     except ProofViolation as exc:
         say(f"step {exc.step}: violation: {exc.violation.reason}")
         return FAIL
-    goal, desc = _goal_of(proof, formula_level)
+    goal, desc = proof_goal(proof, formula_level)
     game = _interpret(goal, interp)
     game_position = game.start()
     say(f"playing: {desc}")
@@ -330,7 +321,7 @@ def play_session(
 
 def cmd_play(args) -> int:
     proof, formula_level = _load_subject(args.proof, args.level)
-    goal, _ = _goal_of(proof, formula_level)
+    goal, _ = proof_goal(proof, formula_level)
     interp = _build_interp(args, goal)
     return play_session(
         proof, interp, args.budget, formula_level=formula_level

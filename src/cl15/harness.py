@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
-from .cirquent import Cirquent, as_clubsuit, make_cirquent, render_cirquent
+from .cirquent import Cirquent, make_cirquent
 from .formula import (
     And,
     AtomRef,
@@ -26,7 +26,6 @@ from .formula import (
     Pst,
     St,
     parse_formula,
-    render_formula,
 )
 from .games import (
     EnumerationGame,
@@ -55,6 +54,7 @@ from .strategy import (
     MachineStrategy,
     MakeMove,
     extract_solution,
+    proof_goal,
     simulate,
 )
 from . import cl15 as rules
@@ -554,42 +554,35 @@ def shortlex_bitstring(i: int) -> str:
     return format(m, "b").zfill(length) if length else ""
 
 
-@dataclass
-class LoopState:
-    """Iteration counter (also the shortlex index) and numbers already
-    emitted; the freshness scan additionally covers the visible run."""
-
-    iteration: int = 1
-    used: set[int] = field(default_factory=set)
-
-
 class LoopCounterstrategy(EnvStrategy):
     """On the i-th grant (i <= k) plays `2.w.u` where w is the i-th shortlex
     bitstring and u is a fresh positive number (not used by either player in
-    any thread or copy so far); silent afterwards."""
+    any thread or copy so far); silent afterwards.  `iteration` is the
+    number of the next grant (also its shortlex index) and `used` holds the
+    numbers already played; the freshness scan also covers the visible run."""
 
     name = "loop"
 
     def __init__(self, k: int):
         self.k = k
-        self.state = LoopState()
+        self.iteration = 1
+        self.used: set[int] = set()
 
     def spawn(self) -> "LoopCounterstrategy":
         return LoopCounterstrategy(self.k)
 
     def on_grant(self, run: Run) -> str | None:
-        st = self.state
-        if st.iteration > self.k:
+        if self.iteration > self.k:
             return None
-        seen = set(st.used)
+        seen = set(self.used)
         for lm in run:
             tail = lm.move.rsplit(".", 1)[-1]
             if _is_pos(tail):
                 seen.add(int(tail))
         u = max(seen, default=0) + 1
-        w = shortlex_bitstring(st.iteration)
-        st.used.add(u)
-        st.iteration += 1
+        w = shortlex_bitstring(self.iteration)
+        self.used.add(u)
+        self.iteration += 1
         return f"2.{w}.{u}"
 
 
@@ -635,17 +628,11 @@ def run_trial(
     `interp`) or a bare MachineStrategy (then `game` is required)."""
     if isinstance(subject, rules.Proof):
         machine = extract_solution(subject, formula_level=formula_level)
-        last = subject.steps[-1].cirquent
         if game is None:
-            if formula_level:
-                goal = as_clubsuit(last)
-                if goal is None:
-                    raise HarnessError("final cirquent is not a one-oformula clubsuit")
-                game = interpret_formula(goal, interp)
-                description = description or render_formula(goal)
-            else:
-                game = interpret_cirquent(last, interp)
-                description = description or render_cirquent(last)
+            goal, text = proof_goal(subject, formula_level)
+            interpret = interpret_formula if formula_level else interpret_cirquent
+            game = interpret(goal, interp)
+            description = description or text
     else:
         machine = subject
         if game is None:

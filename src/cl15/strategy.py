@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .cirquent import Cirquent, as_clubsuit
+from .cirquent import Cirquent, as_clubsuit, render_cirquent
+from .formula import Formula, render_formula
 from .games import Game
 from .runs import (
     BOT,
@@ -629,7 +630,7 @@ def _pcost_intro_translator(a: int, add_over: frozenset[int]) -> Translator:
     return Translator(f"pcost@{a}", outer_to_inner, inner_to_outer, cells=True)
 
 
-def make_translator(rule: rules.RuleInstance, premise: Cirquent, conclusion: Cirquent) -> Translator:
+def make_translator(rule: rules.Rule, premise: Cirquent, conclusion: Cirquent) -> Translator:
     """The move translator for one verified rule application."""
     if isinstance(rule, rules.OformulaExchange):
         return _oformula_exchange_translator(rule.pos)
@@ -711,6 +712,18 @@ def depst(m: MachineStrategy) -> MachineStrategy:
     return translate(m, depst_translator())
 
 
+def proof_goal(proof: rules.Proof, formula_level: bool) -> tuple[Formula | Cirquent, str]:
+    """What the proof's game is about, with its text: the final cirquent,
+    or at the formula level the F of a final clubsuit(F)."""
+    last = proof.steps[-1].cirquent
+    if not formula_level:
+        return last, render_cirquent(last)
+    goal = as_clubsuit(last)
+    if goal is None:
+        raise StrategyError("final cirquent is not a one-oformula clubsuit")
+    return goal, render_formula(goal)
+
+
 def extract_solution(proof: rules.Proof, formula_level: bool = False) -> MachineStrategy:
     """Verify the proof, then run the axiom strategy through one translator
     per rule application.  With formula_level=True (final cirquent must be
@@ -727,7 +740,6 @@ def extract_solution(proof: rules.Proof, formula_level: bool = False) -> Machine
         for k in range(1, len(steps))
     ]
     if formula_level:
-        if as_clubsuit(steps[-1].cirquent) is None:
-            raise StrategyError("final cirquent is not a one-oformula clubsuit")
+        proof_goal(proof, formula_level)
         translators += [declubsuit_translator(), depst_translator()]
     return Pipeline(AxiomStrategy(len(axiom_rule.formulas)), tuple(translators))

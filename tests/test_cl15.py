@@ -1,4 +1,6 @@
 """Proof checking: rule instances, corruption rejection, proof files."""
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -41,6 +43,40 @@ def test_single_corruptions_rejected(name):
     assert mutants, name
     for label, prem2, concl2, rule2 in mutants:
         assert not instance_accepted(prem2, concl2, rule2), f"{name} -- {label}"
+
+
+def _check_step_verdicts() -> list[str]:
+    """One line per check_step verdict over the rule cases that have a
+    premise: the instance, each of its single corruptions, and each number
+    parameter set to 0 and to 9."""
+    lines = []
+    for name, prem, _, _ in RULE_CASES:
+        if prem is None:
+            continue
+        premise, conclusion, rule = rule_case(name)
+        variants = [("instance", premise, conclusion, rule)]
+        variants += single_corruptions(premise, conclusion, rule)
+        for field in dataclasses.fields(rule):
+            if isinstance(getattr(rule, field.name), int):
+                for value in (0, 9):
+                    changed = dataclasses.replace(rule, **{field.name: value})
+                    variants.append((f"{field.name}={value}", premise, conclusion, changed))
+        for label, prem2, concl2, rule2 in variants:
+            v = check_step(prem2, concl2, rule2)
+            lines.append(f"{name} -- {label}: {'ok' if v is None else v.reason}")
+    return lines
+
+
+VERDICTS_SHA256 = "e580290ce09a261398363857f021d20829037f048b91249e571057e3ee40974e"
+
+
+def test_check_step_verdicts_are_pinned():
+    # A different digest means some rule now accepts, rejects or explains an
+    # instance differently; only an intended change of a rule may update it.
+    lines = _check_step_verdicts()
+    assert len(lines) == 554
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == VERDICTS_SHA256
 
 
 def test_check_axiom_shape():
@@ -144,7 +180,7 @@ PLAIN_LINE = "oformulas: P ; under: {1} ; over: {1}"
         (f"step 1: rule=axiom\n{AXIOM_LINE}\nstep 2: rule=dup_over pos=2 pos=1\n{AXIOM_LINE}",
          "line 3: repeated parameter pos"),
         (f"step 1: rule=axiom\n{AXIOM_LINE}\nstep 2: rule=dup_over pos={{1}}\n{AXIOM_LINE}",
-         "line 4: pos must be a number, not a set"),
+         "line 3: pos must be a number, not a set"),
     ],
 )
 def test_parse_proof_errors(text, fragment):
@@ -209,7 +245,7 @@ def test_repeated_cirquent_lines_parse_like_fresh_lines():
     [
         # A good line seen before, under a header it does not fit.
         (f"step 1: rule=axiom\n{AXIOM_LINE}\nstep 2: rule=or\n{AXIOM_LINE}",
-         "line 4: rule or needs parameter oformula"),
+         "line 3: rule or needs parameter oformula"),
         # A good line seen before, made bad by one more section.
         (f"step 1: rule=axiom\n{AXIOM_LINE}\nstep 2: rule=dup_over pos=1\n{AXIOM_LINE} ; extra: 1",
          "line 4: unknown sections: extra"),
@@ -253,7 +289,7 @@ DUP_STEP = "step 2: rule=dup_over pos=1\noformulas: ~P | P ; under: {1,2} ; over
         (f"step 1: rule=axiom\n{AXIOM_LINE}\n{DUP_STEP}\nstep 4: rule=dup_over pos=1\n{AXIOM_LINE}",
          "line 5: expected step 3, got 4"),
         (f"step 1: rule=axiom\n{AXIOM_LINE}\n{DUP_STEP}\nstep 3: rule=axiom extra=1\n{AXIOM_LINE}",
-         "line 6: rule axiom does not take extra"),
+         "line 5: rule axiom does not take extra"),
     ],
 )
 def test_repeated_header_errors_keep_their_line_number(text, fragment):

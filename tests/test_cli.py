@@ -343,7 +343,7 @@ def test_set_valued_number_parameter_is_a_usage_error(tmp_path, monkeypatch, cap
     monkeypatch.chdir(tmp_path)
     assert main([command[0], str(bad), *command[1:]]) == USAGE
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: line 4: pos must be a number, not a set\n")
+    assert (captured.out, captured.err) == ("", "error: line 3: pos must be a number, not a set\n")
     assert not (tmp_path / "p2.strategy").exists()
 
 
