@@ -16,9 +16,9 @@ from .games import (
     Game,
     GameError,
     Interpretation,
+    finite_game,
     interpret_cirquent,
     interpret_formula,
-    parse_finite_game,
 )
 from .harness import (
     HarnessError,
@@ -69,23 +69,21 @@ def _read(path: str) -> str:
 def parse_interpretation(text: str) -> Interpretation:
     """Parse an interpretation file: an `interpretation` header, then
     `atom <Name>` sections each holding finite-game lines."""
-    lines = text.splitlines()
-    body = [
-        (i, ln.strip()) for i, ln in enumerate(lines, start=1)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    body = [(n, ln) for n, ln in enumerate(map(str.strip, text.splitlines()), start=1)
+            if ln and not ln.startswith("#")]
     if not body or body[0][1] != "interpretation":
         raise GameError("line 1: expected 'interpretation' header")
     out: Interpretation = {}
     name: str | None = None
-    section: list[str] = []
+    section: list[tuple[int, str]] = []
 
     def close() -> None:
         if name is None:
             return
-        if name in out:
-            raise GameError(f"duplicate atom {name!r}")
-        out[name] = parse_finite_game("finitegame\n" + "\n".join(section))
+        try:
+            out[name] = finite_game(section)
+        except GameError as exc:
+            raise GameError(f"atom {name}: {exc}") from None
 
     for lineno, ln in body[1:]:
         if ln.startswith("atom"):
@@ -94,11 +92,13 @@ def parse_interpretation(text: str) -> Interpretation:
             if len(parts) != 2 or not _ATOM_NAME_RE.fullmatch(parts[1]):
                 raise GameError(f"line {lineno}: expected 'atom <Name>'")
             name = parts[1]
+            if name in out:
+                raise GameError(f"line {lineno}: duplicate atom {name!r}")
             section = []
         elif name is None:
             raise GameError(f"line {lineno}: move lines before any 'atom' section")
         else:
-            section.append(ln)
+            section.append((lineno, ln))
     close()
     if not out:
         raise GameError("interpretation file defines no atoms")
@@ -163,10 +163,9 @@ def cmd_check(args) -> int:
 
 def cmd_extract(args) -> int:
     proof = rules.parse_proof(_read(args.proof))
-    try:
-        extract_solution(proof, formula_level=args.level == "formula")
-    except ProofViolation as exc:
-        print(f"step {exc.step}: violation: {exc.violation.reason}")
+    failure = rules.verify_proof(proof)
+    if failure is not None:
+        print(f"step {failure[0]}: violation: {failure[1].reason}")
         return FAIL
     _, desc = proof_goal(proof, args.level == "formula")
     text = f"strategy level={args.level}\n{rules.render_proof(proof)}\n"

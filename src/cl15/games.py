@@ -10,17 +10,18 @@ a caller that follows a run can probe candidate moves on its one position.
 the legal run.  `Game.legal(run)`, `Game.offender(run)` and
 `Game.winner(run)` replay the run through a fresh position.
 
-Cost model.  A composite position routes each labmove to one component
-position, parsing the move once, so a play costs time linear in its length
-(a branching-recurrence position replays its run once when a new stem
-splits its thread classes).  A probe with `allows` takes the same route
+Cost model.  A finite game (a trie) costs time linear in its lines to build
+and O(1) per move.  A composite position routes each labmove to one
+component position, parsing the move once, so a play costs time linear in
+its length (a branching-recurrence position replays its run once when a new
+stem splits its thread classes).  A probe with `allows` takes the same route
 without storing anything: it costs the depth of the move, where an untouched
 copy or cell is asked through a fresh empty position of its base game, plus
 a replay of the affected thread classes' moves when the probe names a new
 stem.  A cirquent position keeps one position per played cell, keyed by
 oformula and coordinates, and its winner quantifies each undergroup only
-over the overgroups that contain its oformulas, with each coordinate
-ranging over the values that undergroup's moves used plus one fresh value.
+over the overgroups that contain its oformulas, with each coordinate ranging
+over the values that undergroup's moves used plus one fresh value.
 
 Every constructor here defines position legality move-locally or through
 projections, so prefix closure holds by construction and is checked in
@@ -29,7 +30,7 @@ tests rather than enforced at call time.
 from __future__ import annotations
 
 import itertools
-from typing import Callable
+from typing import Callable, Iterable
 
 from .cirquent import Cirquent, is_valid
 from .formula import And, AtomRef, Cost, Formula, NegAtom, Or, Pcost, Pst, St
@@ -148,43 +149,39 @@ def _combine(results, conjunctive: bool) -> Player:
 
 
 class FiniteGame(Game):
-    """A desk-scale game given by an explicit prefix-closed tree with labels."""
+    """A desk-scale game given by an explicit prefix-closed tree with labels,
+    held as a trie: node 0 is the empty run, and parents come first."""
 
-    def __init__(self, tree: set[Run], labels: dict[Run, Player]):
-        if () not in tree:
-            raise GameError("tree must contain the empty run")
-        for run in tree:
-            if run[:-1] not in tree and run:
-                raise GameError(f"tree not prefix-closed at {run}")
-            if run not in labels:
-                raise GameError(f"missing label for {run}")
-        self.tree = frozenset(tree)
-        self.labels = dict(labels)
-        # Nodes are numbered parents first; each maps its labmoves to children.
-        nodes = sorted((run for run in self.labels if run in self.tree), key=len)
-        self._ids = {run: i for i, run in enumerate(nodes)}
-        self._children: list[dict[Labmove, int]] = [{} for _ in nodes]
-        for run in nodes[1:]:
-            self._children[self._ids[run[:-1]]][run[-1]] = self._ids[run]
-        self._node_labels = [self.labels[run] for run in nodes]
-        alphabet: dict[str, None] = {}
-        for run in self.labels:
-            for lm in run if run in self.tree else ():
-                alphabet.setdefault(lm.move, None)
+    def __init__(self, children: list[dict[Labmove, int]], labels: list[Player],
+                 alphabet: Iterable[str]):
+        self._children = children
+        self._node_labels = labels
         self._alphabet = tuple(alphabet)
 
     def start(self) -> Position:
         return _TreePosition(self)
 
+    @property
+    def labels(self) -> dict[Run, Player]:
+        """Every run of the tree with its label, derived on each access."""
+        runs: list[Run] = [()] * len(self._children)
+        for node, kids in enumerate(self._children):
+            for lm, child in kids.items():
+                runs[child] = runs[node] + (lm,)
+        return dict(zip(runs, self._node_labels))
+
+    @property
+    def tree(self) -> frozenset[Run]:
+        return frozenset(self.labels)
+
     def moves_after(self, run: Run) -> list[Labmove]:
         """Labmoves extending the given position inside the tree."""
-        node = self._ids.get(run)
-        return [] if node is None else list(self._children[node])
+        pos = self.replay(run)
+        return [] if pos.offender is not None else list(self._children[pos.node])
 
     def move_alphabet(self) -> list[str]:
-        """All move strings occurring anywhere in the tree, in the order of
-        `labels` (file order or generation order), so that choices among
-        them do not depend on the interpreter's hash seed."""
+        """All move strings of the tree, in the order given (file order or
+        generation order), so that choices do not follow the hash seed."""
         return list(self._alphabet)
 
 
@@ -255,47 +252,66 @@ class _PermissivePosition(Position):
         return TOP
 
 
+_LABELS = {"T": TOP, "B": BOT}
+
+
+def finite_game(lines: Iterable[tuple[int, str]]) -> FiniteGame:
+    """The finite game of stripped position lines `<labmoves joined by ;> =>
+    T|B` (`()` for the empty run) with their numbers, in any order; a run
+    given twice keeps its last label.  Runs are keyed by their item texts,
+    then numbered parents first with one `Labmove` per node."""
+    labels: dict[tuple[str, ...], Player] = {}
+    first_line: dict[tuple[str, ...], tuple[int, str]] = {}
+    for n, ln in lines:
+        run_text, arrow, label_text = ln.partition("=>")
+        if not arrow:
+            raise GameError(f"line {n}: missing '=>' in {ln!r}")
+        label = _LABELS.get(label_text.strip())
+        if label is None:
+            raise GameError(f"line {n}: bad winner label {label_text.strip()!r}")
+        run_text = run_text.strip()
+        items: list[str] = []
+        for item in run_text.split(";") if run_text != "()" else ():
+            parts = item.split()
+            if len(parts) != 2 or parts[0] not in _LABELS:
+                raise GameError(f"line {n}: bad labmove {item!r}")
+            items += parts
+        key = tuple(items)
+        labels[key] = label
+        first_line.setdefault(key, (n, run_text))
+    if () not in labels:
+        raise GameError("tree must contain the empty run '()'")
+    bad = next((key for key in labels if key and key[:-2] not in labels), None)
+    if bad is not None:
+        n, run_text = first_line[bad]
+        prefix = run_text.rpartition(";")[0].strip() or "()"
+        raise GameError(f"line {n}: tree not prefix-closed: {run_text!r} has no line for "
+                        f"its prefix {prefix!r}")
+    nodes = sorted(labels, key=len)
+    ids = {key: i for i, key in enumerate(nodes)}
+    children: list[dict[Labmove, int]] = [{} for _ in nodes]
+    for key in nodes[1:]:
+        children[ids[key[:-2]]][Labmove(_LABELS[key[-2]], key[-1])] = ids[key]
+    alphabet = dict.fromkeys(itertools.chain.from_iterable(key[1::2] for key in labels))
+    return FiniteGame(children, [labels[key] for key in nodes], alphabet)
+
+
 def parse_finite_game(text: str) -> FiniteGame:
     """Parse the finite-game text format: a `finitegame` header, then one
-    line per legal run `<labmoves joined by ;> => T|B` with `()` for the
-    empty run."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not lines or lines[0] != "finitegame":
+    position line per legal run (see `finite_game`)."""
+    lines = [(n, ln) for n, ln in enumerate(map(str.strip, text.splitlines()), start=1)
+             if ln and not ln.startswith("#")]
+    if not lines or lines[0][1] != "finitegame":
         raise GameError("missing 'finitegame' header")
-    tree: set[Run] = set()
-    labels: dict[Run, Player] = {}
-    for ln in lines[1:]:
-        if "=>" not in ln:
-            raise GameError(f"missing '=>' in line {ln!r}")
-        run_text, _, label_text = ln.partition("=>")
-        run_text = run_text.strip()
-        label_text = label_text.strip()
-        if label_text not in ("T", "B"):
-            raise GameError(f"bad winner label {label_text!r}")
-        if run_text == "()":
-            run: Run = ()
-        else:
-            items = []
-            for item in run_text.split(";"):
-                parts = item.split()
-                if len(parts) != 2 or parts[0] not in ("T", "B"):
-                    raise GameError(f"bad labmove {item!r}")
-                items.append(Labmove(TOP if parts[0] == "T" else BOT, parts[1]))
-            run = tuple(items)
-        tree.add(run)
-        labels[run] = TOP if label_text == "T" else BOT
-    return FiniteGame(tree, labels)
+    return finite_game(lines[1:])
 
 
 def render_finite_game(g: FiniteGame) -> str:
     lines = ["finitegame"]
-    for run in sorted(g.tree, key=lambda r: (len(r), tuple((lm.player.value, lm.move) for lm in r))):
+    labels = g.labels
+    for run in sorted(labels, key=lambda r: (len(r), tuple((lm.player.value, lm.move) for lm in r))):
         run_text = "; ".join(f"{lm.player.value} {lm.move}" for lm in run) if run else "()"
-        lines.append(f"{run_text} => {g.labels[run].value}")
+        lines.append(f"{run_text} => {labels[run].value}")
     return "\n".join(lines)
 
 
@@ -506,29 +522,22 @@ class CostGame(_ThreadBank):
     conjunctive = False
 
 
+_UNARY_GAMES = {Pst: PstGame, Pcost: PcostGame, St: StGame, Cost: CostGame}
+
+
 def interpret_formula(f: Formula, interp: Interpretation) -> Game:
     """Build the compositional game for f under the interpretation."""
-    if isinstance(f, AtomRef):
+    if isinstance(f, (AtomRef, NegAtom)):
         if f.name not in interp:
             raise GameError(f"unmapped atom {f.name}")
-        return interp[f.name]
-    if isinstance(f, NegAtom):
-        if f.name not in interp:
-            raise GameError(f"unmapped atom {f.name}")
-        return NegGame(interp[f.name])
-    if isinstance(f, And):
-        return AndGame(interpret_formula(f.left, interp), interpret_formula(f.right, interp))
-    if isinstance(f, Or):
-        return OrGame(interpret_formula(f.left, interp), interpret_formula(f.right, interp))
-    if isinstance(f, Pst):
-        return PstGame(interpret_formula(f.body, interp))
-    if isinstance(f, Pcost):
-        return PcostGame(interpret_formula(f.body, interp))
-    if isinstance(f, St):
-        return StGame(interpret_formula(f.body, interp))
-    if isinstance(f, Cost):
-        return CostGame(interpret_formula(f.body, interp))
-    raise GameError(f"cannot interpret {f!r}")
+        return interp[f.name] if isinstance(f, AtomRef) else NegGame(interp[f.name])
+    if isinstance(f, (And, Or)):
+        pair = AndGame if isinstance(f, And) else OrGame
+        return pair(interpret_formula(f.left, interp), interpret_formula(f.right, interp))
+    unary = _UNARY_GAMES.get(type(f))
+    if unary is None:
+        raise GameError(f"cannot interpret {f!r}")
+    return unary(interpret_formula(f.body, interp))
 
 
 class CirquentGame(Game):

@@ -277,22 +277,26 @@ _MOVE_POOL = ("1", "2", "3", "4", "5", "6")
 
 def random_finite_game(rng: random.Random, depth: int, branching: int) -> FiniteGame:
     """A random prefix-closed tree (root has at least one child) with random
-    winner labels."""
-    tree: set[Run] = set()
-    labels: dict[Run, Player] = {}
+    winner labels, grown depth first straight into a trie."""
+    children: list[dict[Labmove, int]] = []
+    labels: list[Player] = []
+    alphabet: dict[str, None] = {}
 
-    def grow(run: Run, d: int, min_children: int) -> None:
-        tree.add(run)
-        labels[run] = TOP if rng.random() < 0.5 else BOT
+    def grow(d: int, min_children: int) -> int:
+        node = len(children)
+        children.append({})
+        labels.append(TOP if rng.random() < 0.5 else BOT)
         if d == 0:
-            return
+            return node
         options = [Labmove(p, m) for m in _MOVE_POOL for p in (TOP, BOT)]
         k = min(rng.randint(min_children, branching), len(options))
         for lm in rng.sample(options, k):
-            grow(run + (lm,), d - 1, 0)
+            alphabet.setdefault(lm.move, None)
+            children[node][lm] = grow(d - 1, 0)
+        return node
 
-    grow((), depth, 1)
-    return FiniteGame(tree, labels)
+    grow(depth, 1)
+    return FiniteGame(children, labels, alphabet)
 
 
 def random_finite_interpretation(

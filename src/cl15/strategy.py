@@ -73,7 +73,10 @@ IDLE = Idle()
 
 
 class MachineStrategy:
-    """Deterministic stateful agent for one play; spawn() before each play."""
+    """Deterministic stateful agent for one play; spawn() before each play.
+    A `Pipeline` hands a `cells` strategy split cell moves (`Cell`)."""
+
+    cells = False
 
     def spawn(self) -> "MachineStrategy":
         raise NotImplementedError
@@ -199,27 +202,28 @@ def simulate(m: MachineStrategy, e: EnvStrategy, g: Game, budget: int) -> SimRes
 class AxiomStrategy(MachineStrategy):
     """For the 2n-oformula axiom cirquent: answer an environment move in
     oformula a with the same move in its partner (a+1 for odd a, a-1 for
-    even a), same coordinates; pending answers are queued FIFO."""
+    even a), same coordinates and form (text or `Cell`); queued FIFO."""
+
+    cells = True
 
     def __init__(self, n: int):
         if n < 1:
             raise StrategyError("n must be at least 1")
         self.n = n
         self._cursor = 0
-        self._queue: list[str] = []
+        self._queue: list[str | Cell] = []
 
     def spawn(self) -> "AxiomStrategy":
         return AxiomStrategy(self.n)
 
     def next(self, run: Run, step: int) -> Action:
         for lm in run[self._cursor:]:
-            if lm.player is BOT:
-                split = split_cell_move(lm.move)
-                if split is not None:
-                    a, coords, rest = split
-                    if 1 <= a <= 2 * self.n:
-                        b = a + 1 if a % 2 == 1 else a - 1
-                        self._queue.append(format_cell_move(b, coords, rest))
+            move = lm.move if lm.player is BOT else None
+            split = split_cell_move(move) if isinstance(move, str) else move
+            if split is not None and 1 <= split[0] <= 2 * self.n:
+                a, coords, rest = split
+                cell = (a + 1 if a % 2 == 1 else a - 1, coords, rest)
+                self._queue.append(format_cell_move(*cell) if isinstance(move, str) else cell)
         self._cursor = len(run)
         if self._queue:
             return MakeMove(self._queue.pop(0))
@@ -265,7 +269,8 @@ class Pipeline(MachineStrategy):
     asked, and then grants.  Grants and idling go straight out.  A move is
     split on entering a cell layer from text, where a text that is not a
     cell move is dropped or absorbed as that layer would, and formatted on
-    leaving a cell layer for text: the base and the real run see texts.  A
+    leaving a cell layer for text: the real run sees texts, and the base
+    sees cell moves if it is a `cells` strategy and texts otherwise.  A
     turn costs the translator calls its moves make, plus a copy of the
     base's run, and `spawn()` is O(1): only the base's run and the one
     inside the outermost translator are kept.  Nothing recurses."""
@@ -288,7 +293,7 @@ class Pipeline(MachineStrategy):
     def imagined_run(self) -> Run:
         """The imagined run inside the outermost translator."""
         if len(self.translators) < 2:
-            return tuple(self._base_run)
+            return tuple(Labmove(lm.player, _text(lm.move)) for lm in self._base_run)
         return tuple(Labmove(player, _text(move)) for player, move in self._top_run)
 
     def next(self, run: Run, step: int) -> Action:
@@ -311,7 +316,9 @@ class Pipeline(MachineStrategy):
                     if i == top and top:
                         self._top_run.append((BOT, move))
                 else:
-                    self._base_run.append(Labmove(BOT, _text(move)))
+                    if self._base.cells == isinstance(move, str):
+                        move = _reform(move) or move
+                    self._base_run.append(Labmove(BOT, move))
         self._cursor = len(run)
         asks: list[list[int]] = []  # [layer, asks] of absorbing layers, outermost first
         while True:

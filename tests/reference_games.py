@@ -9,8 +9,15 @@ offender is found by judging every prefix.  This is slow, cubic in run
 length and exponential in the number of overgroups, and it is meant to be:
 it is the direct reading of the definitions that the positions must agree
 with.
+
+It also keeps the set-based finite game, its parser and its random
+generator, as the reference for the trie that `cl15.games.finite_game` and
+`cl15.harness.random_finite_game` build: a prefix-closed set of runs and a
+label per run, judged by set membership alone.
 """
 from __future__ import annotations
+
+import random
 
 from cl15.games import (
     AndGame,
@@ -19,6 +26,7 @@ from cl15.games import (
     EnumerationGame,
     FiniteGame,
     Game,
+    GameError,
     NegGame,
     OrGame,
     PcostGame,
@@ -30,6 +38,7 @@ from cl15.games import (
 from cl15.runs import (
     BOT,
     TOP,
+    Labmove,
     Player,
     Run,
     is_numeral,
@@ -191,3 +200,96 @@ def _coordinate_candidates(g: CirquentGame, run: Run) -> list[tuple[int, ...]]:
     for options in per_coord:
         vectors = [v + (o,) for v in vectors for o in options]
     return vectors
+
+
+# Finite games as sets of runs
+
+class ReferenceFiniteGame:
+    """A prefix-closed set of runs with a label for each."""
+
+    def __init__(self, tree: set[Run], labels: dict[Run, Player]):
+        if () not in tree:
+            raise GameError("tree must contain the empty run")
+        for run in tree:
+            if run[:-1] not in tree and run:
+                raise GameError(f"tree not prefix-closed at {run}")
+            if run not in labels:
+                raise GameError(f"missing label for {run}")
+        self.tree = frozenset(tree)
+        self.labels = dict(labels)
+
+    def legal(self, run: Run) -> bool:
+        return run in self.tree
+
+    def winner(self, run: Run) -> Player:
+        for i in range(1, len(run) + 1):
+            if run[:i] not in self.tree:
+                return run[i - 1].player.opponent
+        return self.labels[run]
+
+    def moves_after(self, run: Run) -> list[Labmove]:
+        """The last labmoves of the runs one longer than `run` that extend
+        it, in the order of `labels`."""
+        return [r[-1] for r in self.labels if len(r) == len(run) + 1 and r[:-1] == run]
+
+    def move_alphabet(self) -> list[str]:
+        alphabet: dict[str, None] = {}
+        for run in self.labels:
+            for lm in run:
+                alphabet.setdefault(lm.move, None)
+        return list(alphabet)
+
+
+def reference_parse_finite_game(text: str) -> ReferenceFiniteGame:
+    """The finite-game text format, read line by line into sets."""
+    lines = [
+        ln.strip()
+        for ln in text.splitlines()
+        if ln.strip() and not ln.strip().startswith("#")
+    ]
+    if not lines or lines[0] != "finitegame":
+        raise GameError("missing 'finitegame' header")
+    tree: set[Run] = set()
+    labels: dict[Run, Player] = {}
+    for ln in lines[1:]:
+        if "=>" not in ln:
+            raise GameError(f"missing '=>' in line {ln!r}")
+        run_text, _, label_text = ln.partition("=>")
+        run_text = run_text.strip()
+        label_text = label_text.strip()
+        if label_text not in ("T", "B"):
+            raise GameError(f"bad winner label {label_text!r}")
+        if run_text == "()":
+            run: Run = ()
+        else:
+            items = []
+            for item in run_text.split(";"):
+                parts = item.split()
+                if len(parts) != 2 or parts[0] not in ("T", "B"):
+                    raise GameError(f"bad labmove {item!r}")
+                items.append(Labmove(TOP if parts[0] == "T" else BOT, parts[1]))
+            run = tuple(items)
+        tree.add(run)
+        labels[run] = TOP if label_text == "T" else BOT
+    return ReferenceFiniteGame(tree, labels)
+
+
+def reference_random_finite_game(
+    rng: random.Random, depth: int, branching: int
+) -> ReferenceFiniteGame:
+    """The draws of `cl15.harness.random_finite_game`, grown into sets."""
+    tree: set[Run] = set()
+    labels: dict[Run, Player] = {}
+
+    def grow(run: Run, d: int, min_children: int) -> None:
+        tree.add(run)
+        labels[run] = TOP if rng.random() < 0.5 else BOT
+        if d == 0:
+            return
+        options = [Labmove(p, m) for m in ("1", "2", "3", "4", "5", "6") for p in (TOP, BOT)]
+        k = min(rng.randint(min_children, branching), len(options))
+        for lm in rng.sample(options, k):
+            grow(run + (lm,), d - 1, 0)
+
+    grow((), depth, 1)
+    return ReferenceFiniteGame(tree, labels)

@@ -238,6 +238,35 @@ def test_parse_interpretation_errors(text, fragment):
         parse_interpretation(text)
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("T m", "atom Q: line 4: missing '=>' in 'T m'"),
+        ("T m => X", "atom Q: line 4: bad winner label 'X'"),
+        ("T m;Bn => T", "atom Q: line 4: bad labmove 'Bn'"),
+        # The first offending line in file order, not the shortest run.
+        ("T a; B b; T c => T\n# note\nT x; B y => B",
+         "atom Q: line 4: tree not prefix-closed: 'T a; B b; T c' has no line for its prefix"
+         " 'T a; B b'"),
+        ("T x; B y => B\nT a; B b; T c => T",
+         "atom Q: line 4: tree not prefix-closed: 'T x; B y' has no line for its prefix 'T x'"),
+        ("atom Q\n() => B", "line 4: duplicate atom 'Q'"),
+    ],
+)
+def test_interpretation_errors_name_the_atom_and_the_line(body, message):
+    text = f"interpretation\natom Q\n() => T\n{body}\natom P\n() => B\n"
+    with pytest.raises(GameError) as info:
+        parse_interpretation(text)
+    assert str(info.value) == message
+
+
+def test_interpretation_without_an_empty_run_names_the_atom(tmp_path, capsys):
+    bad = tmp_path / "i.txt"
+    bad.write_text("interpretation\natom P\nT m => T\n")
+    assert main(["simulate", P1, "--interp", str(bad)]) == USAGE
+    assert capsys.readouterr().err == "error: atom P: tree must contain the empty run '()'\n"
+
+
 def test_interp_file_missing_atom(tmp_path, capsys):
     bad = tmp_path / "i.txt"
     bad.write_text("interpretation\natom Q\n() => T\n")

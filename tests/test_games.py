@@ -9,7 +9,6 @@ from cl15.formula import parse_formula
 from cl15.games import (
     CirquentGame,
     EnumerationGame,
-    FiniteGame,
     GameError,
     NegGame,
     PermissiveGame,
@@ -63,10 +62,12 @@ def test_malformed_finite_games_are_rejected(text):
 
 
 def test_finite_game_requires_prefix_closed_labeled_tree():
-    with pytest.raises(GameError):
-        FiniteGame({(lm(TOP, "m"),)}, {(lm(TOP, "m"),): TOP})
-    with pytest.raises(GameError):
-        FiniteGame({(), (lm(TOP, "m"),)}, {(): TOP})
+    # Every line carries a label, so only the empty run and the prefixes
+    # can be missing.
+    with pytest.raises(GameError, match=r"^tree must contain the empty run '\(\)'$"):
+        parse_finite_game("finitegame\nT m => T")
+    with pytest.raises(GameError, match="^line 3: tree not prefix-closed"):
+        parse_finite_game("finitegame\n() => T\nT m; B n => B")
 
 
 def test_offender_rule_blames_first_illegal_move():

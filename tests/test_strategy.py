@@ -148,6 +148,29 @@ def test_axiom_strategy_requires_positive_n():
         AxiomStrategy(0)
 
 
+def test_axiom_strategy_answers_a_cell_move_with_a_cell_move():
+    strat = AxiomStrategy(2).spawn()
+    assert strat.next((Labmove(BOT, (4, (1, 1), "m")),), 1) == MakeMove((3, (1, 1), "m"))
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_pipeline_hands_a_cells_base_cell_moves(layers):
+    runs = []
+
+    class Recording(AxiomStrategy):
+        def spawn(self):
+            return Recording(self.n)
+
+        def next(self, run, step):
+            runs.append(run)
+            return super().next(run, step)
+
+    strat = Pipeline(Recording(1), (identity_translator("id", cells=True),) * layers).spawn()
+    assert strat.next((Labmove(BOT, "1;1.m"),), 1) == MakeMove("2;1.m")
+    assert runs[0] == (Labmove(BOT, (1, (1,), "m")),)
+    assert strat.imagined_run == (Labmove(BOT, "1;1.m"), Labmove(TOP, "2;1.m"))
+
+
 # --- pairing arithmetic ------------------------------------------------------
 
 def test_pair_verbatim_values():
