@@ -32,7 +32,6 @@ from .runs import (
     BOT,
     TOP,
     Labmove,
-    Run,
     RunError,
     parse_bitstring_spec,
     parse_run,
@@ -42,6 +41,7 @@ from .runs import (
     render_run,
 )
 from .strategy import (
+    EnvStrategy,
     GrantPermission,
     MakeMove,
     ProofViolation,
@@ -50,6 +50,7 @@ from .strategy import (
     SilentEnv,
     StrategyError,
     extract_solution,
+    play,
     proof_goal,
     simulate,
 )
@@ -240,6 +241,33 @@ def cmd_demo_separation(args) -> int:
     return OK if report.conclusive else FAIL
 
 
+class _Quit(Exception):
+    """The human ended the play with `quit` or the end of input."""
+
+
+class _HumanEnv(EnvStrategy):
+    """The environment read from a text stream: at each grant a prompt,
+    then a move, or `pass` or an empty line to pass; `quit` or the end of
+    the stream ends the play."""
+
+    def __init__(self, in_stream, say):
+        self.in_stream = in_stream
+        self.say = say
+
+    def on_grant(self, run) -> str | None:
+        while True:
+            self.say("your move>")
+            line = self.in_stream.readline()
+            text = line.strip()
+            if not line or text == "quit":
+                raise _Quit
+            if text in ("", "pass"):
+                return None
+            if not re.search(r"\s", text):
+                return text
+            self.say("malformed move (whitespace not allowed); try again")
+
+
 def play_session(
     proof: rules.Proof,
     interp: Interpretation,
@@ -252,69 +280,42 @@ def play_session(
     """Interactive play: the human is the environment, prompted at each
     grant; the position is shown after every labmove and the transcript is
     printed in run format at the end."""
-    in_stream = in_stream if in_stream is not None else sys.stdin
     out_stream = out_stream if out_stream is not None else sys.stdout
 
     def say(msg: str) -> None:
         print(msg, file=out_stream)
 
     try:
-        machine = extract_solution(proof, formula_level=formula_level).spawn()
+        machine = extract_solution(proof, formula_level=formula_level)
     except ProofViolation as exc:
         say(f"step {exc.step}: violation: {exc.violation.reason}")
         return FAIL
     goal, desc = proof_goal(proof, formula_level)
-    game = _interpret(goal, interp)
-    game_position = game.start()
+    position = _interpret(goal, interp).start()
+    env = _HumanEnv(in_stream if in_stream is not None else sys.stdin, say)
+    events = play(machine.spawn(), env, position, budget)
     say(f"playing: {desc}")
     say("you are the environment (B); at each grant enter a move, 'pass', or 'quit'")
-
     run: list[Labmove] = []
-
-    def position() -> str:
-        return "; ".join(f"{lm.player.value} {lm.move}" for lm in run) or "(empty)"
-
-    ended = False
-    for step in range(1, budget + 1):
-        if ended:
-            break
-        action = machine.next(tuple(run), step)
-        if isinstance(action, MakeMove):
-            run.append(Labmove(TOP, action.move))
-            say(f"machine moves: {action.move}")
-            say(f"position: {position()}")
-            if not game_position.extend(run[-1]):
+    try:
+        for _, action, lm in events:
+            if isinstance(action, MakeMove):
+                say(f"machine moves: {action.move}")
+            elif not isinstance(action, GrantPermission):
+                say("machine idles")
+            if lm is not None:
+                run.append(lm)
+                say("position: " + "; ".join(f"{x.player.value} {x.move}" for x in run))
+            if position.offender is TOP:
                 say("machine made an illegal move; environment wins")
-                ended = True
-        elif isinstance(action, GrantPermission):
-            while True:
-                say("your move>")
-                line = in_stream.readline()
-                if line == "":
-                    ended = True
-                    break
-                text = line.strip()
-                if text == "quit":
-                    ended = True
-                    break
-                if text in ("", "pass"):
-                    break
-                if re.search(r"\s", text):
-                    say("malformed move (whitespace not allowed); try again")
-                    continue
-                run.append(Labmove(BOT, text))
-                say(f"position: {position()}")
-                if not game_position.extend(run[-1]):
-                    say("warning: illegal move; recorded (machine wins)")
-                    ended = True
-                break
-        else:
-            say("machine idles")
-            break
-    winner = game_position.winner()
+            elif position.offender is BOT:
+                say("warning: illegal move; recorded (machine wins)")
+    except _Quit:
+        pass
+    winner = position.winner()
     say(f"winner: {winner.value}")
     say("transcript:")
-    say(render_run(tuple(run)) or "(empty)")
+    say(render_run(run) or "(empty)")
     return OK if winner is TOP else FAIL
 
 

@@ -1,6 +1,6 @@
 """Randomized end-to-end validation: an independent brute-force winner
-oracle, random finite interpretations, structure-aware adversaries, trial
-loops, and the bounded recurrence-separation demonstration.
+oracle, random finite interpretations, structure-aware adversaries, and the
+bounded recurrence-separation demonstration.
 
 The oracle reimplements move parsing and the legality/winner quantifiers
 locally (plain string splitting, full product enumeration, no
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -32,7 +33,6 @@ from .games import (
     FiniteGame,
     Game,
     Interpretation,
-    interpret_cirquent,
     interpret_formula,
     thread_representatives,
 )
@@ -47,17 +47,7 @@ from .runs import (
     project_branch,
     project_prefix,
 )
-from .strategy import (
-    EnvStrategy,
-    GRANT,
-    GrantPermission,
-    MachineStrategy,
-    MakeMove,
-    extract_solution,
-    proof_goal,
-    simulate,
-)
-from . import cl15 as rules
+from .strategy import GRANT, EnvStrategy, MachineStrategy, MakeMove, simulate
 
 
 class HarnessError(ValueError):
@@ -465,7 +455,7 @@ class StructuredAdversary(EnvStrategy):
             self.retries,
         )
 
-    def on_grant(self, run: Run) -> str | None:
+    def on_grant(self, run: Sequence[Labmove]) -> str | None:
         self._grants += 1
         if self._moves >= self.max_moves or self._grants > self.max_grants:
             return None
@@ -491,7 +481,7 @@ class ScriptMachine(MachineStrategy):
     def spawn(self) -> "ScriptMachine":
         return ScriptMachine(self.moves)
 
-    def next(self, run: Run, step: int):
+    def next(self, run: Sequence[Labmove], step: int):
         if self._i < len(self.moves):
             mv = self.moves[self._i]
             self._i += 1
@@ -499,24 +489,6 @@ class ScriptMachine(MachineStrategy):
                 return GRANT
             return MakeMove(mv)
         return GRANT
-
-
-def play_translated(strategy: MachineStrategy, env_moves, budget: int = 60):
-    """Drive a translated strategy without legality checks, feeding scripted
-    environment moves one per grant; returns (real run, imagined inner run)."""
-    m = strategy.spawn()
-    queue = list(env_moves)
-    run: list[Labmove] = []
-    for step in range(1, budget + 1):
-        action = m.next(tuple(run), step)
-        if isinstance(action, MakeMove):
-            run.append(Labmove(TOP, action.move))
-        elif isinstance(action, GrantPermission):
-            if queue:
-                run.append(Labmove(BOT, queue.pop(0)))
-        else:
-            break
-    return tuple(run), m.imagined_run
 
 
 def random_adversary(
@@ -575,7 +547,7 @@ class LoopCounterstrategy(EnvStrategy):
     def spawn(self) -> "LoopCounterstrategy":
         return LoopCounterstrategy(self.k)
 
-    def on_grant(self, run: Run) -> str | None:
+    def on_grant(self, run: Sequence[Labmove]) -> str | None:
         if self.iteration > self.k:
             return None
         seen = set(self.used)
@@ -596,72 +568,6 @@ def loop_counterstrategy(k: int) -> EnvStrategy:
     return LoopCounterstrategy(k)
 
 
-# Trials
-
-@dataclass
-class TrialReport:
-    description: str
-    adversary: str
-    budget: int
-    run: Run
-    winner: Player
-    grants: int
-    passed: bool
-    trial_id: int = 0
-    seed: int = 0
-
-    def line(self) -> str:
-        ok = "true" if self.passed else "false"
-        return f"trial {self.trial_id} seed={self.seed} winner={self.winner.value} pass={ok}"
-
-
-def run_trial(
-    subject,
-    interp: Interpretation,
-    adversary: EnvStrategy,
-    budget: int,
-    *,
-    game: Game | None = None,
-    formula_level: bool = False,
-    trial_id: int = 0,
-    seed: int = 0,
-    description: str = "",
-) -> TrialReport:
-    """Simulate one play and report.  `subject` is a verified proof (the
-    strategy is extracted, the game built from its final cirquent under
-    `interp`) or a bare MachineStrategy (then `game` is required)."""
-    if isinstance(subject, rules.Proof):
-        machine = extract_solution(subject, formula_level=formula_level)
-        if game is None:
-            goal, text = proof_goal(subject, formula_level)
-            interpret = interpret_formula if formula_level else interpret_cirquent
-            game = interpret(goal, interp)
-            description = description or text
-    else:
-        machine = subject
-        if game is None:
-            raise HarnessError("a bare strategy needs an explicit game")
-    result = simulate(machine, adversary, game, budget)
-    return TrialReport(
-        description=description or "custom game",
-        adversary=getattr(adversary, "name", type(adversary).__name__),
-        budget=budget,
-        run=result.run,
-        winner=result.winner,
-        grants=result.grants,
-        passed=result.winner is TOP,
-        trial_id=trial_id,
-        seed=seed,
-    )
-
-
-def summarize_trials(reports) -> str:
-    lines = [r.line() for r in reports]
-    passed = sum(1 for r in reports if r.passed)
-    lines.append(f"passed {passed}/{len(reports)}")
-    return "\n".join(lines)
-
-
 # Bounded separation demonstration
 
 SEPARATION_TARGET = "?~P \\/ b!P"
@@ -680,7 +586,7 @@ class RotatingCopycat(MachineStrategy):
     def spawn(self) -> "RotatingCopycat":
         return RotatingCopycat()
 
-    def next(self, run: Run, step: int):
+    def next(self, run: Sequence[Labmove], step: int):
         for lm in run[self._cursor:]:
             if lm.player is not BOT:
                 continue

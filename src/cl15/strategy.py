@@ -1,8 +1,10 @@
-"""Machine strategies, the machine-vs-environment simulator, and the
-rule-by-rule strategy transformers.
+"""Machine strategies, the one play loop, and the rule-by-rule strategy
+transformers.
 
 A machine strategy is a stateful per-play agent: `next(run, step)` returns
-an action, and `spawn()` yields a fresh instance for a new play.  Each rule
+an action, and `spawn()` yields a fresh instance for a new play.  `play`
+alternates machine turns with grants to the environment; `simulate`, the
+interactive `cl15 play` and the separation demo all run through it.  Each rule
 application has a translator that turns a strategy for its premise into
 one for its conclusion by translating moves both ways and keeping an
 imagined inner run.  An extracted strategy is one flat `Pipeline`: the
@@ -17,12 +19,13 @@ passes back, so a run of cell layers never touches move text.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from .cirquent import Cirquent, as_clubsuit, render_cirquent
 from .formula import Formula, render_formula
-from .games import Game
+from .games import Game, Position
 from .runs import (
     BOT,
     TOP,
@@ -81,7 +84,9 @@ class MachineStrategy:
     def spawn(self) -> "MachineStrategy":
         raise NotImplementedError
 
-    def next(self, run: Run, step: int) -> Action:
+    def next(self, run: Sequence[Labmove], step: int) -> Action:
+        """The action at turn `step` of the play so far.  The run is
+        read-only and grows in place between calls: keep a copy, not it."""
         raise NotImplementedError
 
 
@@ -91,7 +96,9 @@ class EnvStrategy:
     def spawn(self) -> "EnvStrategy":
         raise NotImplementedError
 
-    def on_grant(self, run: Run) -> str | None:
+    def on_grant(self, run: Sequence[Labmove]) -> str | None:
+        """A move, or None to pass.  The run is read-only and grows in
+        place between calls: keep a copy, not it."""
         raise NotImplementedError
 
 
@@ -99,7 +106,7 @@ class IdleStrategy(MachineStrategy):
     def spawn(self) -> "IdleStrategy":
         return IdleStrategy()
 
-    def next(self, run: Run, step: int) -> Action:
+    def next(self, run: Sequence[Labmove], step: int) -> Action:
         return IDLE
 
 
@@ -107,7 +114,7 @@ class PureGranter(MachineStrategy):
     def spawn(self) -> "PureGranter":
         return PureGranter()
 
-    def next(self, run: Run, step: int) -> Action:
+    def next(self, run: Sequence[Labmove], step: int) -> Action:
         return GRANT
 
 
@@ -117,7 +124,7 @@ class SilentEnv(EnvStrategy):
     def spawn(self) -> "SilentEnv":
         return SilentEnv()
 
-    def on_grant(self, run: Run) -> str | None:
+    def on_grant(self, run: Sequence[Labmove]) -> str | None:
         return None
 
 
@@ -133,7 +140,7 @@ class ScriptEnv(EnvStrategy):
     def spawn(self) -> "ScriptEnv":
         return ScriptEnv(self.moves)
 
-    def on_grant(self, run: Run) -> str | None:
+    def on_grant(self, run: Sequence[Labmove]) -> str | None:
         if self._i < len(self.moves):
             mv = self.moves[self._i]
             self._i += 1
@@ -141,7 +148,46 @@ class ScriptEnv(EnvStrategy):
         return None
 
 
-# Simulator
+# The play loop
+
+Event = tuple[int, Action, Labmove | None]
+
+
+def play(machine: MachineStrategy, env: EnvStrategy, position: Position,
+         budget: int) -> Iterator[Event]:
+    """Play a spawned machine against a spawned environment for at most
+    `budget` machine turns, yielding `(step, action, labmove)` per turn: the
+    machine's move, the environment's answer to a grant, or None.  The
+    environment moves only when granted.  Each labmove extends `position`,
+    and the play stops at an idle or after the first illegal labmove, whose
+    player is then `position.offender`.  Both players are shown one run
+    list, which grows in place.  A budget below 1 raises `StrategyError`
+    here, at the call, not at the first turn."""
+    if budget < 1:
+        raise StrategyError("budget must be at least 1")
+    return _play(machine, env, position, budget)
+
+
+def _play(machine: MachineStrategy, env: EnvStrategy, position: Position,
+          budget: int) -> Iterator[Event]:
+    run: list[Labmove] = []
+    for step in range(1, budget + 1):
+        action = machine.next(run, step)
+        if isinstance(action, MakeMove):
+            lm: Labmove | None = Labmove(TOP, action.move)
+        elif isinstance(action, GrantPermission):
+            move = env.on_grant(run)
+            lm = None if move is None else Labmove(BOT, move)
+        else:
+            yield step, action, None
+            return
+        if lm is not None:
+            run.append(lm)
+            position.extend(lm)
+        yield step, action, lm
+        if position.offender is not None:
+            return
+
 
 @dataclass
 class SimResult:
@@ -157,43 +203,29 @@ class SimResult:
 
 
 def simulate(m: MachineStrategy, e: EnvStrategy, g: Game, budget: int) -> SimResult:
-    """Run the machine against the environment for at most `budget` machine
-    turns.  Environment moves happen only on explicit grants; the loop stops
-    early on machine idling or on the first illegal move (the offender rule
-    already fixes the winner).  One game position follows the play, so each
-    labmove is judged once, and the winner is that of the final position."""
-    if budget < 1:
-        raise StrategyError("budget must be at least 1")
-    machine = m.spawn()
-    env = e.spawn()
+    """Play fresh spawns of the machine and the environment on `g` for at
+    most `budget` machine turns, and collect the run, the trace and the
+    winner of the final position."""
     position = g.start()
     run: list[Labmove] = []
     trace: list[str] = []
     grants = 0
-    steps = 0
-    first_illegality: str | None = None
-    for step in range(1, budget + 1):
-        steps = step
-        action = machine.next(tuple(run), step)
+    for steps, action, lm in play(m.spawn(), e.spawn(), position, budget):
         if isinstance(action, MakeMove):
-            run.append(Labmove(TOP, action.move))
-            trace.append(f"{step} M:move {action.move}")
-            if not position.extend(run[-1]):
-                first_illegality = f"machine offender: move {action.move!r} is illegal"
-                break
+            trace.append(f"{steps} M:move {action.move}")
         elif isinstance(action, GrantPermission):
             grants += 1
-            trace.append(f"{step} M:grant")
-            mv = env.on_grant(tuple(run))
-            if mv is not None:
-                run.append(Labmove(BOT, mv))
-                trace.append(f"{step} E:{mv}")
-                if not position.extend(run[-1]):
-                    first_illegality = f"environment offender: move {mv!r} is illegal"
-                    break
+            trace.append(f"{steps} M:grant")
+            if lm is not None:
+                trace.append(f"{steps} E:{lm.move}")
         else:
-            trace.append(f"{step} M:idle")
-            break
+            trace.append(f"{steps} M:idle")
+        if lm is not None:
+            run.append(lm)
+    first_illegality = None
+    if position.offender is not None:
+        who = "machine" if position.offender is TOP else "environment"
+        first_illegality = f"{who} offender: move {run[-1].move!r} is illegal"
     return SimResult(tuple(run), position.winner(), grants, steps, first_illegality, trace)
 
 
@@ -216,7 +248,7 @@ class AxiomStrategy(MachineStrategy):
     def spawn(self) -> "AxiomStrategy":
         return AxiomStrategy(self.n)
 
-    def next(self, run: Run, step: int) -> Action:
+    def next(self, run: Sequence[Labmove], step: int) -> Action:
         for lm in run[self._cursor:]:
             move = lm.move if lm.player is BOT else None
             split = split_cell_move(move) if isinstance(move, str) else move
@@ -271,9 +303,9 @@ class Pipeline(MachineStrategy):
     cell move is dropped or absorbed as that layer would, and formatted on
     leaving a cell layer for text: the real run sees texts, and the base
     sees cell moves if it is a `cells` strategy and texts otherwise.  A
-    turn costs the translator calls its moves make, plus a copy of the
-    base's run, and `spawn()` is O(1): only the base's run and the one
-    inside the outermost translator are kept.  Nothing recurses."""
+    turn costs the translator calls its moves make (the base is shown its
+    run list, not a copy), and `spawn()` is O(1): only the base's run and
+    the one inside the outermost translator are kept.  Nothing recurses."""
 
     _FUEL = 64
 
@@ -296,7 +328,7 @@ class Pipeline(MachineStrategy):
             return tuple(Labmove(lm.player, _text(lm.move)) for lm in self._base_run)
         return tuple(Labmove(player, _text(move)) for player, move in self._top_run)
 
-    def next(self, run: Run, step: int) -> Action:
+    def next(self, run: Sequence[Labmove], step: int) -> Action:
         translators = self.translators
         top = len(translators) - 1
         if top < 0:
@@ -323,7 +355,7 @@ class Pipeline(MachineStrategy):
         asks: list[list[int]] = []  # [layer, asks] of absorbing layers, outermost first
         while True:
             self._base_step += 1
-            action = self._base.next(tuple(self._base_run), self._base_step)
+            action = self._base.next(self._base_run, self._base_step)
             if not isinstance(action, MakeMove):
                 return GRANT if isinstance(action, GrantPermission) else IDLE
             # The move climbs until a layer absorbs it or it leaves the top.

@@ -10,15 +10,18 @@ from hypothesis import HealthCheck, settings
 from cl15 import cl15 as rules
 from cl15.cirquent import Cirquent, parse_cirquent
 from cl15.formula import AtomRef, Or, parse_formula
-from cl15.harness import ScriptMachine, play_translated
+from cl15.games import PermissiveGame
+from cl15.harness import ScriptMachine
 from cl15.runs import format_cell_move, project_cell, project_prefix
 from cl15.strategy import (
     MachineStrategy,
+    ScriptEnv,
     StrategyError,
     declubsuit,
     depst,
     make_translator,
     pair,
+    play,
     translate,
 )
 
@@ -269,6 +272,14 @@ def interleave(moves, rng):
         out.append(mv)
     out.extend([None] * 8)
     return out
+
+
+def play_translated(strategy, env_moves, budget):
+    """Play a translated strategy where every move is legal, one scripted
+    environment move per grant; returns the real run and the imagined one."""
+    m = strategy.spawn()
+    events = play(m, ScriptEnv(env_moves), PermissiveGame().start(), budget)
+    return tuple(lm for _, _, lm in events if lm is not None), m.imagined_run
 
 
 def play_instance(rule, prem, concl, seed, prem_payload=None, concl_payload=None,

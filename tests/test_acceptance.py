@@ -20,7 +20,6 @@ from cl15.harness import (
     random_finite_interpretation,
     random_formula,
     random_run,
-    run_trial,
     scripted_adversary,
     separation_demo,
 )
@@ -35,10 +34,9 @@ from cl15.runs import (
     project_cell,
     project_prefix,
 )
-from cl15.strategy import PureGranter, SilentEnv
+from cl15.strategy import PureGranter, SilentEnv, extract_solution, simulate
 
 from conftest import (
-    FIXTURES,
     IDENTITY_CHECKS,
     RULE_CASES,
     instance_accepted,
@@ -167,32 +165,27 @@ def test_criterion_5_extracted_strategies_win(capsys):
         proof = parse_proof(read_fixture(proof_name))
         last = proof.steps[-1].cirquent
         for formula_level in (False, True):
+            machine = extract_solution(proof, formula_level=formula_level)
             goal = as_clubsuit(last) if formula_level else last
             assert goal is not None
+            interpret = interpret_formula if formula_level else interpret_cirquent
             for s in range(100):
                 interp = random_finite_interpretation(["P"], 2, 2, s)
-                game, structure = (
-                    (interpret_formula(goal, interp), goal)
-                    if formula_level
-                    else (interpret_cirquent(goal, interp), goal)
-                )
+                game = interpret(goal, interp)
                 kind = s % 3
                 if kind == 0:
                     adversary = SilentEnv()
                 elif kind == 1:
-                    adversary = random_adversary(game, structure, interp, s)
+                    adversary = random_adversary(game, goal, interp, s)
                 else:
                     script = tuple(random.Random(s).randrange(7) for _ in range(24))
-                    adversary = scripted_adversary(game, structure, interp, script)
-                report = run_trial(
-                    proof, interp, adversary, budget,
-                    formula_level=formula_level, trial_id=total, seed=s,
-                )
+                    adversary = scripted_adversary(game, goal, interp, script)
+                won = simulate(machine, adversary, game, budget).winner is TOP
                 total += 1
-                passed += report.passed
-                assert report.passed, (
+                passed += won
+                assert won, (
                     f"{proof_name} formula_level={formula_level} "
-                    f"seed={s} adversary={report.adversary}"
+                    f"seed={s} adversary={adversary.name}"
                 )
     assert passed == total == 400
     elapsed = time.perf_counter() - start

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, exact messages, file round trips, and
 the interactive play loop driven through StringIO."""
+import hashlib
 import io
 import os
 import subprocess
@@ -335,12 +336,54 @@ def test_play_session_broken_proof():
     assert "violation" in out.getvalue()
 
 
+@pytest.mark.parametrize("command", ["simulate", "play"])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_below_one_is_a_usage_error(command, budget, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1;1.1.m\n"))
+    assert main([command, P1, "--interp", INTERP, "--budget", budget]) == USAGE
+    assert capsys.readouterr() == ("", "error: budget must be at least 1\n")
+
+
 def test_play_command_through_main(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("1;1.1.m\nquit\n"))
     code = main(["play", P1, "--interp", INTERP, "--budget", "20"])
     out = capsys.readouterr().out
     assert code == OK, out
     assert "machine moves: 1;1.2.m" in out
+
+
+# Stdin scripts for `play`, in digest order; `{0}` and `{1}` are a level's
+# copycat moves.  The last script runs out of the budget of 20 turns.
+PLAY_INPUTS = ("quit\n", "", "pass\n\npass\nquit\n", "a b\nquit\n", "zzz\n",
+               "{0}\n{1}\nquit\n", "{0}\n" + "pass\n" * 30)
+COPY_MOVES = {
+    ("p1", "cirquent"): ("1;1.1.m", "1;2.1.m"),
+    ("p1", "formula"): ("1.m", "2.m"),
+    ("p2", "cirquent"): ("1;1.1.1.m", "1;2.1.3.m"),
+    ("p2", "formula"): ("1.1.m", "1.2.m"),
+}
+PINNED_PLAY = {
+    ("p1", "cirquent"): ("5281d42360e647ae", "5281d42360e647ae", "403ea61831541965", "8f9f4853e6d4dd39",
+                         "70bbea76bd430b6e", "9d33270fd2d7a96d", "dfc29e71047984de"),
+    ("p1", "formula"): ("e500b3edd8f17d14", "e500b3edd8f17d14", "caa4c60743ee0829", "1bbca41cca06080c",
+                        "d46fa50240ccba7c", "5b391d17f9bc5ec5", "0e7aa77aed989d3b"),
+    ("p2", "cirquent"): ("d1fb2155de061dd7", "d1fb2155de061dd7", "b9f77dbdb6200e41", "6de2f71c39f33acb",
+                         "7496622f9798daf3", "1d046e966f5a3398", "cc82150801b66c92"),
+    ("p2", "formula"): ("066f282ab4f696d6", "066f282ab4f696d6", "e2db9693fbaaf909", "e1deb2e85dc74a58",
+                        "80104011bc28cd2c", "5d96ef5ee9f01e79", "8fbc45bd78fc16bc"),
+}
+
+
+@pytest.mark.parametrize("proof, level", sorted(COPY_MOVES),
+                         ids=["-".join(key) for key in sorted(COPY_MOVES)])
+def test_play_transcripts_are_pinned(proof, level, monkeypatch, capsys):
+    digests = []
+    for script in PLAY_INPUTS:
+        monkeypatch.setattr("sys.stdin", io.StringIO(script.format(*COPY_MOVES[proof, level])))
+        assert main(["play", str(FIXTURES / f"{proof}.proof"), "--level", level,
+                     "--interp", INTERP, "--budget", "20"]) == OK
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16])
+    assert tuple(digests) == PINNED_PLAY[proof, level]
 
 
 def test_project_bad_coords_is_a_usage_error(capsys):

@@ -1,5 +1,5 @@
 """Testing harness: independent win/legality oracles, random generators,
-adversaries, trial reporting, and the bounded separation demonstration."""
+adversaries, and the bounded separation demonstration."""
 import random
 
 import pytest
@@ -10,29 +10,23 @@ from cl15.formula import parse_formula, render_formula
 from cl15.games import interpret_cirquent, interpret_formula
 from cl15.harness import (
     HarnessError,
-    LoopCounterstrategy,
     ScriptMachine,
-    TrialReport,
     brute_force_legal,
     brute_force_winner,
     cycle_chooser,
     loop_counterstrategy,
     move_builder,
-    play_translated,
     random_adversary,
     random_cirquent,
     random_finite_interpretation,
     random_formula,
     random_run,
-    rng_chooser,
-    run_trial,
     scripted_adversary,
     separation_demo,
     shortlex_bitstring,
-    summarize_trials,
 )
 from cl15.runs import BOT, TOP, Labmove
-from cl15.strategy import IdleStrategy, PureGranter, SilentEnv
+from cl15.strategy import PureGranter, extract_solution, simulate
 
 from conftest import C, read_fixture
 
@@ -154,85 +148,28 @@ def test_loop_counterstrategy_emits_fresh_numbers_per_thread():
         loop_counterstrategy(0)
 
 
-# --- trials ----------------------------------------------------------------------
-
-def test_trial_report_line_format():
-    report = TrialReport(
-        description="d", adversary="silent", budget=5, run=(),
-        winner=TOP, grants=1, passed=True, trial_id=3, seed=17,
-    )
-    assert report.line() == "trial 3 seed=17 winner=T pass=true"
-
-
-def test_run_trial_with_proof_and_silent_adversary():
-    proof = parse_proof(read_fixture("p1.proof"))
-    interp = random_finite_interpretation(["P"], 2, 2, 1)
-    report = run_trial(proof, interp, SilentEnv(), 50, trial_id=1, seed=1)
-    assert report.passed and report.winner is TOP
-    assert report.adversary == "silent"
-    report2 = run_trial(
-        proof, interp, SilentEnv(), 50, formula_level=True
-    )
-    assert report2.passed
-    assert report2.description == "~P \\/ P"
-
-
-def test_run_trial_reports_losses_honestly():
-    # A game whose empty run is environment-won, against a machine that idles.
-    interp = {"P": random_finite_interpretation(["P"], 1, 1, 2)["P"]}
-    f = parse_formula("P /\\ ~P")
-    game = interpret_formula(f, interp)
-    report = run_trial(IdleStrategy(), interp, SilentEnv(), 10, game=game)
-    assert report.winner is BOT and not report.passed
-    assert report.description == "custom game"
-
-
-def test_run_trial_requires_game_for_bare_strategy():
-    with pytest.raises(HarnessError):
-        run_trial(IdleStrategy(), {}, SilentEnv(), 10)
-
+# --- adversaries -------------------------------------------------------------------
 
 def test_structured_adversaries_stay_legal():
     proof = parse_proof(read_fixture("p2.proof"))
     interp = random_finite_interpretation(["P"], 2, 2, 4)
     last = proof.steps[-1].cirquent
     game = interpret_cirquent(last, interp)
+    machine = extract_solution(proof)
     for adv in (
         random_adversary(game, last, interp, 4),
         scripted_adversary(game, last, interp, [0, 1, 2, 1]),
     ):
-        report = run_trial(proof, interp, adv, 120, seed=4)
-        assert report.passed, adv.name
-        assert report.adversary in ("random", "scripted")
+        assert simulate(machine, adv, game, 120).winner is TOP, adv.name
 
 
-def test_summarize_trials_counts_passes():
-    reports = [
-        TrialReport("d", "silent", 5, (), TOP, 0, True, trial_id=1, seed=0),
-        TrialReport("d", "silent", 5, (), BOT, 0, False, trial_id=2, seed=0),
-    ]
-    text = summarize_trials(reports)
-    assert text.splitlines()[-1] == "passed 1/2"
-    assert "trial 1" in text and "trial 2" in text
-
-
-# --- script machine / translated play ----------------------------------------------
+# --- script machine ---------------------------------------------------------------------
 
 def test_script_machine_plays_then_grants():
     m = ScriptMachine(["a", None, "b"]).spawn()
     acts = [m.next((), i).__class__.__name__ for i in range(1, 6)]
     assert acts == ["MakeMove", "GrantPermission", "MakeMove",
                     "GrantPermission", "GrantPermission"]
-
-
-def test_play_translated_exposes_imagined_run():
-    from cl15.strategy import declubsuit
-
-    inner = ScriptMachine(["1;7.m"])
-    real, imagined = play_translated(declubsuit(inner), ["9.n"], budget=10)
-    assert Labmove(TOP, "7.m") in real
-    assert Labmove(BOT, "1;9.n") in imagined
-    assert Labmove(TOP, "1;7.m") in imagined
 
 
 # --- separation demo -----------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Machine strategies: the simulator contract, the axiom mirror, the pairing
-arithmetic, per-rule move translators, the translator pipeline, and
-proof-to-strategy extraction."""
+"""Machine strategies: the play loop and the simulator, the axiom mirror,
+the pairing arithmetic, per-rule move translators, the translator pipeline,
+and proof-to-strategy extraction."""
 import random
 import time
 import zlib
@@ -36,6 +36,7 @@ from cl15.strategy import (
     identity_translator,
     make_translator,
     pair,
+    play,
     simulate,
     translate,
     unfold_positives,
@@ -66,16 +67,7 @@ def test_simulate_stops_on_idle_with_trace():
 
 
 def test_simulate_counts_grants_and_logs_env_moves():
-    class OneMove(MachineStrategy):
-        def spawn(self):
-            return OneMove()
-
-        def next(self, run, step):
-            if step == 1:
-                return MakeMove("m")
-            return GRANT
-
-    res = simulate(OneMove(), SilentEnv(), _game_P(), 5)
+    res = simulate(ScriptMachine(["m"]), SilentEnv(), _game_P(), 5)
     assert res.trace[0] == "1 M:move m"
     assert res.grants == 4 and res.steps == 5
     assert res.winner is TOP
@@ -83,14 +75,7 @@ def test_simulate_counts_grants_and_logs_env_moves():
 
 
 def test_simulate_flags_machine_offender():
-    class Rogue(MachineStrategy):
-        def spawn(self):
-            return Rogue()
-
-        def next(self, run, step):
-            return MakeMove("zzz")
-
-    res = simulate(Rogue(), SilentEnv(), _game_P(), 5)
+    res = simulate(ScriptMachine(["zzz", "m"]), SilentEnv(), _game_P(), 5)
     assert res.first_illegality == "machine offender: move 'zzz' is illegal"
     assert res.winner is BOT
     assert res.steps == 1
@@ -110,22 +95,58 @@ def test_script_env_spawn_resets():
     assert first.run == second.run
 
 
+# --- the play loop -------------------------------------------------------------
+
+def _events(machine, env, budget=5, game=None):
+    position = (game or PermissiveGame()).start()
+    return list(play(machine, env, position, budget)), position.offender
+
+
+def test_play_yields_one_event_per_step_up_to_the_budget():
+    events, offender = _events(PureGranter(), ScriptEnv(["a"]), budget=3)
+    assert events == [(1, GRANT, Labmove(BOT, "a")), (2, GRANT, None), (3, GRANT, None)]
+    assert offender is None
+
+
+@pytest.mark.parametrize("machine, env, offender", [
+    (ScriptMachine(["zzz", "m"]), SilentEnv(), TOP),
+    (ScriptMachine([None, "m"]), ScriptEnv(["zzz", "n"]), BOT),
+])
+def test_play_stops_after_the_first_illegal_labmove(machine, env, offender):
+    events, who = _events(machine, env, game=_game_P())
+    assert [lm for _, _, lm in events] == [Labmove(offender, "zzz")]
+    assert who is offender
+
+
+def test_play_stops_at_an_idle():
+    events, _ = _events(_LoggingScript(["m", "idle", "n"], []), SilentEnv())
+    assert events == [(1, MakeMove("m"), Labmove(TOP, "m")), (2, IDLE, None)]
+
+
+def test_play_shows_both_players_one_growing_run():
+    seen = []
+
+    class Machine(ScriptMachine):
+        def next(self, run, step):
+            seen.append(run)
+            return super().next(run, step)
+
+    class Env(ScriptEnv):
+        def on_grant(self, run):
+            seen.append(run)
+            return super().on_grant(run)
+
+    events, _ = _events(Machine(["m", None, "n"]), Env(["e"]), budget=4)
+    assert len(seen) == 6 and all(run is seen[0] for run in seen)
+    assert seen[0] == [lm for _, _, lm in events if lm is not None]
+
+
 # --- axiom strategy ---------------------------------------------------------
 
 def _feed(strategy, env_moves):
-    """Push environment moves one at a time; collect the machine's answers."""
-    m = strategy.spawn()
-    run = []
-    answers = []
-    for step in range(1, 40):
-        action = m.next(tuple(run), step)
-        if action.__class__.__name__ == "MakeMove":
-            answers.append(action.move)
-            run.append(Labmove(TOP, action.move))
-        else:
-            if env_moves:
-                run.append(Labmove(BOT, env_moves.pop(0)))
-    return answers
+    """Push environment moves one per grant; collect the machine's answers."""
+    events = play(strategy.spawn(), ScriptEnv(env_moves), PermissiveGame().start(), 39)
+    return [action.move for _, action, _ in events if isinstance(action, MakeMove)]
 
 
 def test_axiom_strategy_mirrors_between_partners():
@@ -162,7 +183,7 @@ def test_pipeline_hands_a_cells_base_cell_moves(layers):
             return Recording(self.n)
 
         def next(self, run, step):
-            runs.append(run)
+            runs.append(tuple(run))
             return super().next(run, step)
 
     strat = Pipeline(Recording(1), (identity_translator("id", cells=True),) * layers).spawn()
@@ -337,18 +358,8 @@ def _hashing_translator(k, drop_in, drop_out):
 
 def _drive(strategy, env_moves, budget):
     m = strategy.spawn()
-    queue, run, actions = list(env_moves), [], []
-    for step in range(1, budget + 1):
-        action = m.next(tuple(run), step)
-        actions.append(action)
-        if isinstance(action, MakeMove):
-            run.append(Labmove(TOP, action.move))
-        elif isinstance(action, GrantPermission):
-            if queue:
-                run.append(Labmove(BOT, queue.pop(0)))
-        else:
-            break
-    return actions, m.imagined_run
+    events = play(m, ScriptEnv(env_moves), PermissiveGame().start(), budget)
+    return [action for _, action, _ in events], m.imagined_run
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -416,7 +427,7 @@ def test_grant_only_turns_cost_no_layer_walk():
             return Recorder()
 
         def next(self, run, step):
-            Recorder.runs.append(run)
+            Recorder.runs.append(tuple(run))
             return GRANT
 
     strat = Pipeline(Recorder(), (identity_translator("id"),) * 5000).spawn()
