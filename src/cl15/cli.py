@@ -10,8 +10,8 @@ import re
 import sys
 
 from . import cl15 as rules
-from .cirquent import Cirquent, CirquentError
-from .formula import Formula, FormulaError, atoms
+from .cirquent import Cirquent, CirquentError, render_cirquent
+from .formula import Formula, FormulaError, atoms, render_formula
 from .games import (
     Game,
     GameError,
@@ -43,6 +43,7 @@ from .runs import (
 from .strategy import (
     EnvStrategy,
     GrantPermission,
+    MachineStrategy,
     MakeMove,
     ProofViolation,
     PureGranter,
@@ -269,31 +270,26 @@ class _HumanEnv(EnvStrategy):
 
 
 def play_session(
-    proof: rules.Proof,
+    machine: MachineStrategy,
+    goal: Formula | Cirquent,
     interp: Interpretation,
     budget: int,
     *,
-    formula_level: bool = False,
     in_stream=None,
     out_stream=None,
 ) -> int:
-    """Interactive play: the human is the environment, prompted at each
-    grant; the position is shown after every labmove and the transcript is
-    printed in run format at the end."""
+    """Interactive play of `machine` on the goal's game: the human is the
+    environment, prompted at each grant; the position is shown after every
+    labmove and the transcript is printed in run format at the end."""
     out_stream = out_stream if out_stream is not None else sys.stdout
 
     def say(msg: str) -> None:
         print(msg, file=out_stream)
 
-    try:
-        machine = extract_solution(proof, formula_level=formula_level)
-    except ProofViolation as exc:
-        say(f"step {exc.step}: violation: {exc.violation.reason}")
-        return FAIL
-    goal, desc = proof_goal(proof, formula_level)
     position = _interpret(goal, interp).start()
     env = _HumanEnv(in_stream if in_stream is not None else sys.stdin, say)
     events = play(machine.spawn(), env, position, budget)
+    desc = render_cirquent(goal) if isinstance(goal, Cirquent) else render_formula(goal)
     say(f"playing: {desc}")
     say("you are the environment (B); at each grant enter a move, 'pass', or 'quit'")
     run: list[Labmove] = []
@@ -323,9 +319,12 @@ def cmd_play(args) -> int:
     proof, formula_level = _load_subject(args.proof, args.level)
     goal, _ = proof_goal(proof, formula_level)
     interp = _build_interp(args, goal)
-    return play_session(
-        proof, interp, args.budget, formula_level=formula_level
-    )
+    try:
+        machine = extract_solution(proof, formula_level=formula_level)
+    except ProofViolation as exc:
+        print(f"step {exc.step}: violation: {exc.violation.reason}")
+        return FAIL
+    return play_session(machine, goal, interp, args.budget)
 
 
 # Argument parsing and dispatch

@@ -263,17 +263,22 @@ def brute_force_winner(subject: Subject, interp: Interpretation, run: Run) -> Pl
 # Random interpretations and structures
 
 _MOVE_POOL = ("1", "2", "3", "4", "5", "6")
+RANDOM_GAME_MAX_NODES = 100_000
 
 
 def random_finite_game(rng: random.Random, depth: int, branching: int) -> FiniteGame:
     """A random prefix-closed tree (root has at least one child) with random
-    winner labels, grown depth first straight into a trie."""
+    winner labels, grown depth first straight into a trie.  Raises
+    HarnessError once the tree passes RANDOM_GAME_MAX_NODES positions."""
     children: list[dict[Labmove, int]] = []
     labels: list[Player] = []
     alphabet: dict[str, None] = {}
 
     def grow(d: int, min_children: int) -> int:
         node = len(children)
+        if node == RANDOM_GAME_MAX_NODES:
+            raise HarnessError(f"random game over {RANDOM_GAME_MAX_NODES:,} positions; "
+                               "lower --depth or --branching")
         children.append({})
         labels.append(TOP if rng.random() < 0.5 else BOT)
         if d == 0:

@@ -10,18 +10,21 @@ one for its conclusion by translating moves both ways and keeping an
 imagined inner run.  An extracted strategy is one flat `Pipeline`: the
 axiom strategy and a tuple of translators, one layer per proof step.
 
-Rule translators map split cell moves `(oformula, coords, payload)`;
-`declubsuit`, `depst` and any translator built on move texts map texts.
-The pipeline splits a move only where it passes from the real run, the
-base or a text layer into a cell layer, and formats it only where it
-passes back, so a run of cell layers never touches move text.
+Inside a pipeline a move has one form, the split cell move
+`(oformula, coords, payload)`: the axiom strategy and every translator map
+cell moves only.  Move text is handled only at the pipeline's edge, which
+sees each move of the real run once.  At cirquent level the edge splits an
+environment move, dropping a text that is not a cell move, and formats a
+machine move.  At formula level the game is copy 1 of the proof's final
+clubsuit(F): a move `m` enters as `(1, (1,), m)`, a machine move
+`(1, (1,), rest)` leaves as `rest`, and any other is absorbed at the edge.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from .cirquent import Cirquent, as_clubsuit, render_cirquent
 from .formula import Formula, render_formula
@@ -54,9 +57,12 @@ class ProofViolation(StrategyError):
 
 # Actions
 
+Cell = tuple[int, tuple[int, ...], str]
+
+
 @dataclass(frozen=True)
 class MakeMove:
-    move: str
+    move: str | Cell
 
 
 @dataclass(frozen=True)
@@ -77,9 +83,7 @@ IDLE = Idle()
 
 class MachineStrategy:
     """Deterministic stateful agent for one play; spawn() before each play.
-    A `Pipeline` hands a `cells` strategy split cell moves (`Cell`)."""
-
-    cells = False
+    The base of a `Pipeline` is shown and makes split cell moves (`Cell`)."""
 
     def spawn(self) -> "MachineStrategy":
         raise NotImplementedError
@@ -232,30 +236,25 @@ def simulate(m: MachineStrategy, e: EnvStrategy, g: Game, budget: int) -> SimRes
 # Axiom strategy: mirror each environment move between the paired oformulas.
 
 class AxiomStrategy(MachineStrategy):
-    """For the 2n-oformula axiom cirquent: answer an environment move in
-    oformula a with the same move in its partner (a+1 for odd a, a-1 for
-    even a), same coordinates and form (text or `Cell`); queued FIFO."""
-
-    cells = True
+    """For the 2n-oformula axiom cirquent: answer an environment cell move
+    in oformula a with the same move in its partner (a+1 for odd a, a-1 for
+    even a), same coordinates; queued FIFO."""
 
     def __init__(self, n: int):
         if n < 1:
             raise StrategyError("n must be at least 1")
         self.n = n
         self._cursor = 0
-        self._queue: list[str | Cell] = []
+        self._queue: list[Cell] = []
 
     def spawn(self) -> "AxiomStrategy":
         return AxiomStrategy(self.n)
 
     def next(self, run: Sequence[Labmove], step: int) -> Action:
         for lm in run[self._cursor:]:
-            move = lm.move if lm.player is BOT else None
-            split = split_cell_move(move) if isinstance(move, str) else move
-            if split is not None and 1 <= split[0] <= 2 * self.n:
-                a, coords, rest = split
-                cell = (a + 1 if a % 2 == 1 else a - 1, coords, rest)
-                self._queue.append(format_cell_move(*cell) if isinstance(move, str) else cell)
+            if lm.player is BOT and 1 <= lm.move[0] <= 2 * self.n:
+                a, coords, rest = lm.move
+                self._queue.append((a + 1 if a % 2 == 1 else a - 1, coords, rest))
         self._cursor = len(run)
         if self._queue:
             return MakeMove(self._queue.pop(0))
@@ -264,92 +263,75 @@ class AxiomStrategy(MachineStrategy):
 
 # Translators
 
-Cell = tuple[int, tuple[int, ...], str]
-
-
 @dataclass(frozen=True)
 class Translator:
     """Move maps between an outer (conclusion) play and an imagined inner
-    (premise) play.  `outer_to_inner` translates environment moves inward
-    (None drops the move); `inner_to_outer` translates the inner machine's
-    moves outward (None absorbs the move into the imagined run only).  The
-    maps take and return move texts, or split cell moves (`Cell`) when
-    `cells` is set."""
+    (premise) play, on split cell moves.  `outer_to_inner` translates
+    environment moves inward (None drops the move); `inner_to_outer`
+    translates the inner machine's moves outward (None absorbs the move
+    into the imagined run only)."""
 
     name: str
-    outer_to_inner: Callable[[Any], Any]
-    inner_to_outer: Callable[[Any], Any]
-    cells: bool = False
-
-
-def _reform(move: str | Cell) -> str | Cell | None:
-    """The move in the other form: a text split into a cell move (None if
-    it is not one), or a cell move formatted as text."""
-    return split_cell_move(move) if isinstance(move, str) else format_cell_move(*move)
-
-
-def _text(move: str | Cell) -> str:
-    return move if isinstance(move, str) else format_cell_move(*move)
+    outer_to_inner: Callable[[Cell], Cell | None]
+    inner_to_outer: Callable[[Cell], Cell | None]
 
 
 class Pipeline(MachineStrategy):
-    """A base strategy seen through translators, innermost first.  A turn
-    first passes each new environment move of the real run inward through
-    `outer_to_inner`, outermost first, until a layer drops it.  Then the
-    base's moves climb out through `inner_to_outer`.  A layer that absorbs
-    a move asks again, up to `_FUEL` asks since a layer outside it last
-    asked, and then grants.  Grants and idling go straight out.  A move is
-    split on entering a cell layer from text, where a text that is not a
-    cell move is dropped or absorbed as that layer would, and formatted on
-    leaving a cell layer for text: the real run sees texts, and the base
-    sees cell moves if it is a `cells` strategy and texts otherwise.  A
-    turn costs the translator calls its moves make (the base is shown its
-    run list, not a copy), and `spawn()` is O(1): only the base's run and
-    the one inside the outermost translator are kept.  Nothing recurses."""
+    """A base strategy seen through translators, innermost first, inside
+    the edge that the module docstring describes.  A turn first passes each
+    new environment move of the real run through the edge and then inward
+    through `outer_to_inner`, outermost first, until a layer drops it.  Then
+    the base's moves climb out through `inner_to_outer` and the edge.  A
+    layer that absorbs a move asks again, up to `_FUEL` asks since a layer
+    outside it last asked, and then grants; the edge counts as a layer
+    outside every translator.  Grants and idling go straight out.  A turn
+    costs the translator calls its moves make (the base is shown its run
+    list, not a copy), and `spawn()` is O(1): only the base's run and the
+    one inside the outermost translator are kept.  Nothing recurses."""
 
     _FUEL = 64
 
-    def __init__(self, base: MachineStrategy, translators: tuple[Translator, ...]):
+    def __init__(self, base: MachineStrategy, translators: tuple[Translator, ...],
+                 formula_level: bool = False):
         self.base = base
         self.translators = translators
+        self.formula_level = formula_level
         self._base = base.spawn()
         self._base_step = 0
         self._cursor = 0
         self._base_run: list[Labmove] = []
-        self._top_run: list[tuple[Player, str | Cell]] = []
+        self._top_run: list[Labmove] = []
 
     def spawn(self) -> "Pipeline":
-        return Pipeline(self.base, self.translators)
+        return Pipeline(self.base, self.translators, self.formula_level)
 
     @property
     def imagined_run(self) -> Run:
-        """The imagined run inside the outermost translator."""
-        if len(self.translators) < 2:
-            return tuple(Labmove(lm.player, _text(lm.move)) for lm in self._base_run)
-        return tuple(Labmove(player, _text(move)) for player, move in self._top_run)
+        """The imagined run inside the outermost translator, as texts."""
+        inner = self._top_run if self.translators else self._base_run
+        return tuple(Labmove(lm.player, format_cell_move(*lm.move)) for lm in inner)
+
+    def _leave(self, cell: Cell) -> str | None:
+        """The real move for a cell leaving the outermost layer, or None
+        when the edge absorbs it."""
+        if not self.formula_level:
+            return format_cell_move(*cell)
+        a, coords, rest = cell
+        return rest if a == 1 and coords == (1,) else None
 
     def next(self, run: Sequence[Labmove], step: int) -> Action:
         translators = self.translators
-        top = len(translators) - 1
-        if top < 0:
-            return self._base.next(run, step)
+        top = len(translators)  # the edge's layer
         for lm in run[self._cursor:]:
             if lm.player is BOT:
-                move: str | Cell | None = lm.move
-                for i in range(top, -1, -1):
-                    t = translators[i]
-                    if t.cells == isinstance(move, str):
-                        move = _reform(move)
-                        if move is None:
-                            break
-                    move = t.outer_to_inner(move)
-                    if move is None:
-                        break
-                    if i == top and top:
-                        self._top_run.append((BOT, move))
-                else:
-                    if self._base.cells == isinstance(move, str):
-                        move = _reform(move) or move
+                move = (1, (1,), lm.move) if self.formula_level else split_cell_move(lm.move)
+                i = top
+                while move is not None and i:
+                    i -= 1
+                    move = translators[i].outer_to_inner(move)
+                    if move is not None and i == top - 1:
+                        self._top_run.append(Labmove(BOT, move))
+                if move is not None:
                     self._base_run.append(Labmove(BOT, move))
         self._cursor = len(run)
         asks: list[list[int]] = []  # [layer, asks] of absorbing layers, outermost first
@@ -358,22 +340,21 @@ class Pipeline(MachineStrategy):
             action = self._base.next(self._base_run, self._base_step)
             if not isinstance(action, MakeMove):
                 return GRANT if isinstance(action, GrantPermission) else IDLE
-            # The move climbs until a layer absorbs it or it leaves the top.
+            # The move climbs until a layer absorbs it or it leaves the edge.
             move = action.move
             self._base_run.append(Labmove(TOP, move))
-            for i in range(top + 1):
-                if i == top and top:
-                    self._top_run.append((TOP, move))
-                t = translators[i]
-                if t.cells == isinstance(move, str):
-                    move = _reform(move)
-                    if move is None:
-                        break
-                move = t.inner_to_outer(move)
+            i = 0
+            while i < top:
+                if i == top - 1:
+                    self._top_run.append(Labmove(TOP, move))
+                move = translators[i].inner_to_outer(move)
                 if move is None:
                     break
+                i += 1
             else:
-                return MakeMove(_text(move))
+                text = self._leave(move)
+                if text is not None:
+                    return MakeMove(text)
             while asks and asks[-1][0] < i:
                 asks.pop()
             if not asks or asks[-1][0] != i:
@@ -383,16 +364,8 @@ class Pipeline(MachineStrategy):
             asks[-1][1] += 1
 
 
-def translate(m: MachineStrategy, translator: Translator) -> Pipeline:
-    """A strategy for the outer game of `translator`, given one for its
-    inner game: the pipeline of `m` extended by one layer."""
-    if isinstance(m, Pipeline):
-        return Pipeline(m.base, m.translators + (translator,))
-    return Pipeline(m, (translator,))
-
-
-def identity_translator(name: str, cells: bool = False) -> Translator:
-    return Translator(name, lambda m: m, lambda m: m, cells)
+def identity_translator(name: str) -> Translator:
+    return Translator(name, lambda m: m, lambda m: m)
 
 
 # Positive-pair pairing used by the coordinate-compressing translators.
@@ -446,7 +419,7 @@ def _oformula_exchange_translator(i: int) -> Translator:
         a, coords, rest = cell
         return _swap_index(a, i), coords, rest
 
-    return Translator(f"exchange_oformulas@{i}", both_ways, both_ways, cells=True)
+    return Translator(f"exchange_oformulas@{i}", both_ways, both_ways)
 
 
 def _overgroup_exchange_translator(i: int) -> Translator:
@@ -458,13 +431,13 @@ def _overgroup_exchange_translator(i: int) -> Translator:
         cs[i - 1], cs[i] = cs[i], cs[i - 1]
         return a, tuple(cs), rest
 
-    return Translator(f"exchange_overs@{i}", both_ways, both_ways, cells=True)
+    return Translator(f"exchange_overs@{i}", both_ways, both_ways)
 
 
 def _weakening_translator(conclusion: Cirquent, under: int, oformula: int) -> Translator:
     _, deleted_of, deleted_overs = rules.premise_of_weakening(conclusion, under, oformula)
     if deleted_of is None:
-        return identity_translator(f"weakening@{under},{oformula}", cells=True)
+        return identity_translator(f"weakening@{under},{oformula}")
     d = deleted_of
     dropped = set(deleted_overs)
 
@@ -484,7 +457,7 @@ def _weakening_translator(conclusion: Cirquent, under: int, oformula: int) -> Tr
             cs.insert(j - 1, 0)
         return a2, tuple(cs), rest
 
-    return Translator(f"weakening@{under},{oformula}", outer_to_inner, inner_to_outer, cells=True)
+    return Translator(f"weakening@{under},{oformula}", outer_to_inner, inner_to_outer)
 
 
 def _contraction_translator(a: int) -> Translator:
@@ -511,7 +484,7 @@ def _contraction_translator(a: int) -> Translator:
         outer_k = 2 * k - 1 if c == a else 2 * k
         return a, coords, f"{outer_k}.{tail}"
 
-    return Translator(f"contraction@{a}", outer_to_inner, inner_to_outer, cells=True)
+    return Translator(f"contraction@{a}", outer_to_inner, inner_to_outer)
 
 
 def _overgroup_duplication_translator(j: int) -> Translator:
@@ -536,7 +509,7 @@ def _overgroup_duplication_translator(j: int) -> Translator:
         expanded = (0, 0) if u == 0 else unpair(u)
         return a, coords[:j - 1] + expanded + coords[j:], rest
 
-    return Translator(f"dup_over@{j}", outer_to_inner, inner_to_outer, cells=True)
+    return Translator(f"dup_over@{j}", outer_to_inner, inner_to_outer)
 
 
 def _merging_translator(premise: Cirquent, j: int) -> Translator:
@@ -578,7 +551,7 @@ def _merging_translator(premise: Cirquent, j: int) -> Translator:
             merged = 0
         return a, coords[:j - 1] + (merged,) + coords[j + 1:], rest
 
-    return Translator(f"merging@{j}", outer_to_inner, inner_to_outer, cells=True)
+    return Translator(f"merging@{j}", outer_to_inner, inner_to_outer)
 
 
 def _binary_intro_translator(a: int, kind: str) -> Translator:
@@ -600,7 +573,7 @@ def _binary_intro_translator(a: int, kind: str) -> Translator:
             return a, coords, f"2.{rest}"
         return c - 1 if c > a + 1 else c, coords, rest
 
-    return Translator(f"{kind}@{a}", outer_to_inner, inner_to_outer, cells=True)
+    return Translator(f"{kind}@{a}", outer_to_inner, inner_to_outer)
 
 
 def _pst_intro_translator(a: int, j: int) -> Translator:
@@ -626,7 +599,7 @@ def _pst_intro_translator(a: int, j: int) -> Translator:
             return None
         return a, coords2, f"{u}.{rest}"
 
-    return Translator(f"pst@{a},{j}", outer_to_inner, inner_to_outer, cells=True)
+    return Translator(f"pst@{a},{j}", outer_to_inner, inner_to_outer)
 
 
 def _pcost_intro_translator(a: int, add_over: frozenset[int]) -> Translator:
@@ -666,7 +639,7 @@ def _pcost_intro_translator(a: int, add_over: frozenset[int]) -> Translator:
             cs[p - 1] = 0
         return a, tuple(cs), f"{v}.{rest}"
 
-    return Translator(f"pcost@{a}", outer_to_inner, inner_to_outer, cells=True)
+    return Translator(f"pcost@{a}", outer_to_inner, inner_to_outer)
 
 
 def make_translator(rule: rules.Rule, premise: Cirquent, conclusion: Cirquent) -> Translator:
@@ -674,11 +647,11 @@ def make_translator(rule: rules.Rule, premise: Cirquent, conclusion: Cirquent) -
     if isinstance(rule, rules.OformulaExchange):
         return _oformula_exchange_translator(rule.pos)
     if isinstance(rule, rules.UndergroupExchange):
-        return identity_translator(f"exchange_unders@{rule.pos}", cells=True)
+        return identity_translator(f"exchange_unders@{rule.pos}")
     if isinstance(rule, rules.OvergroupExchange):
         return _overgroup_exchange_translator(rule.pos)
     if isinstance(rule, rules.UndergroupDuplication):
-        return identity_translator(f"dup_under@{rule.pos}", cells=True)
+        return identity_translator(f"dup_under@{rule.pos}")
     if isinstance(rule, rules.OvergroupDuplication):
         return _overgroup_duplication_translator(rule.pos)
     if isinstance(rule, rules.Merging):
@@ -701,56 +674,6 @@ def make_translator(rule: rules.Rule, premise: Cirquent, conclusion: Cirquent) -
     raise StrategyError(f"no translator for rule {rule!r}")
 
 
-def declubsuit_translator() -> Translator:
-    """Between the one-oformula cirquent game (inner) and the
-    parallel-recurrence game over the same formula (outer):
-    outer `u.rest` is inner `1;u.rest`."""
-
-    def outer_to_inner(move: str) -> str | None:
-        payload = split_index_move(move)
-        if payload is None:
-            return None
-        u, rest = payload
-        return format_cell_move(1, (u,), rest)
-
-    def inner_to_outer(move: str) -> str | None:
-        split = split_cell_move(move)
-        if split is None:
-            return None
-        a, coords, rest = split
-        if a != 1 or len(coords) != 1 or coords[0] < 1:
-            return None
-        return f"{coords[0]}.{rest}"
-
-    return Translator("declubsuit", outer_to_inner, inner_to_outer)
-
-
-def declubsuit(m: MachineStrategy) -> MachineStrategy:
-    return translate(m, declubsuit_translator())
-
-
-def depst_translator() -> Translator:
-    """Between the parallel-recurrence game (inner) and the bare formula
-    game (outer), pinning copy 1: real moves are copy-1 moves; inner machine
-    moves in other copies stay imaginary."""
-
-    def outer_to_inner(move: str) -> str:
-        return f"1.{move}"
-
-    def inner_to_outer(move: str) -> str | None:
-        payload = split_index_move(move)
-        if payload is None:
-            return None
-        u, rest = payload
-        return rest if u == 1 else None
-
-    return Translator("depst", outer_to_inner, inner_to_outer)
-
-
-def depst(m: MachineStrategy) -> MachineStrategy:
-    return translate(m, depst_translator())
-
-
 def proof_goal(proof: rules.Proof, formula_level: bool) -> tuple[Formula | Cirquent, str]:
     """What the proof's game is about, with its text: the final cirquent,
     or at the formula level the F of a final clubsuit(F)."""
@@ -766,19 +689,19 @@ def proof_goal(proof: rules.Proof, formula_level: bool) -> tuple[Formula | Cirqu
 def extract_solution(proof: rules.Proof, formula_level: bool = False) -> MachineStrategy:
     """Verify the proof, then run the axiom strategy through one translator
     per rule application.  With formula_level=True (final cirquent must be
-    a one-oformula clubsuit), return the strategy for the bare formula game.
-    Raises ProofViolation if the proof does not verify."""
+    a one-oformula clubsuit(F)), return the strategy for the bare formula
+    game F: the pipeline's edge plays copy 1 of clubsuit(F).  Raises
+    ProofViolation if the proof does not verify."""
     report = rules.verify_proof(proof)
     if report is not None:
         raise ProofViolation(*report)
     axiom_rule = proof.steps[0].rule
     assert isinstance(axiom_rule, rules.Axiom)
     steps = proof.steps
-    translators = [
+    translators = tuple(
         make_translator(steps[k].rule, steps[k - 1].cirquent, steps[k].cirquent)
         for k in range(1, len(steps))
-    ]
+    )
     if formula_level:
         proof_goal(proof, formula_level)
-        translators += [declubsuit_translator(), depst_translator()]
-    return Pipeline(AxiomStrategy(len(axiom_rule.formulas)), tuple(translators))
+    return Pipeline(AxiomStrategy(len(axiom_rule.formulas)), translators, formula_level)

@@ -15,14 +15,12 @@ from cl15.harness import ScriptMachine
 from cl15.runs import format_cell_move, project_cell, project_prefix
 from cl15.strategy import (
     MachineStrategy,
+    Pipeline,
     ScriptEnv,
     StrategyError,
-    declubsuit,
-    depst,
     make_translator,
     pair,
     play,
-    translate,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -239,17 +237,17 @@ def single_corruptions(premise, conclusion, rule):
 
 
 def transform_strategy(rule, premise, conclusion, inner: MachineStrategy) -> MachineStrategy:
-    """Check the rule application, then extend a strategy for the premise
-    game by its translator into one for the conclusion game."""
+    """Check the rule application, then extend a cell-form strategy for the
+    premise game by its translator into one for the conclusion game."""
     if rules.check_step(premise, conclusion, rule) is not None:
         raise StrategyError("rule application does not check")
-    return translate(inner, make_translator(rule, premise, conclusion))
+    return Pipeline(inner, (make_translator(rule, premise, conclusion),))
 
 
 # Scripted plays through one translation layer, for the run-correspondence
-# identity checks.  Environment moves are conclusion-shaped, the inner
-# machine's moves premise-shaped; both respect the zero pattern of their
-# cirquent's overgroup memberships.
+# identity checks.  Environment moves are conclusion-shaped texts, the inner
+# machine's moves premise-shaped split cell moves; both respect the zero
+# pattern of their cirquent's overgroup memberships.
 
 GRID = (1, 2, 3)
 
@@ -260,7 +258,7 @@ def shaped_moves(cirq, rng, count, payload_for=None):
         a = rng.randrange(1, cirq.size + 1)
         coords = tuple(rng.randint(1, 3) if a in g else 0 for g in cirq.overgroups)
         payload = payload_for(a, rng) if payload_for else rng.choice(("m", "n"))
-        out.append(format_cell_move(a, coords, payload))
+        out.append((a, coords, payload))
     return out
 
 
@@ -285,7 +283,7 @@ def play_translated(strategy, env_moves, budget):
 def play_instance(rule, prem, concl, seed, prem_payload=None, concl_payload=None,
                   n_moves=10):
     rng = random.Random(seed)
-    env = shaped_moves(concl, rng, n_moves, concl_payload)
+    env = [format_cell_move(*cell) for cell in shaped_moves(concl, rng, n_moves, concl_payload)]
     mach = interleave(shaped_moves(prem, rng, n_moves, prem_payload), rng)
     strat = transform_strategy(rule, prem, concl, ScriptMachine(mach))
     real, imag = play_translated(strat, env, budget=80)
@@ -443,25 +441,17 @@ def check_pcost_identity(seed):
         )
 
 
-def check_declubsuit_identity(seed):
+def check_formula_edge_identity(seed):
+    # The formula edge plays copy 1 of the one-oformula clubsuit: the real
+    # run is the copy-(1,) cell of the run inside the edge.
     rng = random.Random(seed)
-    mach = interleave(
-        [format_cell_move(1, (rng.randint(1, 4),), "m") for _ in range(8)], rng
-    )
-    env = [f"{rng.randint(1, 4)}.m" for _ in range(8)]
-    real, imag = play_translated(declubsuit(ScriptMachine(mach)), env, budget=80)
+    mach = interleave([(rng.randint(1, 2), (rng.randint(1, 3),), rng.choice(("m", "n")))
+                       for _ in range(16)], rng)
+    env = [rng.choice(("m", "n", "1.m")) for _ in range(8)]
+    strat = Pipeline(ScriptMachine(mach), (), formula_level=True)
+    real, imag = play_translated(strat, env, budget=80)
     assert len(real) >= 8
-    for x in (1, 2, 3, 4):
-        assert project_prefix(real, f"{x}.") == project_cell(imag, 1, (x,))
-
-
-def check_depst_identity(seed):
-    rng = random.Random(seed)
-    mach = interleave([f"{rng.randint(1, 3)}.m" for _ in range(8)], rng)
-    env = [rng.choice(("m", "n")) for _ in range(8)]
-    real, imag = play_translated(depst(ScriptMachine(mach)), env, budget=80)
-    assert len(real) >= 8
-    assert real == project_prefix(imag, "1.")
+    assert real == project_cell(imag, 1, (1,))
 
 
 IDENTITY_CHECKS = [
@@ -473,6 +463,5 @@ IDENTITY_CHECKS = [
     ("or", check_or_identity),
     ("pst", check_pst_identity),
     ("pcost", check_pcost_identity),
-    ("declubsuit", check_declubsuit_identity),
-    ("depst", check_depst_identity),
+    ("formula edge", check_formula_edge_identity),
 ]

@@ -22,6 +22,8 @@ from cl15.cli import (
     play_session,
 )
 from cl15.games import GameError
+from cl15.harness import RANDOM_GAME_MAX_NODES, ScriptMachine
+from cl15.strategy import extract_solution, proof_goal
 
 from conftest import FIXTURES, read_fixture
 
@@ -284,13 +286,14 @@ def test_bad_strategy_file_header(tmp_path, capsys):
 
 # --- interactive play -------------------------------------------------------------------
 
-def _play(user_input, proof_path=P1, **kwargs):
-    proof = parse_proof(read_fixture(proof_path.rsplit("/", 1)[-1]))
+def _play(user_input, machine=None):
+    proof = parse_proof(read_fixture("p1.proof"))
+    goal, _ = proof_goal(proof, False)
     interp = parse_interpretation(read_fixture("interp.txt"))
     out = io.StringIO()
     code = play_session(
-        proof, interp, 30,
-        in_stream=io.StringIO(user_input), out_stream=out, **kwargs,
+        machine or extract_solution(proof), goal, interp, 30,
+        in_stream=io.StringIO(user_input), out_stream=out,
     )
     return code, out.getvalue()
 
@@ -326,14 +329,19 @@ def test_play_session_pass_and_eof():
     assert "(empty)" in out
 
 
-def test_play_session_broken_proof():
-    proof = parse_proof(read_fixture("p1-broken.proof"))
-    interp = parse_interpretation(read_fixture("interp.txt"))
-    out = io.StringIO()
-    code = play_session(proof, interp, 10,
-                        in_stream=io.StringIO(""), out_stream=out)
+def test_play_session_reports_an_illegal_machine_move():
+    code, out = _play("pass\n", machine=ScriptMachine(["zzz"]))
     assert code == FAIL
-    assert "violation" in out.getvalue()
+    assert "machine moves: zzz" in out
+    assert "machine made an illegal move; environment wins" in out
+    assert "winner: B" in out
+
+
+def test_play_broken_proof(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(["play", BROKEN, "--interp", INTERP, "--budget", "10"]) == FAIL
+    assert capsys.readouterr().out == (
+        "step 2: violation: premise does not split the disjunction as required\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "play"])
@@ -532,3 +540,13 @@ def test_formula_too_deep_to_compare_is_a_usage_error(tmp_path, depth, command, 
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == expected
     assert not (tmp_path / "deep.strategy").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "play"])
+def test_oversized_random_interpretation_is_a_usage_error(command, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main([command, P1, "--depth", "100", "--branching", "100"]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: random game over {RANDOM_GAME_MAX_NODES:,} positions; "
+                            "lower --depth or --branching\n")

@@ -8,6 +8,7 @@ from cl15.cirquent import validate_cirquent
 from cl15.cl15 import parse_proof
 from cl15.formula import parse_formula, render_formula
 from cl15.games import interpret_cirquent, interpret_formula
+from cl15 import harness
 from cl15.harness import (
     HarnessError,
     ScriptMachine,
@@ -18,6 +19,7 @@ from cl15.harness import (
     move_builder,
     random_adversary,
     random_cirquent,
+    random_finite_game,
     random_finite_interpretation,
     random_formula,
     random_run,
@@ -88,6 +90,18 @@ def test_random_finite_interpretation_bounds():
     assert len(g.tree) <= 7  # depth-2 binary tree
     with pytest.raises(HarnessError):
         random_finite_interpretation(["P"], 0, 2, 5)
+
+
+def test_random_finite_game_stops_past_the_node_cap(monkeypatch):
+    with pytest.raises(HarnessError, match="lower --depth or --branching"):
+        random_finite_interpretation(["P"], 100, 100, 0)
+    size = len(random_finite_game(random.Random(3), 5, 12).labels)
+    assert size == 12702
+    monkeypatch.setattr(harness, "RANDOM_GAME_MAX_NODES", size)
+    assert len(random_finite_game(random.Random(3), 5, 12).labels) == size
+    monkeypatch.setattr(harness, "RANDOM_GAME_MAX_NODES", size - 1)
+    with pytest.raises(HarnessError, match="over 12,701 positions"):
+        random_finite_game(random.Random(3), 5, 12)
 
 
 def test_random_structures_are_wellformed():

@@ -11,7 +11,7 @@ from cl15.cirquent import clubsuit
 from cl15.cl15 import PcostIntro, parse_proof
 from cl15.formula import parse_formula
 from cl15.games import PermissiveGame, interpret_cirquent, interpret_formula, parse_finite_game
-from cl15.runs import BOT, TOP, Labmove, format_cell_move, split_cell_move
+from cl15.runs import BOT, TOP, Labmove, format_cell_move, split_cell_move, split_index_move
 from cl15.harness import ScriptMachine
 from cl15.strategy import (
     GRANT,
@@ -28,9 +28,6 @@ from cl15.strategy import (
     SilentEnv,
     StrategyError,
     Translator,
-    declubsuit_translator,
-    depst,
-    depst_translator,
     extract_solution,
     fold_positives,
     identity_translator,
@@ -38,7 +35,6 @@ from cl15.strategy import (
     pair,
     play,
     simulate,
-    translate,
     unfold_positives,
     unpair,
 )
@@ -149,18 +145,23 @@ def _feed(strategy, env_moves):
     return [action.move for _, action, _ in events if isinstance(action, MakeMove)]
 
 
+def _mirror(n):
+    """The axiom strategy behind the cirquent edge, which splits and formats."""
+    return Pipeline(AxiomStrategy(n), ())
+
+
 def test_axiom_strategy_mirrors_between_partners():
-    assert _feed(AxiomStrategy(1), ["1;2.m"]) == ["2;2.m"]
-    assert _feed(AxiomStrategy(2), ["4;1,1.m"]) == ["3;1,1.m"]
-    assert _feed(AxiomStrategy(2), ["1;5.a", "2;6.b"]) == ["2;5.a", "1;6.b"]
+    assert _feed(_mirror(1), ["1;2.m"]) == ["2;2.m"]
+    assert _feed(_mirror(2), ["4;1,1.m"]) == ["3;1,1.m"]
+    assert _feed(_mirror(2), ["1;5.a", "2;6.b"]) == ["2;5.a", "1;6.b"]
 
 
 def test_axiom_strategy_ignores_noise():
-    assert _feed(AxiomStrategy(1), ["5;1.m"]) == []  # out-of-range cell
-    assert _feed(AxiomStrategy(1), ["hello"]) == []  # not a cell move
+    assert _feed(_mirror(1), ["5;1.m"]) == []  # out-of-range cell
+    assert _feed(_mirror(1), ["hello"]) == []  # not a cell move: dropped at the edge
     strat = AxiomStrategy(1).spawn()
     # TOP moves in the run are not mirrored.
-    action = strat.next((Labmove(TOP, "1;2.m"),), 1)
+    action = strat.next((Labmove(TOP, (1, (2,), "m")),), 1)
     assert action.__class__.__name__ == "GrantPermission"
 
 
@@ -174,8 +175,8 @@ def test_axiom_strategy_answers_a_cell_move_with_a_cell_move():
     assert strat.next((Labmove(BOT, (4, (1, 1), "m")),), 1) == MakeMove((3, (1, 1), "m"))
 
 
-@pytest.mark.parametrize("layers", [1, 2])
-def test_pipeline_hands_a_cells_base_cell_moves(layers):
+@pytest.mark.parametrize("layers", [0, 1, 2])
+def test_pipeline_hands_the_base_cell_moves(layers):
     runs = []
 
     class Recording(AxiomStrategy):
@@ -186,7 +187,7 @@ def test_pipeline_hands_a_cells_base_cell_moves(layers):
             runs.append(tuple(run))
             return super().next(run, step)
 
-    strat = Pipeline(Recording(1), (identity_translator("id", cells=True),) * layers).spawn()
+    strat = Pipeline(Recording(1), (identity_translator("id"),) * layers).spawn()
     assert strat.next((Labmove(BOT, "1;1.m"),), 1) == MakeMove("2;1.m")
     assert runs[0] == (Labmove(BOT, (1, (1,), "m")),)
     assert strat.imagined_run == (Labmove(BOT, "1;1.m"), Labmove(TOP, "2;1.m"))
@@ -237,14 +238,13 @@ def test_pcost_translator_folds_added_overgroup_coordinates():
     step = p2.steps[2]
     assert step.rule == PcostIntro(1, frozenset({2}))
     tr = make_translator(step.rule, p2.steps[1].cirquent, step.cirquent)
-    assert tr.cells
     assert tr.outer_to_inner((1, (1, 0), "7.m")) == (1, (1, 7), "m")
     assert tr.outer_to_inner((1, (1, 0), "x.m")) is None
     assert tr.inner_to_outer((1, (1, 7), "m")) == (1, (1, 0), "7.m")
 
 
-def test_declubsuit_translator_verbatim():
-    tr = declubsuit_translator()
+def test_declubsuit_reference_translator_verbatim():
+    tr = _DECLUBSUIT
     assert tr.outer_to_inner("7.m") == "1;7.m"
     assert tr.outer_to_inner("m") is None
     assert tr.inner_to_outer("1;7.m") == "7.m"
@@ -252,8 +252,8 @@ def test_declubsuit_translator_verbatim():
     assert tr.inner_to_outer("2;7.m") is None
 
 
-def test_depst_translator_verbatim():
-    tr = depst_translator()
+def test_depst_reference_translator_verbatim():
+    tr = _DEPST
     assert tr.outer_to_inner("m") == "1.m"
     assert tr.inner_to_outer("1.m") == "m"
     assert tr.inner_to_outer("2.m") is None
@@ -269,9 +269,19 @@ def test_run_correspondence_identity(label):
 
 # --- translator pipeline ---------------------------------------------------------
 
+def test_formula_edge_enters_and_leaves_copy_1_only():
+    log = []
+    script = [(2, (1,), "a"), (1, (2,), "b"), (1, (0,), "c"), (1, (1,), "d")]
+    strat = Pipeline(_LoggingScript(script, log), (), formula_level=True).spawn()
+    assert strat.next((Labmove(BOT, "7.m"),), 1) == MakeMove("d")
+    assert [run for run, _ in log] == [(Labmove(BOT, (1, (1,), "7.m")),) + tuple(
+        Labmove(TOP, cell) for cell in script[:k]) for k in range(4)]
+
+
 def test_fuel_caps_absorbed_moves_per_turn():
-    # depst absorbs every inner move outside copy 1.
-    strat = depst(ScriptMachine([f"2.m{k}" for k in range(100)])).spawn()
+    # The formula edge absorbs every machine move outside copy 1.
+    machine = ScriptMachine([(1, (2,), f"m{k}") for k in range(100)])
+    strat = Pipeline(machine, (), formula_level=True).spawn()
     assert strat.next((), 1) == GRANT
     assert len(strat.imagined_run) == 64
     assert strat.next((), 2) == GRANT
@@ -344,22 +354,54 @@ class _LoggingScript(MachineStrategy):
 
 
 def _hashing_translator(k, drop_in, drop_out):
-    """Rewrites moves, dropping or absorbing them by a hash of the move."""
+    """Rewrites a cell move's payload, dropping or absorbing the move by a
+    hash of its text."""
 
-    def hit(move, modulus):
-        return modulus and zlib.crc32(f"{k}/{move}".encode()) % modulus == 0
+    def hit(cell, modulus):
+        return modulus and zlib.crc32(f"{k}/{format_cell_move(*cell)}".encode()) % modulus == 0
 
-    return Translator(
-        f"hash{k}",
-        lambda m: None if hit(m, drop_in) else f"{m}<{k}",
-        lambda m: None if hit(m, drop_out) else m[:12] + f">{k}",
-    )
+    def outer_to_inner(cell):
+        a, coords, rest = cell
+        return None if hit(cell, drop_in) else (a, coords, f"{rest}<{k}")
+
+    def inner_to_outer(cell):
+        a, coords, rest = cell
+        return None if hit(cell, drop_out) else (a, coords, rest[:12] + f">{k}")
+
+    return Translator(f"hash{k}", outer_to_inner, inner_to_outer)
 
 
-def _drive(strategy, env_moves, budget):
+# Texts outside, split cell moves inside.  As the outermost nested layer it
+# is the cirquent edge; around a cell-form base it lets a text chain drive
+# that base.
+_CELLS = Translator("cells", split_cell_move, lambda cell: format_cell_move(*cell))
+
+
+class _TextEdge(_NestedReference):
+    """The cirquent edge as the outermost nested layer.  Its imagined run is
+    the one inside the outermost translator, as texts, as a pipeline's is."""
+
+    def __init__(self, inner):
+        super().__init__(inner, _CELLS)
+
+    def spawn(self):
+        return _TextEdge(self.inner_template)
+
+    @property
+    def imagined_run(self):
+        return tuple(Labmove(lm.player, format_cell_move(*lm.move))
+                     for lm in self._inner.imagined_run)
+
+
+def _drive(strategy, env_moves, budget, unwrap=0):
+    """The actions of a play against scripted environment moves, and the
+    imagined run of the strategy played, `unwrap` nested layers in."""
     m = strategy.spawn()
     events = play(m, ScriptEnv(env_moves), PermissiveGame().start(), budget)
-    return [action for _, action, _ in events], m.imagined_run
+    actions = [action for _, action, _ in events]
+    for _ in range(unwrap):
+        m = m._inner
+    return actions, m.imagined_run
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -370,16 +412,15 @@ def test_pipeline_matches_nested_translation(seed):
         _hashing_translator(k, rng.choice((0, 2, 4)), rng.choice((0, 2, 3, 60)))
         for k in range(layers)
     ]
-    script = [rng.choice((None, "idle", f"m{i}")) if rng.random() < 0.2 else f"m{i}"
-              for i in range(rng.randint(0, 300))]
-    env = [f"e{i}" for i in range(rng.randint(0, 20))]
+    script = [rng.choice((None, "idle", (1, (), f"m{i}"))) if rng.random() < 0.2
+              else (1, (), f"m{i}") for i in range(rng.randint(0, 300))]
+    env = [f"1;{i}.e" for i in range(rng.randint(0, 20))]
     flat_log, nested_log = [], []
-    flat = _LoggingScript(script, flat_log)
+    flat = Pipeline(_LoggingScript(script, flat_log), tuple(translators))
     nested = _LoggingScript(script, nested_log)
     for tr in translators:
-        flat = translate(flat, tr)
         nested = _NestedReference(nested, tr)
-    assert _drive(flat, env, 80) == _drive(nested, env, 80)
+    assert _drive(flat, env, 80) == _drive(_TextEdge(nested), env, 80)
     assert flat_log == nested_log
 
 
@@ -387,32 +428,31 @@ def test_pipeline_matches_nested_translation(seed):
 @pytest.mark.parametrize("seed", range(2))
 def test_pipeline_matches_nested_fuel_across_layers(drop_out, seed):
     # A layer with drop_out 1 absorbs every move that reaches it; the others
-    # absorb about half the move texts.  The script repeats each text for a
-    # block of turns.  It opens with 40 moves that layer 0 absorbs, 10 that
-    # pass it and are absorbed further out, which refills layer 0's fuel,
-    # and 70 more that layer 0 absorbs: layer 0 runs out of fuel while an
-    # outer layer has asks in the same turn.  Then the two alternate, so the
-    # outer layer runs out while layer 0 keeps being refilled.
+    # absorb about half the moves.  The script repeats each move for a block
+    # of turns.  It opens with 40 moves that layer 0 absorbs, 10 that pass
+    # it and are absorbed further out, which refills layer 0's fuel, and 70
+    # more that layer 0 absorbs: layer 0 runs out of fuel while an outer
+    # layer has asks in the same turn.  Then the two alternate, so the outer
+    # layer runs out while layer 0 keeps being refilled.
     rng = random.Random(seed)
     translators = [_hashing_translator(k, 2, modulus) for k, modulus in enumerate(drop_out)]
-    pool = [f"m{j}" for j in range(8)]
-    absorbed = [text for text in pool if translators[0].inner_to_outer(text) is None]
-    passed = [text for text in pool if text not in absorbed] or absorbed
+    pool = [(1, (), f"m{j}") for j in range(8)]
+    absorbed = [cell for cell in pool if translators[0].inner_to_outer(cell) is None]
+    passed = [cell for cell in pool if cell not in absorbed] or absorbed
     script = [absorbed[0]] * 40 + [passed[0]] * 10 + [absorbed[0]] * 70
     script += [passed[0], absorbed[0]] * 70
     while len(script) < 300:
-        text = rng.choice([None] + pool)
-        script += [text] * rng.randint(1, 90)
+        cell = rng.choice([None] + pool)
+        script += [cell] * rng.randint(1, 90)
     script = script[:300]
-    env = [f"e{i}" for i in range(30)]
+    env = [f"1;{i}.e" for i in range(30)]
     flat_log, nested_log = [], []
-    flat = _LoggingScript(script, flat_log)
+    flat = Pipeline(_LoggingScript(script, flat_log), tuple(translators))
     nested = _LoggingScript(script, nested_log)
     for tr in translators:
-        flat = translate(flat, tr)
         nested = _NestedReference(nested, tr)
     flat_actions = _drive(flat, env, 200)
-    assert flat_actions == _drive(nested, env, 200)
+    assert flat_actions == _drive(_TextEdge(nested), env, 200)
     assert flat_log == nested_log
     # Some turns granted on fuel alone: more grants went out than the base made.
     base_grants = sum(1 for k in range(len(flat_log)) if k >= len(script) or script[k] is None)
@@ -436,19 +476,16 @@ def test_grant_only_turns_cost_no_layer_walk():
     elapsed = time.perf_counter() - start
     assert actions == [GRANT] * 2000
     assert elapsed < 1.0
-    env_move = Labmove(BOT, "1;1.m")
-    assert strat.next((env_move,), 2001) == GRANT
-    assert Recorder.runs[-1] == (env_move,)
+    assert strat.next((Labmove(BOT, "1;1.m"),), 2001) == GRANT
+    assert Recorder.runs[-1] == (Labmove(BOT, (1, (1,), "m")),)
 
 
-# --- cell-form translators against the text chain ----------------------------------
+# --- the pipeline against the text chain ------------------------------------------
 
 def _text_form(tr):
-    """The translator as every layer once ran it: a cell map lifted to
-    texts by splitting the move, mapping it and formatting the result, with
-    None for a move that is not a cell move."""
-    if not tr.cells:
-        return tr
+    """The translator as a text layer: its cell map lifted to texts by
+    splitting the move, mapping it and formatting the result, with None for
+    a move that is not a cell move."""
 
     def lift(fn):
         def move_map(move):
@@ -461,6 +498,47 @@ def _text_form(tr):
         return move_map
 
     return Translator(tr.name, lift(tr.outer_to_inner), lift(tr.inner_to_outer))
+
+
+# The formula level as two text layers outside the rule layers: declubsuit
+# between the one-oformula cirquent game (inner) and the parallel-recurrence
+# game over its formula (outer), where outer `u.rest` is inner `1;u.rest`;
+# and depst between that and the bare formula game, which pins copy 1 and
+# keeps inner moves in other copies imaginary.
+
+def _declubsuit_in(move):
+    payload = split_index_move(move)
+    return None if payload is None else format_cell_move(1, (payload[0],), payload[1])
+
+
+def _declubsuit_out(move):
+    split = split_cell_move(move)
+    if split is None:
+        return None
+    a, coords, rest = split
+    if a != 1 or len(coords) != 1 or coords[0] < 1:
+        return None
+    return f"{coords[0]}.{rest}"
+
+
+def _depst_out(move):
+    payload = split_index_move(move)
+    return payload[1] if payload is not None and payload[0] == 1 else None
+
+
+_DECLUBSUIT = Translator("declubsuit", _declubsuit_in, _declubsuit_out)
+_DEPST = Translator("depst", lambda move: f"1.{move}", _depst_out)
+
+
+def _nested_text_chain(base, translators, formula_level=False):
+    """A cell-form base driven through the text chain: each translator in
+    text form, nested, and at the formula level declubsuit and depst."""
+    base = _NestedReference(base, _CELLS)
+    for tr in translators:
+        base = _NestedReference(base, _text_form(tr))
+    if formula_level:
+        base = _NestedReference(_NestedReference(base, _DECLUBSUIT), _DEPST)
+    return base
 
 
 MALFORMED = ("0;1.m", "3;01.m", "3;1.", "m", "1;.", ";1.m", "2;1,x.m", "1;1", "1;1,.m")
@@ -480,12 +558,6 @@ def _random_move(rng):
     return format_cell_move(rng.randint(1, 4), coords, payload)
 
 
-def _nested_text_chain(base, translators):
-    for tr in translators:
-        base = _NestedReference(base, _text_form(tr))
-    return base
-
-
 @pytest.mark.parametrize("name", ["p1", "p2"])
 @pytest.mark.parametrize("formula_level", [False, True])
 @pytest.mark.parametrize("seed", range(5))
@@ -493,7 +565,6 @@ def test_extracted_cell_pipeline_matches_text_chain(name, formula_level, seed):
     rng = random.Random(seed)
     proof = parse_proof(read_fixture(f"{name}.proof"))
     strat = extract_solution(proof, formula_level=formula_level)
-    assert any(tr.cells for tr in strat.translators)
     env = [_random_move(rng) for _ in range(40)]
     if formula_level:
         env += [f"{rng.randint(1, 3)}.{rng.randint(1, 3)}.m" for _ in range(20)]
@@ -501,13 +572,15 @@ def test_extracted_cell_pipeline_matches_text_chain(name, formula_level, seed):
         env += [f"1;{rng.randint(1, 3)}.{rng.randint(1, 3)}.{rng.randint(1, 3)}.m"
                 for _ in range(20)]
     rng.shuffle(env)
-    reference = _nested_text_chain(strat.base, strat.translators)
-    assert _drive(strat, env, 150) == _drive(reference, env, 150)
+    reference = _nested_text_chain(strat.base, strat.translators, formula_level)
+    # At the formula level the pipeline's imagined run is the one inside the
+    # outermost rule layer, two text layers inside the reference's.
+    assert _drive(strat, env, 150) == _drive(reference, env, 150, 2 * formula_level)
 
 
 def _random_chain(rng):
     """1-6 layers drawn from the rule cases' translators, now and then
-    with a text layer between them."""
+    with an identity or a hashing layer between them."""
     cases = [case for case in RULE_CASES if case[1] is not None]
     chain = []
     for k in range(rng.randint(1, 6)):
@@ -526,13 +599,17 @@ def _random_chain(rng):
 def test_random_cell_chains_match_text_chain(seed):
     rng = random.Random(seed)
     translators = _random_chain(rng)
-    script = [rng.choice((None,) * 9 + ("idle",)) if rng.random() < 0.1 else _random_move(rng)
-              for _ in range(rng.randint(0, 200))]
+    # A cell-form base makes only cell moves: a drawn text that is not one
+    # is left out of the script.
+    script = []
+    for _ in range(rng.randint(0, 200)):
+        if rng.random() < 0.1:
+            script.append(rng.choice((None,) * 9 + ("idle",)))
+        elif (cell := split_cell_move(_random_move(rng))) is not None:
+            script.append(cell)
     env = [_random_move(rng) for _ in range(rng.randint(0, 40))]
     flat_log, nested_log = [], []
-    flat = _LoggingScript(script, flat_log)
-    for tr in translators:
-        flat = translate(flat, tr)
+    flat = Pipeline(_LoggingScript(script, flat_log), tuple(translators))
     nested = _nested_text_chain(_LoggingScript(script, nested_log), translators)
     assert _drive(flat, env, 120) == _drive(nested, env, 120)
     assert flat_log == nested_log
