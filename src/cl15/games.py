@@ -174,11 +174,6 @@ class FiniteGame(Game):
     def tree(self) -> frozenset[Run]:
         return frozenset(self.labels)
 
-    def moves_after(self, run: Run) -> list[Labmove]:
-        """Labmoves extending the given position inside the tree."""
-        pos = self.replay(run)
-        return [] if pos.offender is not None else list(self._children[pos.node])
-
     def move_alphabet(self) -> list[str]:
         """All move strings of the tree, in the order given (file order or
         generation order), so that choices do not follow the hash seed."""
@@ -304,15 +299,6 @@ def parse_finite_game(text: str) -> FiniteGame:
     if not lines or lines[0][1] != "finitegame":
         raise GameError("missing 'finitegame' header")
     return finite_game(lines[1:])
-
-
-def render_finite_game(g: FiniteGame) -> str:
-    lines = ["finitegame"]
-    labels = g.labels
-    for run in sorted(labels, key=lambda r: (len(r), tuple((lm.player.value, lm.move) for lm in r))):
-        run_text = "; ".join(f"{lm.player.value} {lm.move}" for lm in run) if run else "()"
-        lines.append(f"{run_text} => {labels[run].value}")
-    return "\n".join(lines)
 
 
 # Composite games.  Each position routes a labmove, parsed once, to the

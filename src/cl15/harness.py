@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -268,13 +268,16 @@ RANDOM_GAME_MAX_NODES = 100_000
 
 def random_finite_game(rng: random.Random, depth: int, branching: int) -> FiniteGame:
     """A random prefix-closed tree (root has at least one child) with random
-    winner labels, grown depth first straight into a trie.  Raises
-    HarnessError once the tree passes RANDOM_GAME_MAX_NODES positions."""
+    winner labels, grown depth first straight into a trie, with an explicit
+    stack, so any depth works.  Raises HarnessError once the tree passes
+    RANDOM_GAME_MAX_NODES positions."""
     children: list[dict[Labmove, int]] = []
     labels: list[Player] = []
     alphabet: dict[str, None] = {}
+    options = [Labmove(p, m) for m in _MOVE_POOL for p in (TOP, BOT)]
 
-    def grow(d: int, min_children: int) -> int:
+    def add_node(d: int, min_children: int) -> tuple[int, Iterator[Labmove]]:
+        """A new node at `d` levels above the leaves, and its moves to grow."""
         node = len(children)
         if node == RANDOM_GAME_MAX_NODES:
             raise HarnessError(f"random game over {RANDOM_GAME_MAX_NODES:,} positions; "
@@ -282,15 +285,21 @@ def random_finite_game(rng: random.Random, depth: int, branching: int) -> Finite
         children.append({})
         labels.append(TOP if rng.random() < 0.5 else BOT)
         if d == 0:
-            return node
-        options = [Labmove(p, m) for m in _MOVE_POOL for p in (TOP, BOT)]
+            return node, iter(())
         k = min(rng.randint(min_children, branching), len(options))
-        for lm in rng.sample(options, k):
-            alphabet.setdefault(lm.move, None)
-            children[node][lm] = grow(d - 1, 0)
-        return node
+        return node, iter(rng.sample(options, k))
 
-    grow(depth, 1)
+    stack = [(depth, *add_node(depth, 1))]
+    while stack:
+        d, node, moves = stack[-1]
+        lm = next(moves, None)
+        if lm is None:
+            stack.pop()
+            continue
+        alphabet.setdefault(lm.move, None)
+        child, grandmoves = add_node(d - 1, 0)
+        children[node][lm] = child
+        stack.append((d - 1, child, grandmoves))
     return FiniteGame(children, labels, alphabet)
 
 
@@ -393,27 +402,6 @@ def move_builder(structure: Subject, interp: Interpretation) -> Callable[[Choose
     if isinstance(structure, Cirquent):
         return lambda choose: _candidate_cirquent_move(structure, interp, choose)
     return lambda choose: _candidate_formula_move(structure, interp, choose)
-
-
-def random_run(
-    structure: Subject,
-    interp: Interpretation,
-    rng: random.Random,
-    length: int,
-    junk_rate: float = 0.1,
-) -> Run:
-    """A random run of structure-shaped moves with occasional junk; no
-    legality filtering, so both legal and offender runs occur."""
-    builder = move_builder(structure, interp)
-    junk = ("x", "0", "9.9.9.9", ";", "1;;.m")
-    out = []
-    for _ in range(length):
-        if rng.random() < junk_rate:
-            mv = junk[rng.randrange(len(junk))]
-        else:
-            mv = builder(rng_chooser(rng))
-        out.append(Labmove(TOP if rng.random() < 0.5 else BOT, mv))
-    return tuple(out)
 
 
 # Adversaries

@@ -18,6 +18,11 @@ environment move, dropping a text that is not a cell move, and formats a
 machine move.  At formula level the game is copy 1 of the proof's final
 clubsuit(F): a move `m` enters as `(1, (1,), m)`, a machine move
 `(1, (1,), rest)` leaves as `rest`, and any other is absorbed at the edge.
+
+The structural rules (exchanges, duplications, merging, weakening) only
+rename oformulas and coordinates.  Their translators are marked
+`structural`, and a pipeline crosses each run of two or more adjacent ones
+as one layer that memoizes the composed maps per `(oformula, coords)`.
 """
 from __future__ import annotations
 
@@ -269,11 +274,93 @@ class Translator:
     (premise) play, on split cell moves.  `outer_to_inner` translates
     environment moves inward (None drops the move); `inner_to_outer`
     translates the inner machine's moves outward (None absorbs the move
-    into the imagined run only)."""
+    into the imagined run only).  A `structural` translator's maps read and
+    change only a move's oformula and coordinates and keep its payload, so
+    whether it drops or absorbs a move depends on those alone; only the
+    factories below set it."""
 
     name: str
     outer_to_inner: Callable[[Cell], Cell | None]
     inner_to_outer: Callable[[Cell], Cell | None]
+    structural: bool = False
+
+
+class _FusedRun:
+    """Adjacent structural translators `translators[lo:hi]` as one pipeline
+    layer.  Their composed maps are memoized per address `(oformula,
+    coords)`, one entry per address in each direction; a miss runs the
+    member translators themselves.  Inward an entry is the inner address or
+    None for a drop; outward it is the outer address or the index, in
+    `translators`, of the member that absorbs the move, which
+    `absorber` reports so that fuel is counted per translator."""
+
+    def __init__(self, translators: tuple[Translator, ...], lo: int, hi: int):
+        self.members = translators[lo:hi]
+        self.lo = lo
+        self._inward: dict[tuple[int, tuple[int, ...]], tuple | None] = {}
+        self._outward: dict[tuple[int, tuple[int, ...]], tuple | int] = {}
+
+    def outer_to_inner(self, cell: Cell) -> Cell | None:
+        key = cell[0], cell[1]
+        try:
+            address = self._inward[key]
+        except KeyError:
+            address = self._inward[key] = self._walk_in(cell)
+        return None if address is None else (address[0], address[1], cell[2])
+
+    def inner_to_outer(self, cell: Cell) -> Cell | None:
+        key = cell[0], cell[1]
+        try:
+            address = self._outward[key]
+        except KeyError:
+            address = self._outward[key] = self._walk_out(cell)
+        return None if address.__class__ is int else (address[0], address[1], cell[2])
+
+    def absorber(self, cell: Cell) -> int:
+        """The index of the member that absorbed `cell` outward."""
+        return self._outward[cell[0], cell[1]]
+
+    def _walk_in(self, cell: Cell) -> tuple | None:
+        for tr in reversed(self.members):
+            cell = tr.outer_to_inner(cell)
+            if cell is None:
+                return None
+        return cell[0], cell[1]
+
+    def _walk_out(self, cell: Cell) -> tuple | int:
+        for index, tr in enumerate(self.members, start=self.lo):
+            cell = tr.inner_to_outer(cell)
+            if cell is None:
+                return index
+        return cell[0], cell[1]
+
+
+# A pipeline layer: the index of its innermost translator, its two maps, and
+# for a fused run the `absorber` that names the member absorbing a move.
+_Layer = tuple[int, Callable[[Cell], Cell | None], Callable[[Cell], Cell | None],
+              Callable[[Cell], int] | None]
+
+
+def _layers(translators: tuple[Translator, ...]) -> tuple[_Layer, ...]:
+    """One layer per translator, innermost first, except that each maximal
+    run of two or more adjacent structural translators below the outermost
+    is one `_FusedRun`.  The outermost stays alone: the run inside it is
+    the pipeline's imagined run."""
+    layers: list[_Layer] = []
+    i, top = 0, len(translators)
+    while i < top:
+        j = i
+        while j < top - 1 and translators[j].structural:
+            j += 1
+        if j - i >= 2:
+            run = _FusedRun(translators, i, j)
+            layers.append((i, run.outer_to_inner, run.inner_to_outer, run.absorber))
+            i = j
+        else:
+            tr = translators[i]
+            layers.append((i, tr.outer_to_inner, tr.inner_to_outer, None))
+            i += 1
+    return tuple(layers)
 
 
 class Pipeline(MachineStrategy):
@@ -282,12 +369,18 @@ class Pipeline(MachineStrategy):
     new environment move of the real run through the edge and then inward
     through `outer_to_inner`, outermost first, until a layer drops it.  Then
     the base's moves climb out through `inner_to_outer` and the edge.  A
-    layer that absorbs a move asks again, up to `_FUEL` asks since a layer
-    outside it last asked, and then grants; the edge counts as a layer
-    outside every translator.  Grants and idling go straight out.  A turn
-    costs the translator calls its moves make (the base is shown its run
-    list, not a copy), and `spawn()` is O(1): only the base's run and the
-    one inside the outermost translator are kept.  Nothing recurses."""
+    translator that absorbs a move asks again, up to `_FUEL` asks since a
+    translator outside it last asked, and then grants; the edge counts as a
+    layer outside every translator.  Grants and idling go straight out.
+
+    Each run of two or more adjacent structural translators below the
+    outermost is crossed as one layer (`_FusedRun`), which memoizes where a
+    move's address ends up; fuel is still counted per translator of the
+    run.  The layers are built once, here, and a spawn shares them and
+    their memos, which depend only on the address.  So a turn costs one
+    call per layer its moves cross (the base is shown its run list, not a
+    copy), and `spawn()` is O(1): only the base's run and the one inside
+    the outermost translator are kept.  Nothing recurses."""
 
     _FUEL = 64
 
@@ -296,14 +389,24 @@ class Pipeline(MachineStrategy):
         self.base = base
         self.translators = translators
         self.formula_level = formula_level
-        self._base = base.spawn()
+        self._layers = _layers(translators)
+        self._start()
+
+    def spawn(self) -> "Pipeline":
+        # Set in __init__'s order: the instance then shares its attribute
+        # layout with constructed ones, and attribute reads stay fast.
+        fresh = Pipeline.__new__(Pipeline)
+        fresh.base, fresh.translators = self.base, self.translators
+        fresh.formula_level, fresh._layers = self.formula_level, self._layers
+        fresh._start()
+        return fresh
+
+    def _start(self) -> None:
+        self._base = self.base.spawn()
         self._base_step = 0
         self._cursor = 0
         self._base_run: list[Labmove] = []
         self._top_run: list[Labmove] = []
-
-    def spawn(self) -> "Pipeline":
-        return Pipeline(self.base, self.translators, self.formula_level)
 
     @property
     def imagined_run(self) -> Run:
@@ -320,21 +423,24 @@ class Pipeline(MachineStrategy):
         return rest if a == 1 and coords == (1,) else None
 
     def next(self, run: Sequence[Labmove], step: int) -> Action:
-        translators = self.translators
-        top = len(translators)  # the edge's layer
+        layers = self._layers
+        top = len(self.translators)  # the edge's layer
+        last = top - 1  # the outermost translator, always a layer of its own
         for lm in run[self._cursor:]:
             if lm.player is BOT:
                 move = (1, (1,), lm.move) if self.formula_level else split_cell_move(lm.move)
-                i = top
-                while move is not None and i:
-                    i -= 1
-                    move = translators[i].outer_to_inner(move)
-                    if move is not None and i == top - 1:
+                if move is None:
+                    continue
+                for index, outer_to_inner, _, _ in reversed(layers):
+                    move = outer_to_inner(move)
+                    if move is None:
+                        break
+                    if index == last:
                         self._top_run.append(Labmove(BOT, move))
-                if move is not None:
+                else:
                     self._base_run.append(Labmove(BOT, move))
         self._cursor = len(run)
-        asks: list[list[int]] = []  # [layer, asks] of absorbing layers, outermost first
+        asks: list[list[int]] = []  # [translator, asks] of absorbers, outermost first
         while True:
             self._base_step += 1
             action = self._base.next(self._base_run, self._base_step)
@@ -343,18 +449,19 @@ class Pipeline(MachineStrategy):
             # The move climbs until a layer absorbs it or it leaves the edge.
             move = action.move
             self._base_run.append(Labmove(TOP, move))
-            i = 0
-            while i < top:
-                if i == top - 1:
+            for index, _, inner_to_outer, absorber in layers:
+                if index == last:
                     self._top_run.append(Labmove(TOP, move))
-                move = translators[i].inner_to_outer(move)
-                if move is None:
+                out = inner_to_outer(move)
+                if out is None:
+                    i = index if absorber is None else absorber(move)
                     break
-                i += 1
+                move = out
             else:
                 text = self._leave(move)
                 if text is not None:
                     return MakeMove(text)
+                i = top
             while asks and asks[-1][0] < i:
                 asks.pop()
             if not asks or asks[-1][0] != i:
@@ -365,7 +472,7 @@ class Pipeline(MachineStrategy):
 
 
 def identity_translator(name: str) -> Translator:
-    return Translator(name, lambda m: m, lambda m: m)
+    return Translator(name, lambda m: m, lambda m: m, structural=True)
 
 
 # Positive-pair pairing used by the coordinate-compressing translators.
@@ -419,7 +526,7 @@ def _oformula_exchange_translator(i: int) -> Translator:
         a, coords, rest = cell
         return _swap_index(a, i), coords, rest
 
-    return Translator(f"exchange_oformulas@{i}", both_ways, both_ways)
+    return Translator(f"exchange_oformulas@{i}", both_ways, both_ways, structural=True)
 
 
 def _overgroup_exchange_translator(i: int) -> Translator:
@@ -431,7 +538,7 @@ def _overgroup_exchange_translator(i: int) -> Translator:
         cs[i - 1], cs[i] = cs[i], cs[i - 1]
         return a, tuple(cs), rest
 
-    return Translator(f"exchange_overs@{i}", both_ways, both_ways)
+    return Translator(f"exchange_overs@{i}", both_ways, both_ways, structural=True)
 
 
 def _weakening_translator(conclusion: Cirquent, under: int, oformula: int) -> Translator:
@@ -457,7 +564,8 @@ def _weakening_translator(conclusion: Cirquent, under: int, oformula: int) -> Tr
             cs.insert(j - 1, 0)
         return a2, tuple(cs), rest
 
-    return Translator(f"weakening@{under},{oformula}", outer_to_inner, inner_to_outer)
+    return Translator(f"weakening@{under},{oformula}", outer_to_inner, inner_to_outer,
+                      structural=True)
 
 
 def _contraction_translator(a: int) -> Translator:
@@ -509,7 +617,7 @@ def _overgroup_duplication_translator(j: int) -> Translator:
         expanded = (0, 0) if u == 0 else unpair(u)
         return a, coords[:j - 1] + expanded + coords[j:], rest
 
-    return Translator(f"dup_over@{j}", outer_to_inner, inner_to_outer)
+    return Translator(f"dup_over@{j}", outer_to_inner, inner_to_outer, structural=True)
 
 
 def _merging_translator(premise: Cirquent, j: int) -> Translator:
@@ -551,7 +659,7 @@ def _merging_translator(premise: Cirquent, j: int) -> Translator:
             merged = 0
         return a, coords[:j - 1] + (merged,) + coords[j + 1:], rest
 
-    return Translator(f"merging@{j}", outer_to_inner, inner_to_outer)
+    return Translator(f"merging@{j}", outer_to_inner, inner_to_outer, structural=True)
 
 
 def _binary_intro_translator(a: int, kind: str) -> Translator:

@@ -10,9 +10,9 @@ from hypothesis import HealthCheck, settings
 from cl15 import cl15 as rules
 from cl15.cirquent import Cirquent, parse_cirquent
 from cl15.formula import AtomRef, Or, parse_formula
-from cl15.games import PermissiveGame
-from cl15.harness import ScriptMachine
-from cl15.runs import format_cell_move, project_cell, project_prefix
+from cl15.games import FiniteGame, PermissiveGame
+from cl15.harness import ScriptMachine, move_builder, rng_chooser
+from cl15.runs import BOT, TOP, Labmove, Run, format_cell_move, project_cell, project_prefix
 from cl15.strategy import (
     MachineStrategy,
     Pipeline,
@@ -44,6 +44,40 @@ def C(text: str) -> Cirquent:
 
 def read_fixture(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+# Helpers that only tests use.
+
+def moves_after(game: FiniteGame, run: Run) -> list[Labmove]:
+    """Labmoves extending the given position inside a finite game's tree,
+    in the order of the trie's children."""
+    pos = game.replay(run)
+    return [] if pos.offender is not None else list(game._children[pos.node])
+
+
+def render_finite_game(g: FiniteGame) -> str:
+    lines = ["finitegame"]
+    labels = g.labels
+    for run in sorted(labels, key=lambda r: (len(r), tuple((lm.player.value, lm.move) for lm in r))):
+        run_text = "; ".join(f"{lm.player.value} {lm.move}" for lm in run) if run else "()"
+        lines.append(f"{run_text} => {labels[run].value}")
+    return "\n".join(lines)
+
+
+def random_run(structure, interp, rng: random.Random, length: int,
+               junk_rate: float = 0.1) -> Run:
+    """A random run of structure-shaped moves with occasional junk; no
+    legality filtering, so both legal and offender runs occur."""
+    builder = move_builder(structure, interp)
+    junk = ("x", "0", "9.9.9.9", ";", "1;;.m")
+    out = []
+    for _ in range(length):
+        if rng.random() < junk_rate:
+            mv = junk[rng.randrange(len(junk))]
+        else:
+            mv = builder(rng_chooser(rng))
+        out.append(Labmove(TOP if rng.random() < 0.5 else BOT, mv))
+    return tuple(out)
 
 
 # One accepted instance per rule (axiom first, with no premise), plus extra
@@ -242,6 +276,53 @@ def transform_strategy(rule, premise, conclusion, inner: MachineStrategy) -> Mac
     if rules.check_step(premise, conclusion, rule) is not None:
         raise StrategyError("rule application does not check")
     return Pipeline(inner, (make_translator(rule, premise, conclusion),))
+
+
+# A generated proof in the shape of the long-play benchmark's: p1's axiom, a
+# dup_over for a second overgroup and a dup_under, then seeded exchanges and
+# dup_over/merging pairs, which leave the cirquent as it was.  Every step
+# after the axiom is structural, so an extracted pipeline fuses all its
+# layers but the outermost into one.
+
+def _structural_conclusion(c: Cirquent, rule) -> Cirquent:
+    of, un, ov = list(c.oformulas), list(c.undergroups), list(c.overgroups)
+    k = getattr(rule, "pos", None) or getattr(rule, "over", None)
+    if isinstance(rule, rules.OformulaExchange):
+        of[k - 1], of[k] = of[k], of[k - 1]
+        swap = {k: k + 1, k + 1: k}
+        un = [frozenset(swap.get(a, a) for a in g) for g in un]
+        ov = [frozenset(swap.get(a, a) for a in g) for g in ov]
+    elif isinstance(rule, (rules.UndergroupExchange, rules.OvergroupExchange)):
+        groups = un if isinstance(rule, rules.UndergroupExchange) else ov
+        groups[k - 1], groups[k] = groups[k], groups[k - 1]
+    elif isinstance(rule, (rules.UndergroupDuplication, rules.OvergroupDuplication)):
+        groups = un if isinstance(rule, rules.UndergroupDuplication) else ov
+        groups.insert(k, groups[k - 1])
+    else:
+        assert isinstance(rule, rules.Merging)
+        ov[k - 1:k + 1] = [ov[k - 1] | ov[k]]
+    return Cirquent(tuple(of), tuple(un), tuple(ov))
+
+
+def long_structural_proof(seed: int, steps: int = 40) -> rules.Proof:
+    rng = random.Random(seed)
+    proof = [rules.parse_proof(read_fixture("p1.proof")).steps[0]]
+
+    def apply(rule) -> None:
+        proof.append(rules.ProofStep(_structural_conclusion(proof[-1].cirquent, rule), rule))
+
+    apply(rules.OvergroupDuplication(1))
+    apply(rules.UndergroupDuplication(1))
+    while len(proof) < steps:
+        kind = rng.choice((rules.OformulaExchange, rules.UndergroupExchange,
+                           rules.OvergroupExchange, rules.OvergroupDuplication))
+        if kind is rules.OvergroupDuplication and len(proof) < steps - 1:
+            j = rng.randint(1, 2)
+            apply(kind(j))
+            apply(rules.Merging(j))
+        elif kind is not rules.OvergroupDuplication:
+            apply(kind(1))
+    return rules.Proof(tuple(proof))
 
 
 # Scripted plays through one translation layer, for the run-correspondence

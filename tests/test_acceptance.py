@@ -19,7 +19,6 @@ from cl15.harness import (
     random_cirquent,
     random_finite_interpretation,
     random_formula,
-    random_run,
     scripted_adversary,
     separation_demo,
 )
@@ -40,6 +39,7 @@ from conftest import (
     IDENTITY_CHECKS,
     RULE_CASES,
     instance_accepted,
+    random_run,
     read_fixture,
     rule_case,
     single_corruptions,

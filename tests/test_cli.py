@@ -11,7 +11,7 @@ import pytest
 
 import cl15
 
-from cl15.cl15 import parse_proof
+from cl15.cl15 import parse_proof, render_proof
 from cl15.cli import (
     FAIL,
     OK,
@@ -25,7 +25,7 @@ from cl15.games import GameError
 from cl15.harness import RANDOM_GAME_MAX_NODES, ScriptMachine
 from cl15.strategy import extract_solution, proof_goal
 
-from conftest import FIXTURES, read_fixture
+from conftest import FIXTURES, long_structural_proof, read_fixture
 
 P1 = str(FIXTURES / "p1.proof")
 P2 = str(FIXTURES / "p2.proof")
@@ -394,6 +394,48 @@ def test_play_transcripts_are_pinned(proof, level, monkeypatch, capsys):
     assert tuple(digests) == PINNED_PLAY[proof, level]
 
 
+# `simulate` stdout digests for seeds 1-4 of each adversary in turn, under
+# the default random interpretation.  "long" is `long_structural_proof(1)`,
+# whose extracted pipeline fuses 38 of its 39 layers into one.
+SIMULATE_ADVERSARIES = {"long": ("random",)}
+PINNED_SIMULATE = {
+    ("long", "cirquent"): ("90f57bc4f78ae3d2", "f6165d834a353206", "8e8ade96b7c38327",
+                           "db08224e6f547a4d"),
+    ("p1", "cirquent"): ("e931a630b2be9622", "e931a630b2be9622", "e931a630b2be9622",
+                         "e931a630b2be9622", "387270eabfbaaa37", "89ca79034aa2a36a",
+                         "6d8951ca100a4d7d", "264bbaadc2e9a6a7", "19c8e69a3a680792",
+                         "e4e20c3aab608a27", "19c8e69a3a680792", "d07f31b5cb12c38a"),
+    ("p1", "formula"): ("b9069b13f9a23e91", "b9069b13f9a23e91", "b9069b13f9a23e91",
+                        "b9069b13f9a23e91", "4f5351a9fbc41ece", "5ecbc6fa658f0792",
+                        "8a7598ab4ba3351e", "9279428c539b7bac", "80b99b7d720de85d",
+                        "4737ce7069e377f3", "80b99b7d720de85d", "f60cbbd79cee0074"),
+    ("p2", "cirquent"): ("c9d3a83c7219bebd", "c9d3a83c7219bebd", "c9d3a83c7219bebd",
+                         "c9d3a83c7219bebd", "860a94aaaa3d91cf", "bca4431f7ee219ce",
+                         "e6894e0e5bcde43a", "5267cfe3d8aed5c9", "cf8fb7ce47b8d4ed",
+                         "0a22a13266b4b1d2", "cf8fb7ce47b8d4ed", "bb9eaa013cb1e5e8"),
+    ("p2", "formula"): ("b1e34495f5038ccb", "b1e34495f5038ccb", "b1e34495f5038ccb",
+                        "b1e34495f5038ccb", "ebd612fc4de8843e", "d0a25047ff78bfb4",
+                        "2ca04bef886be03b", "ee3a123f9ad44ff6", "e1ada00b61a44d3f",
+                        "714d6951cf7c3795", "e1ada00b61a44d3f", "04ad9b67b4d04094"),
+}
+
+
+@pytest.mark.parametrize("proof, level", sorted(PINNED_SIMULATE),
+                         ids=["-".join(key) for key in sorted(PINNED_SIMULATE)])
+def test_simulate_transcripts_are_pinned(proof, level, tmp_path, capsys):
+    path = FIXTURES / f"{proof}.proof"
+    if proof == "long":
+        path = tmp_path / "long.proof"
+        path.write_text(render_proof(long_structural_proof(1)))
+    digests = []
+    for adversary in SIMULATE_ADVERSARIES.get(proof, ("silent", "random", "scripted")):
+        for seed in range(1, 5):
+            assert main(["simulate", str(path), "--level", level, "--adversary", adversary,
+                         "--seed", str(seed)]) == OK
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16])
+    assert tuple(digests) == PINNED_SIMULATE[proof, level]
+
+
 def test_project_bad_coords_is_a_usage_error(capsys):
     assert main(["project", RUNFILE, "--cell", "1", "--coords", "a"]) == USAGE
     captured = capsys.readouterr()
@@ -550,3 +592,17 @@ def test_oversized_random_interpretation_is_a_usage_error(command, monkeypatch, 
     assert captured.out == ""
     assert captured.err == (f"error: random game over {RANDOM_GAME_MAX_NODES:,} positions; "
                             "lower --depth or --branching\n")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_deep_random_interpretation_is_not_a_formula_error(seed, capsys):
+    # The random game grows with an explicit stack: 5,000 levels either play
+    # or stop at the node cap, never as a nesting error.
+    code = main(["simulate", P1, "--depth", "5000", "--branching", "3", "--seed", str(seed)])
+    captured = capsys.readouterr()
+    assert "nested too deeply" not in captured.err
+    if code == USAGE:
+        assert captured.err == (f"error: random game over {RANDOM_GAME_MAX_NODES:,} positions; "
+                                "lower --depth or --branching\n")
+    else:
+        assert code in (OK, FAIL) and captured.err == ""

@@ -15,13 +15,12 @@ from cl15.games import (
     interpret_cirquent,
     interpret_formula,
     parse_finite_game,
-    render_finite_game,
     thread_representatives,
 )
 from cl15.harness import random_finite_game, random_finite_interpretation
 from cl15.runs import BOT, TOP, InfiniteBitstring, Labmove, parse_run
 
-from conftest import C
+from conftest import C, moves_after, render_finite_game
 
 lm = Labmove
 
@@ -38,7 +37,7 @@ def test_parse_finite_game_and_rendering():
     assert not g.legal((lm(BOT, "n"),))
     assert g.won_legal(()) is BOT
     assert g.won_legal((lm(TOP, "m"),)) is TOP
-    assert g.moves_after(()) == [lm(TOP, "m")]
+    assert moves_after(g, ()) == [lm(TOP, "m")]
     assert sorted(g.move_alphabet()) == ["m", "n"]
     text = render_finite_game(g)
     assert parse_finite_game(text).tree == g.tree
@@ -217,4 +216,4 @@ def test_random_finite_game_trees_are_prefix_closed():
         for run in g.tree:
             assert run[: len(run) - 1] in g.tree or run == ()
             assert run in g.labels
-        assert len(g.moves_after(())) >= 1
+        assert len(moves_after(g, ())) >= 1

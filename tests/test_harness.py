@@ -22,7 +22,6 @@ from cl15.harness import (
     random_finite_game,
     random_finite_interpretation,
     random_formula,
-    random_run,
     scripted_adversary,
     separation_demo,
     shortlex_bitstring,
@@ -30,7 +29,7 @@ from cl15.harness import (
 from cl15.runs import BOT, TOP, Labmove
 from cl15.strategy import PureGranter, extract_solution, simulate
 
-from conftest import C, read_fixture
+from conftest import C, random_run, read_fixture
 
 
 # --- oracles -----------------------------------------------------------------

@@ -8,7 +8,18 @@ import zlib
 import pytest
 
 from cl15.cirquent import clubsuit
-from cl15.cl15 import PcostIntro, parse_proof
+from cl15.cl15 import (
+    Merging,
+    OformulaExchange,
+    OvergroupDuplication,
+    OvergroupExchange,
+    PcostIntro,
+    UndergroupDuplication,
+    UndergroupExchange,
+    Weakening,
+    parse_proof,
+    verify_proof,
+)
 from cl15.formula import parse_formula
 from cl15.games import PermissiveGame, interpret_cirquent, interpret_formula, parse_finite_game
 from cl15.runs import BOT, TOP, Labmove, format_cell_move, split_cell_move, split_index_move
@@ -39,7 +50,15 @@ from cl15.strategy import (
     unpair,
 )
 
-from conftest import IDENTITY_CHECKS, RULE_CASES, C, read_fixture, rule_case, transform_strategy
+from conftest import (
+    IDENTITY_CHECKS,
+    RULE_CASES,
+    C,
+    long_structural_proof,
+    read_fixture,
+    rule_case,
+    transform_strategy,
+)
 
 
 def _game_P():
@@ -241,6 +260,27 @@ def test_pcost_translator_folds_added_overgroup_coordinates():
     assert tr.outer_to_inner((1, (1, 0), "7.m")) == (1, (1, 7), "m")
     assert tr.outer_to_inner((1, (1, 0), "x.m")) is None
     assert tr.inner_to_outer((1, (1, 7), "m")) == (1, (1, 0), "7.m")
+
+
+STRUCTURAL_RULES = (OformulaExchange, UndergroupExchange, OvergroupExchange,
+                    UndergroupDuplication, OvergroupDuplication, Merging, Weakening)
+
+
+@pytest.mark.parametrize("name", [case[0] for case in RULE_CASES if case[1] is not None])
+def test_structural_translators_map_addresses_only(name):
+    # A structural translator keeps every payload, and it maps, drops or
+    # absorbs a move by its address alone.
+    premise, conclusion, rule = rule_case(name)
+    tr = make_translator(rule, premise, conclusion)
+    assert tr.structural is isinstance(rule, STRUCTURAL_RULES)
+    rng = random.Random(name)
+    for _ in range(200):
+        address = rng.randint(1, 4), tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 4)))
+        for move_map in (tr.outer_to_inner, tr.inner_to_outer):
+            images = {payload: move_map((*address, payload)) for payload in ("m", "1.m", "2.3.x")}
+            if tr.structural:
+                assert len({None if cell is None else cell[:2] for cell in images.values()}) == 1
+                assert all(cell is None or cell[2] == p for p, cell in images.items())
 
 
 def test_declubsuit_reference_translator_verbatim():
@@ -459,6 +499,30 @@ def test_pipeline_matches_nested_fuel_across_layers(drop_out, seed):
     assert flat_actions[0].count(GRANT) > base_grants
 
 
+@pytest.mark.parametrize("inner_first", [63, 64])
+def test_fuel_is_counted_per_translator_across_a_fused_run(inner_first):
+    # dup_over@1 and dup_over@3 fuse into one layer.  dup_over@1 absorbs a
+    # cell without coordinates, dup_over@3 one whose single coordinate
+    # unpairs to two; an absorption by dup_over@3 refills dup_over@1's fuel.
+    # So 63 + 1 + 63 absorptions let the last cell out in the first turn,
+    # and the 64th absorption in a row by dup_over@1 grants.
+    translators = (make_translator(OvergroupDuplication(1), None, None),
+                   make_translator(OvergroupDuplication(3), None, None),
+                   identity_translator("outer"))
+    script = [(1, (), f"a{k}") for k in range(inner_first)] + [(1, (5,), "b")]
+    script += [(1, (), f"c{k}") for k in range(63)] + [(1, (1, 1), "d")]
+    flat = Pipeline(ScriptMachine(script), translators)
+    assert len(flat._layers) == 2
+    nested = ScriptMachine(script)
+    for tr in translators:
+        nested = _NestedReference(nested, tr)
+    actions, imagined = _drive(flat, [], 3)
+    assert (actions, imagined) == _drive(_TextEdge(nested), [], 3)
+    leave = MakeMove("1;1,1,1,1.d")
+    assert actions == ([leave, GRANT, GRANT] if inner_first == 63 else [GRANT, leave, GRANT])
+    assert imagined == (Labmove(TOP, "1;1,1,1,1.d"),)
+
+
 def test_grant_only_turns_cost_no_layer_walk():
     class Recorder(PureGranter):
         runs = []
@@ -558,16 +622,30 @@ def _random_move(rng):
     return format_cell_move(rng.randint(1, 4), coords, payload)
 
 
-@pytest.mark.parametrize("name", ["p1", "p2"])
-@pytest.mark.parametrize("formula_level", [False, True])
-@pytest.mark.parametrize("seed", range(5))
+# p1 and p2 at both levels, and "long", `long_structural_proof(1)`, whose
+# final cirquent is not a clubsuit, at cirquent level only.
+EXTRACTED_CASES = [(seed, formula_level, name) for name in ("p1", "p2")
+                   for formula_level in (False, True) for seed in range(5)]
+EXTRACTED_CASES += [(seed, False, "long") for seed in range(5)]
+
+
+@pytest.mark.parametrize("seed, formula_level, name", EXTRACTED_CASES)
 def test_extracted_cell_pipeline_matches_text_chain(name, formula_level, seed):
     rng = random.Random(seed)
-    proof = parse_proof(read_fixture(f"{name}.proof"))
+    if name == "long":
+        proof = long_structural_proof(1)
+        assert verify_proof(proof) is None
+    else:
+        proof = parse_proof(read_fixture(f"{name}.proof"))
     strat = extract_solution(proof, formula_level=formula_level)
     env = [_random_move(rng) for _ in range(40)]
     if formula_level:
         env += [f"{rng.randint(1, 3)}.{rng.randint(1, 3)}.m" for _ in range(20)]
+    elif name == "long":
+        # Two overgroups: addresses repeat, so the fused layer's memos hit.
+        assert len(strat._layers) == 2
+        env += [f"{rng.randint(1, 2)};{rng.randint(1, 3)},{rng.randint(1, 3)}.m"
+                for _ in range(20)]
     else:
         env += [f"1;{rng.randint(1, 3)}.{rng.randint(1, 3)}.{rng.randint(1, 3)}.m"
                 for _ in range(20)]
