@@ -323,7 +323,8 @@ def premise_of_pcost(conclusion: Cirquent, a: int, add_over: frozenset[int]) -> 
 # Checking
 
 def axiom_violation(c: Cirquent, formulas: tuple[Formula, ...]) -> Violation | None:
-    """Diagnostic form of check_axiom: None when c is the axiom cirquent."""
+    """None when c is the axiom cirquent on the given formulas: oformulas
+    ~F1, F1, ..., ~Fn, Fn with matched undergroup/overgroup pairs."""
     n = len(formulas)
     if n == 0:
         return Violation("axiom needs at least one formula")
@@ -338,12 +339,6 @@ def axiom_violation(c: Cirquent, formulas: tuple[Formula, ...]) -> Violation | N
             f"not the axiom cirquent for {', '.join(render_formula(f) for f in formulas)}"
         )
     return None
-
-
-def check_axiom(c: Cirquent, formulas: tuple[Formula, ...]) -> bool:
-    """Is c the axiom cirquent on the given formulas: oformulas
-    ~F1, F1, ..., ~Fn, Fn with matched undergroup/overgroup pairs?"""
-    return axiom_violation(c, formulas) is None
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,16 @@ human-as-environment play mode."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import random
 import re
 import sys
 
 from . import cl15 as rules
-from .cirquent import Cirquent, CirquentError, render_cirquent
-from .formula import Formula, FormulaError, atoms, render_formula
+from .cirquent import Cirquent, CirquentError
+from .formula import Formula, FormulaError, atoms
 from .games import (
     Game,
     GameError,
@@ -150,6 +152,20 @@ def _interpret(goal: Formula | Cirquent, interp: Interpretation) -> Game:
     return interpret_formula(goal, interp)
 
 
+def _setup(args, path: str) -> tuple | None:
+    """Load the subject at `path`, extract its strategy (which verifies the
+    proof), then its goal, the goal's text and the interpretation, in that
+    order.  None, after printing the violation, if the proof fails."""
+    proof, formula_level = _load_subject(path, args.level)
+    try:
+        machine = extract_solution(proof, formula_level=formula_level)
+    except ProofViolation as exc:
+        print(f"step {exc.step}: violation: {exc.violation.reason}")
+        return None
+    goal, desc = proof_goal(proof, formula_level)
+    return machine, goal, desc, _build_interp(args, goal)
+
+
 # Subcommands
 
 def cmd_check(args) -> int:
@@ -198,14 +214,10 @@ def _make_adversary(spec: str, game: Game, goal, interp: Interpretation, seed: i
 
 
 def cmd_simulate(args) -> int:
-    proof, formula_level = _load_subject(args.subject, args.level)
-    try:
-        machine = extract_solution(proof, formula_level=formula_level)
-    except ProofViolation as exc:
-        print(f"step {exc.step}: violation: {exc.violation.reason}")
+    setup = _setup(args, args.subject)
+    if setup is None:
         return FAIL
-    goal, desc = proof_goal(proof, formula_level)
-    interp = _build_interp(args, goal)
+    machine, goal, desc, interp = setup
     game = _interpret(goal, interp)
     adversary = _make_adversary(args.adversary, game, goal, interp, args.seed)
     result = simulate(machine, adversary, game, args.budget)
@@ -272,15 +284,17 @@ class _HumanEnv(EnvStrategy):
 def play_session(
     machine: MachineStrategy,
     goal: Formula | Cirquent,
+    desc: str,
     interp: Interpretation,
     budget: int,
     *,
     in_stream=None,
     out_stream=None,
 ) -> int:
-    """Interactive play of `machine` on the goal's game: the human is the
-    environment, prompted at each grant; the position is shown after every
-    labmove and the transcript is printed in run format at the end."""
+    """Interactive play of `machine` on the game of the goal, whose text is
+    `desc`: the human is the environment, prompted at each grant; the
+    position is shown after every labmove and the transcript is printed in
+    run format at the end."""
     out_stream = out_stream if out_stream is not None else sys.stdout
 
     def say(msg: str) -> None:
@@ -289,7 +303,6 @@ def play_session(
     position = _interpret(goal, interp).start()
     env = _HumanEnv(in_stream if in_stream is not None else sys.stdin, say)
     events = play(machine.spawn(), env, position, budget)
-    desc = render_cirquent(goal) if isinstance(goal, Cirquent) else render_formula(goal)
     say(f"playing: {desc}")
     say("you are the environment (B); at each grant enter a move, 'pass', or 'quit'")
     run: list[Labmove] = []
@@ -316,15 +329,10 @@ def play_session(
 
 
 def cmd_play(args) -> int:
-    proof, formula_level = _load_subject(args.proof, args.level)
-    goal, _ = proof_goal(proof, formula_level)
-    interp = _build_interp(args, goal)
-    try:
-        machine = extract_solution(proof, formula_level=formula_level)
-    except ProofViolation as exc:
-        print(f"step {exc.step}: violation: {exc.violation.reason}")
+    setup = _setup(args, args.proof)
+    if setup is None:
         return FAIL
-    return play_session(machine, goal, interp, args.budget)
+    return play_session(*setup, args.budget)
 
 
 # Argument parsing and dispatch
@@ -399,14 +407,36 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+class _Stdout:
+    """Standard output that drops what is written once its reader has
+    closed the pipe, so that a command cut short keeps its own verdict."""
+
+    def __init__(self, stream):
+        self.stream, self.reader_gone = stream, False
+
+    def write(self, text: str) -> None:
+        self._call(self.stream.write, text)
+
+    def flush(self) -> None:
+        self._call(self.stream.flush)
+
+    def _call(self, method, *args) -> None:
+        if not self.reader_gone:
+            try:
+                method(*args)
+            except BrokenPipeError:
+                self.reader_gone = True
+
+
 def main(argv=None) -> int:
+    stdout = sys.stdout
+    sys.stdout = guard = _Stdout(stdout)
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
+        return _DISPATCH[args.command](args)
+    except SystemExit as exc:  # from the parser: help, or a usage error
         code = exc.code
         return code if isinstance(code, int) else USAGE
-    try:
-        return _DISPATCH[args.command](args)
     except (FormulaError, RunError, CirquentError, GameError,
             rules.ProofError, StrategyError, HarnessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -415,6 +445,14 @@ def main(argv=None) -> int:
         # Comparing, negating and rendering formulas recurse once per level.
         print("error: formula nested too deeply", file=sys.stderr)
         return USAGE
+    finally:
+        sys.stdout = stdout
+        guard.flush()
+        if guard.reader_gone:
+            # What is left in the buffer then goes to the null device at exit.
+            with contextlib.suppress(AttributeError, OSError):
+                fd = stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
 
 
 if __name__ == "__main__":

@@ -133,10 +133,6 @@ class Game:
         """Total winner function; applies the offender rule to illegal runs."""
         return self.replay(run).winner()
 
-    def won_legal(self, run: Run) -> Player:
-        """Winner of a run assumed legal; there it equals `winner(run)`."""
-        return self.winner(run)
-
 
 Interpretation = dict[str, Game]
 

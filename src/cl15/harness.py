@@ -125,9 +125,9 @@ def _oracle_legal_formula(f: Formula, interp: Interpretation, run: Run) -> bool:
 def _oracle_won_formula(f: Formula, interp: Interpretation, run: Run) -> Player:
     """Winner of a run assumed legal, by explicit enumeration."""
     if isinstance(f, AtomRef):
-        return interp[f.name].won_legal(run)
+        return interp[f.name].winner(run)
     if isinstance(f, NegAtom):
-        return interp[f.name].won_legal(_flip(run)).opponent
+        return interp[f.name].winner(_flip(run)).opponent
     if isinstance(f, (And, Or)):
         lw = _oracle_won_formula(f.left, interp, _keep_tail(run, lambda h: h == "1"))
         rw = _oracle_won_formula(f.right, interp, _keep_tail(run, lambda h: h == "2"))
@@ -408,11 +408,15 @@ def move_builder(structure: Subject, interp: Interpretation) -> Callable[[Choose
 
 class StructuredAdversary(EnvStrategy):
     """Builds structure-shaped candidate moves, keeps only ones legal in the
-    current position (up to `retries` attempts per grant), and quiesces after
-    `max_moves` moves or `max_grants` grants.  One game position follows the
+    current position (up to `RETRIES` attempts per grant), and quiesces after
+    `MAX_MOVES` moves or `MAX_GRANTS` grants.  One game position follows the
     play: each grant extends it with the labmoves of the run it has not seen,
     then probes candidates with `Position.allows`, so the runs a spawned
     adversary is shown must each extend the one before."""
+
+    MAX_MOVES = 6
+    MAX_GRANTS = 30
+    RETRIES = 8
 
     def __init__(
         self,
@@ -420,17 +424,11 @@ class StructuredAdversary(EnvStrategy):
         builder: Callable[[Choose], str],
         make_chooser: Callable[[], Choose],
         name: str = "structured",
-        max_moves: int = 6,
-        max_grants: int = 30,
-        retries: int = 8,
     ):
         self.game = game
         self.builder = builder
         self.make_chooser = make_chooser
         self.name = name
-        self.max_moves = max_moves
-        self.max_grants = max_grants
-        self.retries = retries
         self._choose = make_chooser()
         self._moves = 0
         self._grants = 0
@@ -438,24 +436,16 @@ class StructuredAdversary(EnvStrategy):
         self._seen = 0
 
     def spawn(self) -> "StructuredAdversary":
-        return StructuredAdversary(
-            self.game,
-            self.builder,
-            self.make_chooser,
-            self.name,
-            self.max_moves,
-            self.max_grants,
-            self.retries,
-        )
+        return StructuredAdversary(self.game, self.builder, self.make_chooser, self.name)
 
     def on_grant(self, run: Sequence[Labmove]) -> str | None:
         self._grants += 1
-        if self._moves >= self.max_moves or self._grants > self.max_grants:
+        if self._moves >= self.MAX_MOVES or self._grants > self.MAX_GRANTS:
             return None
         for lm in run[self._seen:]:
             self._position.extend(lm)
         self._seen = len(run)
-        for _ in range(self.retries):
+        for _ in range(self.RETRIES):
             candidate = self.builder(self._choose)
             if self._position.allows(Labmove(BOT, candidate)):
                 self._moves += 1
@@ -485,26 +475,24 @@ class ScriptMachine(MachineStrategy):
 
 
 def random_adversary(
-    game: Game, structure: Subject, interp: Interpretation, seed: int, **kwargs
+    game: Game, structure: Subject, interp: Interpretation, seed: int
 ) -> StructuredAdversary:
     return StructuredAdversary(
         game,
         move_builder(structure, interp),
         lambda: rng_chooser(random.Random(seed)),
         name="random",
-        **kwargs,
     )
 
 
 def scripted_adversary(
-    game: Game, structure: Subject, interp: Interpretation, script, **kwargs
+    game: Game, structure: Subject, interp: Interpretation, script
 ) -> StructuredAdversary:
     return StructuredAdversary(
         game,
         move_builder(structure, interp),
         lambda: cycle_chooser(tuple(script)),
         name="scripted",
-        **kwargs,
     )
 
 

@@ -40,9 +40,6 @@ class Labmove:
 
 Run = tuple[Labmove, ...]
 
-def labmove(player: Player, move: str) -> Labmove:
-    return Labmove(player, move)
-
 
 def parse_run(text: str) -> Run:
     """Parse run text: one `T <move>` or `B <move>` per line, `#` comments."""

@@ -6,18 +6,18 @@ an action, and `spawn()` yields a fresh instance for a new play.  `play`
 alternates machine turns with grants to the environment; `simulate`, the
 interactive `cl15 play` and the separation demo all run through it.  Each rule
 application has a translator that turns a strategy for its premise into
-one for its conclusion by translating moves both ways and keeping an
-imagined inner run.  An extracted strategy is one flat `Pipeline`: the
-axiom strategy and a tuple of translators, one layer per proof step.
+one for its conclusion by translating moves both ways.  An extracted
+strategy is one flat `Pipeline`: the axiom strategy and a tuple of
+translators, one per proof step, and outermost the edge.
 
 Inside a pipeline a move has one form, the split cell move
-`(oformula, coords, payload)`: the axiom strategy and every translator map
-cell moves only.  Move text is handled only at the pipeline's edge, which
-sees each move of the real run once.  At cirquent level the edge splits an
+`(oformula, coords, payload)`: the axiom strategy and every rule translator
+map cell moves only.  The edge is the one translator that maps move texts,
+and it sees each move of the real run once.  `CIRQUENT_EDGE` splits an
 environment move, dropping a text that is not a cell move, and formats a
-machine move.  At formula level the game is copy 1 of the proof's final
+machine move.  `FORMULA_EDGE` plays copy 1 of the proof's final
 clubsuit(F): a move `m` enters as `(1, (1,), m)`, a machine move
-`(1, (1,), rest)` leaves as `rest`, and any other is absorbed at the edge.
+`(1, (1,), rest)` leaves as `rest`, and it absorbs any other.
 
 The structural rules (exchanges, duplications, merging, weakening) only
 rename oformulas and coordinates.  Their translators are marked
@@ -63,11 +63,12 @@ class ProofViolation(StrategyError):
 # Actions
 
 Cell = tuple[int, tuple[int, ...], str]
+Move = str | Cell
 
 
 @dataclass(frozen=True)
 class MakeMove:
-    move: str | Cell
+    move: Move
 
 
 @dataclass(frozen=True)
@@ -271,18 +272,30 @@ class AxiomStrategy(MachineStrategy):
 @dataclass(frozen=True)
 class Translator:
     """Move maps between an outer (conclusion) play and an imagined inner
-    (premise) play, on split cell moves.  `outer_to_inner` translates
-    environment moves inward (None drops the move); `inner_to_outer`
-    translates the inner machine's moves outward (None absorbs the move
-    into the imagined run only).  A `structural` translator's maps read and
-    change only a move's oformula and coordinates and keep its payload, so
-    whether it drops or absorbs a move depends on those alone; only the
-    factories below set it."""
+    (premise) play.  `outer_to_inner` translates environment moves inward
+    (None drops the move); `inner_to_outer` translates the inner machine's
+    moves outward (None absorbs the move into the imagined run only).  Both
+    map split cell moves, except at the edge, the one translator that maps
+    move texts: outside it the moves are the real run's.  A `structural`
+    translator's maps read and change only a move's oformula and
+    coordinates and keep its payload, so whether it drops or absorbs a move
+    depends on those alone; only the factories below set it."""
 
     name: str
-    outer_to_inner: Callable[[Cell], Cell | None]
-    inner_to_outer: Callable[[Cell], Cell | None]
+    outer_to_inner: Callable[[Move], Move | None]
+    inner_to_outer: Callable[[Cell], Move | None]
     structural: bool = False
+
+
+def _formula_leave(cell: Cell) -> str | None:
+    a, coords, rest = cell
+    return rest if a == 1 and coords == (1,) else None
+
+
+# The edges, outermost in an extracted pipeline: real moves are texts.
+CIRQUENT_EDGE = Translator("cirquent_edge", split_cell_move,
+                           lambda cell: format_cell_move(*cell))
+FORMULA_EDGE = Translator("formula_edge", lambda move: (1, (1,), move), _formula_leave)
 
 
 class _FusedRun:
@@ -337,20 +350,18 @@ class _FusedRun:
 
 # A pipeline layer: the index of its innermost translator, its two maps, and
 # for a fused run the `absorber` that names the member absorbing a move.
-_Layer = tuple[int, Callable[[Cell], Cell | None], Callable[[Cell], Cell | None],
+_Layer = tuple[int, Callable[[Move], Move | None], Callable[[Cell], Move | None],
               Callable[[Cell], int] | None]
 
 
 def _layers(translators: tuple[Translator, ...]) -> tuple[_Layer, ...]:
     """One layer per translator, innermost first, except that each maximal
-    run of two or more adjacent structural translators below the outermost
-    is one `_FusedRun`.  The outermost stays alone: the run inside it is
-    the pipeline's imagined run."""
+    run of two or more adjacent structural translators is one `_FusedRun`."""
     layers: list[_Layer] = []
     i, top = 0, len(translators)
     while i < top:
         j = i
-        while j < top - 1 and translators[j].structural:
+        while j < top and translators[j].structural:
             j += 1
         if j - i >= 2:
             run = _FusedRun(translators, i, j)
@@ -364,31 +375,27 @@ def _layers(translators: tuple[Translator, ...]) -> tuple[_Layer, ...]:
 
 
 class Pipeline(MachineStrategy):
-    """A base strategy seen through translators, innermost first, inside
-    the edge that the module docstring describes.  A turn first passes each
-    new environment move of the real run through the edge and then inward
-    through `outer_to_inner`, outermost first, until a layer drops it.  Then
-    the base's moves climb out through `inner_to_outer` and the edge.  A
-    translator that absorbs a move asks again, up to `_FUEL` asks since a
-    translator outside it last asked, and then grants; the edge counts as a
-    layer outside every translator.  Grants and idling go straight out.
+    """A base strategy seen through translators, innermost first; in an
+    extracted strategy the outermost is the edge.  A turn first passes each
+    new environment move of the real run inward through `outer_to_inner`,
+    outermost first, until a layer drops it.  Then the base's moves climb
+    out through `inner_to_outer`.  A translator that absorbs a move asks
+    again, up to `_FUEL` asks since a translator outside it last asked, and
+    then grants.  Grants and idling go straight out.
 
-    Each run of two or more adjacent structural translators below the
-    outermost is crossed as one layer (`_FusedRun`), which memoizes where a
-    move's address ends up; fuel is still counted per translator of the
-    run.  The layers are built once, here, and a spawn shares them and
-    their memos, which depend only on the address.  So a turn costs one
-    call per layer its moves cross (the base is shown its run list, not a
-    copy), and `spawn()` is O(1): only the base's run and the one inside
-    the outermost translator are kept.  Nothing recurses."""
+    Each run of two or more adjacent structural translators is crossed as
+    one layer (`_FusedRun`), which memoizes where a move's address ends up;
+    fuel is still counted per translator of the run.  The layers are built
+    once, here, and a spawn shares them and their memos, which depend only
+    on the address.  So a turn costs one call per layer its moves cross (the
+    base is shown its run list, not a copy), and `spawn()` is O(1): only the
+    base's run is kept.  Nothing recurses."""
 
     _FUEL = 64
 
-    def __init__(self, base: MachineStrategy, translators: tuple[Translator, ...],
-                 formula_level: bool = False):
+    def __init__(self, base: MachineStrategy, translators: tuple[Translator, ...]):
         self.base = base
         self.translators = translators
-        self.formula_level = formula_level
         self._layers = _layers(translators)
         self._start()
 
@@ -396,8 +403,7 @@ class Pipeline(MachineStrategy):
         # Set in __init__'s order: the instance then shares its attribute
         # layout with constructed ones, and attribute reads stay fast.
         fresh = Pipeline.__new__(Pipeline)
-        fresh.base, fresh.translators = self.base, self.translators
-        fresh.formula_level, fresh._layers = self.formula_level, self._layers
+        fresh.base, fresh.translators, fresh._layers = self.base, self.translators, self._layers
         fresh._start()
         return fresh
 
@@ -406,37 +412,16 @@ class Pipeline(MachineStrategy):
         self._base_step = 0
         self._cursor = 0
         self._base_run: list[Labmove] = []
-        self._top_run: list[Labmove] = []
-
-    @property
-    def imagined_run(self) -> Run:
-        """The imagined run inside the outermost translator, as texts."""
-        inner = self._top_run if self.translators else self._base_run
-        return tuple(Labmove(lm.player, format_cell_move(*lm.move)) for lm in inner)
-
-    def _leave(self, cell: Cell) -> str | None:
-        """The real move for a cell leaving the outermost layer, or None
-        when the edge absorbs it."""
-        if not self.formula_level:
-            return format_cell_move(*cell)
-        a, coords, rest = cell
-        return rest if a == 1 and coords == (1,) else None
 
     def next(self, run: Sequence[Labmove], step: int) -> Action:
         layers = self._layers
-        top = len(self.translators)  # the edge's layer
-        last = top - 1  # the outermost translator, always a layer of its own
         for lm in run[self._cursor:]:
             if lm.player is BOT:
-                move = (1, (1,), lm.move) if self.formula_level else split_cell_move(lm.move)
-                if move is None:
-                    continue
-                for index, outer_to_inner, _, _ in reversed(layers):
+                move = lm.move
+                for _, outer_to_inner, _, _ in reversed(layers):
                     move = outer_to_inner(move)
                     if move is None:
                         break
-                    if index == last:
-                        self._top_run.append(Labmove(BOT, move))
                 else:
                     self._base_run.append(Labmove(BOT, move))
         self._cursor = len(run)
@@ -446,22 +431,17 @@ class Pipeline(MachineStrategy):
             action = self._base.next(self._base_run, self._base_step)
             if not isinstance(action, MakeMove):
                 return GRANT if isinstance(action, GrantPermission) else IDLE
-            # The move climbs until a layer absorbs it or it leaves the edge.
+            # The move climbs until a layer absorbs it or it leaves.
             move = action.move
             self._base_run.append(Labmove(TOP, move))
             for index, _, inner_to_outer, absorber in layers:
-                if index == last:
-                    self._top_run.append(Labmove(TOP, move))
                 out = inner_to_outer(move)
                 if out is None:
                     i = index if absorber is None else absorber(move)
                     break
                 move = out
             else:
-                text = self._leave(move)
-                if text is not None:
-                    return MakeMove(text)
-                i = top
+                return MakeMove(move)
             while asks and asks[-1][0] < i:
                 asks.pop()
             if not asks or asks[-1][0] != i:
@@ -796,10 +776,10 @@ def proof_goal(proof: rules.Proof, formula_level: bool) -> tuple[Formula | Cirqu
 
 def extract_solution(proof: rules.Proof, formula_level: bool = False) -> MachineStrategy:
     """Verify the proof, then run the axiom strategy through one translator
-    per rule application.  With formula_level=True (final cirquent must be
-    a one-oformula clubsuit(F)), return the strategy for the bare formula
-    game F: the pipeline's edge plays copy 1 of clubsuit(F).  Raises
-    ProofViolation if the proof does not verify."""
+    per rule application and the edge.  With formula_level=True (final
+    cirquent must be a one-oformula clubsuit(F)), return the strategy for
+    the bare formula game F: `FORMULA_EDGE` plays copy 1 of clubsuit(F).
+    Raises ProofViolation if the proof does not verify."""
     report = rules.verify_proof(proof)
     if report is not None:
         raise ProofViolation(*report)
@@ -812,4 +792,5 @@ def extract_solution(proof: rules.Proof, formula_level: bool = False) -> Machine
     )
     if formula_level:
         proof_goal(proof, formula_level)
-    return Pipeline(AxiomStrategy(len(axiom_rule.formulas)), translators, formula_level)
+    edge = FORMULA_EDGE if formula_level else CIRQUENT_EDGE
+    return Pipeline(AxiomStrategy(len(axiom_rule.formulas)), translators + (edge,))

@@ -14,10 +14,13 @@ from cl15.games import FiniteGame, PermissiveGame
 from cl15.harness import ScriptMachine, move_builder, rng_chooser
 from cl15.runs import BOT, TOP, Labmove, Run, format_cell_move, project_cell, project_prefix
 from cl15.strategy import (
+    CIRQUENT_EDGE,
+    FORMULA_EDGE,
     MachineStrategy,
     Pipeline,
     ScriptEnv,
     StrategyError,
+    Translator,
     make_translator,
     pair,
     play,
@@ -270,19 +273,45 @@ def single_corruptions(premise, conclusion, rule):
     return out
 
 
-def transform_strategy(rule, premise, conclusion, inner: MachineStrategy) -> MachineStrategy:
+def recording(translator: Translator, log: list[Labmove]) -> Translator:
+    """`translator`, logging the imagined run inside it: each environment
+    move it lets in and each machine move that reaches it, as labmoves of
+    split cell moves.  Not structural, so a pipeline never fuses it."""
+
+    def outer_to_inner(move):
+        inner = translator.outer_to_inner(move)
+        if inner is not None:
+            log.append(Labmove(BOT, inner))
+        return inner
+
+    def inner_to_outer(cell):
+        log.append(Labmove(TOP, cell))
+        return translator.inner_to_outer(cell)
+
+    return Translator(translator.name, outer_to_inner, inner_to_outer)
+
+
+def as_texts(log: list[Labmove]) -> Run:
+    """A recorded run of split cell moves as a run of move texts."""
+    return tuple(Labmove(lm.player, format_cell_move(*lm.move)) for lm in log)
+
+
+def transform_strategy(rule, premise, conclusion, inner: MachineStrategy,
+                       log: list[Labmove] | None = None) -> MachineStrategy:
     """Check the rule application, then extend a cell-form strategy for the
-    premise game by its translator into one for the conclusion game."""
+    premise game by its translator, inside the cirquent edge, into one for
+    the conclusion game; with a `log`, the translator records into it."""
     if rules.check_step(premise, conclusion, rule) is not None:
         raise StrategyError("rule application does not check")
-    return Pipeline(inner, (make_translator(rule, premise, conclusion),))
+    tr = make_translator(rule, premise, conclusion)
+    return Pipeline(inner, (tr if log is None else recording(tr, log), CIRQUENT_EDGE))
 
 
 # A generated proof in the shape of the long-play benchmark's: p1's axiom, a
 # dup_over for a second overgroup and a dup_under, then seeded exchanges and
 # dup_over/merging pairs, which leave the cirquent as it was.  Every step
-# after the axiom is structural, so an extracted pipeline fuses all its
-# layers but the outermost into one.
+# after the axiom is structural, so an extracted pipeline fuses all its rule
+# translators into one layer, inside the edge.
 
 def _structural_conclusion(c: Cirquent, rule) -> Cirquent:
     of, un, ov = list(c.oformulas), list(c.undergroups), list(c.overgroups)
@@ -353,12 +382,12 @@ def interleave(moves, rng):
     return out
 
 
-def play_translated(strategy, env_moves, budget):
+def play_translated(strategy, log, env_moves, budget):
     """Play a translated strategy where every move is legal, one scripted
-    environment move per grant; returns the real run and the imagined one."""
-    m = strategy.spawn()
-    events = play(m, ScriptEnv(env_moves), PermissiveGame().start(), budget)
-    return tuple(lm for _, _, lm in events if lm is not None), m.imagined_run
+    environment move per grant; returns the real run and the imagined one
+    that the strategy records into `log`, as texts."""
+    events = play(strategy.spawn(), ScriptEnv(env_moves), PermissiveGame().start(), budget)
+    return tuple(lm for _, _, lm in events if lm is not None), as_texts(log)
 
 
 def play_instance(rule, prem, concl, seed, prem_payload=None, concl_payload=None,
@@ -366,8 +395,9 @@ def play_instance(rule, prem, concl, seed, prem_payload=None, concl_payload=None
     rng = random.Random(seed)
     env = [format_cell_move(*cell) for cell in shaped_moves(concl, rng, n_moves, concl_payload)]
     mach = interleave(shaped_moves(prem, rng, n_moves, prem_payload), rng)
-    strat = transform_strategy(rule, prem, concl, ScriptMachine(mach))
-    real, imag = play_translated(strat, env, budget=80)
+    log = []
+    strat = transform_strategy(rule, prem, concl, ScriptMachine(mach), log)
+    real, imag = play_translated(strat, log, env, budget=80)
     assert len(real) >= n_moves
     return real, imag
 
@@ -529,8 +559,9 @@ def check_formula_edge_identity(seed):
     mach = interleave([(rng.randint(1, 2), (rng.randint(1, 3),), rng.choice(("m", "n")))
                        for _ in range(16)], rng)
     env = [rng.choice(("m", "n", "1.m")) for _ in range(8)]
-    strat = Pipeline(ScriptMachine(mach), (), formula_level=True)
-    real, imag = play_translated(strat, env, budget=80)
+    log = []
+    strat = Pipeline(ScriptMachine(mach), (recording(FORMULA_EDGE, log),))
+    real, imag = play_translated(strat, log, env, budget=80)
     assert len(real) >= 8
     assert real == project_cell(imag, 1, (1,))
 

@@ -12,7 +12,6 @@ from cl15.cl15 import (
     ProofError,
     ProofStep,
     axiom_violation,
-    check_axiom,
     check_step,
     parse_proof,
     render_proof,
@@ -81,10 +80,10 @@ def test_check_step_verdicts_are_pinned():
 
 def test_check_axiom_shape():
     p = (parse_formula("P"),)
-    assert check_axiom(C("oformulas: ~P | P ; under: {1,2} ; over: {1,2}"), p)
-    assert not check_axiom(C("oformulas: P | ~P ; under: {1,2} ; over: {1,2}"), p)
-    assert not check_axiom(C("oformulas: ~P | P ; under: {1}{2} ; over: {1,2}"), p)
-    assert not check_axiom(C("oformulas: ~P | P ; under: {1,2} ; over: {1}{2}"), p)
+    assert axiom_violation(C("oformulas: ~P | P ; under: {1,2} ; over: {1,2}"), p) is None
+    assert axiom_violation(C("oformulas: P | ~P ; under: {1,2} ; over: {1,2}"), p) is not None
+    assert axiom_violation(C("oformulas: ~P | P ; under: {1}{2} ; over: {1,2}"), p) is not None
+    assert axiom_violation(C("oformulas: ~P | P ; under: {1,2} ; over: {1}{2}"), p) is not None
     assert axiom_violation(C("oformulas: ~P | P ; under: {1,2} ; over: {1,2}"), ()) is not None
     v = axiom_violation(C("oformulas: P ; under: {1} ; over: {1}"), p)
     assert "not the axiom cirquent for P" in str(v)

@@ -59,6 +59,47 @@ def test_check_missing_file(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+class _ClosedPipe:
+    """A stdout whose reader has closed the pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+CLOSED_STDOUT_CASES = [
+    (["simulate", P2, "--interp", INTERP, "--budget", "2000"], OK),
+    (["check", BROKEN], FAIL),
+    (["--help"], OK),
+]
+CLOSED_STDOUT_IDS = ["simulate", "check-broken", "help"]
+
+
+@pytest.mark.parametrize("argv, verdict", CLOSED_STDOUT_CASES, ids=CLOSED_STDOUT_IDS)
+def test_a_closed_stdout_keeps_the_verdict(argv, verdict, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert main(argv) == verdict
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, verdict", CLOSED_STDOUT_CASES, ids=CLOSED_STDOUT_IDS)
+def test_a_closed_stdout_pipe_keeps_the_verdict_in_a_process(argv, verdict):
+    # Buffered output that cannot be written is dropped, also at exit.
+    src = str(Path(cl15.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "cl15.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env={**env, "PYTHONPATH": src},
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (verdict, "")
+
+
 def test_usage_errors():
     assert main([]) == USAGE
     assert main(["frobnicate"]) == USAGE
@@ -223,7 +264,7 @@ def test_demo_separation_copycat_machine_runs(capsys):
 def test_parse_interpretation_happy_path():
     interp = parse_interpretation(read_fixture("interp.txt"))
     assert set(interp) == {"P"}
-    assert interp["P"].won_legal(()).value == "B"
+    assert interp["P"].winner(()).value == "B"
 
 
 @pytest.mark.parametrize(
@@ -288,11 +329,11 @@ def test_bad_strategy_file_header(tmp_path, capsys):
 
 def _play(user_input, machine=None):
     proof = parse_proof(read_fixture("p1.proof"))
-    goal, _ = proof_goal(proof, False)
+    goal, desc = proof_goal(proof, False)
     interp = parse_interpretation(read_fixture("interp.txt"))
     out = io.StringIO()
     code = play_session(
-        machine or extract_solution(proof), goal, interp, 30,
+        machine or extract_solution(proof), goal, desc, interp, 30,
         in_stream=io.StringIO(user_input), out_stream=out,
     )
     return code, out.getvalue()
@@ -342,6 +383,14 @@ def test_play_broken_proof(monkeypatch, capsys):
     assert main(["play", BROKEN, "--interp", INTERP, "--budget", "10"]) == FAIL
     assert capsys.readouterr().out == (
         "step 2: violation: premise does not split the disjunction as required\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "play"])
+def test_the_proof_is_verified_before_the_interpretation_is_read(command, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main([command, BROKEN, "--interp", "/nonexistent/x.txt"]) == FAIL
+    assert capsys.readouterr() == (
+        "step 2: violation: premise does not split the disjunction as required\n", "")
 
 
 @pytest.mark.parametrize("command", ["simulate", "play"])

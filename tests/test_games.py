@@ -35,8 +35,8 @@ def test_parse_finite_game_and_rendering():
     )
     assert g.legal(()) and g.legal((lm(TOP, "m"),))
     assert not g.legal((lm(BOT, "n"),))
-    assert g.won_legal(()) is BOT
-    assert g.won_legal((lm(TOP, "m"),)) is TOP
+    assert g.winner(()) is BOT
+    assert g.winner((lm(TOP, "m"),)) is TOP
     assert moves_after(g, ()) == [lm(TOP, "m")]
     assert sorted(g.move_alphabet()) == ["m", "n"]
     text = render_finite_game(g)
@@ -88,8 +88,8 @@ def test_negation_flips_roles_and_winner():
     n = NegGame(g)
     assert n.legal((lm(BOT, "m"),))
     assert not n.legal((lm(TOP, "m"),))
-    assert n.won_legal(()) is TOP
-    assert n.won_legal((lm(BOT, "m"),)) is BOT
+    assert n.winner(()) is TOP
+    assert n.winner((lm(BOT, "m"),)) is BOT
 
 
 def test_or_and_winners_on_component_runs():
@@ -185,7 +185,7 @@ def test_cirquent_winner_quantifies_groups_and_coordinates():
     # Disconnected pair: each oformula alone in its undergroup.
     c2 = C("oformulas: ~P | P ; under: {1}{2} ; over: {1,2}")
     g2 = interpret_cirquent(c2, interp)
-    empty_label = interp["P"].won_legal(())
+    empty_label = interp["P"].winner(())
     # One of ~P, P is lost on the empty run, so some undergroup fails.
     assert g2.winner(()) is BOT
     assert empty_label in (TOP, BOT)
@@ -194,13 +194,13 @@ def test_cirquent_winner_quantifies_groups_and_coordinates():
 def test_permissive_and_enumeration_games():
     p = PermissiveGame()
     assert p.legal(parse_run("T what_ever"))
-    assert p.won_legal(()) is TOP
+    assert p.winner(()) is TOP
     e = EnumerationGame(lambda run: len(run) % 2 == 1)
     assert e.legal(parse_run("T 12\nB 3"))
     assert not e.legal(parse_run("T 012"))
     assert not e.legal(parse_run("T x"))
-    assert e.won_legal(parse_run("T 1")) is BOT
-    assert e.won_legal(parse_run("T 1\nB 2")) is TOP
+    assert e.winner(parse_run("T 1")) is BOT
+    assert e.winner(parse_run("T 1\nB 2")) is TOP
 
 
 def test_interpret_formula_requires_every_atom():

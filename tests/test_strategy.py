@@ -25,6 +25,8 @@ from cl15.games import PermissiveGame, interpret_cirquent, interpret_formula, pa
 from cl15.runs import BOT, TOP, Labmove, format_cell_move, split_cell_move, split_index_move
 from cl15.harness import ScriptMachine
 from cl15.strategy import (
+    CIRQUENT_EDGE,
+    FORMULA_EDGE,
     GRANT,
     IDLE,
     AxiomStrategy,
@@ -54,8 +56,10 @@ from conftest import (
     IDENTITY_CHECKS,
     RULE_CASES,
     C,
+    as_texts,
     long_structural_proof,
     read_fixture,
+    recording,
     rule_case,
     transform_strategy,
 )
@@ -166,7 +170,7 @@ def _feed(strategy, env_moves):
 
 def _mirror(n):
     """The axiom strategy behind the cirquent edge, which splits and formats."""
-    return Pipeline(AxiomStrategy(n), ())
+    return Pipeline(AxiomStrategy(n), (CIRQUENT_EDGE,))
 
 
 def test_axiom_strategy_mirrors_between_partners():
@@ -206,10 +210,11 @@ def test_pipeline_hands_the_base_cell_moves(layers):
             runs.append(tuple(run))
             return super().next(run, step)
 
-    strat = Pipeline(Recording(1), (identity_translator("id"),) * layers).spawn()
+    imagined = []
+    strat = _recorded(Recording(1), (identity_translator("id"),) * layers, imagined).spawn()
     assert strat.next((Labmove(BOT, "1;1.m"),), 1) == MakeMove("2;1.m")
     assert runs[0] == (Labmove(BOT, (1, (1,), "m")),)
-    assert strat.imagined_run == (Labmove(BOT, "1;1.m"), Labmove(TOP, "2;1.m"))
+    assert as_texts(imagined) == (Labmove(BOT, "1;1.m"), Labmove(TOP, "2;1.m"))
 
 
 # --- pairing arithmetic ------------------------------------------------------
@@ -312,7 +317,7 @@ def test_run_correspondence_identity(label):
 def test_formula_edge_enters_and_leaves_copy_1_only():
     log = []
     script = [(2, (1,), "a"), (1, (2,), "b"), (1, (0,), "c"), (1, (1,), "d")]
-    strat = Pipeline(_LoggingScript(script, log), (), formula_level=True).spawn()
+    strat = Pipeline(_LoggingScript(script, log), (FORMULA_EDGE,)).spawn()
     assert strat.next((Labmove(BOT, "7.m"),), 1) == MakeMove("d")
     assert [run for run, _ in log] == [(Labmove(BOT, (1, (1,), "7.m")),) + tuple(
         Labmove(TOP, cell) for cell in script[:k]) for k in range(4)]
@@ -321,12 +326,13 @@ def test_formula_edge_enters_and_leaves_copy_1_only():
 def test_fuel_caps_absorbed_moves_per_turn():
     # The formula edge absorbs every machine move outside copy 1.
     machine = ScriptMachine([(1, (2,), f"m{k}") for k in range(100)])
-    strat = Pipeline(machine, (), formula_level=True).spawn()
+    imagined = []
+    strat = Pipeline(machine, (recording(FORMULA_EDGE, imagined),)).spawn()
     assert strat.next((), 1) == GRANT
-    assert len(strat.imagined_run) == 64
+    assert len(imagined) == 64
     assert strat.next((), 2) == GRANT
-    assert len(strat.imagined_run) == 100
-    assert all(lm.player is TOP for lm in strat.imagined_run)
+    assert len(imagined) == 100
+    assert all(lm.player is TOP for lm in imagined)
 
 
 class _NestedReference(MachineStrategy):
@@ -433,12 +439,24 @@ class _TextEdge(_NestedReference):
                      for lm in self._inner.imagined_run)
 
 
-def _drive(strategy, env_moves, budget, unwrap=0):
+def _recorded(base, translators, log, edge=CIRQUENT_EDGE):
+    """`base` through `translators` and the edge, recording into `log` the
+    imagined run inside the outermost translator, or with none inside the
+    edge: the run a nested reference keeps."""
+    chain = (*translators, edge)
+    k = max(len(translators) - 1, 0)
+    return Pipeline(base, chain[:k] + (recording(chain[k], log),) + chain[k + 1:])
+
+
+def _drive(strategy, env_moves, budget, unwrap=0, log=None):
     """The actions of a play against scripted environment moves, and the
-    imagined run of the strategy played, `unwrap` nested layers in."""
+    imagined run: the one recorded into `log`, as texts, or else that of
+    the strategy played, `unwrap` nested layers in."""
     m = strategy.spawn()
     events = play(m, ScriptEnv(env_moves), PermissiveGame().start(), budget)
     actions = [action for _, action, _ in events]
+    if log is not None:
+        return actions, as_texts(log)
     for _ in range(unwrap):
         m = m._inner
     return actions, m.imagined_run
@@ -455,12 +473,12 @@ def test_pipeline_matches_nested_translation(seed):
     script = [rng.choice((None, "idle", (1, (), f"m{i}"))) if rng.random() < 0.2
               else (1, (), f"m{i}") for i in range(rng.randint(0, 300))]
     env = [f"1;{i}.e" for i in range(rng.randint(0, 20))]
-    flat_log, nested_log = [], []
-    flat = Pipeline(_LoggingScript(script, flat_log), tuple(translators))
+    flat_log, nested_log, imagined = [], [], []
+    flat = _recorded(_LoggingScript(script, flat_log), tuple(translators), imagined)
     nested = _LoggingScript(script, nested_log)
     for tr in translators:
         nested = _NestedReference(nested, tr)
-    assert _drive(flat, env, 80) == _drive(_TextEdge(nested), env, 80)
+    assert _drive(flat, env, 80, log=imagined) == _drive(_TextEdge(nested), env, 80)
     assert flat_log == nested_log
 
 
@@ -486,12 +504,12 @@ def test_pipeline_matches_nested_fuel_across_layers(drop_out, seed):
         script += [cell] * rng.randint(1, 90)
     script = script[:300]
     env = [f"1;{i}.e" for i in range(30)]
-    flat_log, nested_log = [], []
-    flat = Pipeline(_LoggingScript(script, flat_log), tuple(translators))
+    flat_log, nested_log, imagined = [], [], []
+    flat = _recorded(_LoggingScript(script, flat_log), tuple(translators), imagined)
     nested = _LoggingScript(script, nested_log)
     for tr in translators:
         nested = _NestedReference(nested, tr)
-    flat_actions = _drive(flat, env, 200)
+    flat_actions = _drive(flat, env, 200, log=imagined)
     assert flat_actions == _drive(_TextEdge(nested), env, 200)
     assert flat_log == nested_log
     # Some turns granted on fuel alone: more grants went out than the base made.
@@ -501,7 +519,8 @@ def test_pipeline_matches_nested_fuel_across_layers(drop_out, seed):
 
 @pytest.mark.parametrize("inner_first", [63, 64])
 def test_fuel_is_counted_per_translator_across_a_fused_run(inner_first):
-    # dup_over@1 and dup_over@3 fuse into one layer.  dup_over@1 absorbs a
+    # dup_over@1, dup_over@3 and an identity fuse into one layer, which
+    # the recorded edge leaves alone.  dup_over@1 absorbs a
     # cell without coordinates, dup_over@3 one whose single coordinate
     # unpairs to two; an absorption by dup_over@3 refills dup_over@1's fuel.
     # So 63 + 1 + 63 absorptions let the last cell out in the first turn,
@@ -511,12 +530,13 @@ def test_fuel_is_counted_per_translator_across_a_fused_run(inner_first):
                    identity_translator("outer"))
     script = [(1, (), f"a{k}") for k in range(inner_first)] + [(1, (5,), "b")]
     script += [(1, (), f"c{k}") for k in range(63)] + [(1, (1, 1), "d")]
-    flat = Pipeline(ScriptMachine(script), translators)
+    log = []
+    flat = Pipeline(ScriptMachine(script), translators + (recording(CIRQUENT_EDGE, log),))
     assert len(flat._layers) == 2
     nested = ScriptMachine(script)
     for tr in translators:
         nested = _NestedReference(nested, tr)
-    actions, imagined = _drive(flat, [], 3)
+    actions, imagined = _drive(flat, [], 3, log=log)
     assert (actions, imagined) == _drive(_TextEdge(nested), [], 3)
     leave = MakeMove("1;1,1,1,1.d")
     assert actions == ([leave, GRANT, GRANT] if inner_first == 63 else [GRANT, leave, GRANT])
@@ -534,7 +554,7 @@ def test_grant_only_turns_cost_no_layer_walk():
             Recorder.runs.append(tuple(run))
             return GRANT
 
-    strat = Pipeline(Recorder(), (identity_translator("id"),) * 5000).spawn()
+    strat = Pipeline(Recorder(), (identity_translator("id"),) * 5000 + (CIRQUENT_EDGE,)).spawn()
     start = time.perf_counter()
     actions = [strat.next((), step) for step in range(1, 2001)]
     elapsed = time.perf_counter() - start
@@ -642,18 +662,27 @@ def test_extracted_cell_pipeline_matches_text_chain(name, formula_level, seed):
     if formula_level:
         env += [f"{rng.randint(1, 3)}.{rng.randint(1, 3)}.m" for _ in range(20)]
     elif name == "long":
-        # Two overgroups: addresses repeat, so the fused layer's memos hit.
-        assert len(strat._layers) == 2
+        # Every rule translator in one fused layer, then the edge.  Two
+        # overgroups: addresses repeat, so the fused layer's memos hit.
+        assert [layer[0] for layer in strat._layers] == [0, len(strat.translators) - 1]
         env += [f"{rng.randint(1, 2)};{rng.randint(1, 3)},{rng.randint(1, 3)}.m"
                 for _ in range(20)]
     else:
         env += [f"1;{rng.randint(1, 3)}.{rng.randint(1, 3)}.{rng.randint(1, 3)}.m"
                 for _ in range(20)]
     rng.shuffle(env)
-    reference = _nested_text_chain(strat.base, strat.translators, formula_level)
-    # At the formula level the pipeline's imagined run is the one inside the
-    # outermost rule layer, two text layers inside the reference's.
-    assert _drive(strat, env, 150) == _drive(reference, env, 150, 2 * formula_level)
+    *rule_translators, edge = strat.translators
+    assert edge is (FORMULA_EDGE if formula_level else CIRQUENT_EDGE)
+    reference = _nested_text_chain(strat.base, rule_translators, formula_level)
+    # At the formula level the imagined run is the one inside the outermost
+    # rule layer, two text layers inside the reference's.
+    actions, imagined = _drive(reference, env, 150, 2 * formula_level)
+    # The production pipeline plays the reference's actions, and a copy whose
+    # outermost rule translator records shows its imagined run too.
+    assert _drive(strat, env, 150, log=[])[0] == actions
+    log = []
+    recorded = _recorded(strat.base, rule_translators, log, edge)
+    assert _drive(recorded, env, 150, log=log) == (actions, imagined)
 
 
 def _random_chain(rng):
@@ -686,10 +715,10 @@ def test_random_cell_chains_match_text_chain(seed):
         elif (cell := split_cell_move(_random_move(rng))) is not None:
             script.append(cell)
     env = [_random_move(rng) for _ in range(rng.randint(0, 40))]
-    flat_log, nested_log = [], []
-    flat = Pipeline(_LoggingScript(script, flat_log), tuple(translators))
+    flat_log, nested_log, imagined = [], [], []
+    flat = _recorded(_LoggingScript(script, flat_log), tuple(translators), imagined)
     nested = _nested_text_chain(_LoggingScript(script, nested_log), translators)
-    assert _drive(flat, env, 120) == _drive(nested, env, 120)
+    assert _drive(flat, env, 120, log=imagined) == _drive(nested, env, 120)
     assert flat_log == nested_log
 
 
