@@ -117,10 +117,13 @@ def _load_subject(path: str, level_flag: str | None) -> tuple[rules.Proof, bool]
     stripped = text.lstrip()
     if stripped.startswith("strategy"):
         header, _, rest = stripped.partition("\n")
+        # The header's line is left blank, so proof errors keep the file's line numbers.
+        blank = text[:len(text) - len(stripped)]
         m = re.fullmatch(r"strategy\s+level=(cirquent|formula)", header.strip())
         if not m:
-            raise rules.ProofError("line 1: expected 'strategy level=cirquent|formula'")
-        return rules.parse_proof(rest), m.group(1) == "formula"
+            raise rules.ProofError(f"line {blank.count(chr(10)) + 1}: "
+                                   "expected 'strategy level=cirquent|formula'")
+        return rules.parse_proof(f"{blank}\n{rest}"), m.group(1) == "formula"
     return rules.parse_proof(text), level_flag == "formula"
 
 
@@ -193,14 +196,14 @@ def cmd_extract(args) -> int:
     return OK
 
 
-def _make_adversary(spec: str, game: Game, goal, interp: Interpretation, seed: int):
+def _make_adversary(spec: str, game: Game, seed: int):
     if spec == "silent":
         return SilentEnv()
     if spec == "random":
-        return random_adversary(game, goal, interp, seed)
+        return random_adversary(game, seed)
     if spec == "scripted":
         script = tuple(random.Random(seed).randrange(7) for _ in range(24))
-        return scripted_adversary(game, goal, interp, script)
+        return scripted_adversary(game, script)
     if spec.startswith("script:"):
         moves = [
             ln.strip()
@@ -219,7 +222,7 @@ def cmd_simulate(args) -> int:
         return FAIL
     machine, goal, desc, interp = setup
     game = _interpret(goal, interp)
-    adversary = _make_adversary(args.adversary, game, goal, interp, args.seed)
+    adversary = _make_adversary(args.adversary, game, args.seed)
     result = simulate(machine, adversary, game, args.budget)
     print(f"game: {desc}")
     print(f"adversary: {getattr(adversary, 'name', 'custom')} budget: {args.budget}")

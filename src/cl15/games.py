@@ -4,11 +4,19 @@ Every game evaluates runs through a *position*.  `Game.start()` returns the
 position of the empty run; `Position.extend(lm)` appends one labmove and
 says at once whether the run is still legal; the first illegal move fixes
 the offender, who loses, and later moves are ignored.  `Position.allows(lm)`
-says whether `extend(lm)` would keep the run legal and changes nothing, so
-a caller that follows a run can probe candidate moves on its one position.
+says whether `extend(lm)` would keep the run legal and changes nothing, and
+`Position.moves(player)` lists that player's legal next moves, so a caller
+that follows a run can choose among them on its one position.
 `Position.winner()` is total: the offender rule first, then the winner of
 the legal run.  `Game.legal(run)`, `Game.offender(run)` and
 `Game.winner(run)` replay the run through a fresh position.
+
+`moves` lists a finite game's trie children of that player, and a composite
+position prefixes its components' lists, in an order fixed by the run and
+the game.  Copy indices, cirquent coordinates and enumeration numerals
+range over the values used there plus one fresh value (the symmetry of the
+cirquent winner below); thread stems over the used stems, the empty stem
+and their one-bit children.  An offended position lists nothing.
 
 Cost model.  A finite game (a trie) costs time linear in its lines to build
 and O(1) per move.  A composite position routes each labmove to one
@@ -18,10 +26,12 @@ stem splits its thread classes).  A probe with `allows` takes the same route
 without storing anything: it costs the depth of the move, where an untouched
 copy or cell is asked through a fresh empty position of its base game, plus
 a replay of the affected thread classes' moves when the probe names a new
-stem.  A cirquent position keeps one position per played cell, keyed by
-oformula and coordinates, and its winner quantifies each undergroup only
-over the overgroups that contain its oformulas, with each coordinate ranging
-over the values that undergroup's moves used plus one fresh value.
+stem.  A list of moves costs about one such probe per move listed, and a
+cirquent lists every vector of used-or-fresh coordinates.  A cirquent
+position keeps one position per played cell, keyed by oformula and
+coordinates, and its winner quantifies each undergroup only over the
+overgroups that contain its oformulas, with each coordinate ranging over
+the values that undergroup's moves used plus one fresh value.
 
 Every constructor here defines position legality move-locally or through
 projections, so prefix closure holds by construction and is checked in
@@ -69,6 +79,11 @@ class Position:
         """Would `extend(lm)` keep the run legal?  Changes nothing."""
         return self.offender is None and self._allows(lm)
 
+    def moves(self, player: Player) -> list[str]:
+        """The moves of `player` that `extend` would accept now, up to
+        renaming unused values (see the module docstring)."""
+        return [] if self.offender is not None else self._moves(player)
+
     def winner(self) -> Player:
         """Total winner of the run so far."""
         if self.offender is not None:
@@ -81,6 +96,10 @@ class Position:
 
     def _allows(self, lm: Labmove) -> bool:
         """Would appending the labmove to this legal run keep it legal?"""
+        raise NotImplementedError
+
+    def _moves(self, player: Player) -> list[str]:
+        """The moves of `player` that keep this legal run legal."""
         raise NotImplementedError
 
     def _won(self) -> Player:
@@ -148,11 +167,9 @@ class FiniteGame(Game):
     """A desk-scale game given by an explicit prefix-closed tree with labels,
     held as a trie: node 0 is the empty run, and parents come first."""
 
-    def __init__(self, children: list[dict[Labmove, int]], labels: list[Player],
-                 alphabet: Iterable[str]):
+    def __init__(self, children: list[dict[Labmove, int]], labels: list[Player]):
         self._children = children
         self._node_labels = labels
-        self._alphabet = tuple(alphabet)
 
     def start(self) -> Position:
         return _TreePosition(self)
@@ -170,11 +187,6 @@ class FiniteGame(Game):
     def tree(self) -> frozenset[Run]:
         return frozenset(self.labels)
 
-    def move_alphabet(self) -> list[str]:
-        """All move strings of the tree, in the order given (file order or
-        generation order), so that choices do not follow the hash seed."""
-        return list(self._alphabet)
-
 
 class _TreePosition(Position):
     def __init__(self, game: FiniteGame):
@@ -191,6 +203,9 @@ class _TreePosition(Position):
 
     def _allows(self, lm: Labmove) -> bool:
         return lm in self.game._children[self.node]
+
+    def _moves(self, player: Player) -> list[str]:
+        return [lm.move for lm in self.game._children[self.node] if lm.player is player]
 
     def _won(self) -> Player:
         return self.game._node_labels[self.node]
@@ -220,6 +235,10 @@ class _EnumerationPosition(Position):
     def _allows(self, lm: Labmove) -> bool:
         return is_numeral(lm.move)
 
+    def _moves(self, player: Player) -> list[str]:
+        used = sorted({int(lm.move) for lm in self.run})
+        return [str(u) for u in used + [used[-1] + 1 if used else 0]]
+
     def _won(self) -> Player:
         return BOT if self.loses(tuple(self.run)) else TOP
 
@@ -238,6 +257,9 @@ class _PermissivePosition(Position):
 
     def _allows(self, lm: Labmove) -> bool:
         return True
+
+    def _moves(self, player: Player) -> list[str]:
+        raise GameError("a permissive game has no list of moves")
 
     def _won(self) -> Player:
         return TOP
@@ -283,8 +305,7 @@ def finite_game(lines: Iterable[tuple[int, str]]) -> FiniteGame:
     children: list[dict[Labmove, int]] = [{} for _ in nodes]
     for key in nodes[1:]:
         children[ids[key[:-2]]][Labmove(_LABELS[key[-2]], key[-1])] = ids[key]
-    alphabet = dict.fromkeys(itertools.chain.from_iterable(key[1::2] for key in labels))
-    return FiniteGame(children, [labels[key] for key in nodes], alphabet)
+    return FiniteGame(children, [labels[key] for key in nodes])
 
 
 def parse_finite_game(text: str) -> FiniteGame:
@@ -316,6 +337,9 @@ class _NegPosition(_RoutingPosition):
     def _route(self, lm: Labmove, store: bool) -> tuple[Position, Labmove]:
         return self.base, Labmove(lm.player.opponent, lm.move)
 
+    def _moves(self, player: Player) -> list[str]:
+        return self.base.moves(player.opponent)
+
     def _won(self) -> Player:
         return self.base.winner().opponent
 
@@ -346,6 +370,9 @@ class _PairPosition(_RoutingPosition):
             return None
         side, rest = split
         return self.sides[side - 1], Labmove(lm.player, rest)
+
+    def _moves(self, player: Player) -> list[str]:
+        return [f"{i}.{m}" for i, side in enumerate(self.sides, 1) for m in side.moves(player)]
 
     def _won(self) -> Player:
         return _combine((side.winner() for side in self.sides), self.conjunctive)
@@ -391,6 +418,11 @@ class _CopyBankPosition(_RoutingPosition):
             if store:
                 self.copies[u] = copy
         return copy, Labmove(lm.player, rest)
+
+    def _moves(self, player: Player) -> list[str]:
+        fresh = max(self.copies, default=0) + 1, self.game.base.start()
+        return [f"{u}.{m}" for u, copy in [*sorted(self.copies.items()), fresh]
+                for m in copy.moves(player)]
 
     def _won(self) -> Player:
         results = [copy.winner() for copy in self.copies.values()]
@@ -455,14 +487,14 @@ class _ThreadBankPosition(Position):
     def __init__(self, game: _ThreadBank):
         super().__init__()
         self.game = game
-        self.moves: list[tuple[str, Labmove]] = []
+        self.played: list[tuple[str, Labmove]] = []
         self.stems: set[str] = set()
-        self.threads = [(x, game.base.start()) for x in thread_representatives(self.stems)]
+        self.threads = [(InfiniteBitstring(), game.base.start())]  # one class, no stems
 
     def _replay(self, reps: list[InfiniteBitstring]) -> list[tuple[InfiniteBitstring, Position]]:
         """A position per representative, holding the stored moves it sees."""
         return [
-            (x, self.game.base.replay([m for w, m in self.moves if x.has_prefix(w)]))
+            (x, self.game.base.replay([m for w, m in self.played if x.has_prefix(w)]))
             for x in reps
         ]
 
@@ -475,22 +507,34 @@ class _ThreadBankPosition(Position):
             self.stems.add(stem)
             self.threads = self._replay(thread_representatives(self.stems))
         inner = Labmove(lm.player, rest)
-        self.moves.append((stem, inner))
+        self.played.append((stem, inner))
         return all(pos.extend(inner) for x, pos in self.threads if x.has_prefix(stem))
+
+    def _reached(self, stem: str) -> list[Position]:
+        """The positions of the thread classes that a move at `stem` acts in."""
+        threads = self.threads
+        if stem not in self.stems:
+            # Only the refined classes inside the new stem receive the move.
+            reps = thread_representatives(self.stems | {stem})
+            threads = self._replay([x for x in reps if x.has_prefix(stem)])
+        return [pos for x, pos in threads if x.has_prefix(stem)]
 
     def _allows(self, lm: Labmove) -> bool:
         split = split_bit_move(lm.move)
         if split is None:
             return False
-        stem, rest = split
-        inner = Labmove(lm.player, rest)
-        if stem in self.stems:
-            threads = self.threads
-        else:
-            # Only the refined classes inside the new stem receive the move.
-            reps = thread_representatives(self.stems | {stem})
-            threads = self._replay([x for x in reps if x.has_prefix(stem)])
-        return all(pos.allows(inner) for x, pos in threads if x.has_prefix(stem))
+        inner = Labmove(lm.player, split[1])
+        return all(pos.allows(inner) for pos in self._reached(split[0]))
+
+    def _moves(self, player: Player) -> list[str]:
+        # A move legal at stem w is legal in thread w:0 in particular.
+        roots = self.stems | {""}
+        out = []
+        for w in sorted(roots | {w + bit for w in roots for bit in "01"}, key=lambda w: (len(w), w)):
+            ((_, thread),), reached = self._replay([InfiniteBitstring(w)]), self._reached(w)
+            out += [f"{w}.{m}" for m in thread.moves(player)
+                    if all(pos.allows(Labmove(player, m)) for pos in reached)]
+        return out
 
     def _won(self) -> Player:
         return _combine((pos.winner() for _, pos in self.threads), self.game.conjunctive)
@@ -574,6 +618,21 @@ class _CirquentPosition(_RoutingPosition):
             if store:
                 self.cells[(a, coords)] = cell
         return cell, Labmove(lm.player, rest)
+
+    def _moves(self, player: Player) -> list[str]:
+        g = self.game
+        options = []
+        for j in range(len(g.cirquent.overgroups)):
+            used = sorted({coords[j] for _, coords in self.cells if coords[j]})
+            options.append(used + [used[-1] + 1 if used else 1])
+        out = []
+        for a, member in enumerate(g.membership, start=1):
+            empty = g.base_games[a - 1].start().moves(player)
+            for coords in itertools.product(*(o if m else (0,) for o, m in zip(options, member))):
+                cell = self.cells.get((a, coords))
+                head = f"{a};{','.join(map(str, coords))}."
+                out += [head + m for m in (empty if cell is None else cell.moves(player))]
+        return out
 
     def _won(self) -> Player:
         g = self.game

@@ -1,6 +1,7 @@
 """Randomized end-to-end validation: an independent brute-force winner
-oracle, random finite interpretations, structure-aware adversaries, and the
-bounded recurrence-separation demonstration.
+oracle, random finite interpretations, adversaries that choose among the
+legal moves a game position lists, and the bounded recurrence-separation
+demonstration.
 
 The oracle reimplements move parsing and the legality/winner quantifiers
 locally (plain string splitting, full product enumeration, no
@@ -273,7 +274,6 @@ def random_finite_game(rng: random.Random, depth: int, branching: int) -> Finite
     RANDOM_GAME_MAX_NODES positions."""
     children: list[dict[Labmove, int]] = []
     labels: list[Player] = []
-    alphabet: dict[str, None] = {}
     options = [Labmove(p, m) for m in _MOVE_POOL for p in (TOP, BOT)]
 
     def add_node(d: int, min_children: int) -> tuple[int, Iterator[Labmove]]:
@@ -296,11 +296,10 @@ def random_finite_game(rng: random.Random, depth: int, branching: int) -> Finite
         if lm is None:
             stack.pop()
             continue
-        alphabet.setdefault(lm.move, None)
         child, grandmoves = add_node(d - 1, 0)
         children[node][lm] = child
         stack.append((d - 1, child, grandmoves))
-    return FiniteGame(children, labels, alphabet)
+    return FiniteGame(children, labels)
 
 
 def random_finite_interpretation(
@@ -355,13 +354,9 @@ def random_cirquent(
     )
 
 
-# Structure-aware candidate moves
+# Adversaries
 
 Choose = Callable[[int], int]
-
-
-def rng_chooser(rng: random.Random) -> Choose:
-    return lambda n: rng.randrange(n)
 
 
 def cycle_chooser(script) -> Choose:
@@ -371,62 +366,20 @@ def cycle_chooser(script) -> Choose:
     return lambda n: next(it) % n
 
 
-def _candidate_formula_move(f: Formula, interp: Interpretation, choose: Choose) -> str:
-    if isinstance(f, (AtomRef, NegAtom)):
-        base = interp.get(f.name)
-        alphabet = base.move_alphabet() if isinstance(base, FiniteGame) else []
-        alphabet = alphabet or ["1", "2", "3"]
-        return alphabet[choose(len(alphabet))]
-    if isinstance(f, (And, Or)):
-        side = choose(2)
-        inner = f.left if side == 0 else f.right
-        return f"{side + 1}.{_candidate_formula_move(inner, interp, choose)}"
-    if isinstance(f, (Pst, Pcost)):
-        return f"{choose(3) + 1}.{_candidate_formula_move(f.body, interp, choose)}"
-    if isinstance(f, (St, Cost)):
-        bits = "".join("01"[choose(2)] for _ in range(choose(3)))
-        return f"{bits}.{_candidate_formula_move(f.body, interp, choose)}"
-    raise HarnessError(f"cannot build a move for {f!r}")
-
-
-def _candidate_cirquent_move(c: Cirquent, interp: Interpretation, choose: Choose) -> str:
-    a = choose(c.size) + 1
-    coords = ",".join(
-        str(choose(3) + 1) if a in g else "0" for g in c.overgroups
-    )
-    return f"{a};{coords}.{_candidate_formula_move(c.oformulas[a - 1], interp, choose)}"
-
-
-def move_builder(structure: Subject, interp: Interpretation) -> Callable[[Choose], str]:
-    """Candidate-move generator for the given formula or cirquent."""
-    if isinstance(structure, Cirquent):
-        return lambda choose: _candidate_cirquent_move(structure, interp, choose)
-    return lambda choose: _candidate_formula_move(structure, interp, choose)
-
-
-# Adversaries
-
 class StructuredAdversary(EnvStrategy):
-    """Builds structure-shaped candidate moves, keeps only ones legal in the
-    current position (up to `RETRIES` attempts per grant), and quiesces after
-    `MAX_MOVES` moves or `MAX_GRANTS` grants.  One game position follows the
-    play: each grant extends it with the labmoves of the run it has not seen,
-    then probes candidates with `Position.allows`, so the runs a spawned
-    adversary is shown must each extend the one before."""
+    """At each grant, plays the move `choose(n)` of the n legal moves its
+    game position lists for the environment, or passes when there are none;
+    quiesces after `MAX_MOVES` moves or `MAX_GRANTS` grants.  One game
+    position follows the play: each grant extends it with the labmoves of
+    the run it has not seen, so the runs a spawned adversary is shown must
+    each extend the one before."""
 
     MAX_MOVES = 6
     MAX_GRANTS = 30
-    RETRIES = 8
 
-    def __init__(
-        self,
-        game: Game,
-        builder: Callable[[Choose], str],
-        make_chooser: Callable[[], Choose],
-        name: str = "structured",
-    ):
+    def __init__(self, game: Game, make_chooser: Callable[[], Choose],
+                 name: str = "structured"):
         self.game = game
-        self.builder = builder
         self.make_chooser = make_chooser
         self.name = name
         self._choose = make_chooser()
@@ -436,7 +389,7 @@ class StructuredAdversary(EnvStrategy):
         self._seen = 0
 
     def spawn(self) -> "StructuredAdversary":
-        return StructuredAdversary(self.game, self.builder, self.make_chooser, self.name)
+        return StructuredAdversary(self.game, self.make_chooser, self.name)
 
     def on_grant(self, run: Sequence[Labmove]) -> str | None:
         self._grants += 1
@@ -445,12 +398,11 @@ class StructuredAdversary(EnvStrategy):
         for lm in run[self._seen:]:
             self._position.extend(lm)
         self._seen = len(run)
-        for _ in range(self.RETRIES):
-            candidate = self.builder(self._choose)
-            if self._position.allows(Labmove(BOT, candidate)):
-                self._moves += 1
-                return candidate
-        return None
+        moves = self._position.moves(BOT)
+        if not moves:
+            return None
+        self._moves += 1
+        return moves[self._choose(len(moves))]
 
 
 class ScriptMachine(MachineStrategy):
@@ -474,26 +426,12 @@ class ScriptMachine(MachineStrategy):
         return GRANT
 
 
-def random_adversary(
-    game: Game, structure: Subject, interp: Interpretation, seed: int
-) -> StructuredAdversary:
-    return StructuredAdversary(
-        game,
-        move_builder(structure, interp),
-        lambda: rng_chooser(random.Random(seed)),
-        name="random",
-    )
+def random_adversary(game: Game, seed: int) -> StructuredAdversary:
+    return StructuredAdversary(game, lambda: random.Random(seed).randrange, name="random")
 
 
-def scripted_adversary(
-    game: Game, structure: Subject, interp: Interpretation, script
-) -> StructuredAdversary:
-    return StructuredAdversary(
-        game,
-        move_builder(structure, interp),
-        lambda: cycle_chooser(tuple(script)),
-        name="scripted",
-    )
+def scripted_adversary(game: Game, script) -> StructuredAdversary:
+    return StructuredAdversary(game, lambda: cycle_chooser(tuple(script)), name="scripted")
 
 
 # The counterstrategy that distinguishes threads with fresh numbers.

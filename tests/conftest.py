@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, settings
 
 from cl15 import cl15 as rules
 from cl15.cirquent import Cirquent, parse_cirquent
-from cl15.formula import AtomRef, Or, parse_formula
-from cl15.games import FiniteGame, PermissiveGame
-from cl15.harness import ScriptMachine, move_builder, rng_chooser
+from cl15.formula import And, AtomRef, Cost, Formula, NegAtom, Or, Pcost, Pst, St, parse_formula
+from cl15.games import FiniteGame, Interpretation, PermissiveGame
+from cl15.harness import Choose, HarnessError, ScriptMachine
 from cl15.runs import BOT, TOP, Labmove, Run, format_cell_move, project_cell, project_prefix
 from cl15.strategy import (
     CIRQUENT_EDGE,
@@ -65,6 +65,52 @@ def render_finite_game(g: FiniteGame) -> str:
         run_text = "; ".join(f"{lm.player.value} {lm.move}" for lm in run) if run else "()"
         lines.append(f"{run_text} => {labels[run].value}")
     return "\n".join(lines)
+
+
+def move_alphabet(game: FiniteGame) -> list[str]:
+    """Every move text of a finite game's trie, in the order of its nodes."""
+    return list(dict.fromkeys(lm.move for kids in game._children for lm in kids))
+
+
+# Structure-shaped candidate moves: fuzz input that is well shaped but may
+# be illegal.  Copies and coordinates come from 1-3, stems have 0-2 bits,
+# and an atom's move from its finite game's alphabet (or 1-3).
+
+def rng_chooser(rng: random.Random) -> Choose:
+    return lambda n: rng.randrange(n)
+
+
+def _candidate_formula_move(f: Formula, interp: Interpretation, choose: Choose) -> str:
+    if isinstance(f, (AtomRef, NegAtom)):
+        base = interp.get(f.name)
+        alphabet = move_alphabet(base) if isinstance(base, FiniteGame) else []
+        alphabet = alphabet or ["1", "2", "3"]
+        return alphabet[choose(len(alphabet))]
+    if isinstance(f, (And, Or)):
+        side = choose(2)
+        inner = f.left if side == 0 else f.right
+        return f"{side + 1}.{_candidate_formula_move(inner, interp, choose)}"
+    if isinstance(f, (Pst, Pcost)):
+        return f"{choose(3) + 1}.{_candidate_formula_move(f.body, interp, choose)}"
+    if isinstance(f, (St, Cost)):
+        bits = "".join("01"[choose(2)] for _ in range(choose(3)))
+        return f"{bits}.{_candidate_formula_move(f.body, interp, choose)}"
+    raise HarnessError(f"cannot build a move for {f!r}")
+
+
+def _candidate_cirquent_move(c: Cirquent, interp: Interpretation, choose: Choose) -> str:
+    a = choose(c.size) + 1
+    coords = ",".join(
+        str(choose(3) + 1) if a in g else "0" for g in c.overgroups
+    )
+    return f"{a};{coords}.{_candidate_formula_move(c.oformulas[a - 1], interp, choose)}"
+
+
+def move_builder(structure, interp: Interpretation):
+    """Candidate-move generator for the given formula or cirquent."""
+    if isinstance(structure, Cirquent):
+        return lambda choose: _candidate_cirquent_move(structure, interp, choose)
+    return lambda choose: _candidate_formula_move(structure, interp, choose)
 
 
 def random_run(structure, interp, rng: random.Random, length: int,

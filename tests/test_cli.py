@@ -325,6 +325,25 @@ def test_bad_strategy_file_header(tmp_path, capsys):
     assert "strategy level=cirquent|formula" in capsys.readouterr().err
 
 
+P1_AXIOM = "step 1: rule=axiom\noformulas: ~P | P ; under: {1,2} ; over: {1,2}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("strategy level=cirquent\n" + P1_AXIOM.replace("{1,2}\n", "{1,2\n"),
+     "line 3: unclosed group in over"),
+    ("\n\nstrategy level=cirquent\n" + P1_AXIOM
+     + "step 2: rule=dup_over pos=1 pos=3\noformulas: ~P | P ; under: {1,2} ; over: {1,2}{1,2}\n",
+     "line 6: repeated parameter pos"),
+    ("\n\nstrategy level=weird\n" + P1_AXIOM,
+     "line 3: expected 'strategy level=cirquent|formula'"),
+], ids=["header-first", "blank-lines-first", "bad-header"])
+def test_strategy_file_errors_give_file_line_numbers(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.strategy"
+    bad.write_text(text)
+    assert main(["simulate", str(bad)]) == USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # --- interactive play -------------------------------------------------------------------
 
 def _play(user_input, machine=None):
@@ -448,24 +467,24 @@ def test_play_transcripts_are_pinned(proof, level, monkeypatch, capsys):
 # whose extracted pipeline fuses 38 of its 39 layers into one.
 SIMULATE_ADVERSARIES = {"long": ("random",)}
 PINNED_SIMULATE = {
-    ("long", "cirquent"): ("90f57bc4f78ae3d2", "f6165d834a353206", "8e8ade96b7c38327",
-                           "db08224e6f547a4d"),
+    ("long", "cirquent"): ("70f2c3a5cd1edbee", "347ca666129d3069", "f8d80e266883794a",
+                           "693348de7329ff5d"),
     ("p1", "cirquent"): ("e931a630b2be9622", "e931a630b2be9622", "e931a630b2be9622",
-                         "e931a630b2be9622", "387270eabfbaaa37", "89ca79034aa2a36a",
-                         "6d8951ca100a4d7d", "264bbaadc2e9a6a7", "19c8e69a3a680792",
-                         "e4e20c3aab608a27", "19c8e69a3a680792", "d07f31b5cb12c38a"),
+                         "e931a630b2be9622", "feddb6477128c221", "bf0d7051e3d0c1ce",
+                         "38c0b08843ec86d2", "e90bef02f2724089", "a1cd8d4b5b610efd",
+                         "cde1006f3777bbd3", "8c01e9f0e3c65e43", "c2777d7d828bfcd0"),
     ("p1", "formula"): ("b9069b13f9a23e91", "b9069b13f9a23e91", "b9069b13f9a23e91",
-                        "b9069b13f9a23e91", "4f5351a9fbc41ece", "5ecbc6fa658f0792",
-                        "8a7598ab4ba3351e", "9279428c539b7bac", "80b99b7d720de85d",
-                        "4737ce7069e377f3", "80b99b7d720de85d", "f60cbbd79cee0074"),
+                        "b9069b13f9a23e91", "4eb08f3d78422bde", "4ff85368fe13971a",
+                        "8a7598ab4ba3351e", "9279428c539b7bac", "96f25e8e91f7057d",
+                        "e8640a3758929c92", "b66bafecd76f9a52", "f60cbbd79cee0074"),
     ("p2", "cirquent"): ("c9d3a83c7219bebd", "c9d3a83c7219bebd", "c9d3a83c7219bebd",
-                         "c9d3a83c7219bebd", "860a94aaaa3d91cf", "bca4431f7ee219ce",
-                         "e6894e0e5bcde43a", "5267cfe3d8aed5c9", "cf8fb7ce47b8d4ed",
-                         "0a22a13266b4b1d2", "cf8fb7ce47b8d4ed", "bb9eaa013cb1e5e8"),
+                         "c9d3a83c7219bebd", "2bcd9d436ab069fc", "d4076173545d3028",
+                         "5f11b122a1f52c94", "023988ad04c60e70", "ef5ee983b16fcba9",
+                         "d79d84c7d01ae0e4", "faec8cfcec49a0d6", "1530475b0334540b"),
     ("p2", "formula"): ("b1e34495f5038ccb", "b1e34495f5038ccb", "b1e34495f5038ccb",
-                        "b1e34495f5038ccb", "ebd612fc4de8843e", "d0a25047ff78bfb4",
-                        "2ca04bef886be03b", "ee3a123f9ad44ff6", "e1ada00b61a44d3f",
-                        "714d6951cf7c3795", "e1ada00b61a44d3f", "04ad9b67b4d04094"),
+                        "b1e34495f5038ccb", "3788aa2090abcd11", "97c7fcc224aede52",
+                        "0656e01481f96a86", "ee838216fcaaa9fc", "72b0a82dd813a65a",
+                        "ffa7c38881d9ee8f", "966054fb7fecd683", "d32f3c4073acd675"),
 }
 
 

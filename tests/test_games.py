@@ -20,7 +20,7 @@ from cl15.games import (
 from cl15.harness import random_finite_game, random_finite_interpretation
 from cl15.runs import BOT, TOP, InfiniteBitstring, Labmove, parse_run
 
-from conftest import C, moves_after, render_finite_game
+from conftest import C, move_alphabet, moves_after, render_finite_game
 
 lm = Labmove
 
@@ -38,7 +38,7 @@ def test_parse_finite_game_and_rendering():
     assert g.winner(()) is BOT
     assert g.winner((lm(TOP, "m"),)) is TOP
     assert moves_after(g, ()) == [lm(TOP, "m")]
-    assert sorted(g.move_alphabet()) == ["m", "n"]
+    assert sorted(move_alphabet(g)) == ["m", "n"]
     text = render_finite_game(g)
     assert parse_finite_game(text).tree == g.tree
     assert parse_finite_game(text).labels == g.labels

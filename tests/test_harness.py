@@ -16,7 +16,6 @@ from cl15.harness import (
     brute_force_winner,
     cycle_chooser,
     loop_counterstrategy,
-    move_builder,
     random_adversary,
     random_cirquent,
     random_finite_game,
@@ -27,9 +26,9 @@ from cl15.harness import (
     shortlex_bitstring,
 )
 from cl15.runs import BOT, TOP, Labmove
-from cl15.strategy import PureGranter, extract_solution, simulate
+from cl15.strategy import EnvStrategy, PureGranter, extract_solution, simulate
 
-from conftest import C, random_run, read_fixture
+from conftest import C, move_builder, random_run, read_fixture
 
 
 # --- oracles -----------------------------------------------------------------
@@ -170,10 +169,56 @@ def test_structured_adversaries_stay_legal():
     game = interpret_cirquent(last, interp)
     machine = extract_solution(proof)
     for adv in (
-        random_adversary(game, last, interp, 4),
-        scripted_adversary(game, last, interp, [0, 1, 2, 1]),
+        random_adversary(game, 4),
+        scripted_adversary(game, [0, 1, 2, 1]),
     ):
         assert simulate(machine, adv, game, 120).winner is TOP, adv.name
+
+
+class _Watched(EnvStrategy):
+    """An adversary's answers, next to the moves a position that follows
+    the same run lists for the environment at each grant."""
+
+    def __init__(self, adversary, log):
+        self.adversary, self.log = adversary, log
+        self.position, self.seen = adversary.game.start(), 0
+
+    def spawn(self):
+        return _Watched(self.adversary.spawn(), self.log)
+
+    def on_grant(self, run):
+        for lm in run[self.seen:]:
+            self.position.extend(lm)
+        self.seen = len(run)
+        listed = self.position.moves(BOT)
+        move = self.adversary.on_grant(run)
+        self.log.append((listed, move))
+        return move
+
+
+def test_structured_adversaries_move_whenever_they_can():
+    full = 0
+    for name in ("p1", "p2"):
+        proof = parse_proof(read_fixture(f"{name}.proof"))
+        last = proof.steps[-1].cirquent
+        machine = extract_solution(proof)
+        for seed in range(10):
+            interp = random_finite_interpretation(["P"], 2, 2, seed)
+            game = interpret_cirquent(last, interp)
+            for adv in (random_adversary(game, seed), scripted_adversary(game, [seed, 3, 1])):
+                log = []
+                simulate(machine, _Watched(adv, log), game, 120)
+                made = 0
+                for grant, (listed, move) in enumerate(log, start=1):
+                    if made == adv.MAX_MOVES or grant > adv.MAX_GRANTS:
+                        assert move is None
+                    elif listed:
+                        assert move in listed, (name, seed, adv.name, grant)
+                        made += 1
+                    else:
+                        assert move is None
+                full += made == adv.MAX_MOVES
+    assert full >= 30
 
 
 # --- script machine ---------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Incremental game positions against the brute-force oracle in
 `cl15.harness` and the projection-based reference in `reference_games`,
 on random legal runs and random offender runs; probes with
-`Position.allows` against replays; and the adversary transcripts that
-those probes decide."""
+`Position.allows` against replays; the moves `Position.moves` lists,
+against probes of structure-shaped candidates; and the adversary
+transcripts that those lists decide."""
 from __future__ import annotations
 
 import contextlib
@@ -18,17 +19,32 @@ from hypothesis import strategies as st
 from cl15.cirquent import Cirquent, make_cirquent
 from cl15.cli import main
 from cl15.formula import And, AtomRef, Cost, NegAtom, Or, Pcost, Pst, St, render_formula
-from cl15.games import EnumerationGame, Position, interpret_cirquent, interpret_formula
+from cl15.games import (
+    EnumerationGame,
+    GameError,
+    PermissiveGame,
+    Position,
+    interpret_cirquent,
+    interpret_formula,
+)
 from cl15.harness import (
     brute_force_legal,
     brute_force_winner,
-    move_builder,
     random_finite_interpretation,
-    rng_chooser,
 )
-from cl15.runs import BOT, TOP, Labmove, format_cell_move
+from cl15.runs import (
+    BOT,
+    TOP,
+    InfiniteBitstring,
+    Labmove,
+    format_cell_move,
+    project_branch,
+    project_cell,
+    project_prefix,
+    split_cell_move,
+)
 
-from conftest import C, FIXTURES
+from conftest import C, FIXTURES, move_builder, rng_chooser
 from reference_games import (
     reference_legal,
     reference_offender,
@@ -297,10 +313,129 @@ def test_branching_probes_with_new_stems(subject):
     assert verdicts == {True, False}
 
 
-# Transcripts of `simulate` with the probing adversaries, pinned from the
-# version that probed each candidate by replaying the whole run: a probe on
-# the live position must accept and reject exactly the same candidates.
-# The `script` entries play SCRIPTS under fixtures/interp.txt, in
+# Listed moves.  Every move a position lists must pass `allows`, and every
+# allowed candidate must be listed when its values are ones the list covers.
+
+def _fresh(used: set[int]) -> set[int]:
+    return used | {max(used, default=0) + 1}
+
+
+def _within_bound(subject, run, move: str) -> bool:
+    """Is every value in `move`, an allowed move after the legal `run`, one
+    that a list covers: a copy or coordinate used there or the largest used
+    plus one, a stem used there, empty or a one-bit child of one?"""
+    if isinstance(subject, Cirquent):
+        a, coords, rest = split_cell_move(move)
+        used = [split_cell_move(lm.move)[1] for lm in run]
+        if any(u and u not in _fresh({c[j] for c in used if c[j]}) for j, u in enumerate(coords)):
+            return False
+        return _within_bound(subject.oformulas[a - 1], project_cell(run, a, coords), rest)
+    if isinstance(subject, (AtomRef, NegAtom)):
+        return True
+    head, _, rest = move.partition(".")
+    if isinstance(subject, (And, Or)):
+        side = subject.left if head == "1" else subject.right
+        return _within_bound(side, project_prefix(run, f"{head}."), rest)
+    heads = {lm.move.partition(".")[0] for lm in run}
+    if isinstance(subject, (Pst, Pcost)):
+        return (int(head) in _fresh(set(map(int, heads)))
+                and _within_bound(subject.body, project_prefix(run, f"{head}."), rest))
+    roots = heads | {""}
+    return (head in roots | {w + bit for w in roots for bit in "01"}
+            and _within_bound(subject.body, project_branch(run, InfiniteBitstring(head)), rest))
+
+
+def _check_listed_moves(subject, interp, game, run, rng):
+    """After each prefix of a legal run, for both players: the list passes
+    `allows`, has no repeats, and holds every allowed candidate within the
+    bound; returns how many candidates it had to hold."""
+    build = move_builder(subject, interp)
+    pos, held = game.start(), 0
+    for i in range(len(run) + 1):
+        for player in (TOP, BOT):
+            listed = pos.moves(player)
+            assert len(set(listed)) == len(listed)
+            assert all(pos.allows(Labmove(player, m)) for m in listed)
+            for _ in range(20):
+                move = build(rng_chooser(rng))
+                if pos.allows(Labmove(player, move)) and _within_bound(subject, run[:i], move):
+                    assert move in listed, (run[:i], player, move)
+                    held += 1
+        if i < len(run):
+            assert pos.extend(run[i])
+    return held
+
+
+@given(plays(formulas, offending=False), st.randoms(use_true_random=False))
+def test_formula_positions_list_their_legal_moves(case, rng):
+    _check_listed_moves(*case, rng)
+
+
+@given(plays(cirquents(), offending=False), st.randoms(use_true_random=False))
+def test_cirquent_positions_list_their_legal_moves(case, rng):
+    _check_listed_moves(*case, rng)
+
+
+def test_listed_moves_cover_branching_candidates():
+    # The checks above are not vacuous on b! and b? with new stems.
+    held = 0
+    for seed, subject in enumerate([St(P), Cost(NegAtom("Q")), St(Pcost(P)), Cost(Or(P, Q))]):
+        rng = random.Random(seed)
+        interp = random_finite_interpretation(ATOMS, 2, 2, seed)
+        game = interpret_formula(subject, interp)
+        build = move_builder(subject, interp)
+        run = ()
+        for _ in range(6):
+            lm = Labmove(TOP if rng.random() < 0.5 else BOT, build(rng_chooser(rng)))
+            if game.legal(run + (lm,)):
+                run += (lm,)
+        held += _check_listed_moves(subject, interp, game, run, rng)
+    assert held >= 50
+
+
+@given(plays(formulas, offending=True))
+def test_offended_formula_positions_list_nothing(case):
+    _, _, game, run = case
+    pos = game.replay(run)
+    assert pos.offender is not None
+    assert pos.moves(TOP) == pos.moves(BOT) == []
+
+
+@given(plays(cirquents(), offending=True))
+def test_offended_cirquent_positions_list_nothing(case):
+    _, _, game, run = case
+    pos = game.replay(run)
+    assert pos.offender is not None
+    assert pos.moves(TOP) == pos.moves(BOT) == []
+
+
+def test_listed_moves_in_order():
+    numerals = EnumerationGame(lambda run: False)
+    pos = numerals.start()
+    assert pos.moves(TOP) == ["0"]
+    pos.extend(Labmove(BOT, "3"))
+    pos.extend(Labmove(TOP, "1"))
+    assert pos.moves(BOT) == ["1", "3", "4"]
+    interp = {"P": numerals}
+    pos = interpret_formula(And(Pst(P), St(NegAtom("P"))), interp).start()
+    assert pos.moves(TOP)[:2] == ["1.1.0", "2..0"]
+    pos.extend(Labmove(BOT, "1.2.5"))
+    pos.extend(Labmove(TOP, "2.1.7"))
+    assert pos.moves(BOT) == [
+        *(f"1.{u}.{n}" for u in (2, 3) for n in ((5, 6) if u == 2 else (0,))),
+        "2..0", "2.0.0", "2.1.7", "2.1.8", "2.10.7", "2.10.8", "2.11.7", "2.11.8",
+    ]
+    cirquent = C("oformulas: P | P ; under: {1,2} ; over: {1}{1,2}")
+    pos = interpret_cirquent(cirquent, interp).start()
+    pos.extend(Labmove(BOT, "2;0,3.4"))
+    assert pos.moves(TOP) == ["1;1,3.0", "1;1,4.0", "2;0,3.4", "2;0,3.5", "2;0,4.0"]
+    with pytest.raises(GameError):
+        PermissiveGame().start().moves(TOP)
+
+
+# Transcripts of `simulate` with the adversaries that choose among the
+# moves their live position lists: the lists and their order must stay
+# the same.  The `script` entries play SCRIPTS under fixtures/interp.txt, in
 # coordinates and copies 2-3, which the translators fold into and out of
 # other values; they were pinned from the version that split and formatted
 # each move at every translator.
@@ -309,14 +444,14 @@ SCRIPTS = {
     "formula": ("1.3.m", "1.2.m", "1.3.m"),
 }
 PINNED_TRANSCRIPTS = {
-    ("p1", "cirquent", "random"): ("387270eabfbaaa37", "89ca79034aa2a36a", "a0eb6d9e7d289e23"),
-    ("p1", "cirquent", "scripted"): ("19c8e69a3a680792", "e4e20c3aab608a27", "feaecd07fb031a86"),
-    ("p1", "formula", "random"): ("4f5351a9fbc41ece", "5ecbc6fa658f0792", "a2ee61360b59b938"),
-    ("p1", "formula", "scripted"): ("80b99b7d720de85d", "4737ce7069e377f3", "708c48298b521b7f"),
-    ("p2", "cirquent", "random"): ("860a94aaaa3d91cf", "bca4431f7ee219ce", "e8bad3d54d8d84d5"),
-    ("p2", "cirquent", "scripted"): ("cf8fb7ce47b8d4ed", "0a22a13266b4b1d2", "20a073897817c537"),
-    ("p2", "formula", "random"): ("ebd612fc4de8843e", "d0a25047ff78bfb4", "a57832f8e9085895"),
-    ("p2", "formula", "scripted"): ("e1ada00b61a44d3f", "714d6951cf7c3795", "499fdd754c33e434"),
+    ("p1", "cirquent", "random"): ("feddb6477128c221", "bf0d7051e3d0c1ce", "a963e066f0b675b5"),
+    ("p1", "cirquent", "scripted"): ("a1cd8d4b5b610efd", "cde1006f3777bbd3", "e250b79bae521223"),
+    ("p1", "formula", "random"): ("4eb08f3d78422bde", "4ff85368fe13971a", "a2ee61360b59b938"),
+    ("p1", "formula", "scripted"): ("96f25e8e91f7057d", "e8640a3758929c92", "708c48298b521b7f"),
+    ("p2", "cirquent", "random"): ("2bcd9d436ab069fc", "d4076173545d3028", "bc5edac4ce846940"),
+    ("p2", "cirquent", "scripted"): ("ef5ee983b16fcba9", "d79d84c7d01ae0e4", "e75e2039fb305dc7"),
+    ("p2", "formula", "random"): ("3788aa2090abcd11", "97c7fcc224aede52", "041f39af738f340a"),
+    ("p2", "formula", "scripted"): ("72b0a82dd813a65a", "ffa7c38881d9ee8f", "e8d8d396e894c223"),
     ("p2", "cirquent", "script"): ("15fc9cf06560bd11",) * 3,
     ("p2", "formula", "script"): ("84631d074bf5c692",) * 3,
 }
