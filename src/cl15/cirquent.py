@@ -6,9 +6,9 @@ Indices are 1-based throughout.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .formula import Formula, parse_formula, render_formula
+from .values import Value, set_field
 
 
 class CirquentError(ValueError):
@@ -18,11 +18,23 @@ class CirquentError(ValueError):
 Group = frozenset[int]
 
 
-@dataclass(frozen=True)
-class Cirquent:
-    oformulas: tuple[Formula, ...]
-    undergroups: tuple[Group, ...]
-    overgroups: tuple[Group, ...]
+class Cirquent(Value):
+    __slots__ = __match_args__ = ("oformulas", "undergroups", "overgroups")
+
+    def __init__(self, oformulas: tuple[Formula, ...], undergroups: tuple[Group, ...],
+                 overgroups: tuple[Group, ...]):
+        set_field(self, "oformulas", oformulas)
+        set_field(self, "undergroups", undergroups)
+        set_field(self, "overgroups", overgroups)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.oformulas, self.undergroups, self.overgroups)
+                    == (other.oformulas, other.undergroups, other.overgroups))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.oformulas, self.undergroups, self.overgroups))
 
     @property
     def size(self) -> int:

@@ -11,105 +11,182 @@ that check.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 from .cirquent import Cirquent, CirquentError, Group, clubsuit, parse_cirquent, render_cirquent, validate_cirquent
 from .formula import And, Formula, Or, Pcost, Pst, negate, render_formula
+from .values import Value, set_field
 
 
 class ProofError(ValueError):
     """Malformed proof text."""
 
 
-@dataclass(frozen=True)
-class Violation:
-    reason: str
+class Violation(Value):
+    __slots__ = __match_args__ = ("reason",)
+
+    def __init__(self, reason: str):
+        set_field(self, "reason", reason)
 
 
-# Rule instances (all indices 1-based)
+# Rule instances (all indices 1-based).  Rules whose parameter has the same
+# name share a base that holds it.
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Value):
     """A rule instance; each rule's class subclasses this one."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Axiom(Rule):
-    formulas: tuple[Formula, ...]
+    __slots__ = __match_args__ = ("formulas",)
+
+    def __init__(self, formulas: tuple[Formula, ...]):
+        set_field(self, "formulas", formulas)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.formulas,) == (other.formulas,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.formulas,))
 
 
-@dataclass(frozen=True)
-class OformulaExchange(Rule):
-    pos: int
+class _AtPos(Rule):
+    __slots__ = __match_args__ = ("pos",)
+
+    def __init__(self, pos: int):
+        set_field(self, "pos", pos)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pos,) == (other.pos,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pos,))
 
 
-@dataclass(frozen=True)
-class UndergroupExchange(Rule):
-    pos: int
+class _AtOformula(Rule):
+    __slots__ = __match_args__ = ("oformula",)
+
+    def __init__(self, oformula: int):
+        set_field(self, "oformula", oformula)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.oformula,) == (other.oformula,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.oformula,))
 
 
-@dataclass(frozen=True)
-class OvergroupExchange(Rule):
-    pos: int
+class OformulaExchange(_AtPos):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UndergroupDuplication(Rule):
-    pos: int
+class UndergroupExchange(_AtPos):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OvergroupDuplication(Rule):
-    pos: int
+class OvergroupExchange(_AtPos):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class UndergroupDuplication(_AtPos):
+    __slots__ = ()
+
+
+class OvergroupDuplication(_AtPos):
+    __slots__ = ()
+
+
 class Merging(Rule):
-    over: int
+    __slots__ = __match_args__ = ("over",)
+
+    def __init__(self, over: int):
+        set_field(self, "over", over)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.over,) == (other.over,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.over,))
 
 
-@dataclass(frozen=True)
 class Weakening(Rule):
-    under: int
-    oformula: int
+    __slots__ = __match_args__ = ("under", "oformula")
+
+    def __init__(self, under: int, oformula: int):
+        set_field(self, "under", under)
+        set_field(self, "oformula", oformula)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.under, self.oformula) == (other.under, other.oformula)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.under, self.oformula))
 
 
-@dataclass(frozen=True)
-class Contraction(Rule):
-    oformula: int
+class Contraction(_AtOformula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OrIntro(Rule):
-    oformula: int
+class OrIntro(_AtOformula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AndIntro(Rule):
-    oformula: int
+class AndIntro(_AtOformula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PstIntro(Rule):
-    oformula: int
+class PstIntro(_AtOformula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PcostIntro(Rule):
-    oformula: int
-    add_over: frozenset[int] = frozenset()
+    __slots__ = __match_args__ = ("oformula", "add_over")
+
+    def __init__(self, oformula: int, add_over: frozenset[int] = frozenset()):
+        set_field(self, "oformula", oformula)
+        set_field(self, "add_over", add_over)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.oformula, self.add_over) == (other.oformula, other.add_over)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.oformula, self.add_over))
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    cirquent: Cirquent
-    rule: Rule
+class ProofStep(Value):
+    __slots__ = __match_args__ = ("cirquent", "rule")
+
+    def __init__(self, cirquent: Cirquent, rule: Rule):
+        set_field(self, "cirquent", cirquent)
+        set_field(self, "rule", rule)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cirquent, self.rule) == (other.cirquent, other.rule)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cirquent, self.rule))
 
 
-@dataclass(frozen=True)
-class Proof:
-    steps: tuple[ProofStep, ...]
+class Proof(Value):
+    __slots__ = __match_args__ = ("steps",)
+
+    def __init__(self, steps: tuple[ProofStep, ...]):
+        set_field(self, "steps", steps)
 
 
 # Index remapping helper
@@ -341,19 +418,22 @@ def axiom_violation(c: Cirquent, formulas: tuple[Formula, ...]) -> Violation | N
     return None
 
 
-@dataclass(frozen=True)
-class _RuleSpec:
+class _RuleSpec(Value):
     """One rule: its name in the file format, its class, the names of its
     parameters (also the class's fields, in file order), and its check.
     `holds(premise, conclusion, *params)` says whether the pair is an
     instance; `mismatch` explains a pair that is not.  The axiom has no
     check, since it has no premise."""
 
-    name: str
-    cls: type
-    params: tuple[str, ...]
-    holds: Callable[..., bool] | None
-    mismatch: str
+    __slots__ = __match_args__ = ("name", "cls", "params", "holds", "mismatch")
+
+    def __init__(self, name: str, cls: type, params: tuple[str, ...],
+                 holds: Callable[..., bool] | None, mismatch: str):
+        set_field(self, "name", name)
+        set_field(self, "cls", cls)
+        set_field(self, "params", params)
+        set_field(self, "holds", holds)
+        set_field(self, "mismatch", mismatch)
 
 
 def _backward(build: Callable[..., Cirquent]) -> Callable[..., bool]:

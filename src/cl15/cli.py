@@ -202,7 +202,8 @@ def _make_adversary(spec: str, game: Game, seed: int):
     if spec == "random":
         return random_adversary(game, seed)
     if spec == "scripted":
-        script = tuple(random.Random(seed).randrange(7) for _ in range(24))
+        rng = random.Random(seed)
+        script = tuple(rng.randrange(7) for _ in range(24))
         return scripted_adversary(game, script)
     if spec.startswith("script:"):
         moves = [

@@ -7,66 +7,107 @@ and builds the normal form as it reads, in one pass.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from .values import Value, set_field
 
 
 class FormulaError(ValueError):
     """Malformed formula text."""
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Value):
     """Base class for formula nodes."""
 
-
-@dataclass(frozen=True)
-class AtomRef(Formula):
-    name: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NegAtom(Formula):
-    name: str
+# One base per node shape.  Equality compares field tuples, as a
+# dataclass's does, so that each level of nesting takes the same stack.
+
+class _Named(Formula):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Unary(Formula):
+    __slots__ = __match_args__ = ("body",)
+
+    def __init__(self, body: Formula):
+        set_field(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.body,) == (other.body,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
-class Pst(Formula):
+class AtomRef(_Named):
+    __slots__ = ()
+
+
+class NegAtom(_Named):
+    __slots__ = ()
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Pst(_Unary):
     """Parallel recurrence (`!`): infinitely many conjoined copies."""
 
-    body: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pcost(Formula):
+class Pcost(_Unary):
     """Parallel corecurrence (`?`): infinitely many disjoined copies."""
 
-    body: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class St(Formula):
+class St(_Unary):
     """Branching recurrence (`b!`): threads addressed by bitstrings."""
 
-    body: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cost(Formula):
+class Cost(_Unary):
     """Branching corecurrence (`b?`): dual of St."""
 
-    body: Formula
+    __slots__ = ()
 
 
 # Each connective's dual: the class of the negation of a node.

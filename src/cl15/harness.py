@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from .cirquent import Cirquent, make_cirquent
@@ -49,6 +48,7 @@ from .runs import (
     project_prefix,
 )
 from .strategy import GRANT, EnvStrategy, MachineStrategy, MakeMove, simulate
+from .values import Record
 
 
 class HarnessError(ValueError):
@@ -527,19 +527,24 @@ class RotatingCopycat(MachineStrategy):
         return GRANT
 
 
-@dataclass
-class SeparationReport:
-    k: int
-    budget: int
-    run: Run
-    omega: Run
-    gamma: Run
-    class_count: int
-    distinct: bool
-    witness: InfiniteBitstring | None
-    winner: Player | None
-    conclusive: bool
-    lines: list[str]
+class SeparationReport(Record):
+    __slots__ = __match_args__ = ("k", "budget", "run", "omega", "gamma", "class_count", "distinct",
+                                  "witness", "winner", "conclusive", "lines")
+
+    def __init__(self, k: int, budget: int, run: Run, omega: Run, gamma: Run, class_count: int,
+                 distinct: bool, witness: InfiniteBitstring | None, winner: Player | None,
+                 conclusive: bool, lines: list[str]):
+        self.k = k
+        self.budget = budget
+        self.run = run
+        self.omega = omega
+        self.gamma = gamma
+        self.class_count = class_count
+        self.distinct = distinct
+        self.witness = witness
+        self.winner = winner
+        self.conclusive = conclusive
+        self.lines = lines
 
     def render(self) -> str:
         return "\n".join(self.lines)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+
+from .values import Value, set_field
 
 
 class RunError(ValueError):
@@ -28,14 +29,22 @@ TOP = Player.TOP
 BOT = Player.BOT
 
 
-@dataclass(frozen=True)
-class Labmove:
-    player: Player
-    move: str
+class Labmove(Value):
+    __slots__ = __match_args__ = ("player", "move")
 
-    def __post_init__(self) -> None:
-        if not self.move:
+    def __init__(self, player: Player, move: str):
+        if not move:
             raise RunError("empty move")
+        set_field(self, "player", player)
+        set_field(self, "move", move)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.player, self.move) == (other.player, other.move)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.player, self.move))
 
 
 Run = tuple[Labmove, ...]
@@ -83,18 +92,18 @@ def project_prefix(run: Run, a: str) -> Run:
     )
 
 
-@dataclass(frozen=True)
-class InfiniteBitstring:
+class InfiniteBitstring(Value):
     """The infinite bitstring stem + tail repeated forever."""
 
-    stem: str = ""
-    tail: str = "0"
+    __slots__ = __match_args__ = ("stem", "tail")
 
-    def __post_init__(self) -> None:
-        if not self.tail:
+    def __init__(self, stem: str = "", tail: str = "0"):
+        if not tail:
             raise RunError("tail must be non-empty")
-        if not re.fullmatch(r"[01]*", self.stem) or not re.fullmatch(r"[01]+", self.tail):
+        if not re.fullmatch(r"[01]*", stem) or not re.fullmatch(r"[01]+", tail):
             raise RunError("stem and tail must be bitstrings")
+        set_field(self, "stem", stem)
+        set_field(self, "tail", tail)
 
     def bit(self, i: int) -> str:
         if i < len(self.stem):

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from typing import Callable
 
 from .cirquent import Cirquent, as_clubsuit, render_cirquent
@@ -44,6 +43,7 @@ from .runs import (
     split_cell_move,
     split_index_move,
 )
+from .values import Record, Value, set_field
 from . import cl15 as rules
 
 
@@ -66,19 +66,27 @@ Cell = tuple[int, tuple[int, ...], str]
 Move = str | Cell
 
 
-@dataclass(frozen=True)
-class MakeMove:
-    move: Move
+class MakeMove(Value):
+    __slots__ = __match_args__ = ("move",)
+
+    def __init__(self, move: Move):
+        set_field(self, "move", move)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.move,) == (other.move,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.move,))
 
 
-@dataclass(frozen=True)
-class GrantPermission:
-    pass
+class GrantPermission(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Idle:
-    pass
+class Idle(Value):
+    __slots__ = ()
 
 
 Action = MakeMove | GrantPermission | Idle
@@ -199,14 +207,17 @@ def _play(machine: MachineStrategy, env: EnvStrategy, position: Position,
             return
 
 
-@dataclass
-class SimResult:
-    run: Run
-    winner: Player
-    grants: int
-    steps: int
-    first_illegality: str | None
-    trace: list[str]
+class SimResult(Record):
+    __slots__ = __match_args__ = ("run", "winner", "grants", "steps", "first_illegality", "trace")
+
+    def __init__(self, run: Run, winner: Player, grants: int, steps: int,
+                 first_illegality: str | None, trace: list[str]):
+        self.run = run
+        self.winner = winner
+        self.grants = grants
+        self.steps = steps
+        self.first_illegality = first_illegality
+        self.trace = trace
 
     def render_trace(self) -> str:
         return "\n".join(self.trace + [f"winner: {self.winner.value} grants:{self.grants}"])
@@ -269,8 +280,7 @@ class AxiomStrategy(MachineStrategy):
 
 # Translators
 
-@dataclass(frozen=True)
-class Translator:
+class Translator(Value):
     """Move maps between an outer (conclusion) play and an imagined inner
     (premise) play.  `outer_to_inner` translates environment moves inward
     (None drops the move); `inner_to_outer` translates the inner machine's
@@ -281,10 +291,14 @@ class Translator:
     coordinates and keep its payload, so whether it drops or absorbs a move
     depends on those alone; only the factories below set it."""
 
-    name: str
-    outer_to_inner: Callable[[Move], Move | None]
-    inner_to_outer: Callable[[Cell], Move | None]
-    structural: bool = False
+    __slots__ = __match_args__ = ("name", "outer_to_inner", "inner_to_outer", "structural")
+
+    def __init__(self, name: str, outer_to_inner: Callable[[Move], Move | None],
+                 inner_to_outer: Callable[[Cell], Move | None], structural: bool = False):
+        set_field(self, "name", name)
+        set_field(self, "outer_to_inner", outer_to_inner)
+        set_field(self, "inner_to_outer", inner_to_outer)
+        set_field(self, "structural", structural)
 
 
 def _formula_leave(cell: Cell) -> str | None:

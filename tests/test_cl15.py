@@ -1,5 +1,4 @@
 """Proof checking: rule instances, corruption rejection, proof files."""
-import dataclasses
 import hashlib
 import random
 
@@ -7,6 +6,7 @@ import pytest
 
 from cl15.cirquent import Cirquent, parse_cirquent, render_cirquent
 from cl15.cl15 import (
+    _RULE_OF_CLASS,
     Axiom,
     Proof,
     ProofError,
@@ -55,11 +55,12 @@ def _check_step_verdicts() -> list[str]:
         premise, conclusion, rule = rule_case(name)
         variants = [("instance", premise, conclusion, rule)]
         variants += single_corruptions(premise, conclusion, rule)
-        for field in dataclasses.fields(rule):
-            if isinstance(getattr(rule, field.name), int):
+        fields = {key: getattr(rule, key) for key in _RULE_OF_CLASS[type(rule)].params}
+        for key, current in fields.items():
+            if isinstance(current, int):
                 for value in (0, 9):
-                    changed = dataclasses.replace(rule, **{field.name: value})
-                    variants.append((f"{field.name}={value}", premise, conclusion, changed))
+                    changed = type(rule)(**{**fields, key: value})
+                    variants.append((f"{key}={value}", premise, conclusion, changed))
         for label, prem2, concl2, rule2 in variants:
             v = check_step(prem2, concl2, rule2)
             lines.append(f"{name} -- {label}: {'ok' if v is None else v.reason}")

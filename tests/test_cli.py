@@ -16,12 +16,13 @@ from cl15.cli import (
     FAIL,
     OK,
     USAGE,
+    _make_adversary,
     build_parser,
     main,
     parse_interpretation,
     play_session,
 )
-from cl15.games import GameError
+from cl15.games import GameError, PermissiveGame
 from cl15.harness import RANDOM_GAME_MAX_NODES, ScriptMachine
 from cl15.strategy import extract_solution, proof_goal
 
@@ -471,20 +472,20 @@ PINNED_SIMULATE = {
                            "693348de7329ff5d"),
     ("p1", "cirquent"): ("e931a630b2be9622", "e931a630b2be9622", "e931a630b2be9622",
                          "e931a630b2be9622", "feddb6477128c221", "bf0d7051e3d0c1ce",
-                         "38c0b08843ec86d2", "e90bef02f2724089", "a1cd8d4b5b610efd",
-                         "cde1006f3777bbd3", "8c01e9f0e3c65e43", "c2777d7d828bfcd0"),
+                         "38c0b08843ec86d2", "e90bef02f2724089", "987cab22a653336a",
+                         "18b2aaaa9c1035fc", "8c01e9f0e3c65e43", "c2777d7d828bfcd0"),
     ("p1", "formula"): ("b9069b13f9a23e91", "b9069b13f9a23e91", "b9069b13f9a23e91",
                         "b9069b13f9a23e91", "4eb08f3d78422bde", "4ff85368fe13971a",
                         "8a7598ab4ba3351e", "9279428c539b7bac", "96f25e8e91f7057d",
                         "e8640a3758929c92", "b66bafecd76f9a52", "f60cbbd79cee0074"),
     ("p2", "cirquent"): ("c9d3a83c7219bebd", "c9d3a83c7219bebd", "c9d3a83c7219bebd",
                          "c9d3a83c7219bebd", "2bcd9d436ab069fc", "d4076173545d3028",
-                         "5f11b122a1f52c94", "023988ad04c60e70", "ef5ee983b16fcba9",
-                         "d79d84c7d01ae0e4", "faec8cfcec49a0d6", "1530475b0334540b"),
+                         "5f11b122a1f52c94", "023988ad04c60e70", "a65082da8ba292c7",
+                         "64fbe7ac03998ee6", "96b980410e2e4f3c", "80232b69ab25cbb8"),
     ("p2", "formula"): ("b1e34495f5038ccb", "b1e34495f5038ccb", "b1e34495f5038ccb",
                         "b1e34495f5038ccb", "3788aa2090abcd11", "97c7fcc224aede52",
-                        "0656e01481f96a86", "ee838216fcaaa9fc", "72b0a82dd813a65a",
-                        "ffa7c38881d9ee8f", "966054fb7fecd683", "d32f3c4073acd675"),
+                        "0656e01481f96a86", "ee838216fcaaa9fc", "9fa2692a03ca290b",
+                        "ca4bd7c19a7b3c26", "966054fb7fecd683", "d32f3c4073acd675"),
 }
 
 
@@ -549,6 +550,26 @@ def test_random_adversary_transcript_ignores_the_hash_seed():
         outputs.append(done.stdout)
     assert " E:" in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+def test_scripted_adversary_draws_a_varied_script():
+    # The script is one seeded stream of indices, not one index repeated.
+    adversary = _make_adversary("scripted", PermissiveGame(), 1)
+    choose = adversary.make_chooser()
+    assert len({choose(7) for _ in range(24)}) > 1
+
+
+def test_startup_imports_no_code_generation_modules():
+    # The value classes are written out: starting the CLI must not load
+    # `dataclasses` or the modules it would bring in.
+    src = str(Path(cl15.__file__).resolve().parent.parent)
+    code = ("import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import cl15.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 # --- verification once, long proofs, deep formulas ------------------------------------

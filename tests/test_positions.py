@@ -445,13 +445,13 @@ SCRIPTS = {
 }
 PINNED_TRANSCRIPTS = {
     ("p1", "cirquent", "random"): ("feddb6477128c221", "bf0d7051e3d0c1ce", "a963e066f0b675b5"),
-    ("p1", "cirquent", "scripted"): ("a1cd8d4b5b610efd", "cde1006f3777bbd3", "e250b79bae521223"),
+    ("p1", "cirquent", "scripted"): ("987cab22a653336a", "18b2aaaa9c1035fc", "e250b79bae521223"),
     ("p1", "formula", "random"): ("4eb08f3d78422bde", "4ff85368fe13971a", "a2ee61360b59b938"),
     ("p1", "formula", "scripted"): ("96f25e8e91f7057d", "e8640a3758929c92", "708c48298b521b7f"),
     ("p2", "cirquent", "random"): ("2bcd9d436ab069fc", "d4076173545d3028", "bc5edac4ce846940"),
-    ("p2", "cirquent", "scripted"): ("ef5ee983b16fcba9", "d79d84c7d01ae0e4", "e75e2039fb305dc7"),
+    ("p2", "cirquent", "scripted"): ("a65082da8ba292c7", "64fbe7ac03998ee6", "ec47c7cf0f6c698b"),
     ("p2", "formula", "random"): ("3788aa2090abcd11", "97c7fcc224aede52", "041f39af738f340a"),
-    ("p2", "formula", "scripted"): ("72b0a82dd813a65a", "ffa7c38881d9ee8f", "e8d8d396e894c223"),
+    ("p2", "formula", "scripted"): ("9fa2692a03ca290b", "ca4bd7c19a7b3c26", "e8d8d396e894c223"),
     ("p2", "cirquent", "script"): ("15fc9cf06560bd11",) * 3,
     ("p2", "formula", "script"): ("84631d074bf5c692",) * 3,
 }
