@@ -1,17 +1,17 @@
-"""The ten inference rules as checkable premise/conclusion relations,
-plus whole-proof verification and the proof file format.
+"""The inference rules as checkable premise/conclusion relations, plus
+whole-proof verification and the proof file format.
 
-Each rule has a deterministic constructor in its natural direction
-(conclusion from premise for Axiom/Exchange/Duplication/Merging, premise
-from conclusion for the rest); checking compares the constructed cirquent
-with the given one, so diagnostics are exact and checking is linear.  One
-record per rule in `_RULES` holds its file-format name, its parameters and
-that check.
+Each rule is one class, and the class is its only record: its file-format
+`name`, its parameters (its fields, in file order), its check
+`holds(premise, conclusion)` and the `mismatch` text for a pair that is not
+an instance.  A check runs a deterministic constructor in the rule's
+natural direction (conclusion from premise for the exchanges, duplications
+and merging, premise from conclusion for the rest) and compares the result
+with the given cirquent, so diagnostics are exact and checking is linear.
 """
 from __future__ import annotations
 
 import re
-from typing import Callable
 
 from .cirquent import Cirquent, CirquentError, Group, clubsuit, parse_cirquent, render_cirquent, validate_cirquent
 from .formula import And, Formula, Or, Pcost, Pst, negate, render_formula
@@ -32,138 +32,165 @@ class Violation(Value):
 # Rule instances (all indices 1-based).  Rules whose parameter has the same
 # name share a base that holds it.
 
+_FORWARD_MISMATCH = "conclusion does not match the rule applied to the premise"
+
+
 class Rule(Value):
-    """A rule instance; each rule's class subclasses this one."""
+    """A rule instance; each rule's class subclasses this one and sets
+    `name`, `params` (its fields, in file order) and `mismatch`."""
 
     __slots__ = ()
+    name = mismatch = ""
+    params: tuple[str, ...]
+
+    def holds(self, p: Cirquent, c: Cirquent) -> bool:
+        """Is (premise p, conclusion c) an instance of this rule?  May raise
+        ValueError, whose message then explains why not."""
+        raise NotImplementedError
 
 
 class Axiom(Rule):
+    """The axiom on formulas F1..Fn.  Its step header takes no parameters:
+    `formulas` is read from its cirquent ~F1, F1, ..., ~Fn, Fn."""
+
     __slots__ = __match_args__ = ("formulas",)
+    name, params, mismatch = "axiom", (), "axiom has no premise"
 
     def __init__(self, formulas: tuple[Formula, ...]):
         set_field(self, "formulas", formulas)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.formulas,) == (other.formulas,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.formulas,))
+    def holds(self, p: Cirquent, c: Cirquent) -> bool:
+        return False
 
 
 class _AtPos(Rule):
-    __slots__ = __match_args__ = ("pos",)
+    __slots__ = __match_args__ = params = ("pos",)
+    mismatch = _FORWARD_MISMATCH
 
     def __init__(self, pos: int):
         set_field(self, "pos", pos)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pos,) == (other.pos,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.pos,))
-
 
 class _AtOformula(Rule):
-    __slots__ = __match_args__ = ("oformula",)
+    __slots__ = __match_args__ = params = ("oformula",)
 
     def __init__(self, oformula: int):
         set_field(self, "oformula", oformula)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.oformula,) == (other.oformula,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.oformula,))
-
 
 class OformulaExchange(_AtPos):
     __slots__ = ()
+    name = "exchange_oformulas"
+
+    def holds(self, p: Cirquent, c: Cirquent) -> bool:
+        return conclusion_of_oformula_exchange(p, self.pos) == c
 
 
 class UndergroupExchange(_AtPos):
     __slots__ = ()
+    name = "exchange_unders"
+
+    def holds(self, p: Cirquent, c: Cirquent) -> bool:
+        return Cirquent(p.oformulas, _swap_groups(p.undergroups, self.pos), p.overgroups) == c
 
 
 class OvergroupExchange(_AtPos):
     __slots__ = ()
+    name = "exchange_overs"
+
+    def holds(self, p: Cirquent, c: Cirquent) -> bool:
+        return Cirquent(p.oformulas, p.undergroups, _swap_groups(p.overgroups, self.pos)) == c
 
 
 class UndergroupDuplication(_AtPos):
     __slots__ = ()
+    name = "dup_under"
+
+    def holds(self, p: Cirquent, c: Cirquent) -> bool:
+        return Cirquent(p.oformulas, _duplicate_group(p.undergroups, self.pos), p.overgroups) == c
 
 
 class OvergroupDuplication(_AtPos):
     __slots__ = ()
+    name = "dup_over"
+
+    def holds(self, p: Cirquent, c: Cirquent) -> bool:
+        return Cirquent(p.oformulas, p.undergroups, _duplicate_group(p.overgroups, self.pos)) == c
 
 
 class Merging(Rule):
-    __slots__ = __match_args__ = ("over",)
+    __slots__ = __match_args__ = params = ("over",)
+    name, mismatch = "merging", _FORWARD_MISMATCH
 
     def __init__(self, over: int):
         set_field(self, "over", over)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.over,) == (other.over,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.over,))
+    def holds(self, p: Cirquent, c: Cirquent) -> bool:
+        return Cirquent(p.oformulas, p.undergroups, _merge_groups(p.overgroups, self.over)) == c
 
 
 class Weakening(Rule):
-    __slots__ = __match_args__ = ("under", "oformula")
+    __slots__ = __match_args__ = params = ("under", "oformula")
+    name, mismatch = "weakening", "premise is not the arc-deletion of the conclusion"
 
     def __init__(self, under: int, oformula: int):
         set_field(self, "under", under)
         set_field(self, "oformula", oformula)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.under, self.oformula) == (other.under, other.oformula)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.under, self.oformula))
+    def holds(self, p: Cirquent, c: Cirquent) -> bool:
+        return premise_of_weakening(c, self.under, self.oformula)[0] == p
 
 
 class Contraction(_AtOformula):
     __slots__ = ()
+    name, mismatch = "contraction", "premise is not the two-copy split of the conclusion"
+
+    def holds(self, p: Cirquent, c: Cirquent) -> bool:
+        return premise_of_contraction(c, self.oformula) == p
 
 
 class OrIntro(_AtOformula):
     __slots__ = ()
+    name, mismatch = "or", "premise does not split the disjunction as required"
+
+    def holds(self, p: Cirquent, c: Cirquent) -> bool:
+        return premise_of_or(c, self.oformula) == p
 
 
 class AndIntro(_AtOformula):
     __slots__ = ()
+    name, mismatch = "and", "premise does not split the conjunction as required"
+
+    def holds(self, p: Cirquent, c: Cirquent) -> bool:
+        return premise_of_and(c, self.oformula) == p
 
 
 class PstIntro(_AtOformula):
     __slots__ = ()
+    name, mismatch = "pst", "premise does not add a singleton overgroup as required"
+
+    def holds(self, p: Cirquent, c: Cirquent) -> bool:
+        return pst_position(p, c, self.oformula) is not None
 
 
 class PcostIntro(Rule):
-    __slots__ = __match_args__ = ("oformula", "add_over")
+    __slots__ = __match_args__ = params = ("oformula", "add_over")
+    name, mismatch = "pcost", "premise does not match the stated overgroup additions"
 
     def __init__(self, oformula: int, add_over: frozenset[int] = frozenset()):
         set_field(self, "oformula", oformula)
         set_field(self, "add_over", add_over)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.oformula, self.add_over) == (other.oformula, other.add_over)
-        return NotImplemented
+    def holds(self, p: Cirquent, c: Cirquent) -> bool:
+        return premise_of_pcost(c, self.oformula, self.add_over) == p
 
-    def __hash__(self) -> int:
-        return hash((self.oformula, self.add_over))
+
+_RULES = {
+    cls.name: cls
+    for cls in (Axiom, OformulaExchange, UndergroupExchange, OvergroupExchange,
+                UndergroupDuplication, OvergroupDuplication, Merging, Weakening,
+                Contraction, OrIntro, AndIntro, PstIntro, PcostIntro)
+}
 
 
 class ProofStep(Value):
@@ -172,14 +199,6 @@ class ProofStep(Value):
     def __init__(self, cirquent: Cirquent, rule: Rule):
         set_field(self, "cirquent", cirquent)
         set_field(self, "rule", rule)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.cirquent, self.rule) == (other.cirquent, other.rule)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.cirquent, self.rule))
 
 
 class Proof(Value):
@@ -222,8 +241,7 @@ def conclusion_of_oformula_exchange(premise: Cirquent, i: int) -> Cirquent:
 
 
 # Group edits shared by the exchange, duplication and merging rules.  Each
-# edits one tuple of groups; _unders and _overs turn it into the check of a
-# rule that edits the premise's undergroups or overgroups.
+# edits one tuple of groups, the premise's undergroups or its overgroups.
 
 def _swap_groups(groups: tuple[Group, ...], i: int) -> tuple[Group, ...]:
     if not 1 <= i < len(groups):
@@ -247,14 +265,6 @@ def _merge_groups(groups: tuple[Group, ...], j: int) -> tuple[Group, ...]:
     out = list(groups)
     out[j - 1:j + 1] = [out[j - 1] | out[j]]
     return tuple(out)
-
-
-def _unders(edit: Callable) -> Callable[..., bool]:
-    return lambda p, c, i: Cirquent(p.oformulas, edit(p.undergroups, i), p.overgroups) == c
-
-
-def _overs(edit: Callable) -> Callable[..., bool]:
-    return lambda p, c, i: Cirquent(p.oformulas, p.undergroups, edit(p.overgroups, i)) == c
 
 
 # Backward constructors (premise from conclusion)
@@ -295,67 +305,56 @@ def premise_of_weakening(
     return Cirquent(tuple(of), unders2, overs3), a, deleted_overs
 
 
-def premise_of_contraction(conclusion: Cirquent, a: int) -> Cirquent:
-    if not 1 <= a <= conclusion.size:
-        raise ValueError(f"oformula {a} out of range")
-    f = conclusion.oformulas[a - 1]
-    if not isinstance(f, Pcost):
-        raise ValueError(f"oformula {a} is not a '?' formula")
-    of = list(conclusion.oformulas)
-    of.insert(a, f)
-    return Cirquent(
-        tuple(of),
-        tuple(_shift_after(g, a) for g in conclusion.undergroups),
-        tuple(_shift_after(g, a) for g in conclusion.overgroups),
-    )
+# How a diagnostic names each kind of oformula.
+_SYMBOL = {Or: "\\/", And: "/\\", Pst: "'!'", Pcost: "'?'"}
 
 
-def _split_binary(conclusion: Cirquent, a: int, kind: type) -> tuple[Formula, Formula]:
+def _oformula(conclusion: Cirquent, a: int, kind: type) -> Formula:
+    """Oformula a of the conclusion, which must exist and be a `kind` formula."""
     if not 1 <= a <= conclusion.size:
         raise ValueError(f"oformula {a} out of range")
     f = conclusion.oformulas[a - 1]
     if not isinstance(f, kind):
-        sym = "\\/" if kind is Or else "/\\"
-        raise ValueError(f"oformula {a} is not a {sym} formula")
-    return f.left, f.right
+        raise ValueError(f"oformula {a} is not a {_SYMBOL[kind]} formula")
+    return f
 
 
-def premise_of_or(conclusion: Cirquent, a: int) -> Cirquent:
-    left, right = _split_binary(conclusion, a, Or)
+def _split(conclusion: Cirquent, a: int, first: Formula, second: Formula,
+           split_unders: bool = False) -> Cirquent:
+    """Oformula a replaced by `first` and `second`, at a and a+1.  A group
+    that held a holds both, except that with `split_unders` an undergroup
+    that held a becomes two: one that holds `first`, then one that holds
+    `second`."""
     of = list(conclusion.oformulas)
-    of[a - 1:a] = [left, right]
-    return Cirquent(
-        tuple(of),
-        tuple(_shift_after(g, a) for g in conclusion.undergroups),
-        tuple(_shift_after(g, a) for g in conclusion.overgroups),
-    )
-
-
-def premise_of_and(conclusion: Cirquent, a: int) -> Cirquent:
-    left, right = _split_binary(conclusion, a, And)
-    of = list(conclusion.oformulas)
-    of[a - 1:a] = [left, right]
+    of[a - 1:a] = [first, second]
     unders: list[Group] = []
     for g in conclusion.undergroups:
         spread = _shift_after(g, a)
-        if a in g:
-            unders.append(spread - {a + 1})
-            unders.append(spread - {a})
+        if split_unders and a in g:
+            unders += (spread - {a + 1}, spread - {a})
         else:
             unders.append(spread)
-    return Cirquent(
-        tuple(of),
-        tuple(unders),
-        tuple(_shift_after(g, a) for g in conclusion.overgroups),
-    )
+    overs = tuple(_shift_after(g, a) for g in conclusion.overgroups)
+    return Cirquent(tuple(of), tuple(unders), overs)
+
+
+def premise_of_contraction(conclusion: Cirquent, a: int) -> Cirquent:
+    f = _oformula(conclusion, a, Pcost)
+    return _split(conclusion, a, f, f)
+
+
+def premise_of_or(conclusion: Cirquent, a: int) -> Cirquent:
+    f = _oformula(conclusion, a, Or)
+    return _split(conclusion, a, f.left, f.right)
+
+
+def premise_of_and(conclusion: Cirquent, a: int) -> Cirquent:
+    f = _oformula(conclusion, a, And)
+    return _split(conclusion, a, f.left, f.right, split_unders=True)
 
 
 def premise_of_pst(conclusion: Cirquent, a: int, over_pos: int) -> Cirquent:
-    if not 1 <= a <= conclusion.size:
-        raise ValueError(f"oformula {a} out of range")
-    f = conclusion.oformulas[a - 1]
-    if not isinstance(f, Pst):
-        raise ValueError(f"oformula {a} is not a '!' formula")
+    f = _oformula(conclusion, a, Pst)
     if not 1 <= over_pos <= len(conclusion.overgroups) + 1:
         raise ValueError(f"overgroup position {over_pos} out of range")
     of = list(conclusion.oformulas)
@@ -365,24 +364,19 @@ def premise_of_pst(conclusion: Cirquent, a: int, over_pos: int) -> Cirquent:
     return Cirquent(tuple(of), conclusion.undergroups, tuple(overs))
 
 
-def pst_positions(premise: Cirquent, conclusion: Cirquent, a: int) -> list[int]:
-    """All insertion positions at which the premise matches; empty if none."""
-    out = []
+def pst_position(premise: Cirquent, conclusion: Cirquent, a: int) -> int | None:
+    """The first insertion position at which the premise matches; None if none."""
     for j in range(1, len(conclusion.overgroups) + 2):
         try:
             if premise_of_pst(conclusion, a, j) == premise:
-                out.append(j)
+                return j
         except ValueError:
-            break
-    return out
+            return None
+    return None
 
 
 def premise_of_pcost(conclusion: Cirquent, a: int, add_over: frozenset[int]) -> Cirquent:
-    if not 1 <= a <= conclusion.size:
-        raise ValueError(f"oformula {a} out of range")
-    f = conclusion.oformulas[a - 1]
-    if not isinstance(f, Pcost):
-        raise ValueError(f"oformula {a} is not a '?' formula")
+    f = _oformula(conclusion, a, Pcost)
     for j in add_over:
         if not 1 <= j <= len(conclusion.overgroups):
             raise ValueError(f"overgroup {j} out of range")
@@ -418,65 +412,6 @@ def axiom_violation(c: Cirquent, formulas: tuple[Formula, ...]) -> Violation | N
     return None
 
 
-class _RuleSpec(Value):
-    """One rule: its name in the file format, its class, the names of its
-    parameters (also the class's fields, in file order), and its check.
-    `holds(premise, conclusion, *params)` says whether the pair is an
-    instance; `mismatch` explains a pair that is not.  The axiom has no
-    check, since it has no premise."""
-
-    __slots__ = __match_args__ = ("name", "cls", "params", "holds", "mismatch")
-
-    def __init__(self, name: str, cls: type, params: tuple[str, ...],
-                 holds: Callable[..., bool] | None, mismatch: str):
-        set_field(self, "name", name)
-        set_field(self, "cls", cls)
-        set_field(self, "params", params)
-        set_field(self, "holds", holds)
-        set_field(self, "mismatch", mismatch)
-
-
-def _backward(build: Callable[..., Cirquent]) -> Callable[..., bool]:
-    """The check of a rule built as premise = build(conclusion, *params)."""
-    return lambda premise, conclusion, *params: build(conclusion, *params) == premise
-
-
-_FORWARD_MISMATCH = "conclusion does not match the rule applied to the premise"
-
-_RULES = {
-    spec.name: spec
-    for spec in (
-        _RuleSpec("axiom", Axiom, (), None, "axiom has no premise"),
-        _RuleSpec("exchange_oformulas", OformulaExchange, ("pos",),
-                  lambda p, c, i: conclusion_of_oformula_exchange(p, i) == c, _FORWARD_MISMATCH),
-        _RuleSpec("exchange_unders", UndergroupExchange, ("pos",), _unders(_swap_groups),
-                  _FORWARD_MISMATCH),
-        _RuleSpec("exchange_overs", OvergroupExchange, ("pos",), _overs(_swap_groups),
-                  _FORWARD_MISMATCH),
-        _RuleSpec("dup_under", UndergroupDuplication, ("pos",), _unders(_duplicate_group),
-                  _FORWARD_MISMATCH),
-        _RuleSpec("dup_over", OvergroupDuplication, ("pos",), _overs(_duplicate_group),
-                  _FORWARD_MISMATCH),
-        _RuleSpec("merging", Merging, ("over",), _overs(_merge_groups), _FORWARD_MISMATCH),
-        _RuleSpec("weakening", Weakening, ("under", "oformula"),
-                  _backward(lambda c, under, a: premise_of_weakening(c, under, a)[0]),
-                  "premise is not the arc-deletion of the conclusion"),
-        _RuleSpec("contraction", Contraction, ("oformula",), _backward(premise_of_contraction),
-                  "premise is not the two-copy split of the conclusion"),
-        _RuleSpec("or", OrIntro, ("oformula",), _backward(premise_of_or),
-                  "premise does not split the disjunction as required"),
-        _RuleSpec("and", AndIntro, ("oformula",), _backward(premise_of_and),
-                  "premise does not split the conjunction as required"),
-        _RuleSpec("pst", PstIntro, ("oformula",), lambda p, c, a: bool(pst_positions(p, c, a)),
-                  "premise does not add a singleton overgroup as required"),
-        _RuleSpec("pcost", PcostIntro, ("oformula", "add_over"), _backward(premise_of_pcost),
-                  "premise does not match the stated overgroup additions"),
-    )
-}
-
-_RULE_OF_CLASS = {spec.cls: spec for spec in _RULES.values()}
-
-
 def check_step(
     premise: Cirquent, conclusion: Cirquent, rule: Rule, premise_valid: bool = False
 ) -> Violation | None:
@@ -488,17 +423,14 @@ def check_step(
         issues = validate_cirquent(c)
         if issues:
             return Violation(f"invalid {name}: {issues[0]}")
-    spec = _RULE_OF_CLASS.get(type(rule))
-    if spec is None:
+    if _RULES.get(rule.name) is not type(rule):
         return Violation(f"unknown rule {rule!r}")
     try:
-        if spec.holds is not None and spec.holds(
-            premise, conclusion, *[getattr(rule, key) for key in spec.params]
-        ):
+        if rule.holds(premise, conclusion):
             return None
     except ValueError as exc:
         return Violation(str(exc))
-    return Violation(spec.mismatch)
+    return Violation(rule.mismatch)
 
 
 def verify_proof(proof: Proof, goal: Formula | None = None) -> tuple[int, Violation] | None:
@@ -559,21 +491,20 @@ def _parse_params(text: str, lineno: int) -> dict[str, object]:
 
 
 def _build_rule(name: str, params: dict[str, object], cirq: Cirquent, lineno: int) -> Rule:
-    spec = _RULES.get(name)
-    if spec is None:
+    cls = _RULES.get(name)
+    if cls is None:
         raise ProofError(f"line {lineno}: unknown rule {name!r}")
-    extra = params.keys() - spec.params
+    extra = params.keys() - cls.params
     if extra:
         raise ProofError(f"line {lineno}: rule {name} does not take {', '.join(sorted(extra))}")
-    if spec.cls is Axiom:
-        # The axiom schema lists ~F,F pairs; recover the F's from the cirquent.
-        return Axiom(cirq.oformulas[1::2] if len(cirq.oformulas) % 2 == 0 else ())
+    if cls is Axiom:
+        return Axiom(cirq.oformulas[1::2])
     # add_over is optional, and is checked before the required parameters.
     add = params.get("add_over", frozenset())
     if not isinstance(add, frozenset):
         raise ProofError(f"line {lineno}: add_over must be a set like {{1,2}}")
     args: list[object] = []
-    for key in spec.params:
+    for key in cls.params:
         if key == "add_over":
             args.append(add)
         elif key not in params:
@@ -582,7 +513,7 @@ def _build_rule(name: str, params: dict[str, object], cirq: Cirquent, lineno: in
             raise ProofError(f"line {lineno}: {key} must be a number, not a set")
         else:
             args.append(params[key])
-    return spec.cls(*args)
+    return cls(*args)
 
 
 def parse_proof(text: str) -> Proof:
@@ -643,13 +574,13 @@ def render_proof(proof: Proof) -> str:
     rendered: dict = {}
     lines = []
     for k, step in enumerate(proof.steps, start=1):
-        spec = _RULE_OF_CLASS[type(step.rule)]
+        rule = step.rule
         params = ""
-        for key in spec.params:
-            value = getattr(step.rule, key)
+        for key in rule.params:
+            value = getattr(rule, key)
             if isinstance(value, frozenset):
                 value = "{" + ",".join(str(j) for j in sorted(value)) + "}"
             params += f" {key}={value}"
-        lines.append(f"step {k}: rule={spec.name}{params}")
+        lines.append(f"step {k}: rule={rule.name}{params}")
         lines.append(render_cirquent(step.cirquent, rendered))
     return "\n".join(lines)

@@ -40,7 +40,7 @@ tests rather than enforced at call time.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from .cirquent import Cirquent, is_valid
 from .formula import And, AtomRef, Cost, Formula, NegAtom, Or, Pcost, Pst, St

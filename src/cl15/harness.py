@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Iterator, Sequence
-from typing import Callable, Union
+from collections.abc import Callable, Iterator, Sequence
 
 from .cirquent import Cirquent, make_cirquent
 from .formula import (
@@ -241,7 +240,7 @@ def _oracle_won_cirquent(c: Cirquent, interp: Interpretation, run: Run) -> Playe
     return TOP
 
 
-Subject = Union[Formula, Cirquent]
+Subject = Formula | Cirquent
 
 
 def brute_force_legal(subject: Subject, interp: Interpretation, run: Run) -> bool:

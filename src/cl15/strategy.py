@@ -27,8 +27,7 @@ as one layer that memoizes the composed maps per `(oformula, coords)`.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
-from typing import Callable
+from collections.abc import Callable, Iterator, Sequence
 
 from .cirquent import Cirquent, as_clubsuit, render_cirquent
 from .formula import Formula, render_formula
@@ -71,14 +70,6 @@ class MakeMove(Value):
 
     def __init__(self, move: Move):
         set_field(self, "move", move)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.move,) == (other.move,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.move,))
 
 
 class GrantPermission(Value):
@@ -767,10 +758,10 @@ def make_translator(rule: rules.Rule, premise: Cirquent, conclusion: Cirquent) -
     if isinstance(rule, rules.AndIntro):
         return _binary_intro_translator(rule.oformula, "and")
     if isinstance(rule, rules.PstIntro):
-        positions = rules.pst_positions(premise, conclusion, rule.oformula)
-        if not positions:
+        j = rules.pst_position(premise, conclusion, rule.oformula)
+        if j is None:
             raise StrategyError("rule/cirquent mismatch for pst introduction")
-        return _pst_intro_translator(rule.oformula, positions[0])
+        return _pst_intro_translator(rule.oformula, j)
     if isinstance(rule, rules.PcostIntro):
         return _pcost_intro_translator(rule.oformula, rule.add_over)
     raise StrategyError(f"no translator for rule {rule!r}")

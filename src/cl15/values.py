@@ -6,8 +6,10 @@ generating their methods at import, and importing `dataclasses` with the
 modules it needs, cost a third of every command's start.  Each class
 lists its fields, in constructor order, in `__match_args__` and
 `__slots__`, and writes out its `__init__`; the methods below read that
-list.  A class built per step or per move also writes out `__eq__` and
-`__hash__` on the same field tuple, since the generic ones cost a loop.
+list.  The formula shape bases, `Cirquent` and `Labmove`, which checking
+and play compare and hash at every step or move, also write out `__eq__`
+and `__hash__` on the same field tuple, since the generic ones cost a
+loop; the other classes use the generic ones.
 """
 from __future__ import annotations
 

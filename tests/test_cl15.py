@@ -6,11 +6,12 @@ import pytest
 
 from cl15.cirquent import Cirquent, parse_cirquent, render_cirquent
 from cl15.cl15 import (
-    _RULE_OF_CLASS,
     Axiom,
     Proof,
     ProofError,
     ProofStep,
+    Rule,
+    Violation,
     axiom_violation,
     check_step,
     parse_proof,
@@ -55,7 +56,7 @@ def _check_step_verdicts() -> list[str]:
         premise, conclusion, rule = rule_case(name)
         variants = [("instance", premise, conclusion, rule)]
         variants += single_corruptions(premise, conclusion, rule)
-        fields = {key: getattr(rule, key) for key in _RULE_OF_CLASS[type(rule)].params}
+        fields = {key: getattr(rule, key) for key in rule.__match_args__}
         for key, current in fields.items():
             if isinstance(current, int):
                 for value in (0, 9):
@@ -104,6 +105,11 @@ def test_check_step_rejects_axiom_rule():
     c = C("oformulas: ~P | P ; under: {1,2} ; over: {1,2}")
     v = check_step(c, c, Axiom((parse_formula("P"),)))
     assert v is not None and "no premise" in str(v)
+
+
+def test_check_step_rejects_unknown_rule():
+    c = C("oformulas: ~P | P ; under: {1,2} ; over: {1,2}")
+    assert check_step(c, c, Rule()) == Violation("unknown rule Rule()")
 
 
 def test_verify_p1_and_p2():

@@ -55,6 +55,13 @@ def test_check_rejects_broken_proof(capsys):
     )
 
 
+def test_check_names_the_formulas_of_an_odd_axiom_cirquent(tmp_path, capsys):
+    proof = tmp_path / "odd.proof"
+    proof.write_text("step 1: rule=axiom\noformulas: ~P | P | Q ; under: {1,2,3} ; over: {1,2,3}\n")
+    assert main(["check", str(proof)]) == FAIL
+    assert capsys.readouterr().out == "step 1: violation: not the axiom cirquent for P\n"
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent/x.proof"]) == USAGE
     assert capsys.readouterr().err.startswith("error: ")
@@ -561,14 +568,16 @@ def test_scripted_adversary_draws_a_varied_script():
 
 def test_startup_imports_no_code_generation_modules():
     # The value classes are written out: starting the CLI must not load
-    # `dataclasses` or the modules it would bring in.
+    # `dataclasses` or the modules it would bring in, nor `typing`.  `-S`
+    # keeps `site`, which loads `typing` itself, out of the count; `-B`
+    # leaves no bytecode cache in the source tree.
     src = str(Path(cl15.__file__).resolve().parent.parent)
     code = ("import sys\n"
             f"sys.path.insert(0, {src!r})\n"
             "import cl15.cli\n"
-            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))\n")
-    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
-                          timeout=60)
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'typing'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True,
+                          text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from cl15.cirquent import Cirquent
 from cl15.cl15 import (
-    _RULES,
     AndIntro,
     Axiom,
     Contraction,
@@ -49,7 +48,7 @@ DATA = [
     Weakening(1, 2), Contraction(1), OrIntro(1), AndIntro(1), PstIntro(1), PcostIntro(1),
     ProofStep(CIRQUENT, Axiom((P,))), Proof(()), MakeMove("1.m"), GRANT, IDLE,
 ]
-FROZEN = DATA + [_RULES["pcost"], Translator("t", _identity, _identity)]
+FROZEN = DATA + [Translator("t", _identity, _identity)]
 
 
 def _class_exact_equality():
