@@ -365,13 +365,12 @@ def premise_of_pst(conclusion: Cirquent, a: int, over_pos: int) -> Cirquent:
 
 
 def pst_position(premise: Cirquent, conclusion: Cirquent, a: int) -> int | None:
-    """The first insertion position at which the premise matches; None if none."""
+    """The first insertion position at which the premise matches; None if
+    none.  Raises ValueError unless oformula a is a '!' formula."""
+    _oformula(conclusion, a, Pst)
     for j in range(1, len(conclusion.overgroups) + 2):
-        try:
-            if premise_of_pst(conclusion, a, j) == premise:
-                return j
-        except ValueError:
-            return None
+        if premise_of_pst(conclusion, a, j) == premise:
+            return j
     return None
 
 

@@ -112,7 +112,9 @@ def parse_interpretation(text: str) -> Interpretation:
 def _load_subject(path: str, level_flag: str | None) -> tuple[rules.Proof, bool]:
     """Load a proof file, or an extracted-strategy file (a `strategy
     level=<level>` header followed by proof text).  Returns the proof and
-    whether the formula level was requested."""
+    whether the formula level was requested, by the header or else by
+    `level_flag`; a flag that names the other level than the header is an
+    error."""
     text = _read(path)
     stripped = text.lstrip()
     if stripped.startswith("strategy"):
@@ -123,7 +125,11 @@ def _load_subject(path: str, level_flag: str | None) -> tuple[rules.Proof, bool]
         if not m:
             raise rules.ProofError(f"line {blank.count(chr(10)) + 1}: "
                                    "expected 'strategy level=cirquent|formula'")
-        return rules.parse_proof(f"{blank}\n{rest}"), m.group(1) == "formula"
+        level = m.group(1)
+        if level_flag not in (None, level):
+            raise StrategyError(f"--level {level_flag} conflicts with the strategy file's "
+                                f"level={level}")
+        return rules.parse_proof(f"{blank}\n{rest}"), level == "formula"
     return rules.parse_proof(text), level_flag == "formula"
 
 
@@ -206,11 +212,14 @@ def _make_adversary(spec: str, game: Game, seed: int):
         script = tuple(rng.randrange(7) for _ in range(24))
         return scripted_adversary(game, script)
     if spec.startswith("script:"):
-        moves = [
-            ln.strip()
-            for ln in _read(spec[len("script:"):]).splitlines()
-            if ln.strip() and not ln.strip().startswith("#")
-        ]
+        moves = []
+        for lineno, ln in enumerate(_read(spec[len("script:"):]).splitlines(), start=1):
+            move = ln.strip()
+            if not move or move.startswith("#"):
+                continue
+            if re.search(r"\s", move):
+                raise HarnessError(f"line {lineno}: whitespace inside move")
+            moves.append(move)
         return ScriptEnv(moves)
     raise HarnessError(
         f"unknown adversary {spec!r} (use silent, random, scripted, or script:<file>)"

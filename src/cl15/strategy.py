@@ -21,13 +21,23 @@ clubsuit(F): a move `m` enters as `(1, (1,), m)`, a machine move
 
 The structural rules (exchanges, duplications, merging, weakening) only
 rename oformulas and coordinates.  Their translators are marked
-`structural`, and a pipeline crosses each run of two or more adjacent ones
-as one layer that memoizes the composed maps per `(oformula, coords)`.
+`structural`, and a pipeline crosses each maximal run of adjacent ones as
+one layer that memoizes the composed maps per `(oformula, coords)`.
+
+After each move that a translator absorbs, a pipeline turns to its base
+again, until a move leaves or the base grants or idles.  So it needs a base
+that grants or idles after finitely many moves in a turn.  The axiom
+strategy makes one answer per environment move that reaches it and then
+grants; under `play`, where the environment moves at most once between two
+machine turns, it is asked at most twice in a turn.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
+from functools import partial
+from itertools import groupby
+from operator import attrgetter
 
 from .cirquent import Cirquent, as_clubsuit, render_cirquent
 from .formula import Formula, render_formula
@@ -303,80 +313,40 @@ CIRQUENT_EDGE = Translator("cirquent_edge", split_cell_move,
 FORMULA_EDGE = Translator("formula_edge", lambda move: (1, (1,), move), _formula_leave)
 
 
-class _FusedRun:
-    """Adjacent structural translators `translators[lo:hi]` as one pipeline
-    layer.  Their composed maps are memoized per address `(oformula,
-    coords)`, one entry per address in each direction; a miss runs the
-    member translators themselves.  Inward an entry is the inner address or
-    None for a drop; outward it is the outer address or the index, in
-    `translators`, of the member that absorbs the move, which
-    `absorber` reports so that fuel is counted per translator."""
-
-    def __init__(self, translators: tuple[Translator, ...], lo: int, hi: int):
-        self.members = translators[lo:hi]
-        self.lo = lo
-        self._inward: dict[tuple[int, tuple[int, ...]], tuple | None] = {}
-        self._outward: dict[tuple[int, tuple[int, ...]], tuple | int] = {}
-
-    def outer_to_inner(self, cell: Cell) -> Cell | None:
-        key = cell[0], cell[1]
-        try:
-            address = self._inward[key]
-        except KeyError:
-            address = self._inward[key] = self._walk_in(cell)
-        return None if address is None else (address[0], address[1], cell[2])
-
-    def inner_to_outer(self, cell: Cell) -> Cell | None:
-        key = cell[0], cell[1]
-        try:
-            address = self._outward[key]
-        except KeyError:
-            address = self._outward[key] = self._walk_out(cell)
-        return None if address.__class__ is int else (address[0], address[1], cell[2])
-
-    def absorber(self, cell: Cell) -> int:
-        """The index of the member that absorbed `cell` outward."""
-        return self._outward[cell[0], cell[1]]
-
-    def _walk_in(self, cell: Cell) -> tuple | None:
-        for tr in reversed(self.members):
-            cell = tr.outer_to_inner(cell)
-            if cell is None:
-                return None
-        return cell[0], cell[1]
-
-    def _walk_out(self, cell: Cell) -> tuple | int:
-        for index, tr in enumerate(self.members, start=self.lo):
-            cell = tr.inner_to_outer(cell)
-            if cell is None:
-                return index
-        return cell[0], cell[1]
-
-
-# A pipeline layer: the index of its innermost translator, its two maps, and
-# for a fused run the `absorber` that names the member absorbing a move.
-_Layer = tuple[int, Callable[[Move], Move | None], Callable[[Cell], Move | None],
-              Callable[[Cell], int] | None]
-
-
-def _layers(translators: tuple[Translator, ...]) -> tuple[_Layer, ...]:
-    """One layer per translator, innermost first, except that each maximal
-    run of two or more adjacent structural translators is one `_FusedRun`."""
-    layers: list[_Layer] = []
-    i, top = 0, len(translators)
-    while i < top:
-        j = i
-        while j < top and translators[j].structural:
-            j += 1
-        if j - i >= 2:
-            run = _FusedRun(translators, i, j)
-            layers.append((i, run.outer_to_inner, run.inner_to_outer, run.absorber))
-            i = j
+def _fused_map(memo: dict, move_maps: tuple[Callable[[Cell], Cell | None], ...],
+               cell: Cell) -> Cell | None:
+    """`cell` through `move_maps` in turn, memoized per address: `memo`
+    keeps the address a move ends up at, or None for a drop or an
+    absorption.  A miss runs the maps themselves."""
+    key = cell[0], cell[1]
+    try:
+        address = memo[key]
+    except KeyError:
+        address = cell
+        for move_map in move_maps:
+            address = move_map(address)
+            if address is None:
+                break
         else:
-            tr = translators[i]
-            layers.append((i, tr.outer_to_inner, tr.inner_to_outer, None))
-            i += 1
-    return tuple(layers)
+            address = address[0], address[1]
+        memo[key] = address
+    return None if address is None else (address[0], address[1], cell[2])
+
+
+def _layers(translators: tuple[Translator, ...]) -> Iterator[Translator]:
+    """The pipeline's layers, innermost first: each maximal run of adjacent
+    structural translators, a run of one included, fused into one
+    translator whose two maps are memoized per address, and every other
+    translator as it is."""
+    for structural, run in groupby(translators, attrgetter("structural")):
+        if not structural:
+            yield from run
+            continue
+        members = tuple(run)
+        inward = tuple(tr.outer_to_inner for tr in reversed(members))
+        outward = tuple(tr.inner_to_outer for tr in members)
+        yield Translator("+".join(tr.name for tr in members), partial(_fused_map, {}, inward),
+                         partial(_fused_map, {}, outward), structural=True)
 
 
 class Pipeline(MachineStrategy):
@@ -384,31 +354,33 @@ class Pipeline(MachineStrategy):
     extracted strategy the outermost is the edge.  A turn first passes each
     new environment move of the real run inward through `outer_to_inner`,
     outermost first, until a layer drops it.  Then the base's moves climb
-    out through `inner_to_outer`.  A translator that absorbs a move asks
-    again, up to `_FUEL` asks since a translator outside it last asked, and
-    then grants.  Grants and idling go straight out.
+    out through `inner_to_outer`.  A move that a translator absorbs stays
+    in the base's run, and the base is asked again, until a move leaves or
+    the base grants or idles; grants and idling go straight out.  The base
+    must grant or idle after finitely many moves in a turn, as the axiom
+    strategy does (see the module docstring).
 
-    Each run of two or more adjacent structural translators is crossed as
-    one layer (`_FusedRun`), which memoizes where a move's address ends up;
-    fuel is still counted per translator of the run.  The layers are built
-    once, here, and a spawn shares them and their memos, which depend only
-    on the address.  So a turn costs one call per layer its moves cross (the
-    base is shown its run list, not a copy), and `spawn()` is O(1): only the
-    base's run is kept.  Nothing recurses."""
-
-    _FUEL = 64
+    Each maximal run of adjacent structural translators is crossed as one
+    layer, which memoizes where a move's address ends up.  The layers are
+    built once, here, and a spawn shares them and their memos, which depend
+    only on the address.  So a turn costs one call per layer its moves
+    cross (the base is shown its run list, not a copy), and `spawn()` is
+    O(1): only the base's run is kept.  Nothing recurses."""
 
     def __init__(self, base: MachineStrategy, translators: tuple[Translator, ...]):
         self.base = base
         self.translators = translators
-        self._layers = _layers(translators)
+        layers = tuple(_layers(translators))
+        self._inward = tuple(layer.outer_to_inner for layer in reversed(layers))
+        self._outward = tuple(layer.inner_to_outer for layer in layers)
         self._start()
 
     def spawn(self) -> "Pipeline":
         # Set in __init__'s order: the instance then shares its attribute
         # layout with constructed ones, and attribute reads stay fast.
         fresh = Pipeline.__new__(Pipeline)
-        fresh.base, fresh.translators, fresh._layers = self.base, self.translators, self._layers
+        fresh.base, fresh.translators = self.base, self.translators
+        fresh._inward, fresh._outward = self._inward, self._outward
         fresh._start()
         return fresh
 
@@ -419,18 +391,16 @@ class Pipeline(MachineStrategy):
         self._base_run: list[Labmove] = []
 
     def next(self, run: Sequence[Labmove], step: int) -> Action:
-        layers = self._layers
         for lm in run[self._cursor:]:
             if lm.player is BOT:
                 move = lm.move
-                for _, outer_to_inner, _, _ in reversed(layers):
+                for outer_to_inner in self._inward:
                     move = outer_to_inner(move)
                     if move is None:
                         break
                 else:
                     self._base_run.append(Labmove(BOT, move))
         self._cursor = len(run)
-        asks: list[list[int]] = []  # [translator, asks] of absorbers, outermost first
         while True:
             self._base_step += 1
             action = self._base.next(self._base_run, self._base_step)
@@ -439,21 +409,12 @@ class Pipeline(MachineStrategy):
             # The move climbs until a layer absorbs it or it leaves.
             move = action.move
             self._base_run.append(Labmove(TOP, move))
-            for index, _, inner_to_outer, absorber in layers:
-                out = inner_to_outer(move)
-                if out is None:
-                    i = index if absorber is None else absorber(move)
+            for inner_to_outer in self._outward:
+                move = inner_to_outer(move)
+                if move is None:
                     break
-                move = out
             else:
                 return MakeMove(move)
-            while asks and asks[-1][0] < i:
-                asks.pop()
-            if not asks or asks[-1][0] != i:
-                asks.append([i, 1])
-            if asks[-1][1] == self._FUEL:
-                return GRANT
-            asks[-1][1] += 1
 
 
 def identity_translator(name: str) -> Translator:

@@ -68,7 +68,7 @@ def _check_step_verdicts() -> list[str]:
     return lines
 
 
-VERDICTS_SHA256 = "e580290ce09a261398363857f021d20829037f048b91249e571057e3ee40974e"
+VERDICTS_SHA256 = "ef488456c7061f557bf856a4edaa1d6123b32938df63a9a62a058e183aa17d91"
 
 
 def test_check_step_verdicts_are_pinned():

@@ -62,6 +62,19 @@ def test_check_names_the_formulas_of_an_odd_axiom_cirquent(tmp_path, capsys):
     assert capsys.readouterr().out == "step 1: violation: not the axiom cirquent for P\n"
 
 
+@pytest.mark.parametrize("oformula, reason", [
+    (9, "oformula 9 out of range"),
+    (1, "oformula 1 is not a '!' formula"),
+])
+def test_check_names_why_a_pst_step_has_no_pst_oformula(tmp_path, capsys, oformula, reason):
+    text = read_fixture("p2.proof")
+    assert "rule=pst oformula=2\n" in text
+    proof = tmp_path / "pst.proof"
+    proof.write_text(text.replace("rule=pst oformula=2\n", f"rule=pst oformula={oformula}\n"))
+    assert main(["check", str(proof)]) == FAIL
+    assert capsys.readouterr().out == f"step 4: violation: {reason}\n"
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent/x.proof"]) == USAGE
     assert capsys.readouterr().err.startswith("error: ")
@@ -173,6 +186,21 @@ def test_extract_formula_level_header_sticks(tmp_path, capsys):
     assert "game: ?~P \\/ !P" in sim
 
 
+@pytest.mark.parametrize("command", ["simulate", "play"])
+def test_a_level_flag_against_the_strategy_file_is_a_usage_error(command, tmp_path, monkeypatch,
+                                                                 capsys):
+    out = tmp_path / "p2.strategy"
+    assert main(["extract", P2, "--out", str(out), "--level", "formula"]) == OK
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+    assert main([command, str(out), "--level", "cirquent"]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --level cirquent conflicts with the strategy file's "
+                            "level=formula\n")
+    assert main([command, str(out), "--level", "formula", "--budget", "20"]) == OK
+
+
 def test_extract_refuses_broken_proof(tmp_path, capsys):
     out = tmp_path / "x.strategy"
     assert main(["extract", BROKEN, "--out", str(out)]) == FAIL
@@ -203,6 +231,15 @@ def test_simulate_script_file_adversary(tmp_path, capsys):
     assert code == OK, sim
     assert "E:1;1.1.m" in sim
     assert "M:move 1;1.2.m" in sim
+
+
+def test_simulate_script_move_with_whitespace_is_a_usage_error(tmp_path, capsys):
+    script = tmp_path / "moves.txt"
+    script.write_text("# environment's moves\n1;1.1.m\n1;1.a b\n")
+    assert main(["simulate", P1, "--adversary", f"script:{script}", "--interp", INTERP]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: whitespace inside move\n"
 
 
 def test_simulate_unknown_adversary(capsys):

@@ -1,13 +1,18 @@
 """Machine strategies: the play loop and the simulator, the axiom mirror,
 the pairing arithmetic, per-rule move translators, the translator pipeline,
 and proof-to-strategy extraction."""
+import functools
+import importlib.util
 import random
+import sys
 import time
+import warnings
 import zlib
+from pathlib import Path
 
 import pytest
 
-from cl15.cirquent import clubsuit
+from cl15.cirquent import as_clubsuit, clubsuit
 from cl15.cl15 import (
     Merging,
     OformulaExchange,
@@ -20,10 +25,15 @@ from cl15.cl15 import (
     parse_proof,
     verify_proof,
 )
-from cl15.formula import parse_formula
+from cl15.formula import atoms, parse_formula
 from cl15.games import PermissiveGame, interpret_cirquent, interpret_formula, parse_finite_game
 from cl15.runs import BOT, TOP, Labmove, format_cell_move, split_cell_move, split_index_move
-from cl15.harness import ScriptMachine
+from cl15.harness import (
+    ScriptMachine,
+    random_adversary,
+    random_finite_interpretation,
+    scripted_adversary,
+)
 from cl15.strategy import (
     CIRQUENT_EDGE,
     FORMULA_EDGE,
@@ -47,12 +57,14 @@ from cl15.strategy import (
     make_translator,
     pair,
     play,
+    proof_goal,
     simulate,
     unfold_positives,
     unpair,
 )
 
 from conftest import (
+    FIXTURES,
     IDENTITY_CHECKS,
     RULE_CASES,
     C,
@@ -323,14 +335,12 @@ def test_formula_edge_enters_and_leaves_copy_1_only():
         Labmove(TOP, cell) for cell in script[:k]) for k in range(4)]
 
 
-def test_fuel_caps_absorbed_moves_per_turn():
+def test_absorbed_moves_are_asked_in_one_turn_until_the_base_grants():
     # The formula edge absorbs every machine move outside copy 1.
     machine = ScriptMachine([(1, (2,), f"m{k}") for k in range(100)])
     imagined = []
     strat = Pipeline(machine, (recording(FORMULA_EDGE, imagined),)).spawn()
     assert strat.next((), 1) == GRANT
-    assert len(imagined) == 64
-    assert strat.next((), 2) == GRANT
     assert len(imagined) == 100
     assert all(lm.player is TOP for lm in imagined)
 
@@ -338,8 +348,6 @@ def test_fuel_caps_absorbed_moves_per_turn():
 class _NestedReference(MachineStrategy):
     """One translator around an inner strategy, recursing into it: the
     semantics the flat pipeline must keep."""
-
-    _FUEL = 64
 
     def __init__(self, inner, translator):
         self.inner_template = inner
@@ -363,7 +371,7 @@ class _NestedReference(MachineStrategy):
                 if inner_move is not None:
                     self._imagined.append(Labmove(BOT, inner_move))
         self._cursor = len(run)
-        for _ in range(self._FUEL):
+        while True:
             self._inner_step += 1
             action = self._inner.next(tuple(self._imagined), self._inner_step)
             if isinstance(action, MakeMove):
@@ -375,7 +383,6 @@ class _NestedReference(MachineStrategy):
             if isinstance(action, GrantPermission):
                 return GRANT
             return IDLE
-        return GRANT
 
 
 class _LoggingScript(MachineStrategy):
@@ -484,14 +491,11 @@ def test_pipeline_matches_nested_translation(seed):
 
 @pytest.mark.parametrize("drop_out", [(2, 1), (1, 2), (2, 2, 1), (2, 1, 2), (2, 2, 2, 1)])
 @pytest.mark.parametrize("seed", range(2))
-def test_pipeline_matches_nested_fuel_across_layers(drop_out, seed):
+def test_pipeline_matches_nested_absorptions_across_layers(drop_out, seed):
     # A layer with drop_out 1 absorbs every move that reaches it; the others
     # absorb about half the moves.  The script repeats each move for a block
     # of turns.  It opens with 40 moves that layer 0 absorbs, 10 that pass
-    # it and are absorbed further out, which refills layer 0's fuel, and 70
-    # more that layer 0 absorbs: layer 0 runs out of fuel while an outer
-    # layer has asks in the same turn.  Then the two alternate, so the outer
-    # layer runs out while layer 0 keeps being refilled.
+    # it, and 70 more that layer 0 absorbs.  Then the two alternate.
     rng = random.Random(seed)
     translators = [_hashing_translator(k, 2, modulus) for k, modulus in enumerate(drop_out)]
     pool = [(1, (), f"m{j}") for j in range(8)]
@@ -509,37 +513,32 @@ def test_pipeline_matches_nested_fuel_across_layers(drop_out, seed):
     nested = _LoggingScript(script, nested_log)
     for tr in translators:
         nested = _NestedReference(nested, tr)
-    flat_actions = _drive(flat, env, 200, log=imagined)
-    assert flat_actions == _drive(_TextEdge(nested), env, 200)
+    assert _drive(flat, env, 200, log=imagined) == _drive(_TextEdge(nested), env, 200)
     assert flat_log == nested_log
-    # Some turns granted on fuel alone: more grants went out than the base made.
-    base_grants = sum(1 for k in range(len(flat_log)) if k >= len(script) or script[k] is None)
-    assert flat_actions[0].count(GRANT) > base_grants
 
 
-@pytest.mark.parametrize("inner_first", [63, 64])
-def test_fuel_is_counted_per_translator_across_a_fused_run(inner_first):
+@pytest.mark.parametrize("absorbed", [64, 640])
+def test_a_fused_run_lets_the_last_cell_out_in_turn_1(absorbed):
     # dup_over@1, dup_over@3 and an identity fuse into one layer, which
     # the recorded edge leaves alone.  dup_over@1 absorbs a
     # cell without coordinates, dup_over@3 one whose single coordinate
-    # unpairs to two; an absorption by dup_over@3 refills dup_over@1's fuel.
-    # So 63 + 1 + 63 absorptions let the last cell out in the first turn,
-    # and the 64th absorption in a row by dup_over@1 grants.
+    # unpairs to two.  However many cells the fused layer absorbs, the
+    # base is asked again in the same turn, until the last cell leaves.
     translators = (make_translator(OvergroupDuplication(1), None, None),
                    make_translator(OvergroupDuplication(3), None, None),
                    identity_translator("outer"))
-    script = [(1, (), f"a{k}") for k in range(inner_first)] + [(1, (5,), "b")]
-    script += [(1, (), f"c{k}") for k in range(63)] + [(1, (1, 1), "d")]
+    script = [(1, (), f"a{k}") for k in range(absorbed)] + [(1, (5,), "b")]
+    script += [(1, (), f"c{k}") for k in range(absorbed)] + [(1, (1, 1), "d")]
     log = []
     flat = Pipeline(ScriptMachine(script), translators + (recording(CIRQUENT_EDGE, log),))
-    assert len(flat._layers) == 2
+    assert len(flat._outward) == 2
     nested = ScriptMachine(script)
     for tr in translators:
         nested = _NestedReference(nested, tr)
     actions, imagined = _drive(flat, [], 3, log=log)
     assert (actions, imagined) == _drive(_TextEdge(nested), [], 3)
     leave = MakeMove("1;1,1,1,1.d")
-    assert actions == ([leave, GRANT, GRANT] if inner_first == 63 else [GRANT, leave, GRANT])
+    assert actions == [leave, GRANT, GRANT]
     assert imagined == (Labmove(TOP, "1;1,1,1,1.d"),)
 
 
@@ -664,7 +663,7 @@ def test_extracted_cell_pipeline_matches_text_chain(name, formula_level, seed):
     elif name == "long":
         # Every rule translator in one fused layer, then the edge.  Two
         # overgroups: addresses repeat, so the fused layer's memos hit.
-        assert [layer[0] for layer in strat._layers] == [0, len(strat.translators) - 1]
+        assert len(strat._outward) == 2
         env += [f"{rng.randint(1, 2)};{rng.randint(1, 3)},{rng.randint(1, 3)}.m"
                 for _ in range(20)]
     else:
@@ -790,3 +789,80 @@ def test_p2_formula_level_wins_against_scripts():
         res = simulate(strat, ScriptEnv(list(script)), game, 60)
         assert res.winner is TOP, script
         assert res.first_illegality is None
+
+
+# --- the mirror's bound -----------------------------------------------------------
+
+class _CountingBase(MachineStrategy):
+    """A strategy that logs the step of each time it is asked."""
+
+    def __init__(self, inner, log):
+        self.inner, self.log = inner, log
+        self._inner = inner.spawn()
+
+    def spawn(self):
+        return _CountingBase(self.inner, self.log)
+
+    def next(self, run, step):
+        self.log.append(step)
+        return self._inner.next(run, step)
+
+
+@functools.cache
+def _benchmark_generator():
+    """The benchmark's input generator, which builds valid proofs from
+    every rule on its own.  One of its docstrings holds a `\\/` escape
+    that Python warns about when it compiles the file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        warnings.simplefilter("ignore", SyntaxWarning)
+        spec.loader.exec_module(module)
+    return module
+
+
+def _bound_proof(name):
+    if name == "long":
+        return long_structural_proof(1)
+    if name.startswith("generated"):
+        seed = int(name[len("generated"):])
+        return parse_proof(_benchmark_generator().deep_proof(random.Random(seed), 60).text())
+    return parse_proof(read_fixture(f"{name}.proof"))
+
+
+BOUND_PROOFS = [path.stem for path in sorted(FIXTURES.glob("*.proof"))
+                if verify_proof(parse_proof(path.read_text())) is None]
+BOUND_PROOFS += ["long"] + [f"generated{seed}" for seed in range(3)]
+
+
+@pytest.mark.parametrize("name", BOUND_PROOFS)
+def test_an_extracted_pipeline_asks_the_mirror_at_most_twice_a_turn(name):
+    # The mirror makes one answer per environment move that reaches it, and
+    # the environment moves at most once between two turns.
+    proof = _bound_proof(name)
+    last = proof.steps[-1].cirquent
+    names = sorted(set().union(*map(atoms, last.oformulas)))
+    env_moves = 0
+    levels = (False, True) if as_clubsuit(last) is not None else (False,)
+    for formula_level in levels:
+        strat = extract_solution(proof, formula_level=formula_level)
+        goal, _ = proof_goal(proof, formula_level)
+        interpret = interpret_formula if formula_level else interpret_cirquent
+        for seed in range(6):
+            game = interpret(goal, random_finite_interpretation(names, 2, 2, seed))
+            if seed % 2:
+                adversary = random_adversary(game, seed)
+            else:
+                adversary = scripted_adversary(
+                    game, tuple(random.Random(seed).randrange(7) for _ in range(24)))
+            log = []
+            machine = Pipeline(_CountingBase(strat.base, log), strat.translators)
+            asked = 0
+            for _, _, lm in play(machine.spawn(), adversary.spawn(), game.start(), 200):
+                assert 1 <= len(log) - asked <= 2
+                asked = len(log)
+                env_moves += lm is not None and lm.player is BOT
+    assert env_moves > 0
