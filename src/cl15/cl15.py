@@ -15,6 +15,7 @@ import re
 
 from .cirquent import Cirquent, CirquentError, Group, clubsuit, parse_cirquent, render_cirquent, validate_cirquent
 from .formula import And, Formula, Or, Pcost, Pst, negate, render_formula
+from .runs import numeral_value
 from .values import Value, set_field
 
 
@@ -537,7 +538,7 @@ def parse_proof(text: str) -> Proof:
         if m:
             if pending is not None:
                 raise ProofError(f"line {lineno}: step {pending[0]} has no cirquent")
-            number = int(m.group(1))
+            number = numeral_value(m.group(1))
             if number != len(steps) + 1:
                 raise ProofError(f"line {lineno}: expected step {len(steps) + 1}, got {number}")
             header = m.group(2, 3)

@@ -66,8 +66,11 @@ _ATOM_NAME_RE = re.compile(r"[A-Z][A-Za-z0-9]*")
 # File loaders
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def parse_interpretation(text: str) -> Interpretation:
@@ -202,15 +205,15 @@ def cmd_extract(args) -> int:
     return OK
 
 
-def _make_adversary(spec: str, game: Game, seed: int):
+def _make_adversary(spec: str, seed: int):
     if spec == "silent":
         return SilentEnv()
     if spec == "random":
-        return random_adversary(game, seed)
+        return random_adversary(seed)
     if spec == "scripted":
         rng = random.Random(seed)
         script = tuple(rng.randrange(7) for _ in range(24))
-        return scripted_adversary(game, script)
+        return scripted_adversary(script)
     if spec.startswith("script:"):
         moves = []
         for lineno, ln in enumerate(_read(spec[len("script:"):]).splitlines(), start=1):
@@ -232,7 +235,7 @@ def cmd_simulate(args) -> int:
         return FAIL
     machine, goal, desc, interp = setup
     game = _interpret(goal, interp)
-    adversary = _make_adversary(args.adversary, game, args.seed)
+    adversary = _make_adversary(args.adversary, args.seed)
     result = simulate(machine, adversary, game, args.budget)
     print(f"game: {desc}")
     print(f"adversary: {getattr(adversary, 'name', 'custom')} budget: {args.budget}")

@@ -30,8 +30,8 @@ from .formula import (
 from .games import (
     EnumerationGame,
     FiniteGame,
-    Game,
     Interpretation,
+    Position,
     interpret_formula,
     thread_representatives,
 )
@@ -366,42 +366,40 @@ def cycle_chooser(script) -> Choose:
 
 
 class StructuredAdversary(EnvStrategy):
-    """At each grant, plays the move `choose(n)` of the n legal moves its
-    game position lists for the environment, or passes when there are none;
-    quiesces after `MAX_MOVES` moves or `MAX_GRANTS` grants.  One game
-    position follows the play: each grant extends it with the labmoves of
-    the run it has not seen, so the runs a spawned adversary is shown must
-    each extend the one before."""
+    """At each grant, plays the move `choose(n)` of the n legal moves the
+    watched position of the play lists for the environment, or passes when
+    there are none; quiesces after `MAX_MOVES` moves or `MAX_GRANTS`
+    grants."""
 
     MAX_MOVES = 6
     MAX_GRANTS = 30
 
-    def __init__(self, game: Game, make_chooser: Callable[[], Choose],
-                 name: str = "structured"):
-        self.game = game
+    def __init__(self, make_chooser: Callable[[], Choose], name: str = "structured"):
         self.make_chooser = make_chooser
         self.name = name
         self._choose = make_chooser()
         self._moves = 0
         self._grants = 0
-        self._position = game.start()
-        self._seen = 0
+        self._position: Position | None = None
 
     def spawn(self) -> "StructuredAdversary":
-        return StructuredAdversary(self.game, self.make_chooser, self.name)
+        return StructuredAdversary(self.make_chooser, self.name)
+
+    def watch(self, position: Position) -> None:
+        self._position = position
 
     def on_grant(self, run: Sequence[Labmove]) -> str | None:
         self._grants += 1
         if self._moves >= self.MAX_MOVES or self._grants > self.MAX_GRANTS:
             return None
-        for lm in run[self._seen:]:
-            self._position.extend(lm)
-        self._seen = len(run)
         moves = self._position.moves(BOT)
         if not moves:
             return None
         self._moves += 1
         return moves[self._choose(len(moves))]
+
+    def settled(self) -> bool:
+        return self._moves >= self.MAX_MOVES or self._grants >= self.MAX_GRANTS
 
 
 class ScriptMachine(MachineStrategy):
@@ -425,12 +423,12 @@ class ScriptMachine(MachineStrategy):
         return GRANT
 
 
-def random_adversary(game: Game, seed: int) -> StructuredAdversary:
-    return StructuredAdversary(game, lambda: random.Random(seed).randrange, name="random")
+def random_adversary(seed: int) -> StructuredAdversary:
+    return StructuredAdversary(lambda: random.Random(seed).randrange, name="random")
 
 
-def scripted_adversary(game: Game, script) -> StructuredAdversary:
-    return StructuredAdversary(game, lambda: cycle_chooser(tuple(script)), name="scripted")
+def scripted_adversary(script) -> StructuredAdversary:
+    return StructuredAdversary(lambda: cycle_chooser(tuple(script)), name="scripted")
 
 
 # The counterstrategy that distinguishes threads with fresh numbers.
@@ -479,6 +477,9 @@ class LoopCounterstrategy(EnvStrategy):
         self.iteration += 1
         return f"2.{w}.{u}"
 
+    def settled(self) -> bool:
+        return self.iteration > self.k
+
 
 def loop_counterstrategy(k: int) -> EnvStrategy:
     if k < 1:
@@ -524,6 +525,9 @@ class RotatingCopycat(MachineStrategy):
         if self._queue:
             return MakeMove(self._queue.pop(0))
         return GRANT
+
+    def settled(self, run: Sequence[Labmove]) -> bool:
+        return not self._queue and self._cursor == len(run)
 
 
 class SeparationReport(Record):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 
 from .values import Value, set_field
 
@@ -163,12 +164,20 @@ def is_numeral(text: str) -> bool:
     return _NUMERAL_RE.fullmatch(text) is not None
 
 
+def numeral_value(numeral: str) -> int:
+    """int(numeral); past the interpreter's limit on digits, a RunError naming it."""
+    try:
+        return int(numeral)
+    except ValueError:
+        raise RunError(f"a number over the limit of {sys.get_int_max_str_digits():,} digits") from None
+
+
 def split_index_move(move: str) -> tuple[int, str] | None:
     """Split `u.rest` with u a positive canonical numeral; None otherwise."""
     m = _INDEX_MOVE_RE.fullmatch(move)
     if m is None:
         return None
-    return int(m.group(1)), m.group(2)
+    return numeral_value(m.group(1)), m.group(2)
 
 
 def split_cell_move(move: str) -> tuple[int, tuple[int, ...], str] | None:
@@ -181,7 +190,7 @@ def split_cell_move(move: str) -> tuple[int, tuple[int, ...], str] | None:
     if m is None:
         return None
     a, coords, rest = m.groups()
-    return int(a), tuple(map(int, coords.split(","))) if coords else (), rest
+    return numeral_value(a), tuple(map(numeral_value, coords.split(","))) if coords else (), rest
 
 
 def format_cell_move(a: int, coords: tuple[int, ...], rest: str) -> str:

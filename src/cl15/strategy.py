@@ -4,7 +4,10 @@ transformers.
 A machine strategy is a stateful per-play agent: `next(run, step)` returns
 an action, and `spawn()` yields a fresh instance for a new play.  `play`
 alternates machine turns with grants to the environment; `simulate`, the
-interactive `cl15 play` and the separation demo all run through it.  Each rule
+interactive `cl15 play` and the separation demo all run through it.  It
+hands the environment the referee's position with `watch`, and once the
+environment passes a grant with both players `settled`, it yields the
+remaining grants without asking either.  Each rule
 application has a translator that turns a strategy for its premise into
 one for its conclusion by translating moves both ways.  An extracted
 strategy is one flat `Pipeline`: the axiom strategy and a tuple of
@@ -108,6 +111,10 @@ class MachineStrategy:
         read-only and grows in place between calls: keep a copy, not it."""
         raise NotImplementedError
 
+    def settled(self, run: Sequence[Labmove]) -> bool:
+        """Would `next` grant at every later turn, shown this same run?"""
+        return False
+
 
 class EnvStrategy:
     """Environment agent: may move only when granted, at most once per grant."""
@@ -115,10 +122,17 @@ class EnvStrategy:
     def spawn(self) -> "EnvStrategy":
         raise NotImplementedError
 
+    def watch(self, position: Position) -> None:
+        """Before the first turn, `play` shows the play's position, read-only."""
+
     def on_grant(self, run: Sequence[Labmove]) -> str | None:
         """A move, or None to pass.  The run is read-only and grows in
         place between calls: keep a copy, not it."""
         raise NotImplementedError
+
+    def settled(self) -> bool:
+        """Would `on_grant` pass at every later grant, shown the same run?"""
+        return False
 
 
 class IdleStrategy(MachineStrategy):
@@ -136,15 +150,8 @@ class PureGranter(MachineStrategy):
     def next(self, run: Sequence[Labmove], step: int) -> Action:
         return GRANT
 
-
-class SilentEnv(EnvStrategy):
-    name = "silent"
-
-    def spawn(self) -> "SilentEnv":
-        return SilentEnv()
-
-    def on_grant(self, run: Sequence[Labmove]) -> str | None:
-        return None
+    def settled(self, run: Sequence[Labmove]) -> bool:
+        return True
 
 
 class ScriptEnv(EnvStrategy):
@@ -160,11 +167,23 @@ class ScriptEnv(EnvStrategy):
         return ScriptEnv(self.moves)
 
     def on_grant(self, run: Sequence[Labmove]) -> str | None:
-        if self._i < len(self.moves):
-            mv = self.moves[self._i]
-            self._i += 1
-            return mv
-        return None
+        if self.settled():
+            return None
+        self._i += 1
+        return self.moves[self._i - 1]
+
+    def settled(self) -> bool:
+        return self._i >= len(self.moves)
+
+
+class SilentEnv(ScriptEnv):
+    name = "silent"
+
+    def __init__(self):
+        super().__init__(())
+
+    def spawn(self) -> "SilentEnv":
+        return SilentEnv()
 
 
 # The play loop
@@ -178,10 +197,10 @@ def play(machine: MachineStrategy, env: EnvStrategy, position: Position,
     `budget` machine turns, yielding `(step, action, labmove)` per turn: the
     machine's move, the environment's answer to a grant, or None.  The
     environment moves only when granted.  Each labmove extends `position`,
-    and the play stops at an idle or after the first illegal labmove, whose
-    player is then `position.offender`.  Both players are shown one run
-    list, which grows in place.  A budget below 1 raises `StrategyError`
-    here, at the call, not at the first turn."""
+    which the environment watches, and the play stops at an idle or after
+    the first illegal labmove, whose player is then `position.offender`.
+    Both players are shown one run list, which grows in place.  A budget
+    below 1 raises `StrategyError` here, at the call, not at the first turn."""
     if budget < 1:
         raise StrategyError("budget must be at least 1")
     return _play(machine, env, position, budget)
@@ -190,19 +209,26 @@ def play(machine: MachineStrategy, env: EnvStrategy, position: Position,
 def _play(machine: MachineStrategy, env: EnvStrategy, position: Position,
           budget: int) -> Iterator[Event]:
     run: list[Labmove] = []
+    env.watch(position)
     for step in range(1, budget + 1):
         action = machine.next(run, step)
         if isinstance(action, MakeMove):
-            lm: Labmove | None = Labmove(TOP, action.move)
+            lm = Labmove(TOP, action.move)
         elif isinstance(action, GrantPermission):
             move = env.on_grant(run)
-            lm = None if move is None else Labmove(BOT, move)
+            if move is None:
+                yield step, action, None
+                if env.settled() and machine.settled(run):
+                    for quiet in range(step + 1, budget + 1):
+                        yield quiet, GRANT, None
+                    return
+                continue
+            lm = Labmove(BOT, move)
         else:
             yield step, action, None
             return
-        if lm is not None:
-            run.append(lm)
-            position.extend(lm)
+        run.append(lm)
+        position.extend(lm)
         yield step, action, lm
         if position.offender is not None:
             return
@@ -233,13 +259,13 @@ def simulate(m: MachineStrategy, e: EnvStrategy, g: Game, budget: int) -> SimRes
     trace: list[str] = []
     grants = 0
     for steps, action, lm in play(m.spawn(), e.spawn(), position, budget):
-        if isinstance(action, MakeMove):
-            trace.append(f"{steps} M:move {action.move}")
-        elif isinstance(action, GrantPermission):
+        if action is GRANT or isinstance(action, GrantPermission):  # most turns first
             grants += 1
             trace.append(f"{steps} M:grant")
             if lm is not None:
                 trace.append(f"{steps} E:{lm.move}")
+        elif isinstance(action, MakeMove):
+            trace.append(f"{steps} M:move {action.move}")
         else:
             trace.append(f"{steps} M:idle")
         if lm is not None:
@@ -269,14 +295,18 @@ class AxiomStrategy(MachineStrategy):
         return AxiomStrategy(self.n)
 
     def next(self, run: Sequence[Labmove], step: int) -> Action:
-        for lm in run[self._cursor:]:
-            if lm.player is BOT and 1 <= lm.move[0] <= 2 * self.n:
-                a, coords, rest = lm.move
-                self._queue.append((a + 1 if a % 2 == 1 else a - 1, coords, rest))
-        self._cursor = len(run)
+        if self._cursor < len(run):
+            for lm in run[self._cursor:]:
+                if lm.player is BOT and 1 <= lm.move[0] <= 2 * self.n:
+                    a, coords, rest = lm.move
+                    self._queue.append((a + 1 if a % 2 == 1 else a - 1, coords, rest))
+            self._cursor = len(run)
         if self._queue:
             return MakeMove(self._queue.pop(0))
         return GRANT
+
+    def settled(self, run: Sequence[Labmove]) -> bool:
+        return not self._queue and self._cursor == len(run)
 
 
 # Translators
@@ -391,16 +421,17 @@ class Pipeline(MachineStrategy):
         self._base_run: list[Labmove] = []
 
     def next(self, run: Sequence[Labmove], step: int) -> Action:
-        for lm in run[self._cursor:]:
-            if lm.player is BOT:
-                move = lm.move
-                for outer_to_inner in self._inward:
-                    move = outer_to_inner(move)
-                    if move is None:
-                        break
-                else:
-                    self._base_run.append(Labmove(BOT, move))
-        self._cursor = len(run)
+        if self._cursor < len(run):
+            for lm in run[self._cursor:]:
+                if lm.player is BOT:
+                    move = lm.move
+                    for outer_to_inner in self._inward:
+                        move = outer_to_inner(move)
+                        if move is None:
+                            break
+                    else:
+                        self._base_run.append(Labmove(BOT, move))
+            self._cursor = len(run)
         while True:
             self._base_step += 1
             action = self._base.next(self._base_run, self._base_step)
@@ -415,6 +446,9 @@ class Pipeline(MachineStrategy):
                     break
             else:
                 return MakeMove(move)
+
+    def settled(self, run: Sequence[Labmove]) -> bool:
+        return self._cursor == len(run) and self._base.settled(self._base_run)
 
 
 def identity_translator(name: str) -> Translator:

@@ -2,7 +2,11 @@
 generator, and scripted-play helpers for the translator identity checks."""
 from __future__ import annotations
 
+import functools
+import importlib.util
 import random
+import sys
+import warnings
 from pathlib import Path
 
 from hypothesis import HealthCheck, settings
@@ -43,6 +47,27 @@ settings.load_profile("cl15")
 
 def C(text: str) -> Cirquent:
     return parse_cirquent(text)
+
+
+@functools.cache
+def benchmark_generator():
+    """The benchmark's input generator, which builds valid proofs from
+    every rule on its own.  One of its docstrings holds a `\\/` escape
+    that Python warns about when it compiles the file."""
+    path = FIXTURES.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        warnings.simplefilter("ignore", SyntaxWarning)
+        spec.loader.exec_module(module)
+    return module
+
+
+def generated_proof(seed: int, steps: int = 60) -> rules.Proof:
+    """A valid proof of about `steps` steps from the benchmark's generator."""
+    return rules.parse_proof(benchmark_generator().deep_proof(random.Random(seed), steps).text())
 
 
 def read_fixture(name: str) -> str:

@@ -176,10 +176,10 @@ def test_criterion_5_extracted_strategies_win(capsys):
                 if kind == 0:
                     adversary = SilentEnv()
                 elif kind == 1:
-                    adversary = random_adversary(game, s)
+                    adversary = random_adversary(s)
                 else:
                     script = tuple(random.Random(s).randrange(7) for _ in range(24))
-                    adversary = scripted_adversary(game, script)
+                    adversary = scripted_adversary(script)
                 won = simulate(machine, adversary, game, budget).winner is TOP
                 total += 1
                 passed += won

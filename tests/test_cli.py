@@ -22,7 +22,7 @@ from cl15.cli import (
     parse_interpretation,
     play_session,
 )
-from cl15.games import GameError, PermissiveGame
+from cl15.games import GameError
 from cl15.harness import RANDOM_GAME_MAX_NODES, ScriptMachine
 from cl15.strategy import extract_solution, proof_goal
 
@@ -598,7 +598,7 @@ def test_random_adversary_transcript_ignores_the_hash_seed():
 
 def test_scripted_adversary_draws_a_varied_script():
     # The script is one seeded stream of indices, not one index repeated.
-    adversary = _make_adversary("scripted", PermissiveGame(), 1)
+    adversary = _make_adversary("scripted", 1)
     choose = adversary.make_chooser()
     assert len({choose(7) for _ in range(24)}) > 1
 
@@ -741,3 +741,46 @@ def test_deep_random_interpretation_is_not_a_formula_error(seed, capsys):
                                 "lower --depth or --branching\n")
     else:
         assert code in (OK, FAIL) and captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{bad}"],
+    ["extract", "{bad}", "--out", "{out}"],
+    ["simulate", "{bad}"],
+    ["simulate", P1, "--interp", "{bad}"],
+    ["simulate", P1, "--adversary", "script:{bad}"],
+    ["project", "{bad}", "--prefix", "1."],
+], ids=["check", "extract", "simulate", "interp", "script", "project"])
+def test_a_file_that_is_not_utf8_is_a_usage_error(argv, tmp_path, capsys):
+    bad = tmp_path / "bin.proof"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    argv = [arg.format(bad=bad, out=tmp_path / "out.strategy") for arg in argv]
+    assert main(argv) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: not UTF-8 text (")
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+HUGE = "1" + "0" * DIGIT_LIMIT
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts numbers of any length")
+@pytest.mark.parametrize("command", ["check", "simulate", "project"])
+def test_a_number_over_the_digit_limit_is_a_usage_error(command, tmp_path, capsys):
+    if command == "check":
+        path = tmp_path / "huge.proof"
+        path.write_text(f"step {HUGE}: rule=axiom\noformulas: ~P | P ; under: {{1,2}} ; over: {{1,2}}\n")
+        argv = ["check", str(path)]
+    elif command == "simulate":
+        path = tmp_path / "huge.script"
+        path.write_text(f"1;{HUGE}.1.m\n")
+        argv = ["simulate", P1, "--adversary", f"script:{path}"]
+    else:
+        path = tmp_path / "huge.run"
+        path.write_text(f"B 1;{HUGE}.1.m\n")
+        argv = ["project", str(path), "--cell", "1", "--coords", "1"]
+    assert main(argv) == USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err == f"error: a number over the limit of {DIGIT_LIMIT:,} digits\n"

@@ -169,22 +169,26 @@ def test_structured_adversaries_stay_legal():
     game = interpret_cirquent(last, interp)
     machine = extract_solution(proof)
     for adv in (
-        random_adversary(game, 4),
-        scripted_adversary(game, [0, 1, 2, 1]),
+        random_adversary(4),
+        scripted_adversary([0, 1, 2, 1]),
     ):
         assert simulate(machine, adv, game, 120).winner is TOP, adv.name
 
 
 class _Watched(EnvStrategy):
     """An adversary's answers, next to the moves a position that follows
-    the same run lists for the environment at each grant."""
+    the same run lists for the environment at each grant.  The adversary
+    watches the play's position; this one is replayed from the run."""
 
-    def __init__(self, adversary, log):
-        self.adversary, self.log = adversary, log
-        self.position, self.seen = adversary.game.start(), 0
+    def __init__(self, adversary, game, log):
+        self.adversary, self.game, self.log = adversary, game, log
+        self.position, self.seen = game.start(), 0
 
     def spawn(self):
-        return _Watched(self.adversary.spawn(), self.log)
+        return _Watched(self.adversary.spawn(), self.game, self.log)
+
+    def watch(self, position):
+        self.adversary.watch(position)
 
     def on_grant(self, run):
         for lm in run[self.seen:]:
@@ -205,9 +209,9 @@ def test_structured_adversaries_move_whenever_they_can():
         for seed in range(10):
             interp = random_finite_interpretation(["P"], 2, 2, seed)
             game = interpret_cirquent(last, interp)
-            for adv in (random_adversary(game, seed), scripted_adversary(game, [seed, 3, 1])):
+            for adv in (random_adversary(seed), scripted_adversary([seed, 3, 1])):
                 log = []
-                simulate(machine, _Watched(adv, log), game, 120)
+                simulate(machine, _Watched(adv, game, log), game, 120)
                 made = 0
                 for grant, (listed, move) in enumerate(log, start=1):
                     if made == adv.MAX_MOVES or grant > adv.MAX_GRANTS:

@@ -117,7 +117,7 @@ def test_translator_keeps_the_premise_won(name, premise, conclusion, rule):
         log: list[Labmove] = []
         inner = MirrorInner() if mirrored else RandomInner(inner_game, seed)
         machine = transform_strategy(rule, premise, conclusion, inner, log)
-        result = simulate(machine, random_adversary(game, seed), game, BUDGET)
+        result = simulate(machine, random_adversary(seed), game, BUDGET)
         inner_run = as_texts(log)
         if inner_game.offender(inner_run) is not TOP:
             assert game.offender(result.run) is not TOP, (seed, result.run, inner_run)

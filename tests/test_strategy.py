@@ -1,14 +1,9 @@
 """Machine strategies: the play loop and the simulator, the axiom mirror,
 the pairing arithmetic, per-rule move translators, the translator pipeline,
 and proof-to-strategy extraction."""
-import functools
-import importlib.util
 import random
-import sys
 import time
-import warnings
 import zlib
-from pathlib import Path
 
 import pytest
 
@@ -69,6 +64,7 @@ from conftest import (
     RULE_CASES,
     C,
     as_texts,
+    generated_proof,
     long_structural_proof,
     read_fixture,
     recording,
@@ -155,7 +151,7 @@ def test_play_stops_at_an_idle():
 
 
 def test_play_shows_both_players_one_growing_run():
-    seen = []
+    seen, watched = [], []
 
     class Machine(ScriptMachine):
         def next(self, run, step):
@@ -163,13 +159,19 @@ def test_play_shows_both_players_one_growing_run():
             return super().next(run, step)
 
     class Env(ScriptEnv):
+        def watch(self, position):
+            watched.append(position)
+
         def on_grant(self, run):
             seen.append(run)
             return super().on_grant(run)
 
-    events, _ = _events(Machine(["m", None, "n"]), Env(["e"]), budget=4)
+    position = PermissiveGame().start()
+    events = list(play(Machine(["m", None, "n"]), Env(["e"]), position, 4))
     assert len(seen) == 6 and all(run is seen[0] for run in seen)
     assert seen[0] == [lm for _, _, lm in events if lm is not None]
+    # The environment reads the referee's position, not a copy.
+    assert len(watched) == 1 and watched[0] is position
 
 
 # --- axiom strategy ---------------------------------------------------------
@@ -808,28 +810,12 @@ class _CountingBase(MachineStrategy):
         return self._inner.next(run, step)
 
 
-@functools.cache
-def _benchmark_generator():
-    """The benchmark's input generator, which builds valid proofs from
-    every rule on its own.  One of its docstrings holds a `\\/` escape
-    that Python warns about when it compiles the file."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        warnings.simplefilter("ignore", SyntaxWarning)
-        spec.loader.exec_module(module)
-    return module
-
-
 def _bound_proof(name):
     if name == "long":
         return long_structural_proof(1)
     if name.startswith("generated"):
         seed = int(name[len("generated"):])
-        return parse_proof(_benchmark_generator().deep_proof(random.Random(seed), 60).text())
+        return generated_proof(seed)
     return parse_proof(read_fixture(f"{name}.proof"))
 
 
@@ -854,10 +840,10 @@ def test_an_extracted_pipeline_asks_the_mirror_at_most_twice_a_turn(name):
         for seed in range(6):
             game = interpret(goal, random_finite_interpretation(names, 2, 2, seed))
             if seed % 2:
-                adversary = random_adversary(game, seed)
+                adversary = random_adversary(seed)
             else:
                 adversary = scripted_adversary(
-                    game, tuple(random.Random(seed).randrange(7) for _ in range(24)))
+                    tuple(random.Random(seed).randrange(7) for _ in range(24)))
             log = []
             machine = Pipeline(_CountingBase(strat.base, log), strat.translators)
             asked = 0
