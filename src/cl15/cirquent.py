@@ -8,6 +8,7 @@ from __future__ import annotations
 import re
 
 from .formula import Formula, parse_formula, render_formula
+from .runs import RunError, numeral_value
 from .values import Value, set_field
 
 
@@ -133,7 +134,9 @@ def _parse_groups(text: str, what: str, known: dict[str, Group]) -> tuple[Group,
         if indices is None:
             inner = g[1:-1].strip()
             try:
-                indices = frozenset(int(p.strip()) for p in inner.split(",")) if inner else frozenset()
+                indices = frozenset(map(numeral_value, inner.split(","))) if inner else frozenset()
+            except RunError:
+                raise
             except ValueError as exc:
                 raise CirquentError(f"bad index in {what} group: {inner!r}") from exc
             known[g] = indices
@@ -163,9 +166,8 @@ def parse_cirquent(
 ) -> Cirquent:
     """Parse the one-line cirquent text format.  `formulas`, if given, maps
     oformula texts already parsed to their formulas; each text is parsed at
-    most once and equal texts share one (frozen) formula.  `groups` does
-    the same for single group texts such as `{1,2}`, and `sections` for
-    whole section texts, name included."""
+    most once.  `groups` does the same for single group texts such as
+    `{1,2}`, and `sections` for whole section texts, name included."""
     parts: dict[str, str] = {}
     for part in text.split(";"):
         name, colon, _ = part.partition(":")
@@ -205,17 +207,16 @@ def _render_groups(groups: tuple[Group, ...]) -> str:
 
 
 def render_cirquent(c: Cirquent, rendered: dict | None = None) -> str:
-    """Inverse of parse_cirquent.  `rendered`, if given, holds the texts of
-    oformulas (keyed by object identity, so the caller must keep them alive)
-    and of group tuples already rendered; each is rendered at most once."""
+    """Inverse of parse_cirquent.  `rendered`, if given, holds the oformula
+    and group tuple texts already rendered; each is rendered at most once."""
     known = {} if rendered is None else rendered
     for f in c.oformulas:
-        if id(f) not in known:
-            known[id(f)] = render_formula(f)
+        if f not in known:
+            known[f] = render_formula(f)
     for gs in (c.undergroups, c.overgroups):
         if gs not in known:
             known[gs] = _render_groups(gs)
-    of = " | ".join(known[id(f)] for f in c.oformulas)
+    of = " | ".join(known[f] for f in c.oformulas)
     return f"oformulas: {of} ; under: {known[c.undergroups]} ; over: {known[c.overgroups]}"
 
 

@@ -15,7 +15,7 @@ import re
 
 from .cirquent import Cirquent, CirquentError, Group, clubsuit, parse_cirquent, render_cirquent, validate_cirquent
 from .formula import And, Formula, Or, Pcost, Pst, negate, render_formula
-from .runs import numeral_value
+from .runs import RunError, numeral_value
 from .values import Value, set_field
 
 
@@ -474,19 +474,20 @@ def _parse_params(text: str, lineno: int) -> dict[str, object]:
         key, _, value = chunk.partition("=")
         if key in params:
             raise ProofError(f"line {lineno}: repeated parameter {key}")
-        if value.startswith("{"):
-            if not value.endswith("}"):
-                raise ProofError(f"line {lineno}: bad set parameter {chunk!r}")
-            inner = value[1:-1].strip()
-            try:
-                params[key] = frozenset(int(p) for p in inner.split(",")) if inner else frozenset()
-            except ValueError as exc:
-                raise ProofError(f"line {lineno}: bad set parameter {chunk!r}") from exc
-        else:
-            try:
-                params[key] = int(value)
-            except ValueError as exc:
-                raise ProofError(f"line {lineno}: bad parameter {chunk!r}") from exc
+        is_set = value.startswith("{")
+        try:
+            if not is_set:
+                params[key] = numeral_value(value)
+            elif not value.endswith("}"):
+                raise ValueError(value)
+            else:
+                inner = value[1:-1].strip()
+                params[key] = frozenset(map(numeral_value, inner.split(","))) if inner else frozenset()
+        except RunError:
+            raise
+        except ValueError as exc:
+            kind = "set parameter" if is_set else "parameter"
+            raise ProofError(f"line {lineno}: bad {kind} {chunk!r}") from exc
     return params
 
 
@@ -534,25 +535,25 @@ def parse_proof(text: str) -> Proof:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = _STEP_RE.fullmatch(line)
-        if m:
-            if pending is not None:
-                raise ProofError(f"line {lineno}: step {pending[0]} has no cirquent")
-            number = numeral_value(m.group(1))
-            if number != len(steps) + 1:
-                raise ProofError(f"line {lineno}: expected step {len(steps) + 1}, got {number}")
-            header = m.group(2, 3)
-            params = None if header in rules else _parse_params(header[1], lineno)
-            pending = (number, header, params, lineno)
-            continue
-        if pending is None:
-            raise ProofError(f"line {lineno}: expected a 'step <k>: rule=...' header")
-        cirq = cirquents.get(line)
-        if cirq is None:
-            try:
+        try:
+            m = _STEP_RE.fullmatch(line)
+            if m:
+                if pending is not None:
+                    raise ProofError(f"line {lineno}: step {pending[0]} has no cirquent")
+                number = numeral_value(m.group(1))
+                if number != len(steps) + 1:
+                    raise ProofError(f"line {lineno}: expected step {len(steps) + 1}, got {number}")
+                header = m.group(2, 3)
+                params = None if header in rules else _parse_params(header[1], lineno)
+                pending = (number, header, params, lineno)
+                continue
+            if pending is None:
+                raise ProofError(f"line {lineno}: expected a 'step <k>: rule=...' header")
+            cirq = cirquents.get(line)
+            if cirq is None:
                 cirq = cirquents[line] = parse_cirquent(line, formulas, groups, sections)
-            except CirquentError as exc:
-                raise ProofError(f"line {lineno}: {exc}") from exc
+        except (CirquentError, RunError) as exc:
+            raise ProofError(f"line {lineno}: {exc}") from exc
         _, header, params, header_line = pending
         rule = rules.get(header)
         if rule is None:

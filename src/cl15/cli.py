@@ -458,7 +458,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except RecursionError:
-        # Comparing, negating and rendering formulas recurse once per level.
+        # Negating, rendering and interpreting formulas, and playing their
+        # games, recurse once per level; comparing them does not.
         print("error: formula nested too deeply", file=sys.stderr)
         return USAGE
     finally:

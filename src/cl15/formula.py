@@ -8,66 +8,45 @@ from __future__ import annotations
 
 import re
 
-from .values import Value, set_field
+from .values import Frozen, set_field
 
 
 class FormulaError(ValueError):
     """Malformed formula text."""
 
 
-class Formula(Value):
-    """Base class for formula nodes."""
+# Every node built so far, keyed by `(class, *fields)`; never emptied.
+_NODES: dict[tuple, Formula] = {}
+
+
+class Formula(Frozen):
+    """Base class for formula nodes.  Building a node equal to an existing
+    one returns that one, so equal formulas are one object, compared and
+    hashed by identity without walking them."""
 
     __slots__ = ()
 
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields, strict=True):
+                set_field(node, name, value)
+            _NODES[key] = node
+        return node
 
-# One base per node shape.  Equality compares field tuples, as a
-# dataclass's does, so that each level of nesting takes the same stack.
 
 class _Named(Formula):
     __slots__ = __match_args__ = ("name",)
-
-    def __init__(self, name: str):
-        set_field(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name,) == (other.name,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
 
 
 class _Unary(Formula):
     __slots__ = __match_args__ = ("body",)
 
-    def __init__(self, body: Formula):
-        set_field(self, "body", body)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.body,) == (other.body,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.body,))
-
 
 class _Binary(Formula):
     __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
 
 
 class AtomRef(_Named):

@@ -164,12 +164,14 @@ def is_numeral(text: str) -> bool:
     return _NUMERAL_RE.fullmatch(text) is not None
 
 
-def numeral_value(numeral: str) -> int:
-    """int(numeral); past the interpreter's limit on digits, a RunError naming it."""
+def numeral_value(text: str) -> int:
+    """int(text); for decimal digits past the interpreter's limit, a RunError naming it."""
     try:
-        return int(numeral)
+        return int(text)
     except ValueError:
-        raise RunError(f"a number over the limit of {sys.get_int_max_str_digits():,} digits") from None
+        if text.strip().isdecimal():
+            raise RunError(f"a number over the limit of {sys.get_int_max_str_digits():,} digits") from None
+        raise
 
 
 def split_index_move(move: str) -> tuple[int, str] | None:

@@ -3,6 +3,7 @@ the interactive play loop driven through StringIO."""
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -701,22 +702,26 @@ def test_moderately_nested_formulas_still_parse(tmp_path):
 
 
 @pytest.mark.parametrize("depth, command, expected", [
-    (300, ["check"], (OK, "ok (1 steps)\n", "")),
-    (400, ["check"], (USAGE, "", "error: formula nested too deeply\n")),
-    (400, ["extract", "--out", "deep.strategy"], (USAGE, "", "error: formula nested too deeply\n")),
-    (400, ["simulate"], (USAGE, "", "error: formula nested too deeply\n")),
-], ids=["check-300", "check-400", "extract-400", "simulate-400"])
-def test_formula_too_deep_to_compare_is_a_usage_error(tmp_path, depth, command, expected):
-    # The formulas parse; comparing them against each other recurses.  A
-    # fresh interpreter, so that the test runner's own stack does not count.
+    (900, ["check"], (OK, r"ok \(1 steps\)\n", "")),
+    (900, ["extract", "--out", "deep.strategy"], (OK, r"ok: cirquent-level strategy for .*\n", "")),
+    (400, ["simulate"], (OK, r".*\nwinner: T .*\n", "")),
+    (900, ["simulate"], (USAGE, "", "error: formula nested too deeply\n")),
+], ids=["check-900", "extract-900", "simulate-400", "simulate-900"])
+def test_deep_formulas_stop_at_the_same_depth_on_every_interpreter(tmp_path, depth, command, expected):
+    # Formulas compare by identity, so checking and extracting recurse only
+    # as far as parsing does; the game positions that simulate plays recurse
+    # further.  A fresh interpreter, so that the test runner's own stack
+    # does not count.
     proof = tmp_path / "deep.proof"
     proof.write_text(_axiom_proof("!" * depth + "P", "?" * depth + "~P"))
     src = str(Path(cl15.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-m", "cl15.cli", *command, str(proof)],
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == expected
-    assert not (tmp_path / "deep.strategy").exists()
+    code, out, err = expected
+    assert (done.returncode, done.stderr) == (code, err)
+    assert re.fullmatch(out, done.stdout, re.DOTALL)
+    assert (tmp_path / "deep.strategy").exists() == (code == OK and command[0] == "extract")
 
 
 @pytest.mark.parametrize("command", ["simulate", "play"])
@@ -765,13 +770,30 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 HUGE = "1" + "0" * DIGIT_LIMIT
 
 
+AXIOM_LINE = "oformulas: ~P | P ; under: {1,2} ; over: {1,2}\n"
+# Proof texts with one over-long number, and the line that holds it.
+HUGE_PROOFS = {
+    "check": (f"step {HUGE}: rule=axiom\n{AXIOM_LINE}", 1),
+    "check-param": (f"step 1: rule=axiom\n{AXIOM_LINE}step 2: rule=dup_over pos={HUGE}\n"
+                    "oformulas: ~P | P ; under: {1,2} ; over: {1,2}{1,2}\n", 3),
+    "check-set-param": (f"step 1: rule=axiom\n{AXIOM_LINE}"
+                        f"step 2: rule=pcost oformula=1 add_over={{{HUGE}}}\n"
+                        "oformulas: ?~P | P ; under: {1,2} ; over: {1,2}\n", 3),
+    "check-group": (f"step 1: rule=axiom\noformulas: ~P | P ; under: {{1,{HUGE}}} ; over: {{1,2}}\n",
+                    2),
+}
+
+
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts numbers of any length")
-@pytest.mark.parametrize("command", ["check", "simulate", "project"])
+@pytest.mark.parametrize("command", [*HUGE_PROOFS, "simulate", "project"])
 def test_a_number_over_the_digit_limit_is_a_usage_error(command, tmp_path, capsys):
-    if command == "check":
+    where = ""
+    if command in HUGE_PROOFS:
+        text, line = HUGE_PROOFS[command]
         path = tmp_path / "huge.proof"
-        path.write_text(f"step {HUGE}: rule=axiom\noformulas: ~P | P ; under: {{1,2}} ; over: {{1,2}}\n")
+        path.write_text(text)
         argv = ["check", str(path)]
+        where = f"line {line}: "
     elif command == "simulate":
         path = tmp_path / "huge.script"
         path.write_text(f"1;{HUGE}.1.m\n")
@@ -783,4 +805,4 @@ def test_a_number_over_the_digit_limit_is_a_usage_error(command, tmp_path, capsy
     assert main(argv) == USAGE
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
-    assert captured.err == f"error: a number over the limit of {DIGIT_LIMIT:,} digits\n"
+    assert captured.err == f"error: {where}a number over the limit of {DIGIT_LIMIT:,} digits\n"

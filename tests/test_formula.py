@@ -1,12 +1,17 @@
-"""Formula parsing, negation normalization, rendering, and atom scans."""
+"""Formula parsing, negation normalization, rendering, atom scans, and
+the interning of formula nodes."""
+import copy
+import pickle
 import random
 
 import pytest
 
+from cl15 import formula
 from cl15.formula import (
     And,
     AtomRef,
     Cost,
+    Formula,
     FormulaError,
     NegAtom,
     Or,
@@ -27,6 +32,29 @@ def test_atoms_and_literals():
     assert parse_formula("~P") == NegAtom("P")
     assert parse_formula("Foo9") == AtomRef("Foo9")
     assert parse_formula("~~P") == AtomRef("P")
+
+
+def test_equal_formulas_are_one_node():
+    f = parse_formula("!(P /\\ Q)")
+    assert f is Pst(And(AtomRef("P"), AtomRef("Q")))
+    assert negate(negate(f)) is f
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert AtomRef("P") is not NegAtom("P") and Pst(f) is not Pcost(f)
+    rng = random.Random(7)
+    for _ in range(100):
+        g = random_formula(rng, ["P", "Q", "R"], 4)
+        assert parse_formula(render_formula(g)) is g
+    with pytest.raises(ValueError):
+        And(f)
+
+
+def test_formulas_compare_and_hash_by_identity_alone():
+    # No formula class writes out a comparison: `object`'s are the only ones.
+    for cls in (Formula, formula._Named, formula._Unary, formula._Binary,
+                AtomRef, NegAtom, And, Or, Pst, Pcost, St, Cost):
+        assert not {"__init__", "__eq__", "__hash__"} & vars(cls).keys(), cls
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
 
 
 def test_binary_precedence_and_grouping():

@@ -37,6 +37,11 @@ LEMMA_CASES = [
      "oformulas: E | F ; under: {1,2} ; over: {1}{2}",
      "oformulas: E | G | F ; under: {1,2,3} ; over: {1,2}{3}",
      rules.Weakening(1, 2)),
+    # Two overgroups deleted, neither of them last.
+    ("weakening_deleting_two_overs",
+     "oformulas: E | F ; under: {1,2} ; over: {1,2}",
+     "oformulas: E | F | G ; under: {1,2,3} ; over: {3}{3}{1,2}",
+     rules.Weakening(1, 3)),
     ("pcost_two_overs",
      "oformulas: E | F ; under: {1,2} ; over: {1,2}{1,2}{2}",
      "oformulas: E | ?F ; under: {1,2} ; over: {1}{1}{2}",
