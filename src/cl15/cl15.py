@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 from .cirquent import Cirquent, CirquentError, Group, clubsuit, parse_cirquent, render_cirquent, validate_cirquent
-from .formula import And, Formula, Or, Pcost, Pst, negate, render_formula
+from .formula import And, Formula, FormulaError, Or, Pcost, Pst, negate, render_formula
 from .runs import RunError, numeral_value
 from .values import Value, set_field
 
@@ -463,7 +463,7 @@ def verify_proof(proof: Proof, goal: Formula | None = None) -> tuple[int, Violat
 
 # Proof file format
 
-_STEP_RE = re.compile(r"step\s+(\d+)\s*:\s*rule=(\S+)\s*(.*)")
+_STEP_RE = re.compile(r"step\s+([0-9]+)\s*:\s*rule=(\S+)\s*(.*)")
 
 
 def _parse_params(text: str, lineno: int) -> dict[str, object]:
@@ -552,7 +552,7 @@ def parse_proof(text: str) -> Proof:
             cirq = cirquents.get(line)
             if cirq is None:
                 cirq = cirquents[line] = parse_cirquent(line, formulas, groups, sections)
-        except (CirquentError, RunError) as exc:
+        except (CirquentError, FormulaError, RunError) as exc:
             raise ProofError(f"line {lineno}: {exc}") from exc
         _, header, params, header_line = pending
         rule = rules.get(header)

@@ -35,6 +35,7 @@ from .runs import (
     TOP,
     Labmove,
     RunError,
+    numeral_value,
     parse_bitstring_spec,
     parse_run,
     project_branch,
@@ -253,7 +254,7 @@ def cmd_project(args) -> int:
         result = project_branch(run, parse_bitstring_spec(args.branch))
     else:
         try:
-            coords = tuple(int(p) for p in args.coords.split(",")) if args.coords else ()
+            coords = tuple(map(numeral_value, args.coords.split(","))) if args.coords else ()
         except ValueError as exc:
             raise RunError(f"bad --coords {args.coords!r}: expected numbers like 1,2") from exc
         result = project_cell(run, args.cell, coords)

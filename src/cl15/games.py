@@ -3,8 +3,7 @@
 Every game evaluates runs through a *position*.  `Game.start()` returns the
 position of the empty run; `Position.extend(lm)` appends one labmove and
 says at once whether the run is still legal; the first illegal move fixes
-the offender, who loses, and later moves are ignored.  `Position.allows(lm)`
-says whether `extend(lm)` would keep the run legal and changes nothing, and
+the offender, who loses, and later moves are ignored.
 `Position.moves(player)` lists that player's legal next moves, so a caller
 that follows a run can choose among them on its one position.
 `Position.winner()` is total: the offender rule first, then the winner of
@@ -22,16 +21,14 @@ Cost model.  A finite game (a trie) costs time linear in its lines to build
 and O(1) per move.  A composite position routes each labmove to one
 component position, parsing the move once, so a play costs time linear in
 its length (a branching-recurrence position replays its run once when a new
-stem splits its thread classes).  A probe with `allows` takes the same route
-without storing anything: it costs the depth of the move, where an untouched
-copy or cell is asked through a fresh empty position of its base game, plus
-a replay of the affected thread classes' moves when the probe names a new
-stem.  A list of moves costs about one such probe per move listed, and a
-cirquent lists every vector of used-or-fresh coordinates.  A cirquent
-position keeps one position per played cell, keyed by oformula and
-coordinates, and its winner quantifies each undergroup only over the
-overgroups that contain its oformulas, with each coordinate ranging over
-the values that undergroup's moves used plus one fresh value.
+stem splits its thread classes).  A list of moves costs its components'
+lists, but a branching-recurrence position replays, for each move it finds
+at a stem, the thread classes a move there acts in, and a cirquent lists
+every vector of used-or-fresh coordinates.  A cirquent position keeps one
+position per played cell, keyed by oformula and coordinates, and its
+winner quantifies each undergroup only over the overgroups that contain
+its oformulas, with each coordinate ranging over the values that
+undergroup's moves used plus one fresh value.
 
 Every constructor here defines position legality move-locally or through
 projections, so prefix closure holds by construction and is checked in
@@ -75,10 +72,6 @@ class Position:
             self.offender = lm.player
         return self.offender is None
 
-    def allows(self, lm: Labmove) -> bool:
-        """Would `extend(lm)` keep the run legal?  Changes nothing."""
-        return self.offender is None and self._allows(lm)
-
     def moves(self, player: Player) -> list[str]:
         """The moves of `player` that `extend` would accept now, up to
         renaming unused values (see the module docstring)."""
@@ -94,10 +87,6 @@ class Position:
         """Append a labmove to a legal run; is the result legal?"""
         raise NotImplementedError
 
-    def _allows(self, lm: Labmove) -> bool:
-        """Would appending the labmove to this legal run keep it legal?"""
-        raise NotImplementedError
-
     def _moves(self, player: Player) -> list[str]:
         """The moves of `player` that keep this legal run legal."""
         raise NotImplementedError
@@ -111,19 +100,15 @@ class _RoutingPosition(Position):
     """A position that passes each labmove, parsed once by `_route`, to the
     position of the one component it acts on."""
 
-    def _route(self, lm: Labmove, store: bool) -> tuple[Position, Labmove] | None:
+    def _route(self, lm: Labmove) -> tuple[Position, Labmove] | None:
         """The component position and the labmove it receives, or None if
         the move is illegal here.  A component not played yet is created
-        from its base game, and kept only if `store`."""
+        from its base game and kept."""
         raise NotImplementedError
 
     def _step(self, lm: Labmove) -> bool:
-        routed = self._route(lm, True)
+        routed = self._route(lm)
         return routed is not None and routed[0].extend(routed[1])
-
-    def _allows(self, lm: Labmove) -> bool:
-        routed = self._route(lm, False)
-        return routed is not None and routed[0].allows(routed[1])
 
 
 class Game:
@@ -201,9 +186,6 @@ class _TreePosition(Position):
         self.node = child
         return True
 
-    def _allows(self, lm: Labmove) -> bool:
-        return lm in self.game._children[self.node]
-
     def _moves(self, player: Player) -> list[str]:
         return [lm.move for lm in self.game._children[self.node] if lm.player is player]
 
@@ -232,9 +214,6 @@ class _EnumerationPosition(Position):
         self.run.append(lm)
         return is_numeral(lm.move)
 
-    def _allows(self, lm: Labmove) -> bool:
-        return is_numeral(lm.move)
-
     def _moves(self, player: Player) -> list[str]:
         used = sorted({int(lm.move) for lm in self.run})
         return [str(u) for u in used + [used[-1] + 1 if used else 0]]
@@ -253,9 +232,6 @@ class PermissiveGame(Game):
 
 class _PermissivePosition(Position):
     def _step(self, lm: Labmove) -> bool:
-        return True
-
-    def _allows(self, lm: Labmove) -> bool:
         return True
 
     def _moves(self, player: Player) -> list[str]:
@@ -334,7 +310,7 @@ class _NegPosition(_RoutingPosition):
         super().__init__()
         self.base = base
 
-    def _route(self, lm: Labmove, store: bool) -> tuple[Position, Labmove]:
+    def _route(self, lm: Labmove) -> tuple[Position, Labmove]:
         return self.base, Labmove(lm.player.opponent, lm.move)
 
     def _moves(self, player: Player) -> list[str]:
@@ -364,7 +340,7 @@ class _PairPosition(_RoutingPosition):
         self.sides = (left, right)
         self.conjunctive = conjunctive
 
-    def _route(self, lm: Labmove, store: bool) -> tuple[Position, Labmove] | None:
+    def _route(self, lm: Labmove) -> tuple[Position, Labmove] | None:
         split = split_index_move(lm.move)
         if split is None or split[0] > 2:
             return None
@@ -407,16 +383,14 @@ class _CopyBankPosition(_RoutingPosition):
         self.game = game
         self.copies: dict[int, Position] = {}
 
-    def _route(self, lm: Labmove, store: bool) -> tuple[Position, Labmove] | None:
+    def _route(self, lm: Labmove) -> tuple[Position, Labmove] | None:
         split = split_index_move(lm.move)
         if split is None:
             return None
         u, rest = split
         copy = self.copies.get(u)
         if copy is None:
-            copy = self.game.base.start()
-            if store:
-                self.copies[u] = copy
+            copy = self.copies[u] = self.game.base.start()
         return copy, Labmove(lm.player, rest)
 
     def _moves(self, player: Player) -> list[str]:
@@ -482,7 +456,7 @@ class _ThreadBank(Game):
 
 class _ThreadBankPosition(Position):
     """One base position per thread class.  A move with a new stem refines
-    the classes, and the positions are rebuilt from the stored moves."""
+    the classes, and the positions are rebuilt from the moves played."""
 
     def __init__(self, game: _ThreadBank):
         super().__init__()
@@ -492,7 +466,7 @@ class _ThreadBankPosition(Position):
         self.threads = [(InfiniteBitstring(), game.base.start())]  # one class, no stems
 
     def _replay(self, reps: list[InfiniteBitstring]) -> list[tuple[InfiniteBitstring, Position]]:
-        """A position per representative, holding the stored moves it sees."""
+        """A position per representative, holding the played moves it sees."""
         return [
             (x, self.game.base.replay([m for w, m in self.played if x.has_prefix(w)]))
             for x in reps
@@ -510,30 +484,16 @@ class _ThreadBankPosition(Position):
         self.played.append((stem, inner))
         return all(pos.extend(inner) for x, pos in self.threads if x.has_prefix(stem))
 
-    def _reached(self, stem: str) -> list[Position]:
-        """The positions of the thread classes that a move at `stem` acts in."""
-        threads = self.threads
-        if stem not in self.stems:
-            # Only the refined classes inside the new stem receive the move.
-            reps = thread_representatives(self.stems | {stem})
-            threads = self._replay([x for x in reps if x.has_prefix(stem)])
-        return [pos for x, pos in threads if x.has_prefix(stem)]
-
-    def _allows(self, lm: Labmove) -> bool:
-        split = split_bit_move(lm.move)
-        if split is None:
-            return False
-        inner = Labmove(lm.player, split[1])
-        return all(pos.allows(inner) for pos in self._reached(split[0]))
-
     def _moves(self, player: Player) -> list[str]:
-        # A move legal at stem w is legal in thread w:0 in particular.
+        # A move legal at stem w is legal in thread w:0 in particular; it is
+        # listed if it extends every thread class that a move at w acts in.
         roots = self.stems | {""}
         out = []
         for w in sorted(roots | {w + bit for w in roots for bit in "01"}, key=lambda w: (len(w), w)):
-            ((_, thread),), reached = self._replay([InfiniteBitstring(w)]), self._reached(w)
+            ((_, thread),) = self._replay([InfiniteBitstring(w)])
+            reached = [x for x in thread_representatives(self.stems | {w}) if x.has_prefix(w)]
             out += [f"{w}.{m}" for m in thread.moves(player)
-                    if all(pos.allows(Labmove(player, m)) for pos in reached)]
+                    if all(pos.extend(Labmove(player, m)) for _, pos in self._replay(reached))]
         return out
 
     def _won(self) -> Player:
@@ -602,7 +562,7 @@ class _CirquentPosition(_RoutingPosition):
         self.game = game
         self.cells: dict[tuple[int, tuple[int, ...]], Position] = {}
 
-    def _route(self, lm: Labmove, store: bool) -> tuple[Position, Labmove] | None:
+    def _route(self, lm: Labmove) -> tuple[Position, Labmove] | None:
         split = split_cell_move(lm.move)
         if split is None:
             return None
@@ -614,9 +574,7 @@ class _CirquentPosition(_RoutingPosition):
             return None
         cell = self.cells.get((a, coords))
         if cell is None:
-            cell = g.base_games[a - 1].start()
-            if store:
-                self.cells[(a, coords)] = cell
+            cell = self.cells[(a, coords)] = g.base_games[a - 1].start()
         return cell, Labmove(lm.player, rest)
 
     def _moves(self, player: Player) -> list[str]:

@@ -164,14 +164,20 @@ def is_numeral(text: str) -> bool:
     return _NUMERAL_RE.fullmatch(text) is not None
 
 
-def numeral_value(text: str) -> int:
-    """int(text); for decimal digits past the interpreter's limit, a RunError naming it."""
+def _digits_value(digits: str) -> int:
+    """int(digits); past the interpreter's digit limit, a RunError naming it."""
     try:
-        return int(text)
+        return int(digits)
     except ValueError:
-        if text.strip().isdecimal():
-            raise RunError(f"a number over the limit of {sys.get_int_max_str_digits():,} digits") from None
-        raise
+        raise RunError(f"a number over the limit of {sys.get_int_max_str_digits():,} digits") from None
+
+
+def numeral_value(text: str) -> int:
+    """The value of ASCII digits, spaces around them allowed; a ValueError for other text."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a number: {text!r}")
+    return _digits_value(digits)
 
 
 def split_index_move(move: str) -> tuple[int, str] | None:
@@ -179,7 +185,7 @@ def split_index_move(move: str) -> tuple[int, str] | None:
     m = _INDEX_MOVE_RE.fullmatch(move)
     if m is None:
         return None
-    return numeral_value(m.group(1)), m.group(2)
+    return _digits_value(m.group(1)), m.group(2)
 
 
 def split_cell_move(move: str) -> tuple[int, tuple[int, ...], str] | None:
@@ -192,7 +198,7 @@ def split_cell_move(move: str) -> tuple[int, tuple[int, ...], str] | None:
     if m is None:
         return None
     a, coords, rest = m.groups()
-    return numeral_value(a), tuple(map(numeral_value, coords.split(","))) if coords else (), rest
+    return _digits_value(a), tuple(map(_digits_value, coords.split(","))) if coords else (), rest
 
 
 def format_cell_move(a: int, coords: tuple[int, ...], rest: str) -> str:

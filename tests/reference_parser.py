@@ -192,6 +192,14 @@ def parse_formula(text: str) -> Formula:
         raise FormulaError("formula nested too deeply") from None
 
 
+def _index(text: str) -> int:
+    """ASCII digits with optional spaces around them."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(digits)
+
+
 def _parse_groups(text: str, what: str) -> tuple[Group, ...]:
     text = text.strip()
     if not text:
@@ -212,7 +220,7 @@ def _parse_groups(text: str, what: str) -> tuple[Group, ...]:
             groups.append(frozenset())
         else:
             try:
-                groups.append(frozenset(int(p.strip()) for p in inner.split(",")))
+                groups.append(frozenset(map(_index, inner.split(","))))
             except ValueError as exc:
                 raise CirquentError(f"bad index in {what} group: {inner!r}") from exc
         i = close + 1

@@ -551,10 +551,11 @@ def test_simulate_transcripts_are_pinned(proof, level, tmp_path, capsys):
 
 
 def test_project_bad_coords_is_a_usage_error(capsys):
-    assert main(["project", RUNFILE, "--cell", "1", "--coords", "a"]) == USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: bad --coords 'a': expected numbers like 1,2\n"
+    for coords in ("a", "+1", "1_0", "\u0661"):
+        assert main(["project", RUNFILE, "--cell", "1", "--coords", coords]) == USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad --coords {coords!r}: expected numbers like 1,2\n"
 
 
 def test_check_bad_set_parameter_is_a_usage_error(tmp_path, capsys):
@@ -683,7 +684,7 @@ def test_formula_nested_too_deeply_is_a_usage_error(tmp_path, capsys, formula, n
     assert main(["check", str(proof)]) == USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: formula nested too deeply\n"
+    assert captured.err == "error: line 2: formula nested too deeply\n"
 
 
 def test_moderately_nested_formulas_still_parse(tmp_path):
