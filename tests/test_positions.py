@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cl15.cirquent import Cirquent, make_cirquent
 from cl15.cli import main
-from cl15.formula import And, AtomRef, Cost, NegAtom, Or, Pcost, Pst, St
+from cl15.formula import And, AtomRef, Cost, NegAtom, Or, Pcost, Pst, St, render_formula
 from cl15.games import (
     EnumerationGame,
     GameError,
@@ -321,6 +321,36 @@ def test_listed_moves_cover_branching_candidates():
                 run += (lm,)
         held += _check_listed_moves(subject, interp, game, run, rng)
     assert held >= 50
+
+
+@pytest.mark.parametrize("subject", [
+    St(P), Cost(NegAtom("P")), St(Or(P, NegAtom("Q"))), Cost(Pst(P)), St(Cost(And(P, Q))),
+], ids=render_formula)
+def test_branching_listings_with_new_stems(subject):
+    # Candidates whose stem the run has not used yet refine the thread
+    # classes; within the bound such a candidate is listed exactly when a
+    # replay keeps the run legal, and both verdicts must occur.
+    verdicts = set()
+    for seed in range(30):
+        rng = random.Random(seed)
+        interp = random_finite_interpretation(ATOMS, 2, 2, seed)
+        game = interpret_formula(subject, interp)
+        build = move_builder(subject, interp)
+        pos, run = game.start(), ()
+        for _ in range(8):
+            listed = {player: pos.moves(player) for player in (TOP, BOT)}
+            for _ in range(6):
+                lm = Labmove(TOP if rng.random() < 0.5 else BOT, build(rng_chooser(rng)))
+                stem = lm.move.partition(".")[0]
+                if stem not in pos.stems and _within_bound(subject, run, lm.move):
+                    verdict = game.legal(run + (lm,))
+                    assert (lm.move in listed[lm.player]) == verdict, (run, lm)
+                    verdicts.add(verdict)
+            lm = Labmove(TOP if rng.random() < 0.5 else BOT, build(rng_chooser(rng)))
+            if game.legal(run + (lm,)):
+                assert pos.extend(lm)
+                run += (lm,)
+    assert verdicts == {True, False}
 
 
 @given(plays(formulas, offending=True))
