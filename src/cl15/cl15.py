@@ -463,7 +463,7 @@ def verify_proof(proof: Proof, goal: Formula | None = None) -> tuple[int, Violat
 
 # Proof file format
 
-_STEP_RE = re.compile(r"step\s+([0-9]+)\s*:\s*rule=(\S+)\s*(.*)")
+_STEP_RE = re.compile(r"step\s+(0|[1-9][0-9]*)\s*:\s*rule=(\S+)\s*(.*)")
 
 
 def _parse_params(text: str, lineno: int) -> dict[str, object]:

@@ -254,10 +254,14 @@ def cmd_project(args) -> int:
         result = project_branch(run, parse_bitstring_spec(args.branch))
     else:
         try:
+            cell = numeral_value(args.cell)
+        except ValueError as exc:
+            raise RunError(f"bad --cell {args.cell!r}: expected a number like 1") from exc
+        try:
             coords = tuple(map(numeral_value, args.coords.split(","))) if args.coords else ()
         except ValueError as exc:
             raise RunError(f"bad --coords {args.coords!r}: expected numbers like 1,2") from exc
-        result = project_cell(run, args.cell, coords)
+        result = project_cell(run, cell, coords)
     text = render_run(result)
     if text:
         print(text)
@@ -391,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--prefix", help="strip this prefix, e.g. 1.")
     group.add_argument("--branch", help="infinite bitstring stem:tail, e.g. 111:1")
-    group.add_argument("--cell", type=int, help="oformula index")
+    group.add_argument("--cell", help="oformula index")
     p.add_argument("--coords", default="", help="cell coordinates, e.g. 1,2")
 
     p = sub.add_parser("demo-separation", help="bounded thread-distinctness demo")

@@ -173,9 +173,10 @@ def _digits_value(digits: str) -> int:
 
 
 def numeral_value(text: str) -> int:
-    """The value of ASCII digits, spaces around them allowed; a ValueError for other text."""
+    """The value of a canonical numeral (ASCII digits, no leading zero), spaces
+    around it allowed; a ValueError for other text."""
     digits = text.strip()
-    if not (digits.isascii() and digits.isdigit()):
+    if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and digits != "0"):
         raise ValueError(f"not a number: {text!r}")
     return _digits_value(digits)
 

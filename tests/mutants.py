@@ -1,0 +1,77 @@
+"""One-line mutants of src/cl15 that tier-1 tests must fail on: `python3 tests/mutants.py`.
+
+Each entry's text must occur once in its file.  It is replaced in a fresh copy
+of src/, and pytest runs the entry's arguments against that copy with `-x`,
+which stops before hypothesis spends minutes shrinking a failure.  Only exit
+code 1 (tests failed) kills a mutant.  Exits 1 unless every mutant is killed.
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LEMMAS, PLAY_LOOP = ("tests/test_rule_lemmas.py",), ("tests/test_play_loop.py",)
+LISTING, ACCEPTANCE = ("tests/test_positions.py", "-k", "list"), ("tests/test_acceptance.py",)
+
+# (file under src/cl15, text, replacement, pytest arguments)
+MUTANTS = [
+    # Translators.  The first, second and sixth pass every other tier-1 test.
+    ("strategy.py", "a + 1 if a >= d else a", "a + 1 if a > d else a", LEMMAS),
+    ("strategy.py", "v = fold_positives(us)", "v = fold_positives(us[::-1])", LEMMAS),
+    ("strategy.py", "merged = pair(u1, u2)", "merged = pair(u2, u1)", LEMMAS),
+    ("strategy.py", "outer_k = 2 * k - 1 if c == a else 2 * k", "outer_k = 2 * k if c == a else 2 * k - 1",
+     LEMMAS),
+    ("strategy.py", 'f"1.{rest}"\n        if c == a + 1:\n            return a, coords, f"2.{rest}"',
+     'f"2.{rest}"\n        if c == a + 1:\n            return a, coords, f"1.{rest}"', LEMMAS),
+    ("strategy.py", "for j in sorted(dropped):", "for j in sorted(dropped, reverse=True):", LEMMAS),
+    # The play loop.  The adversary mutant plays as the code does (it is asked
+    # whether it is settled only after it passed), so only the contract fails.
+    ("harness.py", "self.MAX_MOVES or self._grants >=", "self.MAX_MOVES - 1 or self._grants >=", PLAY_LOOP),
+    ("strategy.py", "if env.settled() and machine.settled(run):", "if env.settled():", PLAY_LOOP),
+    # Branching listings: thread w:0's moves unfiltered, or filtered over every thread class.
+    ("games.py", "if all(pos.extend(Labmove(player, m)) for _, pos in self._replay(reached))", "", LISTING),
+    ("games.py", "(self.stems | {w}) if x.has_prefix(w)]", "(self.stems | {w})]", LISTING),
+    # One mutant per translator branch of the ROADMAP's survey.
+    ("strategy.py", "cs[i - 1], cs[i] = cs[i], cs[i - 1]", "cs[i - 1], cs[i] = cs[i - 1], cs[i]", ACCEPTANCE),
+    ("strategy.py", "expanded = unpair(v)", "expanded = unpair(v)[::-1]", ACCEPTANCE),
+    ("strategy.py", "merged = pair(v1, v2)", "merged = pair(v2, v1)", ACCEPTANCE),
+    ("strategy.py", "(u,) + coords[j - 1:], tail", "(u + 1,) + coords[j - 1:], tail", ACCEPTANCE),
+    ("strategy.py", "return u1, k + 2 - u1", "return k + 2 - u1, u1", ACCEPTANCE),
+    ("strategy.py", "(a + 1 if a % 2 == 1 else a - 1, coords, rest)", "(a, coords, rest)", ACCEPTANCE),
+    ("strategy.py", "return pair(us[0], fold_positives(us[1:]))",
+     "return pair(fold_positives(us[:-1]), us[-1])", ("tests/test_strategy.py",)),
+]
+
+
+def verdict(file: str, text: str, replacement: str, args: tuple[str, ...]) -> str:
+    """'killed', or why the mutant was not."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp, "src")
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "cl15" / file
+        code = path.read_text(encoding="utf-8")
+        count = code.count(text)
+        if count != 1 or text == replacement:
+            return "not applied: " + (f"{count} matches" if count != 1 else "no change")
+        path.write_text(code.replace(text, replacement), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        status = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *args],
+                                cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode
+    return "killed" if status == 1 else f"not killed: pytest exit {status}"
+
+
+def main() -> int:
+    killed = 0
+    for file, text, replacement, args in MUTANTS:
+        result = verdict(file, text, replacement, args)
+        killed += result == "killed"
+        print(f"{result}: {file}: {text!r} -> {replacement!r} [{' '.join(args)}]", flush=True)
+    print(f"killed {killed}/{len(MUTANTS)}")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -193,9 +193,9 @@ def parse_formula(text: str) -> Formula:
 
 
 def _index(text: str) -> int:
-    """ASCII digits with optional spaces around them."""
+    """A canonical numeral (ASCII digits, no leading zero) with optional spaces around it."""
     digits = text.strip()
-    if not (digits.isascii() and digits.isdigit()):
+    if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and digits != "0"):
         raise ValueError(text)
     return int(digits)
 

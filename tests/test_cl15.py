@@ -189,6 +189,10 @@ PLAIN_LINE = "oformulas: P ; under: {1} ; over: {1}"
          "line 3: pos must be a number, not a set"),
         ("step 1: rule=axiom\noformulas: ~P | P /\\ ; under: {1,2} ; over: {1,2}",
          "line 2: unexpected end of input"),
+        (f"step 1: rule=axiom\n{AXIOM_LINE}\nstep 2: rule=dup_over pos\n{AXIOM_LINE}",
+         "line 3: bad parameter 'pos'"),
+        (f"step 1: rule=pcost oformula=1 add_over=3\n{PLAIN_LINE}",
+         "line 1: add_over must be a set like {1,2}"),
         # Numbers are ASCII digits only.
         (f"step 1: rule=axiom\n{AXIOM_LINE}\nstep 2: rule=dup_over pos=+1\n{AXIOM_LINE}",
          "line 3: bad parameter 'pos=+1'"),
@@ -199,6 +203,12 @@ PLAIN_LINE = "oformulas: P ; under: {1} ; over: {1}"
          "line 1: bad set parameter 'add_over={\u0661,2}'"),
         ("step 1: rule=axiom\noformulas: ~P | P ; under: {1, +2} ; over: {1,2}",
          "line 2: bad index in under group: '1, +2'"),
+        # ... and canonical: no leading zeros.
+        (f"step 01: rule=axiom\n{AXIOM_LINE}", "line 1: expected a 'step <k>: rule=...' header"),
+        (f"step 1: rule=axiom\n{AXIOM_LINE}\nstep 2: rule=dup_over pos=01\n{AXIOM_LINE}",
+         "line 3: bad parameter 'pos=01'"),
+        ("step 1: rule=axiom\noformulas: ~P | P ; under: {1,2} ; over: {01,2}",
+         "line 2: bad index in over group: '01,2'"),
     ],
 )
 def test_parse_proof_errors(text, fragment):

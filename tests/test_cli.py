@@ -25,7 +25,7 @@ from cl15.cli import (
 )
 from cl15.games import GameError
 from cl15.harness import RANDOM_GAME_MAX_NODES, ScriptMachine
-from cl15.strategy import extract_solution, proof_goal
+from cl15.strategy import IdleStrategy, extract_solution, proof_goal
 
 from conftest import FIXTURES, long_structural_proof, read_fixture
 
@@ -48,12 +48,18 @@ def test_check_accepts_p2(capsys):
     assert capsys.readouterr().out == "ok (5 steps)\n"
 
 
-def test_check_rejects_broken_proof(capsys):
+def test_check_rejects_broken_proof(tmp_path, capsys):
     assert main(["check", BROKEN]) == FAIL
     out = capsys.readouterr().out
     assert out == (
         "step 2: violation: premise does not split the disjunction as required\n"
     )
+    proof = tmp_path / "pcost.proof"
+    proof.write_text("step 1: rule=axiom\noformulas: ~P | P ; under: {1,2} ; over: {1,2}\n"
+                     "step 2: rule=pcost oformula=2 add_over={9}\n"
+                     "oformulas: ~P | ?P ; under: {1,2} ; over: {1,2}\n")
+    assert main(["check", str(proof)]) == FAIL
+    assert capsys.readouterr().out == "step 2: violation: overgroup 9 out of range\n"
 
 
 def test_check_names_the_formulas_of_an_odd_axiom_cirquent(tmp_path, capsys):
@@ -433,6 +439,10 @@ def test_play_session_pass_and_eof():
     assert code == OK
     assert "winner: T" in out
     assert "(empty)" in out
+    code, out = _play("", machine=IdleStrategy())
+    assert code == OK
+    assert "machine idles" in out and "your move>" not in out
+    assert "winner: T" in out
 
 
 def test_play_session_reports_an_illegal_machine_move():
@@ -551,11 +561,14 @@ def test_simulate_transcripts_are_pinned(proof, level, tmp_path, capsys):
 
 
 def test_project_bad_coords_is_a_usage_error(capsys):
-    for coords in ("a", "+1", "1_0", "\u0661"):
+    for coords in ("a", "+1", "1_0", "\u0661", "01,1"):
         assert main(["project", RUNFILE, "--cell", "1", "--coords", coords]) == USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad --coords {coords!r}: expected numbers like 1,2\n"
+    for cell in ("01", "+1", "\u0661", "-1"):
+        assert main(["project", RUNFILE, "--cell", cell, "--coords", "1,2"]) == USAGE
+        assert capsys.readouterr() == ("", f"error: bad --cell {cell!r}: expected a number like 1\n")
 
 
 def test_check_bad_set_parameter_is_a_usage_error(tmp_path, capsys):

@@ -5,8 +5,8 @@ grant and both report themselves settled, and its environment reads the
 referee's position.  `reference_simulate` below asks both players at every
 turn of the budget, and its environment watches a position of its own that
 follows the run.  Every play here must give equal `SimResult`s both ways.
-CI runs this module against mutants of the settling code, and each must
-make it fail."""
+`tests/mutants.py` runs this module against mutants of the settling code,
+and each must make it fail."""
 from __future__ import annotations
 
 import random

@@ -12,7 +12,7 @@ ATOMS = ("P", "Q", "R2", "Foo")
 PREFIXES = ("~", "~~", "!", "?", "b!", "b?")
 BINARY = ("/\\", "\\/", "->")
 SPACES = ("", "", " ", "  ", "\t", "\u00a0")
-BAD_GROUPS = ("{1,,2}", "{1", "1}", "{a}", "{}", "{ }", "{,}", "{ 1 , 2 }", "{+1}", "x{1}",
+BAD_GROUPS = ("{1,,2}", "{1", "1}", "{a}", "{}", "{ }", "{,}", "{ 1 , 2 }", "{+1}", "{01,2}", "x{1}",
               "{1}x", "{1}{", "{1}}", "{1{2}")
 
 
