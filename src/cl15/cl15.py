@@ -1,21 +1,28 @@
-"""The inference rules as checkable premise/conclusion relations, plus
-whole-proof verification and the proof file format.
+"""The inference rules as checkable premise/conclusion relations with
+their move translators, plus whole-proof verification and the proof file
+format.
 
 Each rule is one class, and the class is its only record: its file-format
 `name`, its parameters (its fields, in file order), its check
-`holds(premise, conclusion)` and the `mismatch` text for a pair that is not
-an instance.  A check runs a deterministic constructor in the rule's
-natural direction (conclusion from premise for the exchanges, duplications
-and merging, premise from conclusion for the rest) and compares the result
-with the given cirquent, so diagnostics are exact and checking is linear.
+`holds(premise, conclusion)`, the `mismatch` text for a pair that is not
+an instance, and, for every rule but the axiom, its move translator
+`translator(premise, conclusion)`.  A check runs a deterministic
+constructor in the rule's natural direction (conclusion from premise for
+the exchanges, duplications and merging, premise from conclusion for the
+rest) and compares the result with the given cirquent, so diagnostics are
+exact and checking is linear.  A translator turns a strategy for the
+premise into one for the conclusion by translating split cell moves both
+ways; `strategy.extract_solution` builds one per verified application.
 """
 from __future__ import annotations
 
+import math
 import re
+from collections.abc import Callable
 
 from .cirquent import Cirquent, CirquentError, Group, clubsuit, parse_cirquent, render_cirquent, validate_cirquent
 from .formula import And, Formula, FormulaError, Or, Pcost, Pst, negate, render_formula
-from .runs import RunError, numeral_value
+from .runs import RunError, numeral_value, split_index_move
 from .values import Value, set_field
 
 
@@ -28,6 +35,76 @@ class Violation(Value):
 
     def __init__(self, reason: str):
         set_field(self, "reason", reason)
+
+
+# Move translators
+
+Cell = tuple[int, tuple[int, ...], str]
+Move = str | Cell
+
+
+class Translator(Value):
+    """Move maps between an outer (conclusion) play and an imagined inner
+    (premise) play.  `outer_to_inner` translates environment moves inward
+    (None drops the move); `inner_to_outer` translates the inner machine's
+    moves outward (None absorbs the move into the imagined run only).  Both
+    map split cell moves, except at the edge, the one translator that maps
+    move texts: outside it the moves are the real run's.  A `structural`
+    translator's maps read and change only a move's oformula and
+    coordinates and keep its payload, so whether it drops or absorbs a move
+    depends on those alone; only the rules' translators and a pipeline's
+    fused layers set it."""
+
+    __slots__ = __match_args__ = ("name", "outer_to_inner", "inner_to_outer", "structural")
+
+    def __init__(self, name: str, outer_to_inner: Callable[[Move], Move | None],
+                 inner_to_outer: Callable[[Cell], Move | None], structural: bool = False):
+        set_field(self, "name", name)
+        set_field(self, "outer_to_inner", outer_to_inner)
+        set_field(self, "inner_to_outer", inner_to_outer)
+        set_field(self, "structural", structural)
+
+
+def identity_translator(name: str) -> Translator:
+    return Translator(name, lambda m: m, lambda m: m, structural=True)
+
+
+# Positive-pair pairing used by the coordinate-compressing translators.
+
+def pair(u1: int, u2: int) -> int:
+    """Bijection from pairs of positive integers to positive integers;
+    pair(1,1)=1, pair(1,2)=2, pair(2,1)=3."""
+    return (u1 + u2 - 2) * (u1 + u2 - 1) // 2 + u1
+
+
+def unpair(v: int) -> tuple[int, int]:
+    """Inverse of pair."""
+    if v < 1:
+        raise ValueError("unpair needs a positive integer")
+    k = (math.isqrt(8 * v - 7) - 1) // 2  # the largest k with k(k+1)/2 < v
+    u1 = v - k * (k + 1) // 2
+    return u1, k + 2 - u1
+
+
+def fold_positives(us: tuple[int, ...]) -> int:
+    """Right fold of `pair`; the empty tuple maps to 1."""
+    if not us:
+        return 1
+    if len(us) == 1:
+        return us[0]
+    return pair(us[0], fold_positives(us[1:]))
+
+
+def unfold_positives(v: int, n: int) -> tuple[int, ...] | None:
+    """Inverse of fold_positives at arity n; None when v is outside the
+    image (only possible for n=0 with v != 1)."""
+    if n == 0:
+        return () if v == 1 else None
+    if n == 1:
+        return (v,)
+    u1, rest = unpair(v)
+    tail = unfold_positives(rest, n - 1)
+    return None if tail is None else (u1,) + tail
 
 
 # Rule instances (all indices 1-based).  Rules whose parameter has the same
@@ -47,6 +124,11 @@ class Rule(Value):
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
         """Is (premise p, conclusion c) an instance of this rule?  May raise
         ValueError, whose message then explains why not."""
+        raise NotImplementedError
+
+    def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
+        """The move translator for an application (premise, conclusion) that
+        `holds`; every rule but the axiom has one."""
         raise NotImplementedError
 
 
@@ -86,6 +168,15 @@ class OformulaExchange(_AtPos):
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
         return conclusion_of_oformula_exchange(p, self.pos) == c
 
+    def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
+        i = self.pos
+
+        def both_ways(cell: Cell) -> Cell | None:
+            a, coords, rest = cell
+            return (i + 1 if a == i else i if a == i + 1 else a), coords, rest
+
+        return Translator(f"exchange_oformulas@{i}", both_ways, both_ways, structural=True)
+
 
 class UndergroupExchange(_AtPos):
     __slots__ = ()
@@ -93,6 +184,9 @@ class UndergroupExchange(_AtPos):
 
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
         return Cirquent(p.oformulas, _swap_groups(p.undergroups, self.pos), p.overgroups) == c
+
+    def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
+        return identity_translator(f"exchange_unders@{self.pos}")
 
 
 class OvergroupExchange(_AtPos):
@@ -102,6 +196,19 @@ class OvergroupExchange(_AtPos):
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
         return Cirquent(p.oformulas, p.undergroups, _swap_groups(p.overgroups, self.pos)) == c
 
+    def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
+        i = self.pos
+
+        def both_ways(cell: Cell) -> Cell | None:
+            a, coords, rest = cell
+            if len(coords) < i + 1:
+                return None
+            cs = list(coords)
+            cs[i - 1], cs[i] = cs[i], cs[i - 1]
+            return a, tuple(cs), rest
+
+        return Translator(f"exchange_overs@{i}", both_ways, both_ways, structural=True)
+
 
 class UndergroupDuplication(_AtPos):
     __slots__ = ()
@@ -110,6 +217,9 @@ class UndergroupDuplication(_AtPos):
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
         return Cirquent(p.oformulas, _duplicate_group(p.undergroups, self.pos), p.overgroups) == c
 
+    def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
+        return identity_translator(f"dup_under@{self.pos}")
+
 
 class OvergroupDuplication(_AtPos):
     __slots__ = ()
@@ -117,6 +227,32 @@ class OvergroupDuplication(_AtPos):
 
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
         return Cirquent(p.oformulas, p.undergroups, _duplicate_group(p.overgroups, self.pos)) == c
+
+    def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
+        j = self.pos
+
+        def outer_to_inner(cell: Cell) -> Cell | None:
+            a, coords, rest = cell
+            if len(coords) < j + 1:
+                return None
+            u1, u2 = coords[j - 1], coords[j]
+            if u1 == 0 and u2 == 0:
+                merged = 0
+            elif u1 > 0 and u2 > 0:
+                merged = pair(u1, u2)
+            else:
+                return None
+            return a, coords[:j - 1] + (merged,) + coords[j + 1:], rest
+
+        def inner_to_outer(cell: Cell) -> Cell | None:
+            a, coords, rest = cell
+            if len(coords) < j:
+                return None
+            u = coords[j - 1]
+            expanded = (0, 0) if u == 0 else unpair(u)
+            return a, coords[:j - 1] + expanded + coords[j:], rest
+
+        return Translator(f"dup_over@{j}", outer_to_inner, inner_to_outer, structural=True)
 
 
 class Merging(Rule):
@@ -128,6 +264,48 @@ class Merging(Rule):
 
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
         return Cirquent(p.oformulas, p.undergroups, _merge_groups(p.overgroups, self.over)) == c
+
+    def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
+        j = self.over
+        in_j = premise.overgroups[j - 1]
+        in_j1 = premise.overgroups[j]
+
+        def outer_to_inner(cell: Cell) -> Cell | None:
+            a, coords, rest = cell
+            if len(coords) < j:
+                return None
+            v = coords[j - 1]
+            member = a in in_j or a in in_j1
+            if (v > 0) != member:
+                return None
+            if a in in_j and a in in_j1:
+                expanded = unpair(v)
+            elif a in in_j:
+                expanded = (v, 0)
+            elif a in in_j1:
+                expanded = (0, v)
+            else:
+                expanded = (0, 0)
+            return a, coords[:j - 1] + expanded + coords[j:], rest
+
+        def inner_to_outer(cell: Cell) -> Cell | None:
+            a, coords, rest = cell
+            if len(coords) < j + 1:
+                return None
+            v1, v2 = coords[j - 1], coords[j]
+            if (v1 > 0) != (a in in_j) or (v2 > 0) != (a in in_j1):
+                return None
+            if a in in_j and a in in_j1:
+                merged = pair(v1, v2)
+            elif a in in_j:
+                merged = v1
+            elif a in in_j1:
+                merged = v2
+            else:
+                merged = 0
+            return a, coords[:j - 1] + (merged,) + coords[j + 1:], rest
+
+        return Translator(f"merging@{j}", outer_to_inner, inner_to_outer, structural=True)
 
 
 class Weakening(Rule):
@@ -141,6 +319,31 @@ class Weakening(Rule):
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
         return premise_of_weakening(c, self.under, self.oformula)[0] == p
 
+    def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
+        name = f"weakening@{self.under},{self.oformula}"
+        _, d, deleted_overs = premise_of_weakening(conclusion, self.under, self.oformula)
+        if d is None:
+            return identity_translator(name)
+        dropped = set(deleted_overs)
+
+        def outer_to_inner(cell: Cell) -> Cell | None:
+            a, coords, rest = cell
+            if a == d:
+                return None
+            a2 = a - 1 if a > d else a
+            coords2 = tuple(u for j, u in enumerate(coords, start=1) if j not in dropped)
+            return a2, coords2, rest
+
+        def inner_to_outer(cell: Cell) -> Cell | None:
+            a, coords, rest = cell
+            a2 = a + 1 if a >= d else a
+            cs = list(coords)
+            for j in sorted(dropped):
+                cs.insert(j - 1, 0)
+            return a2, tuple(cs), rest
+
+        return Translator(name, outer_to_inner, inner_to_outer, structural=True)
+
 
 class Contraction(_AtOformula):
     __slots__ = ()
@@ -149,8 +352,66 @@ class Contraction(_AtOformula):
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
         return premise_of_contraction(c, self.oformula) == p
 
+    def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
+        a = self.oformula
 
-class OrIntro(_AtOformula):
+        def outer_to_inner(cell: Cell) -> Cell | None:
+            c, coords, rest = cell
+            if c != a:
+                return c + 1 if c > a else c, coords, rest
+            payload = split_index_move(rest)
+            if payload is None:
+                return None
+            k, tail = payload
+            if k % 2 == 1:
+                return a, coords, f"{(k + 1) // 2}.{tail}"
+            return a + 1, coords, f"{k // 2}.{tail}"
+
+        def inner_to_outer(cell: Cell) -> Cell | None:
+            c, coords, rest = cell
+            if c not in (a, a + 1):
+                return c - 1 if c > a + 1 else c, coords, rest
+            payload = split_index_move(rest)
+            if payload is None:
+                return None
+            k, tail = payload
+            outer_k = 2 * k - 1 if c == a else 2 * k
+            return a, coords, f"{outer_k}.{tail}"
+
+        return Translator(f"contraction@{a}", outer_to_inner, inner_to_outer)
+
+
+class _BinaryIntro(_AtOformula):
+    """`or` and `and`: the premise holds the two sides of oformula a at a
+    and a+1, and a move `i.m` in a is move m in side i."""
+
+    __slots__ = ()
+
+    def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
+        a = self.oformula
+
+        def outer_to_inner(cell: Cell) -> Cell | None:
+            c, coords, rest = cell
+            if c != a:
+                return c + 1 if c > a else c, coords, rest
+            payload = split_index_move(rest)
+            if payload is None or payload[0] not in (1, 2):
+                return None
+            i, tail = payload
+            return a if i == 1 else a + 1, coords, tail
+
+        def inner_to_outer(cell: Cell) -> Cell | None:
+            c, coords, rest = cell
+            if c == a:
+                return a, coords, f"1.{rest}"
+            if c == a + 1:
+                return a, coords, f"2.{rest}"
+            return c - 1 if c > a + 1 else c, coords, rest
+
+        return Translator(f"{self.name}@{a}", outer_to_inner, inner_to_outer)
+
+
+class OrIntro(_BinaryIntro):
     __slots__ = ()
     name, mismatch = "or", "premise does not split the disjunction as required"
 
@@ -158,7 +419,7 @@ class OrIntro(_AtOformula):
         return premise_of_or(c, self.oformula) == p
 
 
-class AndIntro(_AtOformula):
+class AndIntro(_BinaryIntro):
     __slots__ = ()
     name, mismatch = "and", "premise does not split the conjunction as required"
 
@@ -173,6 +434,34 @@ class PstIntro(_AtOformula):
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
         return pst_position(p, c, self.oformula) is not None
 
+    def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
+        a = self.oformula
+        j = pst_position(premise, conclusion, a)
+
+        def outer_to_inner(cell: Cell) -> Cell | None:
+            c, coords, rest = cell
+            if c != a:
+                return c, coords[:j - 1] + (0,) + coords[j - 1:], rest
+            payload = split_index_move(rest)
+            if payload is None:
+                return None
+            u, tail = payload
+            return a, coords[:j - 1] + (u,) + coords[j - 1:], tail
+
+        def inner_to_outer(cell: Cell) -> Cell | None:
+            c, coords, rest = cell
+            if len(coords) < j:
+                return None
+            u = coords[j - 1]
+            coords2 = coords[:j - 1] + coords[j:]
+            if c != a:
+                return (c, coords2, rest) if u == 0 else None
+            if u < 1:
+                return None
+            return a, coords2, f"{u}.{rest}"
+
+        return Translator(f"pst@{a},{j}", outer_to_inner, inner_to_outer)
+
 
 class PcostIntro(Rule):
     __slots__ = __match_args__ = params = ("oformula", "add_over")
@@ -184,6 +473,46 @@ class PcostIntro(Rule):
 
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
         return premise_of_pcost(c, self.oformula, self.add_over) == p
+
+    def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
+        a = self.oformula
+        positions = tuple(sorted(self.add_over))
+        n = len(positions)
+
+        def outer_to_inner(cell: Cell) -> Cell | None:
+            c, coords, rest = cell
+            if c != a:
+                return cell
+            if positions and len(coords) < positions[-1]:
+                return None
+            if any(coords[p - 1] != 0 for p in positions):
+                return None
+            payload = split_index_move(rest)
+            if payload is None:
+                return None
+            v, tail = payload
+            us = unfold_positives(v, n)
+            if us is None:
+                return None
+            cs = list(coords)
+            for k, p in enumerate(positions):
+                cs[p - 1] = us[k]
+            return a, tuple(cs), tail
+
+        def inner_to_outer(cell: Cell) -> Cell | None:
+            c, coords, rest = cell
+            if c != a:
+                return cell
+            us = tuple(coords[p - 1] for p in positions if p <= len(coords))
+            if len(us) != n or any(u < 1 for u in us):
+                return None
+            v = fold_positives(us)
+            cs = list(coords)
+            for p in positions:
+                cs[p - 1] = 0
+            return a, tuple(cs), f"{v}.{rest}"
+
+        return Translator(f"pcost@{a}", outer_to_inner, inner_to_outer)
 
 
 _RULES = {

@@ -165,6 +165,12 @@ def _interpret(goal: Formula | Cirquent, interp: Interpretation) -> Game:
     return interpret_formula(goal, interp)
 
 
+def _violation(step: int, violation: rules.Violation) -> int:
+    """Print why the proof fails at `step`; the exit code for it."""
+    print(f"step {step}: violation: {violation.reason}")
+    return FAIL
+
+
 def _setup(args, path: str) -> tuple | None:
     """Load the subject at `path`, extract its strategy (which verifies the
     proof), then its goal, the goal's text and the interpretation, in that
@@ -173,7 +179,7 @@ def _setup(args, path: str) -> tuple | None:
     try:
         machine = extract_solution(proof, formula_level=formula_level)
     except ProofViolation as exc:
-        print(f"step {exc.step}: violation: {exc.violation.reason}")
+        _violation(exc.step, exc.violation)
         return None
     goal, desc = proof_goal(proof, formula_level)
     return machine, goal, desc, _build_interp(args, goal)
@@ -184,20 +190,17 @@ def _setup(args, path: str) -> tuple | None:
 def cmd_check(args) -> int:
     proof = rules.parse_proof(_read(args.proof))
     failure = rules.verify_proof(proof)
-    if failure is None:
-        print(f"ok ({len(proof.steps)} steps)")
-        return OK
-    k, violation = failure
-    print(f"step {k}: violation: {violation.reason}")
-    return FAIL
+    if failure is not None:
+        return _violation(*failure)
+    print(f"ok ({len(proof.steps)} steps)")
+    return OK
 
 
 def cmd_extract(args) -> int:
     proof = rules.parse_proof(_read(args.proof))
     failure = rules.verify_proof(proof)
     if failure is not None:
-        print(f"step {failure[0]}: violation: {failure[1].reason}")
-        return FAIL
+        return _violation(*failure)
     _, desc = proof_goal(proof, args.level == "formula")
     text = f"strategy level={args.level}\n{rules.render_proof(proof)}\n"
     with open(args.out, "w", encoding="utf-8") as handle:

@@ -57,11 +57,12 @@ class HarnessError(ValueError):
 # Independent winner oracle.  All parsing below is local on purpose.
 
 def _is_nat(text: str) -> bool:
-    return text.isdigit() and (text == "0" or not text.startswith("0"))
+    """A canonical numeral in ASCII digits, as move syntax has them."""
+    return text.isascii() and text.isdigit() and (text == "0" or not text.startswith("0"))
 
 
 def _is_pos(text: str) -> bool:
-    return text.isdigit() and not text.startswith("0")
+    return _is_nat(text) and text != "0"
 
 
 def _flip(run: Run) -> Run:

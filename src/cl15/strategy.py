@@ -1,5 +1,5 @@
-"""Machine strategies, the one play loop, and the rule-by-rule strategy
-transformers.
+"""Machine strategies, the one play loop, and strategy extraction through
+a pipeline of move translators.
 
 A machine strategy is a stateful per-play agent: `next(run, step)` returns
 an action, and `spawn()` yields a fresh instance for a new play.  `play`
@@ -7,11 +7,11 @@ alternates machine turns with grants to the environment; `simulate`, the
 interactive `cl15 play` and the separation demo all run through it.  It
 hands the environment the referee's position with `watch`, and once the
 environment passes a grant with both players `settled`, it yields the
-remaining grants without asking either.  Each rule
-application has a translator that turns a strategy for its premise into
-one for its conclusion by translating moves both ways.  An extracted
-strategy is one flat `Pipeline`: the axiom strategy and a tuple of
-translators, one per proof step, and outermost the edge.
+remaining grants without asking either.  Each rule application has a
+translator, built by its rule's class in `cl15.cl15`, that turns a strategy
+for its premise into one for its conclusion by translating moves both
+ways.  An extracted strategy is one flat `Pipeline`: the axiom strategy and
+a tuple of translators, one per proof step, and outermost the edge.
 
 Inside a pipeline a move has one form, the split cell move
 `(oformula, coords, payload)`: the axiom strategy and every rule translator
@@ -36,7 +36,6 @@ machine turns, it is asked at most twice in a turn.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterator, Sequence
 from functools import partial
 from itertools import groupby
@@ -53,10 +52,10 @@ from .runs import (
     Run,
     format_cell_move,
     split_cell_move,
-    split_index_move,
 )
 from .values import Record, Value, set_field
 from . import cl15 as rules
+from .cl15 import Cell, Move, Translator
 
 
 class StrategyError(ValueError):
@@ -73,10 +72,6 @@ class ProofViolation(StrategyError):
 
 
 # Actions
-
-Cell = tuple[int, tuple[int, ...], str]
-Move = str | Cell
-
 
 class MakeMove(Value):
     __slots__ = __match_args__ = ("move",)
@@ -311,27 +306,6 @@ class AxiomStrategy(MachineStrategy):
 
 # Translators
 
-class Translator(Value):
-    """Move maps between an outer (conclusion) play and an imagined inner
-    (premise) play.  `outer_to_inner` translates environment moves inward
-    (None drops the move); `inner_to_outer` translates the inner machine's
-    moves outward (None absorbs the move into the imagined run only).  Both
-    map split cell moves, except at the edge, the one translator that maps
-    move texts: outside it the moves are the real run's.  A `structural`
-    translator's maps read and change only a move's oformula and
-    coordinates and keep its payload, so whether it drops or absorbs a move
-    depends on those alone; only the factories below set it."""
-
-    __slots__ = __match_args__ = ("name", "outer_to_inner", "inner_to_outer", "structural")
-
-    def __init__(self, name: str, outer_to_inner: Callable[[Move], Move | None],
-                 inner_to_outer: Callable[[Cell], Move | None], structural: bool = False):
-        set_field(self, "name", name)
-        set_field(self, "outer_to_inner", outer_to_inner)
-        set_field(self, "inner_to_outer", inner_to_outer)
-        set_field(self, "structural", structural)
-
-
 def _formula_leave(cell: Cell) -> str | None:
     a, coords, rest = cell
     return rest if a == 1 and coords == (1,) else None
@@ -451,317 +425,6 @@ class Pipeline(MachineStrategy):
         return self._cursor == len(run) and self._base.settled(self._base_run)
 
 
-def identity_translator(name: str) -> Translator:
-    return Translator(name, lambda m: m, lambda m: m, structural=True)
-
-
-# Positive-pair pairing used by the coordinate-compressing translators.
-
-def pair(u1: int, u2: int) -> int:
-    """Bijection from pairs of positive integers to positive integers;
-    pair(1,1)=1, pair(1,2)=2, pair(2,1)=3."""
-    return (u1 + u2 - 2) * (u1 + u2 - 1) // 2 + u1
-
-
-def unpair(v: int) -> tuple[int, int]:
-    """Inverse of pair."""
-    if v < 1:
-        raise ValueError("unpair needs a positive integer")
-    k = (math.isqrt(8 * v - 7) - 1) // 2  # the largest k with k(k+1)/2 < v
-    u1 = v - k * (k + 1) // 2
-    return u1, k + 2 - u1
-
-
-def fold_positives(us: tuple[int, ...]) -> int:
-    """Right fold of `pair`; the empty tuple maps to 1."""
-    if not us:
-        return 1
-    if len(us) == 1:
-        return us[0]
-    return pair(us[0], fold_positives(us[1:]))
-
-
-def unfold_positives(v: int, n: int) -> tuple[int, ...] | None:
-    """Inverse of fold_positives at arity n; None when v is outside the
-    image (only possible for n=0 with v != 1)."""
-    if n == 0:
-        return () if v == 1 else None
-    if n == 1:
-        return (v,)
-    u1, rest = unpair(v)
-    tail = unfold_positives(rest, n - 1)
-    return None if tail is None else (u1,) + tail
-
-
-def _swap_index(a: int, i: int) -> int:
-    if a == i:
-        return i + 1
-    if a == i + 1:
-        return i
-    return a
-
-
-def _oformula_exchange_translator(i: int) -> Translator:
-    def both_ways(cell: Cell) -> Cell | None:
-        a, coords, rest = cell
-        return _swap_index(a, i), coords, rest
-
-    return Translator(f"exchange_oformulas@{i}", both_ways, both_ways, structural=True)
-
-
-def _overgroup_exchange_translator(i: int) -> Translator:
-    def both_ways(cell: Cell) -> Cell | None:
-        a, coords, rest = cell
-        if len(coords) < i + 1:
-            return None
-        cs = list(coords)
-        cs[i - 1], cs[i] = cs[i], cs[i - 1]
-        return a, tuple(cs), rest
-
-    return Translator(f"exchange_overs@{i}", both_ways, both_ways, structural=True)
-
-
-def _weakening_translator(conclusion: Cirquent, under: int, oformula: int) -> Translator:
-    _, deleted_of, deleted_overs = rules.premise_of_weakening(conclusion, under, oformula)
-    if deleted_of is None:
-        return identity_translator(f"weakening@{under},{oformula}")
-    d = deleted_of
-    dropped = set(deleted_overs)
-
-    def outer_to_inner(cell: Cell) -> Cell | None:
-        a, coords, rest = cell
-        if a == d:
-            return None
-        a2 = a - 1 if a > d else a
-        coords2 = tuple(u for j, u in enumerate(coords, start=1) if j not in dropped)
-        return a2, coords2, rest
-
-    def inner_to_outer(cell: Cell) -> Cell | None:
-        a, coords, rest = cell
-        a2 = a + 1 if a >= d else a
-        cs = list(coords)
-        for j in sorted(dropped):
-            cs.insert(j - 1, 0)
-        return a2, tuple(cs), rest
-
-    return Translator(f"weakening@{under},{oformula}", outer_to_inner, inner_to_outer,
-                      structural=True)
-
-
-def _contraction_translator(a: int) -> Translator:
-    def outer_to_inner(cell: Cell) -> Cell | None:
-        c, coords, rest = cell
-        if c != a:
-            return c + 1 if c > a else c, coords, rest
-        payload = split_index_move(rest)
-        if payload is None:
-            return None
-        k, tail = payload
-        if k % 2 == 1:
-            return a, coords, f"{(k + 1) // 2}.{tail}"
-        return a + 1, coords, f"{k // 2}.{tail}"
-
-    def inner_to_outer(cell: Cell) -> Cell | None:
-        c, coords, rest = cell
-        if c not in (a, a + 1):
-            return c - 1 if c > a + 1 else c, coords, rest
-        payload = split_index_move(rest)
-        if payload is None:
-            return None
-        k, tail = payload
-        outer_k = 2 * k - 1 if c == a else 2 * k
-        return a, coords, f"{outer_k}.{tail}"
-
-    return Translator(f"contraction@{a}", outer_to_inner, inner_to_outer)
-
-
-def _overgroup_duplication_translator(j: int) -> Translator:
-    def outer_to_inner(cell: Cell) -> Cell | None:
-        a, coords, rest = cell
-        if len(coords) < j + 1:
-            return None
-        u1, u2 = coords[j - 1], coords[j]
-        if u1 == 0 and u2 == 0:
-            merged = 0
-        elif u1 > 0 and u2 > 0:
-            merged = pair(u1, u2)
-        else:
-            return None
-        return a, coords[:j - 1] + (merged,) + coords[j + 1:], rest
-
-    def inner_to_outer(cell: Cell) -> Cell | None:
-        a, coords, rest = cell
-        if len(coords) < j:
-            return None
-        u = coords[j - 1]
-        expanded = (0, 0) if u == 0 else unpair(u)
-        return a, coords[:j - 1] + expanded + coords[j:], rest
-
-    return Translator(f"dup_over@{j}", outer_to_inner, inner_to_outer, structural=True)
-
-
-def _merging_translator(premise: Cirquent, j: int) -> Translator:
-    in_j = premise.overgroups[j - 1]
-    in_j1 = premise.overgroups[j]
-
-    def outer_to_inner(cell: Cell) -> Cell | None:
-        a, coords, rest = cell
-        if len(coords) < j:
-            return None
-        v = coords[j - 1]
-        member = a in in_j or a in in_j1
-        if (v > 0) != member:
-            return None
-        if a in in_j and a in in_j1:
-            expanded = unpair(v)
-        elif a in in_j:
-            expanded = (v, 0)
-        elif a in in_j1:
-            expanded = (0, v)
-        else:
-            expanded = (0, 0)
-        return a, coords[:j - 1] + expanded + coords[j:], rest
-
-    def inner_to_outer(cell: Cell) -> Cell | None:
-        a, coords, rest = cell
-        if len(coords) < j + 1:
-            return None
-        v1, v2 = coords[j - 1], coords[j]
-        if (v1 > 0) != (a in in_j) or (v2 > 0) != (a in in_j1):
-            return None
-        if a in in_j and a in in_j1:
-            merged = pair(v1, v2)
-        elif a in in_j:
-            merged = v1
-        elif a in in_j1:
-            merged = v2
-        else:
-            merged = 0
-        return a, coords[:j - 1] + (merged,) + coords[j + 1:], rest
-
-    return Translator(f"merging@{j}", outer_to_inner, inner_to_outer, structural=True)
-
-
-def _binary_intro_translator(a: int, kind: str) -> Translator:
-    def outer_to_inner(cell: Cell) -> Cell | None:
-        c, coords, rest = cell
-        if c != a:
-            return c + 1 if c > a else c, coords, rest
-        payload = split_index_move(rest)
-        if payload is None or payload[0] not in (1, 2):
-            return None
-        i, tail = payload
-        return a if i == 1 else a + 1, coords, tail
-
-    def inner_to_outer(cell: Cell) -> Cell | None:
-        c, coords, rest = cell
-        if c == a:
-            return a, coords, f"1.{rest}"
-        if c == a + 1:
-            return a, coords, f"2.{rest}"
-        return c - 1 if c > a + 1 else c, coords, rest
-
-    return Translator(f"{kind}@{a}", outer_to_inner, inner_to_outer)
-
-
-def _pst_intro_translator(a: int, j: int) -> Translator:
-    def outer_to_inner(cell: Cell) -> Cell | None:
-        c, coords, rest = cell
-        if c != a:
-            return c, coords[:j - 1] + (0,) + coords[j - 1:], rest
-        payload = split_index_move(rest)
-        if payload is None:
-            return None
-        u, tail = payload
-        return a, coords[:j - 1] + (u,) + coords[j - 1:], tail
-
-    def inner_to_outer(cell: Cell) -> Cell | None:
-        c, coords, rest = cell
-        if len(coords) < j:
-            return None
-        u = coords[j - 1]
-        coords2 = coords[:j - 1] + coords[j:]
-        if c != a:
-            return (c, coords2, rest) if u == 0 else None
-        if u < 1:
-            return None
-        return a, coords2, f"{u}.{rest}"
-
-    return Translator(f"pst@{a},{j}", outer_to_inner, inner_to_outer)
-
-
-def _pcost_intro_translator(a: int, add_over: frozenset[int]) -> Translator:
-    positions = tuple(sorted(add_over))
-    n = len(positions)
-
-    def outer_to_inner(cell: Cell) -> Cell | None:
-        c, coords, rest = cell
-        if c != a:
-            return cell
-        if positions and len(coords) < positions[-1]:
-            return None
-        if any(coords[p - 1] != 0 for p in positions):
-            return None
-        payload = split_index_move(rest)
-        if payload is None:
-            return None
-        v, tail = payload
-        us = unfold_positives(v, n)
-        if us is None:
-            return None
-        cs = list(coords)
-        for k, p in enumerate(positions):
-            cs[p - 1] = us[k]
-        return a, tuple(cs), tail
-
-    def inner_to_outer(cell: Cell) -> Cell | None:
-        c, coords, rest = cell
-        if c != a:
-            return cell
-        us = tuple(coords[p - 1] for p in positions if p <= len(coords))
-        if len(us) != n or any(u < 1 for u in us):
-            return None
-        v = fold_positives(us)
-        cs = list(coords)
-        for p in positions:
-            cs[p - 1] = 0
-        return a, tuple(cs), f"{v}.{rest}"
-
-    return Translator(f"pcost@{a}", outer_to_inner, inner_to_outer)
-
-
-def make_translator(rule: rules.Rule, premise: Cirquent, conclusion: Cirquent) -> Translator:
-    """The move translator for one verified rule application."""
-    if isinstance(rule, rules.OformulaExchange):
-        return _oformula_exchange_translator(rule.pos)
-    if isinstance(rule, rules.UndergroupExchange):
-        return identity_translator(f"exchange_unders@{rule.pos}")
-    if isinstance(rule, rules.OvergroupExchange):
-        return _overgroup_exchange_translator(rule.pos)
-    if isinstance(rule, rules.UndergroupDuplication):
-        return identity_translator(f"dup_under@{rule.pos}")
-    if isinstance(rule, rules.OvergroupDuplication):
-        return _overgroup_duplication_translator(rule.pos)
-    if isinstance(rule, rules.Merging):
-        return _merging_translator(premise, rule.over)
-    if isinstance(rule, rules.Weakening):
-        return _weakening_translator(conclusion, rule.under, rule.oformula)
-    if isinstance(rule, rules.Contraction):
-        return _contraction_translator(rule.oformula)
-    if isinstance(rule, rules.OrIntro):
-        return _binary_intro_translator(rule.oformula, "or")
-    if isinstance(rule, rules.AndIntro):
-        return _binary_intro_translator(rule.oformula, "and")
-    if isinstance(rule, rules.PstIntro):
-        j = rules.pst_position(premise, conclusion, rule.oformula)
-        if j is None:
-            raise StrategyError("rule/cirquent mismatch for pst introduction")
-        return _pst_intro_translator(rule.oformula, j)
-    if isinstance(rule, rules.PcostIntro):
-        return _pcost_intro_translator(rule.oformula, rule.add_over)
-    raise StrategyError(f"no translator for rule {rule!r}")
-
-
 def proof_goal(proof: rules.Proof, formula_level: bool) -> tuple[Formula | Cirquent, str]:
     """What the proof's game is about, with its text: the final cirquent,
     or at the formula level the F of a final clubsuit(F)."""
@@ -787,7 +450,7 @@ def extract_solution(proof: rules.Proof, formula_level: bool = False) -> Machine
     assert isinstance(axiom_rule, rules.Axiom)
     steps = proof.steps
     translators = tuple(
-        make_translator(steps[k].rule, steps[k - 1].cirquent, steps[k].cirquent)
+        steps[k].rule.translator(steps[k - 1].cirquent, steps[k].cirquent)
         for k in range(1, len(steps))
     )
     if formula_level:

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, settings
 
 from cl15 import cl15 as rules
 from cl15.cirquent import Cirquent, parse_cirquent
+from cl15.cl15 import Translator, pair
 from cl15.formula import And, AtomRef, Cost, Formula, NegAtom, Or, Pcost, Pst, St, parse_formula
 from cl15.games import FiniteGame, Interpretation, PermissiveGame
 from cl15.harness import Choose, HarnessError, ScriptMachine
@@ -24,9 +25,6 @@ from cl15.strategy import (
     Pipeline,
     ScriptEnv,
     StrategyError,
-    Translator,
-    make_translator,
-    pair,
     play,
 )
 
@@ -374,7 +372,7 @@ def transform_strategy(rule, premise, conclusion, inner: MachineStrategy,
     the conclusion game; with a `log`, the translator records into it."""
     if rules.check_step(premise, conclusion, rule) is not None:
         raise StrategyError("rule application does not check")
-    tr = make_translator(rule, premise, conclusion)
+    tr = rule.translator(premise, conclusion)
     return Pipeline(inner, (tr if log is None else recording(tr, log), CIRQUENT_EDGE))
 
 

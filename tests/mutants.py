@@ -19,14 +19,14 @@ LISTING, ACCEPTANCE = ("tests/test_positions.py", "-k", "list"), ("tests/test_ac
 # (file under src/cl15, text, replacement, pytest arguments)
 MUTANTS = [
     # Translators.  The first, second and sixth pass every other tier-1 test.
-    ("strategy.py", "a + 1 if a >= d else a", "a + 1 if a > d else a", LEMMAS),
-    ("strategy.py", "v = fold_positives(us)", "v = fold_positives(us[::-1])", LEMMAS),
-    ("strategy.py", "merged = pair(u1, u2)", "merged = pair(u2, u1)", LEMMAS),
-    ("strategy.py", "outer_k = 2 * k - 1 if c == a else 2 * k", "outer_k = 2 * k if c == a else 2 * k - 1",
+    ("cl15.py", "a + 1 if a >= d else a", "a + 1 if a > d else a", LEMMAS),
+    ("cl15.py", "v = fold_positives(us)", "v = fold_positives(us[::-1])", LEMMAS),
+    ("cl15.py", "merged = pair(u1, u2)", "merged = pair(u2, u1)", LEMMAS),
+    ("cl15.py", "outer_k = 2 * k - 1 if c == a else 2 * k", "outer_k = 2 * k if c == a else 2 * k - 1",
      LEMMAS),
-    ("strategy.py", 'f"1.{rest}"\n        if c == a + 1:\n            return a, coords, f"2.{rest}"',
-     'f"2.{rest}"\n        if c == a + 1:\n            return a, coords, f"1.{rest}"', LEMMAS),
-    ("strategy.py", "for j in sorted(dropped):", "for j in sorted(dropped, reverse=True):", LEMMAS),
+    ("cl15.py", 'f"1.{rest}"\n            if c == a + 1:\n                return a, coords, f"2.{rest}"',
+     'f"2.{rest}"\n            if c == a + 1:\n                return a, coords, f"1.{rest}"', LEMMAS),
+    ("cl15.py", "for j in sorted(dropped):", "for j in sorted(dropped, reverse=True):", LEMMAS),
     # The play loop.  The adversary mutant plays as the code does (it is asked
     # whether it is settled only after it passed), so only the contract fails.
     ("harness.py", "self.MAX_MOVES or self._grants >=", "self.MAX_MOVES - 1 or self._grants >=", PLAY_LOOP),
@@ -35,14 +35,16 @@ MUTANTS = [
     ("games.py", "if all(pos.extend(Labmove(player, m)) for _, pos in self._replay(reached))", "", LISTING),
     ("games.py", "(self.stems | {w}) if x.has_prefix(w)]", "(self.stems | {w})]", LISTING),
     # One mutant per translator branch of the ROADMAP's survey.
-    ("strategy.py", "cs[i - 1], cs[i] = cs[i], cs[i - 1]", "cs[i - 1], cs[i] = cs[i - 1], cs[i]", ACCEPTANCE),
-    ("strategy.py", "expanded = unpair(v)", "expanded = unpair(v)[::-1]", ACCEPTANCE),
-    ("strategy.py", "merged = pair(v1, v2)", "merged = pair(v2, v1)", ACCEPTANCE),
-    ("strategy.py", "(u,) + coords[j - 1:], tail", "(u + 1,) + coords[j - 1:], tail", ACCEPTANCE),
-    ("strategy.py", "return u1, k + 2 - u1", "return k + 2 - u1, u1", ACCEPTANCE),
+    ("cl15.py", "cs[i - 1], cs[i] = cs[i], cs[i - 1]", "cs[i - 1], cs[i] = cs[i - 1], cs[i]", ACCEPTANCE),
+    ("cl15.py", "expanded = unpair(v)", "expanded = unpair(v)[::-1]", ACCEPTANCE),
+    ("cl15.py", "merged = pair(v1, v2)", "merged = pair(v2, v1)", ACCEPTANCE),
+    ("cl15.py", "(u,) + coords[j - 1:], tail", "(u + 1,) + coords[j - 1:], tail", ACCEPTANCE),
+    ("cl15.py", "return u1, k + 2 - u1", "return k + 2 - u1, u1", ACCEPTANCE),
     ("strategy.py", "(a + 1 if a % 2 == 1 else a - 1, coords, rest)", "(a, coords, rest)", ACCEPTANCE),
-    ("strategy.py", "return pair(us[0], fold_positives(us[1:]))",
+    ("cl15.py", "return pair(us[0], fold_positives(us[1:]))",
      "return pair(fold_positives(us[:-1]), us[-1])", ("tests/test_strategy.py",)),
+    # The oracle's numerals: a non-ASCII digit read as a copy index.
+    ("harness.py", "text.isascii() and text.isdigit()", "text.isdigit()", ("tests/test_harness.py", "-k", "ascii")),
 ]
 
 

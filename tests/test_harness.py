@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from cl15.cirquent import validate_cirquent
+from cl15.cirquent import parse_cirquent, validate_cirquent
+from cl15.cli import parse_interpretation
 from cl15.cl15 import parse_proof
 from cl15.formula import parse_formula, render_formula
 from cl15.games import interpret_cirquent, interpret_formula
@@ -68,6 +69,25 @@ def test_oracle_handles_axiom_copycat_run():
     game = interpret_cirquent(c, interp)
     assert brute_force_winner(c, interp, ()) is game.winner(()) is TOP
     assert brute_force_winner(c, interp, run) is game.winner(run)
+
+
+@pytest.mark.parametrize("subject, move", [
+    ("?P", "\u0661.m"),  # an Arabic-Indic one as the copy index
+    ("?P", "\u00b2.m"),  # a superscript two, which int() rejects
+    ("oformulas: ?P ; under: {1} ; over: {1}", "1;1.\u0661.m"),
+    ("oformulas: ?P ; under: {1} ; over: {1}", "\u0661;1.1.m"),
+])
+def test_oracle_reads_ascii_numerals_only(subject, move):
+    interp = parse_interpretation(read_fixture("interp.txt"))
+    if subject.startswith("oformulas:"):
+        structure = parse_cirquent(subject)
+        game = interpret_cirquent(structure, interp)
+    else:
+        structure = parse_formula(subject)
+        game = interpret_formula(structure, interp)
+    run = (Labmove(TOP, move),)
+    assert brute_force_legal(structure, interp, run) is game.legal(run) is False
+    assert brute_force_winner(structure, interp, run) is game.winner(run)
 
 
 # --- generators ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Machine strategies: the play loop and the simulator, the axiom mirror,
 the pairing arithmetic, per-rule move translators, the translator pipeline,
 and proof-to-strategy extraction."""
+import itertools
 import random
 import time
 import zlib
@@ -14,10 +15,16 @@ from cl15.cl15 import (
     OvergroupDuplication,
     OvergroupExchange,
     PcostIntro,
+    Translator,
     UndergroupDuplication,
     UndergroupExchange,
     Weakening,
+    fold_positives,
+    identity_translator,
+    pair,
     parse_proof,
+    unfold_positives,
+    unpair,
     verify_proof,
 )
 from cl15.formula import atoms, parse_formula
@@ -45,17 +52,10 @@ from cl15.strategy import (
     ScriptEnv,
     SilentEnv,
     StrategyError,
-    Translator,
     extract_solution,
-    fold_positives,
-    identity_translator,
-    make_translator,
-    pair,
     play,
     proof_goal,
     simulate,
-    unfold_positives,
-    unpair,
 )
 
 from conftest import (
@@ -275,7 +275,7 @@ def test_pcost_translator_folds_added_overgroup_coordinates():
     p2 = parse_proof(read_fixture("p2.proof"))
     step = p2.steps[2]
     assert step.rule == PcostIntro(1, frozenset({2}))
-    tr = make_translator(step.rule, p2.steps[1].cirquent, step.cirquent)
+    tr = step.rule.translator(p2.steps[1].cirquent, step.cirquent)
     assert tr.outer_to_inner((1, (1, 0), "7.m")) == (1, (1, 7), "m")
     assert tr.outer_to_inner((1, (1, 0), "x.m")) is None
     assert tr.inner_to_outer((1, (1, 7), "m")) == (1, (1, 0), "7.m")
@@ -290,7 +290,7 @@ def test_structural_translators_map_addresses_only(name):
     # A structural translator keeps every payload, and it maps, drops or
     # absorbs a move by its address alone.
     premise, conclusion, rule = rule_case(name)
-    tr = make_translator(rule, premise, conclusion)
+    tr = rule.translator(premise, conclusion)
     assert tr.structural is isinstance(rule, STRUCTURAL_RULES)
     rng = random.Random(name)
     for _ in range(200):
@@ -300,6 +300,24 @@ def test_structural_translators_map_addresses_only(name):
             if tr.structural:
                 assert len({None if cell is None else cell[:2] for cell in images.values()}) == 1
                 assert all(cell is None or cell[2] == p for p, cell in images.items())
+
+
+@pytest.mark.parametrize("name", [case[0] for case in RULE_CASES if isinstance(case[3], STRUCTURAL_RULES)])
+def test_structural_translators_round_trip_premise_cells(name):
+    # Every legal cell address of the premise: oformula a, and in overgroup
+    # j a copy 1..4 where j holds a, else 0.  A cell that leaves comes back.
+    premise, conclusion, rule = rule_case(name)
+    tr = rule.translator(premise, conclusion)
+    left = 0
+    for a in range(1, premise.size + 1):
+        ranges = [range(1, 5) if a in g else (0,) for g in premise.overgroups]
+        for coords in itertools.product(*ranges):
+            cell = (a, coords, "m")
+            outer = tr.inner_to_outer(cell)
+            if outer is not None:
+                assert tr.outer_to_inner(outer) == cell
+                left += 1
+    assert left
 
 
 def test_declubsuit_reference_translator_verbatim():
@@ -526,8 +544,8 @@ def test_a_fused_run_lets_the_last_cell_out_in_turn_1(absorbed):
     # cell without coordinates, dup_over@3 one whose single coordinate
     # unpairs to two.  However many cells the fused layer absorbs, the
     # base is asked again in the same turn, until the last cell leaves.
-    translators = (make_translator(OvergroupDuplication(1), None, None),
-                   make_translator(OvergroupDuplication(3), None, None),
+    translators = (OvergroupDuplication(1).translator(None, None),
+                   OvergroupDuplication(3).translator(None, None),
                    identity_translator("outer"))
     script = [(1, (), f"a{k}") for k in range(absorbed)] + [(1, (5,), "b")]
     script += [(1, (), f"c{k}") for k in range(absorbed)] + [(1, (1, 1), "d")]
@@ -699,7 +717,7 @@ def _random_chain(rng):
             chain.append(_hashing_translator(k, rng.choice((0, 4)), rng.choice((0, 3))))
         else:
             _, prem, concl, rule = rng.choice(cases)
-            chain.append(make_translator(rule, C(prem), C(concl)))
+            chain.append(rule.translator(C(prem), C(concl)))
     return chain
 
 

@@ -20,6 +20,7 @@ from cl15.cl15 import (
     ProofStep,
     PstIntro,
     Rule,
+    Translator,
     UndergroupDuplication,
     UndergroupExchange,
     Violation,
@@ -28,7 +29,7 @@ from cl15.cl15 import (
 from cl15.formula import And, AtomRef, Cost, Formula, NegAtom, Or, Pcost, Pst, St
 from cl15.harness import SeparationReport
 from cl15.runs import TOP, InfiniteBitstring, Labmove, RunError
-from cl15.strategy import GRANT, IDLE, MakeMove, SimResult, Translator
+from cl15.strategy import GRANT, IDLE, MakeMove, SimResult
 
 P, Q = AtomRef("P"), NegAtom("Q")
 CIRQUENT = Cirquent((Q, P), (frozenset({1, 2}),), (frozenset({1, 2}),))
