@@ -242,7 +242,7 @@ def cmd_simulate(args) -> int:
     adversary = _make_adversary(args.adversary, args.seed)
     result = simulate(machine, adversary, game, args.budget)
     print(f"game: {desc}")
-    print(f"adversary: {getattr(adversary, 'name', 'custom')} budget: {args.budget}")
+    print(f"adversary: {adversary.name} budget: {args.budget}")
     print(result.render_trace())
     if result.first_illegality:
         print(f"note: {result.first_illegality}")

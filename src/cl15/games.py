@@ -10,6 +10,12 @@ that follows a run can choose among them on its one position.
 the legal run.  `Game.legal(run)`, `Game.offender(run)` and
 `Game.winner(run)` replay the run through a fresh position.
 
+A compound formula's game is one class, `FormulaGame`, holding the formula
+and the games of its parts; its `start()` builds the position of the
+formula's connective.  So each connective's game is its position class:
+`_NegPosition`, `_PairPosition` for `/\\` and `\\/`, `_CopyBankPosition`
+for `!` and `?`, and `_ThreadBankPosition` for `b!` and `b?`.
+
 `moves` lists a finite game's trie children of that player, and a composite
 position prefixes its components' lists, in an order fixed by the run and
 the game.  Copy indices, cirquent coordinates and enumeration numerals
@@ -297,12 +303,25 @@ def parse_finite_game(text: str) -> FiniteGame:
 # Composite games.  Each position routes a labmove, parsed once, to the
 # position of the one component it acts on.
 
-class NegGame(Game):
-    def __init__(self, base: Game):
-        self.base = base
+class FormulaGame(Game):
+    """The game of a compound formula: the formula and the games of its
+    parts (a negated atom's game, a conjunct's or disjunct's, a recurrence
+    body's).  `start` builds the position of the formula's connective."""
+
+    def __init__(self, formula: Formula, parts: tuple[Game, ...]):
+        self.formula = formula
+        self.parts = parts
 
     def start(self) -> Position:
-        return _NegPosition(self.base.start())
+        f = self.formula
+        if isinstance(f, NegAtom):
+            return _NegPosition(self.parts[0].start())
+        if isinstance(f, (And, Or)):
+            left, right = self.parts
+            return _PairPosition(left.start(), right.start(), isinstance(f, And))
+        if isinstance(f, (Pst, Pcost)):
+            return _CopyBankPosition(self.parts[0], isinstance(f, Pst))
+        return _ThreadBankPosition(self.parts[0], isinstance(f, St))
 
 
 class _NegPosition(_RoutingPosition):
@@ -320,21 +339,10 @@ class _NegPosition(_RoutingPosition):
         return self.base.winner().opponent
 
 
-class _ChoicelessPair(Game):
-    """Shared shape of parallel conjunction/disjunction: moves carry a
-    `1.` or `2.` prefix routing them to one component."""
-
-    conjunctive: bool
-
-    def __init__(self, left: Game, right: Game):
-        self.left = left
-        self.right = right
-
-    def start(self) -> Position:
-        return _PairPosition(self.left.start(), self.right.start(), self.conjunctive)
-
-
 class _PairPosition(_RoutingPosition):
+    """Parallel conjunction/disjunction: moves carry a `1.` or `2.` prefix
+    routing them to one component."""
+
     def __init__(self, left: Position, right: Position, conjunctive: bool):
         super().__init__()
         self.sides = (left, right)
@@ -354,33 +362,16 @@ class _PairPosition(_RoutingPosition):
         return _combine((side.winner() for side in self.sides), self.conjunctive)
 
 
-class AndGame(_ChoicelessPair):
-    conjunctive = True
-
-
-class OrGame(_ChoicelessPair):
-    conjunctive = False
-
-
-class _CopyBank(Game):
-    """Shared shape of parallel recurrence/corecurrence: copies addressed by
-    positive integers, moves `u.rest`.  A finite run touches finitely many
-    copies; all untouched copies carry the empty run, so the winner
-    quantifier is decided by touched copies plus one empty-run check."""
-
-    conjunctive: bool
-
-    def __init__(self, base: Game):
-        self.base = base
-
-    def start(self) -> Position:
-        return _CopyBankPosition(self)
-
-
 class _CopyBankPosition(_RoutingPosition):
-    def __init__(self, game: _CopyBank):
+    """Parallel recurrence/corecurrence: copies addressed by positive
+    integers, moves `u.rest`.  A finite run touches finitely many copies;
+    all untouched copies carry the empty run, so the winner quantifier is
+    decided by touched copies plus one empty-run check."""
+
+    def __init__(self, base: Game, conjunctive: bool):
         super().__init__()
-        self.game = game
+        self.base = base
+        self.conjunctive = conjunctive
         self.copies: dict[int, Position] = {}
 
     def _route(self, lm: Labmove) -> tuple[Position, Labmove] | None:
@@ -390,26 +381,18 @@ class _CopyBankPosition(_RoutingPosition):
         u, rest = split
         copy = self.copies.get(u)
         if copy is None:
-            copy = self.copies[u] = self.game.base.start()
+            copy = self.copies[u] = self.base.start()
         return copy, Labmove(lm.player, rest)
 
     def _moves(self, player: Player) -> list[str]:
-        fresh = max(self.copies, default=0) + 1, self.game.base.start()
+        fresh = max(self.copies, default=0) + 1, self.base.start()
         return [f"{u}.{m}" for u, copy in [*sorted(self.copies.items()), fresh]
                 for m in copy.moves(player)]
 
     def _won(self) -> Player:
         results = [copy.winner() for copy in self.copies.values()]
-        results.append(self.game.base.start().winner())
-        return _combine(results, self.game.conjunctive)
-
-
-class PstGame(_CopyBank):
-    conjunctive = True
-
-
-class PcostGame(_CopyBank):
-    conjunctive = False
+        results.append(self.base.start().winner())
+        return _combine(results, self.conjunctive)
 
 
 def thread_representatives(bitstrings: set[str]) -> list[InfiniteBitstring]:
@@ -439,36 +422,27 @@ def thread_representatives(bitstrings: set[str]) -> list[InfiniteBitstring]:
     return reps
 
 
-class _ThreadBank(Game):
-    """Shared shape of branching recurrence/corecurrence: threads addressed
-    by infinite bitstrings, moves `w.rest` acting in all threads extending w.
-    Winner quantifiers over the continuum of threads are decided on
-    representatives of the finitely many classes the run distinguishes."""
-
-    conjunctive: bool
-
-    def __init__(self, base: Game):
-        self.base = base
-
-    def start(self) -> Position:
-        return _ThreadBankPosition(self)
-
-
 class _ThreadBankPosition(Position):
-    """One base position per thread class.  A move with a new stem refines
+    """Branching recurrence/corecurrence: threads addressed by infinite
+    bitstrings, moves `w.rest` acting in all threads extending w.  Winner
+    quantifiers over the continuum of threads are decided on
+    representatives of the finitely many classes the run distinguishes.
+
+    One base position per thread class.  A move with a new stem refines
     the classes, and the positions are rebuilt from the moves played."""
 
-    def __init__(self, game: _ThreadBank):
+    def __init__(self, base: Game, conjunctive: bool):
         super().__init__()
-        self.game = game
+        self.base = base
+        self.conjunctive = conjunctive
         self.played: list[tuple[str, Labmove]] = []
         self.stems: set[str] = set()
-        self.threads = [(InfiniteBitstring(), game.base.start())]  # one class, no stems
+        self.threads = [(InfiniteBitstring(), base.start())]  # one class, no stems
 
     def _replay(self, reps: list[InfiniteBitstring]) -> list[tuple[InfiniteBitstring, Position]]:
         """A position per representative, holding the played moves it sees."""
         return [
-            (x, self.game.base.replay([m for w, m in self.played if x.has_prefix(w)]))
+            (x, self.base.replay([m for w, m in self.played if x.has_prefix(w)]))
             for x in reps
         ]
 
@@ -497,18 +471,7 @@ class _ThreadBankPosition(Position):
         return out
 
     def _won(self) -> Player:
-        return _combine((pos.winner() for _, pos in self.threads), self.game.conjunctive)
-
-
-class StGame(_ThreadBank):
-    conjunctive = True
-
-
-class CostGame(_ThreadBank):
-    conjunctive = False
-
-
-_UNARY_GAMES = {Pst: PstGame, Pcost: PcostGame, St: StGame, Cost: CostGame}
+        return _combine((pos.winner() for _, pos in self.threads), self.conjunctive)
 
 
 def interpret_formula(f: Formula, interp: Interpretation) -> Game:
@@ -516,14 +479,12 @@ def interpret_formula(f: Formula, interp: Interpretation) -> Game:
     if isinstance(f, (AtomRef, NegAtom)):
         if f.name not in interp:
             raise GameError(f"unmapped atom {f.name}")
-        return interp[f.name] if isinstance(f, AtomRef) else NegGame(interp[f.name])
+        return interp[f.name] if isinstance(f, AtomRef) else FormulaGame(f, (interp[f.name],))
     if isinstance(f, (And, Or)):
-        pair = AndGame if isinstance(f, And) else OrGame
-        return pair(interpret_formula(f.left, interp), interpret_formula(f.right, interp))
-    unary = _UNARY_GAMES.get(type(f))
-    if unary is None:
-        raise GameError(f"cannot interpret {f!r}")
-    return unary(interpret_formula(f.body, interp))
+        return FormulaGame(f, (interpret_formula(f.left, interp), interpret_formula(f.right, interp)))
+    if isinstance(f, (Pst, Pcost, St, Cost)):
+        return FormulaGame(f, (interpret_formula(f.body, interp),))
+    raise GameError(f"cannot interpret {f!r}")
 
 
 class CirquentGame(Game):

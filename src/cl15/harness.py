@@ -65,10 +65,6 @@ def _is_pos(text: str) -> bool:
     return _is_nat(text) and text != "0"
 
 
-def _flip(run: Run) -> Run:
-    return tuple(Labmove(lm.player.opponent, lm.move) for lm in run)
-
-
 def _keep_tail(run: Run, want: Callable[[str], bool]) -> Run:
     """Keep moves whose head (before the first dot) satisfies `want`,
     stripped to the part after the dot."""
@@ -84,7 +80,7 @@ def _oracle_legal_formula(f: Formula, interp: Interpretation, run: Run) -> bool:
     if isinstance(f, AtomRef):
         return interp[f.name].legal(run)
     if isinstance(f, NegAtom):
-        return interp[f.name].legal(_flip(run))
+        return interp[f.name].legal(negate_run(run))
     if isinstance(f, (And, Or)):
         for lm in run:
             head, sep, tail = lm.move.partition(".")
@@ -128,7 +124,7 @@ def _oracle_won_formula(f: Formula, interp: Interpretation, run: Run) -> Player:
     if isinstance(f, AtomRef):
         return interp[f.name].winner(run)
     if isinstance(f, NegAtom):
-        return interp[f.name].winner(_flip(run)).opponent
+        return interp[f.name].winner(negate_run(run)).opponent
     if isinstance(f, (And, Or)):
         lw = _oracle_won_formula(f.left, interp, _keep_tail(run, lambda h: h == "1"))
         rw = _oracle_won_formula(f.right, interp, _keep_tail(run, lambda h: h == "2"))
@@ -603,7 +599,9 @@ def separation_demo(machine: MachineStrategy, k: int, budget: int) -> Separation
         }
         winner = interpret_formula(target, induced).winner(delta)
 
-    conclusive = distinct and witness is not None and winner is BOT
+    # The bound is reached only if the budget let every thread open.
+    opened = sum(lm.player is BOT for lm in gamma)
+    conclusive = opened == k and distinct and witness is not None and winner is BOT
     lines = [
         f"separation demo: target {SEPARATION_TARGET}  k={k} budget={budget}",
         f"final run: {len(delta)} labmoves "
@@ -624,6 +622,8 @@ def separation_demo(machine: MachineStrategy, k: int, budget: int) -> Separation
             f"({len(witness_proj)} labmoves)"
         )
         lines.append(f"final position winner: {winner.value}")
+    if opened < k:
+        lines.append(f"note: the budget ended after {opened} of {k} threads")
     lines.append(
         f"verdict: {'separation upheld' if conclusive else 'inconclusive'} at bound k={k}"
     )

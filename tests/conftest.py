@@ -224,8 +224,29 @@ RULE_CASES = [
 ]
 
 
+# Cases that reach translator branches no case of RULE_CASES reaches: a
+# weakening that deletes its oformula, and a pcost introduction that adds
+# its oformula to two overgroups.  They are kept apart because the verdicts
+# of RULE_CASES are pinned by a digest.
+LEMMA_CASES = [
+    ("weakening_deleting",
+     "oformulas: E | F ; under: {1,2} ; over: {1}{2}",
+     "oformulas: E | G | F ; under: {1,2,3} ; over: {1,2}{3}",
+     rules.Weakening(1, 2)),
+    # Two overgroups deleted, neither of them last.
+    ("weakening_deleting_two_overs",
+     "oformulas: E | F ; under: {1,2} ; over: {1,2}",
+     "oformulas: E | F | G ; under: {1,2,3} ; over: {3}{3}{1,2}",
+     rules.Weakening(1, 3)),
+    ("pcost_two_overs",
+     "oformulas: E | F ; under: {1,2} ; over: {1,2}{1,2}{2}",
+     "oformulas: E | ?F ; under: {1,2} ; over: {1}{1}{2}",
+     rules.PcostIntro(2, frozenset({1, 2}))),
+]
+
+
 def rule_case(name):
-    for case_name, prem, concl, rule in RULE_CASES:
+    for case_name, prem, concl, rule in RULE_CASES + LEMMA_CASES:
         if case_name == name:
             return (C(prem) if prem is not None else None), C(concl), rule
     raise KeyError(name)

@@ -15,6 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LEMMAS, PLAY_LOOP = ("tests/test_rule_lemmas.py",), ("tests/test_play_loop.py",)
 LISTING, ACCEPTANCE = ("tests/test_positions.py", "-k", "list"), ("tests/test_acceptance.py",)
+GAMES = ("tests/test_games.py",)
 
 # (file under src/cl15, text, replacement, pytest arguments)
 MUTANTS = [
@@ -34,6 +35,10 @@ MUTANTS = [
     # Branching listings: thread w:0's moves unfiltered, or filtered over every thread class.
     ("games.py", "if all(pos.extend(Labmove(player, m)) for _, pos in self._replay(reached))", "", LISTING),
     ("games.py", "(self.stems | {w}) if x.has_prefix(w)]", "(self.stems | {w})]", LISTING),
+    # Each connective's conjunctivity: /\ played as \/, ! as ?, b! as b?.
+    ("games.py", "right.start(), isinstance(f, And))", "right.start(), isinstance(f, Or))", GAMES),
+    ("games.py", "(self.parts[0], isinstance(f, Pst))", "(self.parts[0], isinstance(f, Pcost))", GAMES),
+    ("games.py", "(self.parts[0], isinstance(f, St))", "(self.parts[0], isinstance(f, Cost))", GAMES),
     # One mutant per translator branch of the ROADMAP's survey.
     ("cl15.py", "cs[i - 1], cs[i] = cs[i], cs[i - 1]", "cs[i - 1], cs[i] = cs[i - 1], cs[i]", ACCEPTANCE),
     ("cl15.py", "expanded = unpair(v)", "expanded = unpair(v)[::-1]", ACCEPTANCE),

@@ -19,20 +19,15 @@ from __future__ import annotations
 
 import random
 
+from cl15.formula import And, Cost, NegAtom, Or, Pcost, Pst, St
 from cl15.games import (
-    AndGame,
     CirquentGame,
-    CostGame,
     EnumerationGame,
     FiniteGame,
+    FormulaGame,
     Game,
     GameError,
-    NegGame,
-    OrGame,
-    PcostGame,
     PermissiveGame,
-    PstGame,
-    StGame,
     thread_representatives,
 )
 from cl15.runs import (
@@ -53,34 +48,36 @@ from cl15.runs import (
 
 
 def reference_legal(g: Game, run: Run) -> bool:
+    # A compound formula's game: its connective, and the games of its parts.
+    f, parts = (g.formula, g.parts) if isinstance(g, FormulaGame) else (None, ())
     if isinstance(g, FiniteGame):
         return run in g.tree
     if isinstance(g, EnumerationGame):
         return all(is_numeral(lm.move) for lm in run)
     if isinstance(g, PermissiveGame):
         return True
-    if isinstance(g, NegGame):
-        return reference_legal(g.base, negate_run(run))
-    if isinstance(g, (AndGame, OrGame)):
+    if isinstance(f, NegAtom):
+        return reference_legal(parts[0], negate_run(run))
+    if isinstance(f, (And, Or)):
         for lm in run:
             split = split_index_move(lm.move)
             if split is None or split[0] not in (1, 2):
                 return False
-        return reference_legal(g.left, project_prefix(run, "1.")) and reference_legal(
-            g.right, project_prefix(run, "2.")
+        return reference_legal(parts[0], project_prefix(run, "1.")) and reference_legal(
+            parts[1], project_prefix(run, "2.")
         )
-    if isinstance(g, (PstGame, PcostGame)):
+    if isinstance(f, (Pst, Pcost)):
         for lm in run:
             if split_index_move(lm.move) is None:
                 return False
         return all(
-            reference_legal(g.base, project_prefix(run, f"{u}.")) for u in _touched_copies(run)
+            reference_legal(parts[0], project_prefix(run, f"{u}.")) for u in _touched_copies(run)
         )
-    if isinstance(g, (StGame, CostGame)):
+    if isinstance(f, (St, Cost)):
         for lm in run:
             if split_bit_move(lm.move) is None:
                 return False
-        return all(reference_legal(g.base, project_branch(run, x)) for x in _reps(run))
+        return all(reference_legal(parts[0], project_branch(run, x)) for x in _reps(run))
     if isinstance(g, CirquentGame):
         if not all(_cell_move_ok(g, lm.move) for lm in run):
             return False
@@ -94,28 +91,30 @@ def reference_legal(g: Game, run: Run) -> bool:
 
 def reference_won_legal(g: Game, run: Run) -> Player:
     """Winner of a run assumed legal."""
+    # A compound formula's game: its connective, and the games of its parts.
+    f, parts = (g.formula, g.parts) if isinstance(g, FormulaGame) else (None, ())
     if isinstance(g, FiniteGame):
         return g.labels[run]
     if isinstance(g, EnumerationGame):
         return BOT if g.loses(run) else TOP
     if isinstance(g, PermissiveGame):
         return TOP
-    if isinstance(g, NegGame):
-        return reference_won_legal(g.base, negate_run(run)).opponent
-    if isinstance(g, (AndGame, OrGame)):
-        lw = reference_won_legal(g.left, project_prefix(run, "1."))
-        rw = reference_won_legal(g.right, project_prefix(run, "2."))
-        return _combine([lw, rw], isinstance(g, AndGame))
-    if isinstance(g, (PstGame, PcostGame)):
+    if isinstance(f, NegAtom):
+        return reference_won_legal(parts[0], negate_run(run)).opponent
+    if isinstance(f, (And, Or)):
+        lw = reference_won_legal(parts[0], project_prefix(run, "1."))
+        rw = reference_won_legal(parts[1], project_prefix(run, "2."))
+        return _combine([lw, rw], isinstance(f, And))
+    if isinstance(f, (Pst, Pcost)):
         results = [
-            reference_won_legal(g.base, project_prefix(run, f"{u}."))
+            reference_won_legal(parts[0], project_prefix(run, f"{u}."))
             for u in _touched_copies(run)
         ]
-        results.append(reference_won_legal(g.base, ()))
-        return _combine(results, isinstance(g, PstGame))
-    if isinstance(g, (StGame, CostGame)):
-        results = [reference_won_legal(g.base, project_branch(run, x)) for x in _reps(run)]
-        return _combine(results, isinstance(g, StGame))
+        results.append(reference_won_legal(parts[0], ()))
+        return _combine(results, isinstance(f, Pst))
+    if isinstance(f, (St, Cost)):
+        results = [reference_won_legal(parts[0], project_branch(run, x)) for x in _reps(run)]
+        return _combine(results, isinstance(f, St))
     if isinstance(g, CirquentGame):
         for xs in _coordinate_candidates(g, run):
             for under in g.cirquent.undergroups:

@@ -240,6 +240,41 @@ def test_simulate_script_file_adversary(tmp_path, capsys):
     assert "M:move 1;1.2.m" in sim
 
 
+# A proof that `check` accepts but whose extracted strategy loses: merging
+# sends conclusion copy 2 of `~P` to premise cell (1,2) and of `?P` to
+# premise copy 2 (ROADMAP item 13).  Not a fixture: tests iterate over those.
+MERGED_PCOST_PROOF = """\
+step 1: rule=axiom
+oformulas: ~P | P ; under: {1,2} ; over: {1,2}
+step 2: rule=dup_over pos=1
+oformulas: ~P | P ; under: {1,2} ; over: {1,2}{1,2}
+step 3: rule=pcost oformula=2 add_over={2}
+oformulas: ~P | ?P ; under: {1,2} ; over: {1,2}{1}
+step 4: rule=merging over=1
+oformulas: ~P | ?P ; under: {1,2} ; over: {1,2}
+"""
+
+
+def test_check_accepts_the_merged_pcost_proof(tmp_path, capsys):
+    proof = tmp_path / "merged.proof"
+    proof.write_text(MERGED_PCOST_PROOF)
+    assert main(["check", str(proof)]) == OK
+    assert capsys.readouterr().out == "ok (4 steps)\n"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: merging maps one conclusion cell to two "
+                                       "premise tuples, so the extracted strategy loses copy 2")
+def test_simulate_wins_the_merged_pcost_proof(tmp_path, capsys):
+    proof, script = tmp_path / "merged.proof", tmp_path / "moves.txt"
+    proof.write_text(MERGED_PCOST_PROOF)
+    script.write_text("1;1.m\n1;2.m\n")
+    code = main(["simulate", str(proof), "--adversary", f"script:{script}",
+                 "--interp", INTERP, "--budget", "20"])
+    sim = capsys.readouterr().out
+    assert "winner: T" in sim, sim
+    assert code == OK
+
+
 def test_simulate_script_move_with_whitespace_is_a_usage_error(tmp_path, capsys):
     script = tmp_path / "moves.txt"
     script.write_text("# environment's moves\n1;1.1.m\n1;1.a b\n")
@@ -301,6 +336,13 @@ def test_demo_separation_default_is_conclusive(capsys):
     assert "verdict: separation upheld at bound k=8" in out
     assert "witness thread:" in out
     assert "final position winner: B" in out
+
+
+def test_demo_separation_is_inconclusive_when_the_budget_ends_first(capsys):
+    assert main(["demo-separation", "--k", "8", "--budget", "3"]) == FAIL
+    out = capsys.readouterr().out
+    assert out.endswith("note: the budget ended after 3 of 8 threads\n"
+                        "verdict: inconclusive at bound k=8\n")
 
 
 def test_demo_separation_copycat_machine_runs(capsys):

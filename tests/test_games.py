@@ -10,7 +10,6 @@ from cl15.games import (
     CirquentGame,
     EnumerationGame,
     GameError,
-    NegGame,
     PermissiveGame,
     interpret_cirquent,
     interpret_formula,
@@ -85,7 +84,7 @@ def test_offender_rule_blames_first_illegal_move():
 
 def test_negation_flips_roles_and_winner():
     g = _game_P()
-    n = NegGame(g)
+    n = interpret_formula(parse_formula("~P"), {"P": g})
     assert n.legal((lm(BOT, "m"),))
     assert not n.legal((lm(TOP, "m"),))
     assert n.winner(()) is TOP

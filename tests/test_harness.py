@@ -266,3 +266,7 @@ def test_separation_demo_bounded_check():
     assert report.winner is BOT
     assert report.conclusive
     assert "verdict" in report.render() or "separation" in report.render()
+
+
+def test_separation_demo_is_inconclusive_before_all_threads_open():
+    assert separation_demo(PureGranter(), 8, 3).conclusive is False

@@ -20,33 +20,14 @@ import random
 import pytest
 
 from cl15 import cl15 as rules
-from cl15.formula import atoms
-from cl15.games import NegGame, OrGame, interpret_cirquent
+from cl15.formula import atoms, parse_formula
+from cl15.games import interpret_cirquent, interpret_formula
 from cl15.harness import random_adversary, random_finite_interpretation
 from cl15.runs import BOT, TOP, Labmove, format_cell_move, split_cell_move, split_index_move
 from cl15.strategy import GRANT, MachineStrategy, MakeMove, simulate
 
-from conftest import C, RULE_CASES, as_texts, transform_strategy
+from conftest import LEMMA_CASES, RULE_CASES, C, as_texts, transform_strategy
 
-# Cases that reach translator branches no case of RULE_CASES reaches: a
-# weakening that deletes its oformula, and a pcost introduction that adds
-# its oformula to two overgroups.  They are kept apart because the verdicts
-# of RULE_CASES are pinned by a digest.
-LEMMA_CASES = [
-    ("weakening_deleting",
-     "oformulas: E | F ; under: {1,2} ; over: {1}{2}",
-     "oformulas: E | G | F ; under: {1,2,3} ; over: {1,2}{3}",
-     rules.Weakening(1, 2)),
-    # Two overgroups deleted, neither of them last.
-    ("weakening_deleting_two_overs",
-     "oformulas: E | F ; under: {1,2} ; over: {1,2}",
-     "oformulas: E | F | G ; under: {1,2,3} ; over: {3}{3}{1,2}",
-     rules.Weakening(1, 3)),
-    ("pcost_two_overs",
-     "oformulas: E | F ; under: {1,2} ; over: {1,2}{1,2}{2}",
-     "oformulas: E | ?F ; under: {1,2} ; over: {1}{1}{2}",
-     rules.PcostIntro(2, frozenset({1, 2}))),
-]
 CASES = [case for case in RULE_CASES if case[1] is not None] + LEMMA_CASES
 
 # Cases whose premise random play wins on fewer than MIN_WON of the seeds.
@@ -116,7 +97,7 @@ def test_translator_keeps_the_premise_won(name, premise, conclusion, rule):
     for seed in range(SEEDS):
         interp = random_finite_interpretation(names, 2, 2, seed)
         if mirrored:
-            interp = {atom: OrGame(NegGame(g), g) for atom, g in interp.items()}
+            interp = {atom: interpret_formula(parse_formula("~X \\/ X"), {"X": g}) for atom, g in interp.items()}
         inner_game = interpret_cirquent(premise, interp)
         game = interpret_cirquent(conclusion, interp)
         log: list[Labmove] = []
