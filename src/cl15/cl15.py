@@ -108,7 +108,9 @@ def unfold_positives(v: int, n: int) -> tuple[int, ...] | None:
 
 
 # Rule instances (all indices 1-based).  Rules whose parameter has the same
-# name share a base that holds it.
+# name share a base that holds it, and the three rules that split an oformula
+# in two (contraction, `or` and `and`) share `_Split`, which holds their
+# premise constructor and their translator.
 
 _FORWARD_MISMATCH = "conclusion does not match the rule applied to the premise"
 
@@ -345,12 +347,38 @@ class Weakening(Rule):
         return Translator(name, outer_to_inner, inner_to_outer, structural=True)
 
 
-class Contraction(_AtOformula):
+class _Split(_AtOformula):
+    """Contraction, `or` and `and`: the premise holds oformula a of the
+    conclusion as its two `sides`, at a and a+1.  A rule states the `kind`
+    of oformula a and how a payload `k.tail` in a goes in, to side 1 or 2
+    (`inward`; None drops it), and how a side's move comes out (`outward`;
+    None absorbs it).  With `split_unders`, an undergroup that held a
+    becomes two: one that holds side 1, then one that holds side 2."""
+
     __slots__ = ()
-    name, mismatch = "contraction", "premise is not the two-copy split of the conclusion"
+    kind: type
+    split_unders = False
+    sides: Callable[[Formula], tuple[Formula, Formula]]
+    inward: Callable[[int, str], tuple[int, str] | None]
+    outward: Callable[[int, str], str | None]
 
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
-        return premise_of_contraction(c, self.oformula) == p
+        return self.premise(c) == p
+
+    def premise(self, conclusion: Cirquent) -> Cirquent:
+        """The premise of this rule's application to `conclusion`."""
+        a = self.oformula
+        of = list(conclusion.oformulas)
+        of[a - 1:a] = self.sides(_oformula(conclusion, a, self.kind))
+        unders: list[Group] = []
+        for g in conclusion.undergroups:
+            spread = _shift_after(g, a)
+            if self.split_unders and a in g:
+                unders += (spread - {a + 1}, spread - {a})
+            else:
+                unders.append(spread)
+        overs = tuple(_shift_after(g, a) for g in conclusion.overgroups)
+        return Cirquent(tuple(of), tuple(unders), overs)
 
     def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
         a = self.oformula
@@ -360,71 +388,69 @@ class Contraction(_AtOformula):
             if c != a:
                 return c + 1 if c > a else c, coords, rest
             payload = split_index_move(rest)
-            if payload is None:
+            inner = None if payload is None else self.inward(*payload)
+            if inner is None:
                 return None
-            k, tail = payload
-            if k % 2 == 1:
-                return a, coords, f"{(k + 1) // 2}.{tail}"
-            return a + 1, coords, f"{k // 2}.{tail}"
+            side, move = inner
+            return a + side - 1, coords, move
 
         def inner_to_outer(cell: Cell) -> Cell | None:
             c, coords, rest = cell
             if c not in (a, a + 1):
                 return c - 1 if c > a + 1 else c, coords, rest
-            payload = split_index_move(rest)
-            if payload is None:
-                return None
-            k, tail = payload
-            outer_k = 2 * k - 1 if c == a else 2 * k
-            return a, coords, f"{outer_k}.{tail}"
+            move = self.outward(c - a + 1, rest)
+            return None if move is None else (a, coords, move)
 
-        return Translator(f"contraction@{a}", outer_to_inner, inner_to_outer)
+        return Translator(f"{self.name}@{a}", outer_to_inner, inner_to_outer)
 
 
-class _BinaryIntro(_AtOformula):
-    """`or` and `and`: the premise holds the two sides of oformula a at a
-    and a+1, and a move `i.m` in a is move m in side i."""
+class Contraction(_Split):
+    """Copy k of `?F` in a is copy (k+1)//2 of side 1 for odd k, and of side
+    2 for even k."""
+
+    __slots__ = ()
+    name, mismatch = "contraction", "premise is not the two-copy split of the conclusion"
+    kind = Pcost
+
+    def sides(self, f: Formula) -> tuple[Formula, Formula]:
+        return f, f
+
+    def inward(self, k: int, tail: str) -> tuple[int, str] | None:
+        return 2 - k % 2, f"{(k + 1) // 2}.{tail}"
+
+    def outward(self, side: int, move: str) -> str | None:
+        payload = split_index_move(move)
+        if payload is None:
+            return None
+        k, tail = payload
+        return f"{2 * k - 2 + side}.{tail}"
+
+
+class _BinaryIntro(_Split):
+    """`or` and `and`: a move `i.m` in a is move m in side i."""
 
     __slots__ = ()
 
-    def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
-        a = self.oformula
+    def sides(self, f: Formula) -> tuple[Formula, Formula]:
+        return f.left, f.right
 
-        def outer_to_inner(cell: Cell) -> Cell | None:
-            c, coords, rest = cell
-            if c != a:
-                return c + 1 if c > a else c, coords, rest
-            payload = split_index_move(rest)
-            if payload is None or payload[0] not in (1, 2):
-                return None
-            i, tail = payload
-            return a if i == 1 else a + 1, coords, tail
+    def inward(self, k: int, tail: str) -> tuple[int, str] | None:
+        return (k, tail) if k in (1, 2) else None
 
-        def inner_to_outer(cell: Cell) -> Cell | None:
-            c, coords, rest = cell
-            if c == a:
-                return a, coords, f"1.{rest}"
-            if c == a + 1:
-                return a, coords, f"2.{rest}"
-            return c - 1 if c > a + 1 else c, coords, rest
-
-        return Translator(f"{self.name}@{a}", outer_to_inner, inner_to_outer)
+    def outward(self, side: int, move: str) -> str | None:
+        return f"{side}.{move}"
 
 
 class OrIntro(_BinaryIntro):
     __slots__ = ()
     name, mismatch = "or", "premise does not split the disjunction as required"
-
-    def holds(self, p: Cirquent, c: Cirquent) -> bool:
-        return premise_of_or(c, self.oformula) == p
+    kind = Or
 
 
 class AndIntro(_BinaryIntro):
     __slots__ = ()
     name, mismatch = "and", "premise does not split the conjunction as required"
-
-    def holds(self, p: Cirquent, c: Cirquent) -> bool:
-        return premise_of_and(c, self.oformula) == p
+    kind, split_unders = And, True
 
 
 class PstIntro(_AtOformula):
@@ -432,11 +458,24 @@ class PstIntro(_AtOformula):
     name, mismatch = "pst", "premise does not add a singleton overgroup as required"
 
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
-        return pst_position(p, c, self.oformula) is not None
+        return self.position(p, c) is not None
+
+    def position(self, premise: Cirquent, conclusion: Cirquent) -> int | None:
+        """The first place j at which the singleton overgroup {a} goes in
+        to make the premise; None if there is none.  Raises ValueError
+        unless oformula a is a '!' formula."""
+        a = self.oformula
+        of = list(conclusion.oformulas)
+        of[a - 1] = _oformula(conclusion, a, Pst).body
+        oformulas, unders, overs = tuple(of), conclusion.undergroups, conclusion.overgroups
+        for j in range(1, len(overs) + 2):
+            if Cirquent(oformulas, unders, overs[:j - 1] + (frozenset({a}),) + overs[j - 1:]) == premise:
+                return j
+        return None
 
     def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
         a = self.oformula
-        j = pst_position(premise, conclusion, a)
+        j = self.position(premise, conclusion)
 
         def outer_to_inner(cell: Cell) -> Cell | None:
             c, coords, rest = cell
@@ -647,61 +686,6 @@ def _oformula(conclusion: Cirquent, a: int, kind: type) -> Formula:
     if not isinstance(f, kind):
         raise ValueError(f"oformula {a} is not a {_SYMBOL[kind]} formula")
     return f
-
-
-def _split(conclusion: Cirquent, a: int, first: Formula, second: Formula,
-           split_unders: bool = False) -> Cirquent:
-    """Oformula a replaced by `first` and `second`, at a and a+1.  A group
-    that held a holds both, except that with `split_unders` an undergroup
-    that held a becomes two: one that holds `first`, then one that holds
-    `second`."""
-    of = list(conclusion.oformulas)
-    of[a - 1:a] = [first, second]
-    unders: list[Group] = []
-    for g in conclusion.undergroups:
-        spread = _shift_after(g, a)
-        if split_unders and a in g:
-            unders += (spread - {a + 1}, spread - {a})
-        else:
-            unders.append(spread)
-    overs = tuple(_shift_after(g, a) for g in conclusion.overgroups)
-    return Cirquent(tuple(of), tuple(unders), overs)
-
-
-def premise_of_contraction(conclusion: Cirquent, a: int) -> Cirquent:
-    f = _oformula(conclusion, a, Pcost)
-    return _split(conclusion, a, f, f)
-
-
-def premise_of_or(conclusion: Cirquent, a: int) -> Cirquent:
-    f = _oformula(conclusion, a, Or)
-    return _split(conclusion, a, f.left, f.right)
-
-
-def premise_of_and(conclusion: Cirquent, a: int) -> Cirquent:
-    f = _oformula(conclusion, a, And)
-    return _split(conclusion, a, f.left, f.right, split_unders=True)
-
-
-def premise_of_pst(conclusion: Cirquent, a: int, over_pos: int) -> Cirquent:
-    f = _oformula(conclusion, a, Pst)
-    if not 1 <= over_pos <= len(conclusion.overgroups) + 1:
-        raise ValueError(f"overgroup position {over_pos} out of range")
-    of = list(conclusion.oformulas)
-    of[a - 1] = f.body
-    overs = list(conclusion.overgroups)
-    overs.insert(over_pos - 1, frozenset({a}))
-    return Cirquent(tuple(of), conclusion.undergroups, tuple(overs))
-
-
-def pst_position(premise: Cirquent, conclusion: Cirquent, a: int) -> int | None:
-    """The first insertion position at which the premise matches; None if
-    none.  Raises ValueError unless oformula a is a '!' formula."""
-    _oformula(conclusion, a, Pst)
-    for j in range(1, len(conclusion.overgroups) + 2):
-        if premise_of_pst(conclusion, a, j) == premise:
-            return j
-    return None
 
 
 def premise_of_pcost(conclusion: Cirquent, a: int, add_over: frozenset[int]) -> Cirquent:

@@ -152,7 +152,6 @@ def project_branch(run: Run, x: InfiniteBitstring) -> Run:
     return tuple(out)
 
 
-_NUMERAL_RE = re.compile(r"0|[1-9][0-9]*")
 _INDEX_MOVE_RE = re.compile(r"([1-9][0-9]*)\.(.+)", re.DOTALL)
 _CELL_MOVE_RE = re.compile(
     r"([1-9][0-9]*);((?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*)?\.(.+)", re.DOTALL
@@ -160,8 +159,8 @@ _CELL_MOVE_RE = re.compile(
 
 
 def is_numeral(text: str) -> bool:
-    """Canonical decimal numeral (no leading zeros)."""
-    return _NUMERAL_RE.fullmatch(text) is not None
+    """Canonical decimal numeral: ASCII digits, no leading zero."""
+    return text.isascii() and text.isdigit() and (text[0] != "0" or text == "0")
 
 
 def _digits_value(digits: str) -> int:
@@ -176,7 +175,7 @@ def numeral_value(text: str) -> int:
     """The value of a canonical numeral (ASCII digits, no leading zero), spaces
     around it allowed; a ValueError for other text."""
     digits = text.strip()
-    if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and digits != "0"):
+    if not is_numeral(digits):
         raise ValueError(f"not a number: {text!r}")
     return _digits_value(digits)
 

@@ -4,9 +4,12 @@ a premise strategy winning whatever the environment does.
 Each case plays an inner machine on the premise through the rule's
 translator, inside the cirquent edge, against `random_adversary` on the
 conclusion, and reads the inner run through `conftest.recording`.  On
-every play two things must hold: if the inner run is won by T on the
-premise, the real run is won by T on the conclusion; and if the inner
-machine never offends on the premise, the real run has no machine offence.
+every play three things must hold: if the inner run is won by T on the
+premise, the real run is won by T on the conclusion; if the inner machine
+never offends on the premise, the real run has no machine offence; and if
+the environment never offends on the conclusion, it never offends in the
+inner run either, so that a translator cannot count as winning by making
+the environment's legal moves illegal in the premise.
 
 The inner machine plays random moves that its premise position lists.
 Where that wins too few premises, a mirror plays instead, on an
@@ -107,6 +110,8 @@ def test_translator_keeps_the_premise_won(name, premise, conclusion, rule):
         inner_run = as_texts(log)
         if inner_game.offender(inner_run) is not TOP:
             assert game.offender(result.run) is not TOP, (seed, result.run, inner_run)
+        if game.offender(result.run) is not BOT:
+            assert inner_game.offender(inner_run) is not BOT, (seed, result.run, inner_run)
         if inner_game.winner(inner_run) is TOP:
             won += 1
             assert result.winner is TOP, (seed, result.run, inner_run)

@@ -12,6 +12,7 @@ from cl15.runs import (
     format_cell_move,
     is_numeral,
     negate_run,
+    numeral_value,
     parse_bitstring_spec,
     parse_run,
     project_branch,
@@ -101,6 +102,16 @@ def test_move_splitters():
     assert split_cell_move("3;1.") is None
     assert format_cell_move(3, (1, 0, 2), "tail.x") == "3;1,0,2.tail.x"
     assert is_numeral("0") and is_numeral("10") and not is_numeral("01")
+
+
+@pytest.mark.parametrize("text", ["", "0", "00", "01", "10", "\u0661"])
+def test_is_numeral_says_whether_numeral_value_reads_the_text(text):
+    try:
+        numeral_value(text)
+    except ValueError:
+        assert not is_numeral(text)
+    else:
+        assert is_numeral(text)
 
 
 def _random_move(rng: random.Random) -> str:
