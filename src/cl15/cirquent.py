@@ -9,10 +9,10 @@ import re
 
 from .formula import Formula, parse_formula, render_formula
 from .runs import RunError, numeral_value
-from .values import Value, set_field
+from .values import InputError, Value, set_field
 
 
-class CirquentError(ValueError):
+class CirquentError(InputError):
     """Malformed cirquent text."""
 
 

@@ -23,10 +23,10 @@ from collections.abc import Callable
 from .cirquent import Cirquent, CirquentError, Group, clubsuit, parse_cirquent, render_cirquent, validate_cirquent
 from .formula import And, Formula, FormulaError, Or, Pcost, Pst, negate, render_formula
 from .runs import RunError, numeral_value, split_index_move
-from .values import Value, set_field
+from .values import InputError, Value, set_field
 
 
-class ProofError(ValueError):
+class ProofError(InputError):
     """Malformed proof text."""
 
 

@@ -7,29 +7,12 @@ import argparse
 import contextlib
 import functools
 import os
-import random
 import re
 import sys
 
 from . import cl15 as rules
-from .cirquent import Cirquent, CirquentError
-from .formula import Formula, FormulaError, atoms
-from .games import (
-    Game,
-    GameError,
-    Interpretation,
-    finite_game,
-    interpret_cirquent,
-    interpret_formula,
-)
-from .harness import (
-    HarnessError,
-    RotatingCopycat,
-    random_adversary,
-    random_finite_interpretation,
-    scripted_adversary,
-    separation_demo,
-)
+from .cirquent import Cirquent
+from .formula import Formula, atoms
 from .runs import (
     BOT,
     TOP,
@@ -43,25 +26,40 @@ from .runs import (
     project_prefix,
     render_run,
 )
-from .strategy import (
-    EnvStrategy,
-    GrantPermission,
-    MachineStrategy,
-    MakeMove,
-    ProofViolation,
-    PureGranter,
-    ScriptEnv,
-    SilentEnv,
-    StrategyError,
-    extract_solution,
-    play,
-    proof_goal,
-    simulate,
-)
+from .values import InputError
 
 OK, FAIL, USAGE = 0, 1, 2
 
 _ATOM_NAME_RE = re.compile(r"[A-Z][A-Za-z0-9]*")
+
+# The game layer's names, by module.  `check`, `extract` and `project`
+# never play, so the layer is imported, and its names bound here, on first
+# use: by the functions that play, or by `__getattr__` for `cli.<name>`.
+_GAME_LAYER = {
+    "games": ("GameError", "finite_game", "interpret_cirquent", "interpret_formula"),
+    "harness": ("HarnessError", "RotatingCopycat", "random_adversary",
+                "random_finite_interpretation", "scripted_adversary", "separation_demo"),
+    "strategy": ("EnvStrategy", "GrantPermission", "MakeMove", "ProofViolation", "PureGranter",
+                 "ScriptEnv", "SilentEnv", "StrategyError", "extract_solution", "play",
+                 "proof_goal", "simulate"),
+}
+
+
+@functools.cache
+def _load_game_layer() -> None:
+    """Import the game layer and bind its names here, once per process, so
+    that a wrapper later put in a function's place stays."""
+    import importlib
+    for module, names in _GAME_LAYER.items():
+        loaded = importlib.import_module(f".{module}", __package__)
+        globals().update((name, getattr(loaded, name)) for name in names)
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _GAME_LAYER.values()):
+        _load_game_layer()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # File loaders
@@ -77,6 +75,7 @@ def _read(path: str) -> str:
 def parse_interpretation(text: str) -> Interpretation:
     """Parse an interpretation file: an `interpretation` header, then
     `atom <Name>` sections each holding finite-game lines."""
+    _load_game_layer()
     body = [(n, ln) for n, ln in enumerate(map(str.strip, text.splitlines()), start=1)
             if ln and not ln.startswith("#")]
     if not body or body[0][1] != "interpretation":
@@ -137,17 +136,9 @@ def _load_subject(path: str, level_flag: str | None) -> tuple[rules.Proof, bool]
     return rules.parse_proof(text), level_flag == "formula"
 
 
-def _goal_atoms(goal: Formula | Cirquent) -> frozenset[str]:
-    if isinstance(goal, Cirquent):
-        names: frozenset[str] = frozenset()
-        for f in goal.oformulas:
-            names |= atoms(f)
-        return names
-    return atoms(goal)
-
-
-def _build_interp(args, goal) -> Interpretation:
-    names = _goal_atoms(goal)
+def _build_interp(args, goal: Formula | Cirquent) -> Interpretation:
+    formulas = goal.oformulas if isinstance(goal, Cirquent) else (goal,)
+    names = frozenset().union(*map(atoms, formulas))
     if args.interp == "random":
         return random_finite_interpretation(
             sorted(names), args.depth, args.branching, args.seed
@@ -175,6 +166,7 @@ def _setup(args, path: str) -> tuple | None:
     """Load the subject at `path`, extract its strategy (which verifies the
     proof), then its goal, the goal's text and the interpretation, in that
     order.  None, after printing the violation, if the proof fails."""
+    _load_game_layer()
     proof, formula_level = _load_subject(path, args.level)
     try:
         machine = extract_solution(proof, formula_level=formula_level)
@@ -197,6 +189,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from .strategy import proof_goal
     proof = rules.parse_proof(_read(args.proof))
     failure = rules.verify_proof(proof)
     if failure is not None:
@@ -210,11 +203,13 @@ def cmd_extract(args) -> int:
 
 
 def _make_adversary(spec: str, seed: int):
+    _load_game_layer()
     if spec == "silent":
         return SilentEnv()
     if spec == "random":
         return random_adversary(seed)
     if spec == "scripted":
+        import random
         rng = random.Random(seed)
         script = tuple(rng.randrange(7) for _ in range(24))
         return scripted_adversary(script)
@@ -258,10 +253,14 @@ def cmd_project(args) -> int:
     else:
         try:
             cell = numeral_value(args.cell)
+        except RunError as exc:  # over the digit limit: too long to show
+            raise RunError(f"bad --cell: {exc}") from None
         except ValueError as exc:
             raise RunError(f"bad --cell {args.cell!r}: expected a number like 1") from exc
         try:
             coords = tuple(map(numeral_value, args.coords.split(","))) if args.coords else ()
+        except RunError as exc:
+            raise RunError(f"bad --coords: {exc}") from None
         except ValueError as exc:
             raise RunError(f"bad --coords {args.coords!r}: expected numbers like 1,2") from exc
         result = project_cell(run, cell, coords)
@@ -272,37 +271,11 @@ def cmd_project(args) -> int:
 
 
 def cmd_demo_separation(args) -> int:
+    _load_game_layer()
     machine = PureGranter() if args.machine == "granter" else RotatingCopycat()
     report = separation_demo(machine, args.k, args.budget)
     print(report.render())
     return OK if report.conclusive else FAIL
-
-
-class _Quit(Exception):
-    """The human ended the play with `quit` or the end of input."""
-
-
-class _HumanEnv(EnvStrategy):
-    """The environment read from a text stream: at each grant a prompt,
-    then a move, or `pass` or an empty line to pass; `quit` or the end of
-    the stream ends the play."""
-
-    def __init__(self, in_stream, say):
-        self.in_stream = in_stream
-        self.say = say
-
-    def on_grant(self, run) -> str | None:
-        while True:
-            self.say("your move>")
-            line = self.in_stream.readline()
-            text = line.strip()
-            if not line or text == "quit":
-                raise _Quit
-            if text in ("", "pass"):
-                return None
-            if not re.search(r"\s", text):
-                return text
-            self.say("malformed move (whitespace not allowed); try again")
 
 
 def play_session(
@@ -319,14 +292,36 @@ def play_session(
     `desc`: the human is the environment, prompted at each grant; the
     position is shown after every labmove and the transcript is printed in
     run format at the end."""
+    _load_game_layer()
+    in_stream = in_stream if in_stream is not None else sys.stdin
     out_stream = out_stream if out_stream is not None else sys.stdout
 
     def say(msg: str) -> None:
         print(msg, file=out_stream)
 
+    class Quit(Exception):
+        """The human ended the play with `quit` or the end of input."""
+
+    class HumanEnv(EnvStrategy):
+        """The environment read from `in_stream`: at each grant a prompt,
+        then a move, or `pass` or an empty line to pass; `quit` or the end
+        of the stream ends the play."""
+
+        def on_grant(self, run) -> str | None:
+            while True:
+                say("your move>")
+                line = in_stream.readline()
+                text = line.strip()
+                if not line or text == "quit":
+                    raise Quit
+                if text in ("", "pass"):
+                    return None
+                if not re.search(r"\s", text):
+                    return text
+                say("malformed move (whitespace not allowed); try again")
+
     position = _interpret(goal, interp).start()
-    env = _HumanEnv(in_stream if in_stream is not None else sys.stdin, say)
-    events = play(machine.spawn(), env, position, budget)
+    events = play(machine.spawn(), HumanEnv(), position, budget)
     say(f"playing: {desc}")
     say("you are the environment (B); at each grant enter a move, 'pass', or 'quit'")
     run: list[Labmove] = []
@@ -343,7 +338,7 @@ def play_session(
                 say("machine made an illegal move; environment wins")
             elif position.offender is BOT:
                 say("warning: illegal move; recorded (machine wins)")
-    except _Quit:
+    except Quit:
         pass
     winner = position.winner()
     say(f"winner: {winner.value}")
@@ -461,8 +456,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # from the parser: help, or a usage error
         code = exc.code
         return code if isinstance(code, int) else USAGE
-    except (FormulaError, RunError, CirquentError, GameError,
-            rules.ProofError, StrategyError, HarnessError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except RecursionError:

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import re
 
-from .values import Frozen, set_field
+from .values import Frozen, InputError, set_field
 
 
-class FormulaError(ValueError):
+class FormulaError(InputError):
     """Malformed formula text."""
 
 

@@ -59,9 +59,10 @@ from .runs import (
     split_cell_move,
     split_index_move,
 )
+from .values import InputError
 
 
-class GameError(ValueError):
+class GameError(InputError):
     """Malformed game description or unusable inputs."""
 
 

@@ -47,10 +47,10 @@ from .runs import (
     project_prefix,
 )
 from .strategy import GRANT, EnvStrategy, MachineStrategy, MakeMove, simulate
-from .values import Record
+from .values import InputError, Record
 
 
-class HarnessError(ValueError):
+class HarnessError(InputError):
     """Unusable harness inputs."""
 
 

@@ -10,10 +10,10 @@ import enum
 import re
 import sys
 
-from .values import Value, set_field
+from .values import InputError, Value, set_field
 
 
-class RunError(ValueError):
+class RunError(InputError):
     """Malformed run text or move."""
 
 

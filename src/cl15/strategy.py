@@ -43,7 +43,6 @@ from operator import attrgetter
 
 from .cirquent import Cirquent, as_clubsuit, render_cirquent
 from .formula import Formula, render_formula
-from .games import Game, Position
 from .runs import (
     BOT,
     TOP,
@@ -53,12 +52,12 @@ from .runs import (
     format_cell_move,
     split_cell_move,
 )
-from .values import Record, Value, set_field
+from .values import InputError, Record, Value, set_field
 from . import cl15 as rules
 from .cl15 import Cell, Move, Translator
 
 
-class StrategyError(ValueError):
+class StrategyError(InputError):
     """Unusable strategy construction inputs."""
 
 

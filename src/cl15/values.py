@@ -16,6 +16,11 @@ from __future__ import annotations
 set_field = object.__setattr__
 
 
+class InputError(ValueError):
+    """Input the toolkit cannot use: the base of each module's error class,
+    which the command line reports as a usage error."""
+
+
 class Frozen:
     """A record whose fields, once set with `set_field`, cannot be assigned
     or deleted.  Compared and hashed by identity, and shown as

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LEMMAS, PLAY_LOOP = ("tests/test_rule_lemmas.py",), ("tests/test_play_loop.py",)
 LISTING, ACCEPTANCE = ("tests/test_positions.py", "-k", "list"), ("tests/test_acceptance.py",)
 GAMES = ("tests/test_games.py",)
+STARTUP, ERRORS = ("tests/test_cli.py", "-k", "startup or wrapper"), ("tests/test_cli.py", "-k", "input_error")
 
 # (file under src/cl15, text, replacement, pytest arguments)
 MUTANTS = [
@@ -52,6 +53,12 @@ MUTANTS = [
      "return pair(fold_positives(us[:-1]), us[-1])", ("tests/test_strategy.py",)),
     # The oracle's numerals: a non-ASCII digit read as a copy index.
     ("harness.py", "text.isascii() and text.isdigit()", "text.isdigit()", ("tests/test_harness.py", "-k", "ascii")),
+    # The CLI's start: the game layer imported with the CLI, or bound over a
+    # wrapper put in its place; and one module's error outside the CLI's base.
+    ("cli.py", "from .values import InputError\n", "from .values import InputError\nfrom . import harness\n",
+     STARTUP),
+    ("cli.py", "@functools.cache\ndef _load_game_layer", "def _load_game_layer", STARTUP),
+    ("games.py", "class GameError(InputError):", "class GameError(ValueError):", ERRORS),
 ]
 
 

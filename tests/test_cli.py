@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import cl15
+import cl15.cli as cli
 
-from cl15.cl15 import parse_proof, render_proof
+from cl15.cirquent import CirquentError
+from cl15.cl15 import ProofError, Violation, parse_proof, render_proof
 from cl15.cli import (
     FAIL,
     OK,
@@ -23,9 +25,12 @@ from cl15.cli import (
     parse_interpretation,
     play_session,
 )
+from cl15.formula import FormulaError
 from cl15.games import GameError
-from cl15.harness import RANDOM_GAME_MAX_NODES, ScriptMachine
-from cl15.strategy import IdleStrategy, extract_solution, proof_goal
+from cl15.harness import RANDOM_GAME_MAX_NODES, HarnessError, ScriptMachine
+from cl15.runs import RunError
+from cl15.strategy import IdleStrategy, ProofViolation, StrategyError, extract_solution, proof_goal
+from cl15.values import InputError
 
 from conftest import FIXTURES, long_structural_proof, read_fixture
 
@@ -148,8 +153,6 @@ def test_one_parser_serves_every_call_like_a_fresh_process(monkeypatch, capsys):
                            "print(c._parser.cache_info().currsize)"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.stdout == "0\n"
-
-    import cl15.cli as cli
 
     builds = []
     monkeypatch.setenv("COLUMNS", "80")
@@ -660,19 +663,66 @@ def test_scripted_adversary_draws_a_varied_script():
     assert len({choose(7) for _ in range(24)}) > 1
 
 
-def test_startup_imports_no_code_generation_modules():
+def test_startup_imports_no_code_generation_modules(tmp_path):
     # The value classes are written out: starting the CLI must not load
     # `dataclasses` or the modules it would bring in, nor `typing`.  `-S`
     # keeps `site`, which loads `typing` itself, out of the count; `-B`
-    # leaves no bytecode cache in the source tree.
+    # leaves no bytecode cache in the source tree.  Nor does it load the
+    # game layer, or `random`: `check` and `project` never do, and `extract`
+    # loads only the strategy module, for the goal's text.
     src = str(Path(cl15.__file__).resolve().parent.parent)
-    code = ("import sys\n"
+    commands = [[], ["check", P1], ["project", RUNFILE, "--cell", "1"],
+                ["extract", P1, "--out", str(tmp_path / "p1.strategy")]]
+    code = ("import contextlib, io, sys\n"
             f"sys.path.insert(0, {src!r})\n"
             "import cl15.cli\n"
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'typing'} & set(sys.modules)))\n")
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'typing'} & set(sys.modules)))\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cl15.cli.main(argv) if argv else None\n"
+            "    game_layer = {'cl15.games', 'cl15.strategy', 'cl15.harness', 'random'}\n"
+            "    print(code, sorted(game_layer & set(sys.modules)))\n")
     done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True,
                           text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "[]\nNone []\n0 []\n0 []\n0 ['cl15.strategy']\n", "")
+
+
+# One error of each module's class.
+INPUT_ERRORS = [FormulaError("bad formula"), RunError("bad run"), CirquentError("bad cirquent"),
+                ProofError("bad proof"), GameError("bad game"), StrategyError("bad strategy"),
+                ProofViolation(2, Violation("bad step")), HarnessError("bad adversary")]
+
+
+def _raising(exc):
+    def command(args):
+        raise exc
+    return command
+
+
+@pytest.mark.parametrize("exc", INPUT_ERRORS, ids=lambda exc: type(exc).__name__)
+def test_each_module_error_is_an_input_error_and_a_usage_error(exc, monkeypatch, capsys):
+    # The CLI catches the one base class, without importing the modules.
+    assert isinstance(exc, InputError)
+    monkeypatch.setitem(cli._DISPATCH, "check", _raising(exc))
+    assert main(["check", P1]) == USAGE
+    assert capsys.readouterr() == ("", f"error: {exc}\n")
+
+
+def test_a_wrapper_in_place_of_a_game_layer_function_is_the_one_called(monkeypatch, capsys):
+    # The game layer's names are bound in `cl15.cli` once, on first use; a
+    # timing wrapper set there (as `bench/tracing.py` sets one) must stay.
+    calls = []
+    original = cli.simulate
+    monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args[3]) or original(*args))
+    assert main(["simulate", P1, "--budget", "3"]) == OK
+    assert calls == [3]
+
+
+def test_a_plain_value_error_is_not_an_input_error(monkeypatch):
+    monkeypatch.setitem(cli._DISPATCH, "check", _raising(ValueError("a bug")))
+    with pytest.raises(ValueError, match="a bug"):
+        main(["check", P1])
 
 
 # --- verification once, long proofs, deep formulas ------------------------------------
@@ -841,7 +891,8 @@ HUGE_PROOFS = {
 
 
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts numbers of any length")
-@pytest.mark.parametrize("command", [*HUGE_PROOFS, "simulate", "project"])
+@pytest.mark.parametrize("command", [*HUGE_PROOFS, "simulate", "project", "project-cell",
+                                     "project-coords"])
 def test_a_number_over_the_digit_limit_is_a_usage_error(command, tmp_path, capsys):
     where = ""
     if command in HUGE_PROOFS:
@@ -854,10 +905,16 @@ def test_a_number_over_the_digit_limit_is_a_usage_error(command, tmp_path, capsy
         path = tmp_path / "huge.script"
         path.write_text(f"1;{HUGE}.1.m\n")
         argv = ["simulate", P1, "--adversary", f"script:{path}"]
-    else:
+    elif command == "project":
         path = tmp_path / "huge.run"
         path.write_text(f"B 1;{HUGE}.1.m\n")
         argv = ["project", str(path), "--cell", "1", "--coords", "1"]
+    elif command == "project-cell":
+        argv = ["project", RUNFILE, "--cell", HUGE]
+        where = "bad --cell: "
+    else:
+        argv = ["project", RUNFILE, "--cell", "1", "--coords", f"1,{HUGE}"]
+        where = "bad --coords: "
     assert main(argv) == USAGE
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
