@@ -16,7 +16,6 @@ ways; `strategy.extract_solution` builds one per verified application.
 """
 from __future__ import annotations
 
-import math
 import re
 from collections.abc import Callable
 
@@ -53,58 +52,44 @@ class Translator(Value):
     translator's maps read and change only a move's oformula and
     coordinates and keep its payload, so whether it drops or absorbs a move
     depends on those alone; only the rules' translators and a pipeline's
-    fused layers set it."""
+    fused layers set it.  Maps that keep a play's copy tables come with
+    `renew`, which builds the translator again with empty tables."""
 
-    __slots__ = __match_args__ = ("name", "outer_to_inner", "inner_to_outer", "structural")
+    __slots__ = __match_args__ = ("name", "outer_to_inner", "inner_to_outer", "structural", "renew")
 
     def __init__(self, name: str, outer_to_inner: Callable[[Move], Move | None],
-                 inner_to_outer: Callable[[Cell], Move | None], structural: bool = False):
+                 inner_to_outer: Callable[[Cell], Move | None], structural: bool = False,
+                 renew: Callable[[], Translator] | None = None):
         set_field(self, "name", name)
         set_field(self, "outer_to_inner", outer_to_inner)
         set_field(self, "inner_to_outer", inner_to_outer)
         set_field(self, "structural", structural)
+        set_field(self, "renew", renew)
+
+    def fresh(self) -> Translator:
+        """This translator for a new play: itself, unless it keeps tables."""
+        return self if self.renew is None else self.renew()
 
 
 def identity_translator(name: str) -> Translator:
     return Translator(name, lambda m: m, lambda m: m, structural=True)
 
 
-# Positive-pair pairing used by the coordinate-compressing translators.
-
-def pair(u1: int, u2: int) -> int:
-    """Bijection from pairs of positive integers to positive integers;
-    pair(1,1)=1, pair(1,2)=2, pair(2,1)=3."""
-    return (u1 + u2 - 2) * (u1 + u2 - 1) // 2 + u1
-
-
-def unpair(v: int) -> tuple[int, int]:
-    """Inverse of pair."""
-    if v < 1:
-        raise ValueError("unpair needs a positive integer")
-    k = (math.isqrt(8 * v - 7) - 1) // 2  # the largest k with k(k+1)/2 < v
-    u1 = v - k * (k + 1) // 2
-    return u1, k + 2 - u1
-
-
-def fold_positives(us: tuple[int, ...]) -> int:
-    """Right fold of `pair`; the empty tuple maps to 1."""
-    if not us:
-        return 1
-    if len(us) == 1:
-        return us[0]
-    return pair(us[0], fold_positives(us[1:]))
-
-
-def unfold_positives(v: int, n: int) -> tuple[int, ...] | None:
-    """Inverse of fold_positives at arity n; None when v is outside the
-    image (only possible for n=0 with v != 1)."""
-    if n == 0:
-        return () if v == 1 else None
-    if n == 1:
-        return (v,)
-    u1, rest = unpair(v)
-    tail = unfold_positives(rest, n - 1)
-    return None if tail is None else (u1,) + tail
+def _copy_number(seen: dict, back: dict, key: tuple[int, ...], arity: int) -> tuple[int, ...] | None:
+    """The copy tuple that `key` stands for in a copy table read one way.
+    A key seen first gets the first (k, ..., k) of `arity` that the reverse
+    map `back` lacks, recorded both ways, so the table stays injective;
+    None if there is none, which only arity 0 runs out of."""
+    image = seen.get(key)
+    if image is None:
+        k = 1
+        while (image := (k,) * arity) in back:
+            if not arity:
+                return None
+            k += 1
+        seen[key] = image
+        back[image] = key
+    return image
 
 
 # Rule instances (all indices 1-based).  Rules whose parameter has the same
@@ -224,6 +209,8 @@ class UndergroupDuplication(_AtPos):
 
 
 class OvergroupDuplication(_AtPos):
+    """A pair of coordinates in the two copies is one premise coordinate."""
+
     __slots__ = ()
     name = "dup_over"
 
@@ -232,32 +219,38 @@ class OvergroupDuplication(_AtPos):
 
     def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
         j = self.pos
+        inner, outer = {}, {}  # one play's copy table, both ways
 
         def outer_to_inner(cell: Cell) -> Cell | None:
             a, coords, rest = cell
             if len(coords) < j + 1:
                 return None
-            u1, u2 = coords[j - 1], coords[j]
-            if u1 == 0 and u2 == 0:
-                merged = 0
-            elif u1 > 0 and u2 > 0:
-                merged = pair(u1, u2)
-            else:
+            us = coords[j - 1:j + 1]
+            if us == (0, 0):
+                merged = (0,)
+            elif 0 in us:
                 return None
-            return a, coords[:j - 1] + (merged,) + coords[j + 1:], rest
+            else:
+                merged = _copy_number(inner, outer, us, 1)
+            return a, coords[:j - 1] + merged + coords[j + 1:], rest
 
         def inner_to_outer(cell: Cell) -> Cell | None:
             a, coords, rest = cell
             if len(coords) < j:
                 return None
-            u = coords[j - 1]
-            expanded = (0, 0) if u == 0 else unpair(u)
+            u = coords[j - 1:j]
+            expanded = (0, 0) if u == (0,) else _copy_number(outer, inner, u, 2)
             return a, coords[:j - 1] + expanded + coords[j:], rest
 
-        return Translator(f"dup_over@{j}", outer_to_inner, inner_to_outer, structural=True)
+        return Translator(f"dup_over@{j}", outer_to_inner, inner_to_outer, structural=True,
+                          renew=lambda: self.translator(premise, conclusion))
 
 
 class Merging(Rule):
+    """A copy v of an oformula in both merged overgroups is the premise pair
+    (v, v), and an inner move of such an oformula off that diagonal is
+    absorbed.  A copy of an oformula in one of them keeps its number."""
+
     __slots__ = __match_args__ = params = ("over",)
     name, mismatch = "merging", _FORWARD_MISMATCH
 
@@ -281,7 +274,7 @@ class Merging(Rule):
             if (v > 0) != member:
                 return None
             if a in in_j and a in in_j1:
-                expanded = unpair(v)
+                expanded = (v, v)
             elif a in in_j:
                 expanded = (v, 0)
             elif a in in_j1:
@@ -298,7 +291,9 @@ class Merging(Rule):
             if (v1 > 0) != (a in in_j) or (v2 > 0) != (a in in_j1):
                 return None
             if a in in_j and a in in_j1:
-                merged = pair(v1, v2)
+                if v1 != v2:
+                    return None
+                merged = v1
             elif a in in_j:
                 merged = v1
             elif a in in_j1:
@@ -503,6 +498,10 @@ class PstIntro(_AtOformula):
 
 
 class PcostIntro(Rule):
+    """Copy v of the `?` oformula is one tuple of premise coordinates in the
+    added overgroups, paired with v by a copy table per play; with none
+    added, the first copy that a move uses is the premise's only one."""
+
     __slots__ = __match_args__ = params = ("oformula", "add_over")
     name, mismatch = "pcost", "premise does not match the stated overgroup additions"
 
@@ -517,6 +516,7 @@ class PcostIntro(Rule):
         a = self.oformula
         positions = tuple(sorted(self.add_over))
         n = len(positions)
+        inner, outer = {}, {}  # one play's copy table, both ways
 
         def outer_to_inner(cell: Cell) -> Cell | None:
             c, coords, rest = cell
@@ -530,12 +530,12 @@ class PcostIntro(Rule):
             if payload is None:
                 return None
             v, tail = payload
-            us = unfold_positives(v, n)
+            us = _copy_number(inner, outer, (v,), n)
             if us is None:
                 return None
             cs = list(coords)
-            for k, p in enumerate(positions):
-                cs[p - 1] = us[k]
+            for p, u in zip(positions, us):
+                cs[p - 1] = u
             return a, tuple(cs), tail
 
         def inner_to_outer(cell: Cell) -> Cell | None:
@@ -545,13 +545,14 @@ class PcostIntro(Rule):
             us = tuple(coords[p - 1] for p in positions if p <= len(coords))
             if len(us) != n or any(u < 1 for u in us):
                 return None
-            v = fold_positives(us)
+            (v,) = _copy_number(outer, inner, us, 1)
             cs = list(coords)
             for p in positions:
                 cs[p - 1] = 0
             return a, tuple(cs), f"{v}.{rest}"
 
-        return Translator(f"pcost@{a}", outer_to_inner, inner_to_outer)
+        return Translator(f"pcost@{a}", outer_to_inner, inner_to_outer,
+                          renew=lambda: self.translator(premise, conclusion))
 
 
 _RULES = {

@@ -26,6 +26,9 @@ The structural rules (exchanges, duplications, merging, weakening) only
 rename oformulas and coordinates.  Their translators are marked
 `structural`, and a pipeline crosses each maximal run of adjacent ones as
 one layer that memoizes the composed maps per `(oformula, coords)`.
+`dup_over` and `pcost` number copies in the order a play uses them, in
+tables of that play; so a pipeline's `spawn()` builds its play's layers
+from fresh translators, and two plays share no table and no memo.
 
 After each move that a translator absorbs, a pipeline turns to its base
 again, until a move leaves or the base grants or idles.  So it needs a base
@@ -364,34 +367,28 @@ class Pipeline(MachineStrategy):
     strategy does (see the module docstring).
 
     Each maximal run of adjacent structural translators is crossed as one
-    layer, which memoizes where a move's address ends up.  The layers are
-    built once, here, and a spawn shares them and their memos, which depend
-    only on the address.  So a turn costs one call per layer its moves
-    cross (the base is shown its run list, not a copy), and `spawn()` is
-    O(1): only the base's run is kept.  Nothing recurses."""
+    layer, which memoizes where a move's address ends up.  The copy tables
+    of `dup_over` and `pcost` and the layers' memos belong to one play: a
+    constructed pipeline only holds its base and translators, and `spawn()`
+    builds the layers, from fresh translators, for the play it starts.  So
+    two spawns share no state, a spawn costs time linear in the number of
+    translators, and a turn costs one call per layer its moves cross (the
+    base is shown its run list, not a copy).  Nothing recurses."""
 
     def __init__(self, base: MachineStrategy, translators: tuple[Translator, ...]):
         self.base = base
         self.translators = translators
-        layers = tuple(_layers(translators))
-        self._inward = tuple(layer.outer_to_inner for layer in reversed(layers))
-        self._outward = tuple(layer.inner_to_outer for layer in layers)
-        self._start()
 
     def spawn(self) -> "Pipeline":
-        # Set in __init__'s order: the instance then shares its attribute
-        # layout with constructed ones, and attribute reads stay fast.
-        fresh = Pipeline.__new__(Pipeline)
-        fresh.base, fresh.translators = self.base, self.translators
-        fresh._inward, fresh._outward = self._inward, self._outward
-        fresh._start()
+        fresh = Pipeline(self.base, self.translators)
+        layers = tuple(_layers(tuple(tr.fresh() for tr in self.translators)))
+        fresh._inward = tuple(layer.outer_to_inner for layer in reversed(layers))
+        fresh._outward = tuple(layer.inner_to_outer for layer in layers)
+        fresh._base = self.base.spawn()
+        fresh._base_step = 0
+        fresh._cursor = 0
+        fresh._base_run: list[Labmove] = []
         return fresh
-
-    def _start(self) -> None:
-        self._base = self.base.spawn()
-        self._base_step = 0
-        self._cursor = 0
-        self._base_run: list[Labmove] = []
 
     def next(self, run: Sequence[Labmove], step: int) -> Action:
         if self._cursor < len(run):

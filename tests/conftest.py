@@ -13,11 +13,11 @@ from hypothesis import HealthCheck, settings
 
 from cl15 import cl15 as rules
 from cl15.cirquent import Cirquent, parse_cirquent
-from cl15.cl15 import Translator, pair
+from cl15.cl15 import Translator
 from cl15.formula import And, AtomRef, Cost, Formula, NegAtom, Or, Pcost, Pst, St, parse_formula
 from cl15.games import FiniteGame, Interpretation, PermissiveGame
 from cl15.harness import Choose, HarnessError, ScriptMachine
-from cl15.runs import BOT, TOP, Labmove, Run, format_cell_move, project_cell, project_prefix
+from cl15.runs import BOT, TOP, Labmove, Run, format_cell_move, project_cell, project_prefix, split_cell_move
 from cl15.strategy import (
     CIRQUENT_EDGE,
     FORMULA_EDGE,
@@ -366,7 +366,8 @@ def single_corruptions(premise, conclusion, rule):
 def recording(translator: Translator, log: list[Labmove]) -> Translator:
     """`translator`, logging the imagined run inside it: each environment
     move it lets in and each machine move that reaches it, as labmoves of
-    split cell moves.  Not structural, so a pipeline never fuses it."""
+    split cell moves.  Not structural, so a pipeline never fuses it; a
+    spawn records through a fresh copy of the translator."""
 
     def outer_to_inner(move):
         inner = translator.outer_to_inner(move)
@@ -378,7 +379,8 @@ def recording(translator: Translator, log: list[Labmove]) -> Translator:
         log.append(Labmove(TOP, cell))
         return translator.inner_to_outer(cell)
 
-    return Translator(translator.name, outer_to_inner, inner_to_outer)
+    renew = translator.renew and (lambda: recording(translator.fresh(), log))
+    return Translator(translator.name, outer_to_inner, inner_to_outer, renew=renew)
 
 
 def as_texts(log: list[Labmove]) -> Run:
@@ -538,23 +540,44 @@ def check_contraction_identity(seed):
             )
 
 
+def copy_renaming(real, imag, outer_key, inner_key):
+    """The copies that one play numbered, read from its two runs: each
+    move of the real run beside the same player's move at the same place in
+    the imagined run (the plays it reads drop and absorb nothing), as
+    `outer_key(cell)` -> `inner_key(cell)` for the cells that `outer_key`
+    reads a key from.  Asserts that the renaming is injective both ways."""
+    pairs = set()
+    for player in (BOT, TOP):
+        outer = [split_cell_move(lm.move) for lm in real if lm.player is player]
+        inner = [split_cell_move(lm.move) for lm in imag if lm.player is player]
+        assert len(outer) == len(inner)
+        pairs |= {(outer_key(o), inner_key(i)) for o, i in zip(outer, inner) if outer_key(o) is not None}
+    renaming = dict(pairs)
+    assert len(renaming) == len(pairs) == len(set(renaming.values())), sorted(pairs)
+    return renaming
+
+
 def check_dup_over_identity(seed):
+    # The two copies of the duplicated overgroup are one premise copy,
+    # under a renaming that the play chose.
     prem, concl, rule = rule_case("dup_over")
     real, imag = play_instance(rule, prem, concl, seed)
+    rho = copy_renaming(real, imag, lambda cell: cell[1], lambda cell: cell[1])
     for a in (1, 2):
         for x1 in GRID:
             for x2 in GRID:
                 assert project_cell(real, a, (x1, x2)) == project_cell(
-                    imag, a, (pair(x1, x2),)
+                    imag, a, rho.get((x1, x2), (0,))
                 )
     prem2, concl2, rule2 = rule_case("dup_over_mid")
     real2, imag2 = play_instance(rule2, prem2, concl2, seed + 1)
+    rho2 = copy_renaming(real2, imag2, lambda cell: cell[1][:2], lambda cell: cell[1][:1])
     for x1 in GRID:
         for x2 in GRID:
             for z in GRID:
                 for a in (1, 2):
                     assert project_cell(real2, a, (x1, x2, z)) == project_cell(
-                        imag2, a, (pair(x1, x2), z)
+                        imag2, a, rho2.get((x1, x2), (0,)) + (z,)
                     )
 
 
@@ -566,15 +589,17 @@ def check_merging_identity(seed):
             assert project_cell(real, 1, (x,)) == project_cell(imag, 1, (x, z))
             assert project_cell(real, 2, (x,)) == project_cell(imag, 2, (z, x))
             assert project_cell(real, 3, (x,)) == project_cell(imag, 3, (z, x))
+    # F is in both merged groups: its copy v is the premise's (v, v), and the
+    # inner machine's moves off that diagonal stay in the imagined run.
     prem2, concl2, rule2 = rule_case("merging_mixed")
     real2, imag2 = play_instance(rule2, prem2, concl2, seed + 1)
     for y in GRID:
         for u in GRID:
             for v in GRID:
                 assert project_cell(real2, 1, (y, u)) == project_cell(imag2, 1, (y, u, v))
-                assert project_cell(real2, 2, (y, pair(u, v))) == project_cell(
-                    imag2, 2, (y, u, v)
-                )
+                if u != v:
+                    assert {lm.player for lm in project_cell(imag2, 2, (y, u, v))} <= {TOP}
+            assert project_cell(real2, 2, (y, u)) == project_cell(imag2, 2, (y, u, u))
 
 
 def check_or_identity(seed):
@@ -613,31 +638,38 @@ def check_pst_identity(seed):
 
 
 def check_pcost_identity(seed):
+    # A `?` copy is a premise copy in the added overgroup, under a renaming
+    # that the play chose.
     prem, concl, rule = rule_case("pcost")
 
     def concl_payload(a, rng):
         return f"{rng.randint(1, 3)}.t" if a == 3 else rng.choice(("m", "n"))
 
     real, imag = play_instance(rule, prem, concl, seed, None, concl_payload)
+    rho = copy_renaming(real, imag, lambda cell: cell[2].split(".")[0] if cell[0] == 3 else None,
+                        lambda cell: cell[1][0])
     for x2 in GRID:
         for x3 in GRID:
             for u in GRID:
                 for z in GRID:
                     assert project_prefix(
                         project_cell(real, 3, (z, x2, x3)), f"{u}."
-                    ) == project_cell(imag, 3, (u, x2, x3))
+                    ) == project_cell(imag, 3, (rho.get(str(u), 0), x2, x3))
             for b in (1, 2):
                 assert project_cell(real, b, (x2, x3, 1)) == project_cell(
                     imag, b, (x2, x3, 1)
                 )
+    # With no added overgroup, the premise is one copy: the first that the
+    # play used, in which every machine move leaves.
     prem2, concl2, rule2 = rule_case("pcost_plain")
 
     def concl_payload2(a, rng):
         return f"{rng.randint(1, 2)}.t"
 
     real2, imag2 = play_instance(rule2, prem2, concl2, seed + 1, None, concl_payload2)
+    (w,) = {split_cell_move(lm.move)[2].split(".")[0] for lm in real2 if lm.player is TOP}
     for x in GRID:
-        assert project_prefix(project_cell(real2, 1, (x,)), "1.") == project_cell(
+        assert project_prefix(project_cell(real2, 1, (x,)), f"{w}.") == project_cell(
             imag2, 1, (x,)
         )
 

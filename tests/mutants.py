@@ -16,15 +16,13 @@ ROOT = Path(__file__).resolve().parent.parent
 LEMMAS, PLAY_LOOP = ("tests/test_rule_lemmas.py",), ("tests/test_play_loop.py",)
 LISTING, ACCEPTANCE = ("tests/test_positions.py", "-k", "list"), ("tests/test_acceptance.py",)
 GAMES = ("tests/test_games.py",)
+COHERENCE, SPAWNS = ("tests/test_strategy.py", "-k", "coherent"), ("tests/test_strategy.py", "-k", "spawns")
 STARTUP, ERRORS = ("tests/test_cli.py", "-k", "startup or wrapper"), ("tests/test_cli.py", "-k", "input_error")
 
 # (file under src/cl15, text, replacement, pytest arguments)
 MUTANTS = [
-    # Translators.  The second passes every other tier-1 test; the rest of
-    # tier-1 kills each of the others too.
+    # Translators.  The rest of tier-1 kills each of these too.
     ("cl15.py", "a + 1 if a >= d else a", "a + 1 if a > d else a", LEMMAS),
-    ("cl15.py", "v = fold_positives(us)", "v = fold_positives(us[::-1])", LEMMAS),
-    ("cl15.py", "merged = pair(u1, u2)", "merged = pair(u2, u1)", LEMMAS),
     ("cl15.py", 'f"{2 * k - 2 + side}.{tail}"', 'f"{2 * k + 1 - side}.{tail}"', LEMMAS),
     ("cl15.py", 'return f"{side}.{move}"', 'return f"{3 - side}.{move}"', LEMMAS),
     ("cl15.py", "c + 1 if c > a else c", "c", LEMMAS),
@@ -44,13 +42,14 @@ MUTANTS = [
     ("games.py", "(self.parts[0], isinstance(f, St))", "(self.parts[0], isinstance(f, Cost))", GAMES),
     # One mutant per translator branch of the ROADMAP's survey.
     ("cl15.py", "cs[i - 1], cs[i] = cs[i], cs[i - 1]", "cs[i - 1], cs[i] = cs[i - 1], cs[i]", ACCEPTANCE),
-    ("cl15.py", "expanded = unpair(v)", "expanded = unpair(v)[::-1]", ACCEPTANCE),
-    ("cl15.py", "merged = pair(v1, v2)", "merged = pair(v2, v1)", ACCEPTANCE),
     ("cl15.py", "(u,) + coords[j - 1:], tail", "(u + 1,) + coords[j - 1:], tail", ACCEPTANCE),
-    ("cl15.py", "return u1, k + 2 - u1", "return k + 2 - u1, u1", ACCEPTANCE),
     ("strategy.py", "(a + 1 if a % 2 == 1 else a - 1, coords, rest)", "(a, coords, rest)", ACCEPTANCE),
-    ("cl15.py", "return pair(us[0], fold_positives(us[1:]))",
-     "return pair(fold_positives(us[:-1]), us[-1])", ("tests/test_strategy.py",)),
+    # Merging's diagonal moved, or an inner move off it let out; a copy table
+    # that forgets its reverse entries; and spawns that share their tables.
+    ("cl15.py", "expanded = (v, v)", "expanded = (v, v + 1)", COHERENCE),
+    ("cl15.py", "if v1 != v2:\n                    return None\n", "", ACCEPTANCE),
+    ("cl15.py", "        back[image] = key\n", "", ACCEPTANCE),
+    ("strategy.py", "tuple(tr.fresh() for tr in self.translators)", "self.translators", SPAWNS),
     # The oracle's numerals: a non-ASCII digit read as a copy index.
     ("harness.py", "text.isascii() and text.isdigit()", "text.isdigit()", ("tests/test_harness.py", "-k", "ascii")),
     # The CLI's start: the game layer imported with the CLI, or bound over a

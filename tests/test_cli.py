@@ -243,9 +243,9 @@ def test_simulate_script_file_adversary(tmp_path, capsys):
     assert "M:move 1;1.2.m" in sim
 
 
-# A proof that `check` accepts but whose extracted strategy loses: merging
-# sends conclusion copy 2 of `~P` to premise cell (1,2) and of `?P` to
-# premise copy 2 (ROADMAP item 13).  Not a fixture: tests iterate over those.
+# A proof whose extracted strategy lost while merging sent conclusion copy 2
+# of `~P` to one premise cell and of `?P` to another (ROADMAP item 13); the
+# diagonal sends both to (2, 2).  Not a fixture: tests iterate over those.
 MERGED_PCOST_PROOF = """\
 step 1: rule=axiom
 oformulas: ~P | P ; under: {1,2} ; over: {1,2}
@@ -265,8 +265,6 @@ def test_check_accepts_the_merged_pcost_proof(tmp_path, capsys):
     assert capsys.readouterr().out == "ok (4 steps)\n"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: merging maps one conclusion cell to two "
-                                       "premise tuples, so the extracted strategy loses copy 2")
 def test_simulate_wins_the_merged_pcost_proof(tmp_path, capsys):
     proof, script = tmp_path / "merged.proof", tmp_path / "moves.txt"
     proof.write_text(MERGED_PCOST_PROOF)
@@ -545,7 +543,7 @@ PINNED_PLAY = {
     ("p1", "formula"): ("e500b3edd8f17d14", "e500b3edd8f17d14", "caa4c60743ee0829", "1bbca41cca06080c",
                         "d46fa50240ccba7c", "5b391d17f9bc5ec5", "0e7aa77aed989d3b"),
     ("p2", "cirquent"): ("d1fb2155de061dd7", "d1fb2155de061dd7", "b9f77dbdb6200e41", "6de2f71c39f33acb",
-                         "7496622f9798daf3", "1d046e966f5a3398", "cc82150801b66c92"),
+                         "7496622f9798daf3", "81d263939f7d7582", "cc82150801b66c92"),
     ("p2", "formula"): ("066f282ab4f696d6", "066f282ab4f696d6", "e2db9693fbaaf909", "e1deb2e85dc74a58",
                         "80104011bc28cd2c", "5d96ef5ee9f01e79", "8fbc45bd78fc16bc"),
 }

@@ -396,9 +396,9 @@ def test_listed_moves_in_order():
 # Transcripts of `simulate` with the adversaries that choose among the
 # moves their live position lists: the lists and their order must stay
 # the same.  The `script` entries play SCRIPTS under fixtures/interp.txt, in
-# coordinates and copies 2-3, which the translators fold into and out of
-# other values; they were pinned from the version that split and formatted
-# each move at every translator.
+# coordinates and copies 2-3, which the translators renumber; they were
+# first pinned from the version that split and formatted each move at every
+# translator, and again when copies came to be numbered on first use.
 SCRIPTS = {
     "cirquent": ("1;2.1.3.m", "1;3.1.2.m", "1;3.1.3.m", "1;2.1.2.m"),
     "formula": ("1.3.m", "1.2.m", "1.3.m"),
@@ -412,8 +412,8 @@ PINNED_TRANSCRIPTS = {
     ("p2", "cirquent", "scripted"): ("a65082da8ba292c7", "64fbe7ac03998ee6", "ec47c7cf0f6c698b"),
     ("p2", "formula", "random"): ("3788aa2090abcd11", "97c7fcc224aede52", "041f39af738f340a"),
     ("p2", "formula", "scripted"): ("9fa2692a03ca290b", "ca4bd7c19a7b3c26", "e8d8d396e894c223"),
-    ("p2", "cirquent", "script"): ("15fc9cf06560bd11",) * 3,
-    ("p2", "formula", "script"): ("84631d074bf5c692",) * 3,
+    ("p2", "cirquent", "script"): ("a004a9ad0e929dd7",) * 3,
+    ("p2", "formula", "script"): ("0db3856cbedf8f44",) * 3,
 }
 
 

@@ -1,5 +1,5 @@
 """Machine strategies: the play loop and the simulator, the axiom mirror,
-the pairing arithmetic, per-rule move translators, the translator pipeline,
+per-rule move translators and their copy tables, the translator pipeline,
 and proof-to-strategy extraction."""
 import itertools
 import random
@@ -19,12 +19,8 @@ from cl15.cl15 import (
     UndergroupDuplication,
     UndergroupExchange,
     Weakening,
-    fold_positives,
     identity_translator,
-    pair,
     parse_proof,
-    unfold_positives,
-    unpair,
     verify_proof,
 )
 from cl15.formula import atoms, parse_formula
@@ -232,54 +228,25 @@ def test_pipeline_hands_the_base_cell_moves(layers):
     assert as_texts(imagined) == (Labmove(BOT, "1;1.m"), Labmove(TOP, "2;1.m"))
 
 
-# --- pairing arithmetic ------------------------------------------------------
-
-def test_pair_verbatim_values():
-    assert pair(1, 1) == 1
-    assert pair(1, 2) == 2
-    assert pair(2, 1) == 3
-    assert fold_positives(()) == 1
-    assert unfold_positives(1, 0) == ()
-    assert unfold_positives(2, 0) is None
-
-
-def test_pair_unpair_roundtrip():
-    seen = set()
-    for v in range(1, 60):
-        u1, u2 = unpair(v)
-        assert u1 >= 1 and u2 >= 1
-        assert pair(u1, u2) == v
-        seen.add((u1, u2))
-    assert len(seen) == 59
-
-
-def test_unpair_inverts_pair_on_small_and_huge_values():
-    for v in range(1, 10**5 + 1):
-        assert pair(*unpair(v)) == v
-    rng = random.Random(7)
-    for _ in range(2000):
-        v = rng.randint(1, 10**18)
-        u1, u2 = unpair(v)
-        assert u1 >= 1 and u2 >= 1
-        assert pair(u1, u2) == v
-
-
-def test_fold_unfold_roundtrip():
-    for us in [(1,), (3,), (1, 2), (2, 1), (5, 4, 3), (1, 1, 1, 1)]:
-        v = fold_positives(us)
-        assert unfold_positives(v, len(us)) == us
-
-
 # --- translators -------------------------------------------------------------
 
 def test_pcost_translator_folds_added_overgroup_coordinates():
+    # A `?` copy and a tuple of added-overgroup coordinates are numbered on
+    # first use, from either side, in one table per play.
     p2 = parse_proof(read_fixture("p2.proof"))
     step = p2.steps[2]
     assert step.rule == PcostIntro(1, frozenset({2}))
     tr = step.rule.translator(p2.steps[1].cirquent, step.cirquent)
-    assert tr.outer_to_inner((1, (1, 0), "7.m")) == (1, (1, 7), "m")
+    assert tr.outer_to_inner((1, (1, 0), "7.m")) == (1, (1, 1), "m")
+    assert tr.outer_to_inner((1, (2, 0), "7.n")) == (1, (2, 1), "n")
     assert tr.outer_to_inner((1, (1, 0), "x.m")) is None
-    assert tr.inner_to_outer((1, (1, 7), "m")) == (1, (1, 0), "7.m")
+    assert tr.inner_to_outer((1, (1, 1), "m")) == (1, (1, 0), "7.m")
+    assert tr.inner_to_outer((1, (1, 7), "m")) == (1, (1, 0), "1.m")
+    assert tr.outer_to_inner((1, (1, 0), "1.m")) == (1, (1, 7), "m")
+    assert tr.outer_to_inner((1, (1, 0), "2.m")) == (1, (1, 2), "m")
+    # A fresh translator starts an empty table and leaves this one as it is.
+    assert tr.fresh().inner_to_outer((1, (1, 7), "m")) == (1, (1, 0), "1.m")
+    assert tr.inner_to_outer((1, (1, 2), "m")) == (1, (1, 0), "2.m")
 
 
 STRUCTURAL_RULES = (OformulaExchange, UndergroupExchange, OvergroupExchange,
@@ -329,18 +296,15 @@ def test_structural_translators_round_trip_premise_cells(name):
 # a digest pins, and out of LEMMA_CASES, which the per-rule lemma plays.
 MERGING_ONE_GROUP = pytest.param(
     C("oformulas: ~P | ?P ; under: {1,2} ; over: {1,2}{1}"), C("oformulas: ~P | ?P ; under: {1,2} ; over: {1,2}"),
-    Merging(1), id="merging_one_group",
-    marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 13: at copy 2, merging sends ~P to premise cell "
-                                                "(1,2) and ?P to (2,0), so premise overgroup 1 gets 1 and 2"))
+    Merging(1), id="merging_one_group")
 
 
-@pytest.mark.parametrize("premise, conclusion, rule",
-                         [pytest.param(*rule_case(name), id=name) for name in STRUCTURAL_CASES]
-                         + [MERGING_ONE_GROUP])
-def test_structural_translators_keep_an_undergroup_coherent(premise, conclusion, rule):
-    # One conclusion undergroup at one coordinate vector, copies 1..3, is one
-    # cell of each of its oformulas.  Mapped inward, the cells must agree:
-    # every premise overgroup gets one coordinate from all of them.
+def _undergroup_coherence(premise, conclusion, rule):
+    """How many cells enter through the translator of a structural step,
+    asserting that one conclusion undergroup at one coordinate vector,
+    copies 1..3, is one cell of each of its oformulas.  Mapped inward, the
+    cells must agree: every premise overgroup gets one coordinate from all
+    of them."""
     tr = rule.translator(premise, conclusion)
     entered = 0
     for under in conclusion.undergroups:
@@ -355,8 +319,27 @@ def test_structural_translators_keep_an_undergroup_coherent(premise, conclusion,
                     for j, g in enumerate(premise.overgroups):
                         if b in g:
                             values[j].add(inner[j])
-            assert all(len(vs) <= 1 for vs in values), (sorted(under), vector, values)
-    assert entered
+            assert all(len(vs) <= 1 for vs in values), (rule, sorted(under), vector, values)
+    return entered
+
+
+@pytest.mark.parametrize("premise, conclusion, rule",
+                         [pytest.param(*rule_case(name), id=name) for name in STRUCTURAL_CASES]
+                         + [MERGING_ONE_GROUP])
+def test_structural_translators_keep_an_undergroup_coherent(premise, conclusion, rule):
+    assert _undergroup_coherence(premise, conclusion, rule)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_structural_step_of_a_generated_proof_keeps_an_undergroup_coherent(seed):
+    # The coherence check over a proof's own steps, which found incoherent
+    # merging steps in every seed's proof before the diagonal.
+    steps = generated_proof(seed, 250).steps
+    structural = [(before.cirquent, step.cirquent, step.rule) for before, step in zip(steps, steps[1:])
+                  if isinstance(step.rule, STRUCTURAL_RULES)]
+    assert any(isinstance(rule, Merging) for _, _, rule in structural)
+    for premise, conclusion, rule in structural:
+        _undergroup_coherence(premise, conclusion, rule)
 
 
 def test_declubsuit_reference_translator_verbatim():
@@ -581,8 +564,9 @@ def test_a_fused_run_lets_the_last_cell_out_in_turn_1(absorbed):
     # dup_over@1, dup_over@3 and an identity fuse into one layer, which
     # the recorded edge leaves alone.  dup_over@1 absorbs a
     # cell without coordinates, dup_over@3 one whose single coordinate
-    # unpairs to two.  However many cells the fused layer absorbs, the
+    # becomes two.  However many cells the fused layer absorbs, the
     # base is asked again in the same turn, until the last cell leaves.
+    # dup_over@1 numbers inner copy 5 first, as (1, 1), so copy 1 is (2, 2).
     translators = (OvergroupDuplication(1).translator(None, None),
                    OvergroupDuplication(3).translator(None, None),
                    identity_translator("outer"))
@@ -590,15 +574,15 @@ def test_a_fused_run_lets_the_last_cell_out_in_turn_1(absorbed):
     script += [(1, (), f"c{k}") for k in range(absorbed)] + [(1, (1, 1), "d")]
     log = []
     flat = Pipeline(ScriptMachine(script), translators + (recording(CIRQUENT_EDGE, log),))
-    assert len(flat._outward) == 2
+    assert len(flat.spawn()._outward) == 2
     nested = ScriptMachine(script)
     for tr in translators:
         nested = _NestedReference(nested, tr)
     actions, imagined = _drive(flat, [], 3, log=log)
     assert (actions, imagined) == _drive(_TextEdge(nested), [], 3)
-    leave = MakeMove("1;1,1,1,1.d")
+    leave = MakeMove("1;2,2,1,1.d")
     assert actions == [leave, GRANT, GRANT]
-    assert imagined == (Labmove(TOP, "1;1,1,1,1.d"),)
+    assert imagined == (Labmove(TOP, "1;2,2,1,1.d"),)
 
 
 def test_grant_only_turns_cost_no_layer_walk():
@@ -620,6 +604,48 @@ def test_grant_only_turns_cost_no_layer_walk():
     assert elapsed < 1.0
     assert strat.next((Labmove(BOT, "1;1.m"),), 2001) == GRANT
     assert Recorder.runs[-1] == (Labmove(BOT, (1, (1,), "m")),)
+
+
+@pytest.mark.parametrize("formula_level", [False, True])
+def test_live_spawns_of_one_pipeline_share_no_copy_table(formula_level):
+    # Two spawns of p2's pipeline, played turn by turn in alternation, each
+    # play as a freshly extracted pipeline plays alone; so does a spawn made
+    # after them.  The two scripts use the same copies in other orders, and
+    # the machine's `!P` copies are the numbers its tables chose.
+    proof = parse_proof(read_fixture("p2.proof"))
+    moves = [f"1.{v}.m" if formula_level else f"1;{x}.1.{v}.m" for x, v in ((2, 3), (3, 2), (3, 3), (2, 2))]
+    scripts = (moves, moves[::-1])
+
+    def events(strategy, script):
+        return play(strategy.spawn(), ScriptEnv(script), PermissiveGame().start(), 30)
+
+    solo = [list(events(extract_solution(proof, formula_level), script)) for script in scripts]
+    strat = extract_solution(proof, formula_level)
+    together = itertools.zip_longest(*(events(strat, script) for script in scripts))
+    assert [list(play_events) for play_events in zip(*together)] == solo
+    assert list(events(strat, scripts[1])) == solo[1]
+
+
+def test_copies_stay_small_through_many_duplications_and_mergings():
+    # Each dup_over/merging pair leaves ~P | P as it was.  Copy numbers that
+    # the translators compute, rather than number on first use, double
+    # their bits at every pair on merging's diagonal.
+    pairs = "step {}: rule=dup_over pos=1\n{}{{1,2}}{{1,2}}\nstep {}: rule=merging over=1\n{}{{1,2}}\n"
+    head = "oformulas: ~P | P ; under: {1,2} ; over: "
+    text = "step 1: rule=axiom\n" + head + "{1,2}\n" + "".join(
+        pairs.format(2 * k + 2, head, 2 * k + 3, head) for k in range(22))
+    proof = parse_proof(text)
+    assert verify_proof(proof) is None and len(proof.steps) == 45
+    strat = extract_solution(proof)
+    log = []
+    recorded = Pipeline(strat.base, (recording(strat.translators[0], log),) + strat.translators[1:])
+    game = interpret_cirquent(proof.steps[-1].cirquent, {"P": _game_P()})
+    res = simulate(recorded, ScriptEnv(["1;2.m", "1;3.m"]), game, 10)
+    assert res.winner is TOP and res.first_illegality is None
+    # The machine's two moves, and the four moves inside the innermost rule.
+    moves = [lm.move for lm in res.run if lm.player is TOP] + [lm.move for lm in as_texts(log)]
+    coords = [u for move in moves for u in split_cell_move(move)[1]]
+    assert len(moves) == 6 and max(coords).bit_length() < 8
 
 
 # --- the pipeline against the text chain ------------------------------------------
@@ -722,7 +748,7 @@ def test_extracted_cell_pipeline_matches_text_chain(name, formula_level, seed):
     elif name == "long":
         # Every rule translator in one fused layer, then the edge.  Two
         # overgroups: addresses repeat, so the fused layer's memos hit.
-        assert len(strat._outward) == 2
+        assert len(strat.spawn()._outward) == 2
         env += [f"{rng.randint(1, 2)};{rng.randint(1, 3)},{rng.randint(1, 3)}.m"
                 for _ in range(20)]
     else:
