@@ -218,26 +218,3 @@ def render_cirquent(c: Cirquent, rendered: dict | None = None) -> str:
             known[gs] = _render_groups(gs)
     of = " | ".join(known[f] for f in c.oformulas)
     return f"oformulas: {of} ; under: {known[c.undergroups]} ; over: {known[c.overgroups]}"
-
-
-def render_diagram(c: Cirquent) -> str:
-    """Three-layer ASCII diagram: overgroups, oformulas, undergroups.
-
-    A `*` in a group row marks an arc to the oformula in that column.
-    """
-    cells = [f"[{a}] {render_formula(f)}" for a, f in enumerate(c.oformulas, start=1)]
-    width = max(len(s) for s in cells) + 2
-    gutter = max(
-        len(f"over {len(c.overgroups)}"), len(f"under {len(c.undergroups)}"), len("oformula")
-    ) + 2
-
-    def row(label: str, marks: list[str]) -> str:
-        return label.ljust(gutter) + "".join(m.center(width) for m in marks)
-
-    lines = []
-    for j, g in enumerate(c.overgroups, start=1):
-        lines.append(row(f"over {j}", ["*" if a in g else "." for a in range(1, c.size + 1)]))
-    lines.append(row("oformula", cells))
-    for i, g in enumerate(c.undergroups, start=1):
-        lines.append(row(f"under {i}", ["*" if a in g else "." for a in range(1, c.size + 1)]))
-    return "\n".join(lines)

@@ -253,6 +253,8 @@ def cmd_project(args) -> int:
     else:
         try:
             cell = numeral_value(args.cell)
+            if cell == 0:
+                raise ValueError("no oformula 0")
         except RunError as exc:  # over the digit limit: too long to show
             raise RunError(f"bad --cell: {exc}") from None
         except ValueError as exc:

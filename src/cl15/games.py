@@ -229,25 +229,6 @@ class _EnumerationPosition(Position):
         return BOT if self.loses(tuple(self.run)) else TOP
 
 
-class PermissiveGame(Game):
-    """Everything is legal and won by the machine; used for translation
-    experiments where only the run matters."""
-
-    def start(self) -> Position:
-        return _PermissivePosition()
-
-
-class _PermissivePosition(Position):
-    def _step(self, lm: Labmove) -> bool:
-        return True
-
-    def _moves(self, player: Player) -> list[str]:
-        raise GameError("a permissive game has no list of moves")
-
-    def _won(self) -> Player:
-        return TOP
-
-
 _LABELS = {"T": TOP, "B": BOT}
 
 

@@ -6,7 +6,13 @@ demonstration.
 The oracle reimplements move parsing and the legality/winner quantifiers
 locally (plain string splitting, full product enumeration, no
 representative shortcuts) so that agreement with the games module is a
-meaningful check.
+meaningful check.  Each call reads the run once: `_oracle_parts` splits a
+compound formula's run into one part per component (copies 1..max+1,
+every bitstring one longer than the longest stem), `_oracle_cells` splits a
+cirquent's run into each oformula's part for every vector of the full
+coordinate product (each coordinate 1..max+1), and legality and winner
+judge the same parts.  The winner finds the offender by judging every
+prefix.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ import itertools
 import random
 from collections.abc import Callable, Iterator, Sequence
 
-from .cirquent import Cirquent, make_cirquent
+from .cirquent import Cirquent
 from .formula import (
     And,
     AtomRef,
@@ -65,15 +71,39 @@ def _is_pos(text: str) -> bool:
     return _is_nat(text) and text != "0"
 
 
-def _keep_tail(run: Run, want: Callable[[str], bool]) -> Run:
-    """Keep moves whose head (before the first dot) satisfies `want`,
-    stripped to the part after the dot."""
-    out = []
+def _oracle_parts(f: Formula, run: Run) -> tuple[bool, list[tuple[Formula, Run]]] | None:
+    """None if a move of `run` names no component of the compound `f`;
+    otherwise whether `f` is conjunctive, and each component with its part
+    of `run`: copies 1..max+1, and every bitstring one longer than the
+    longest stem, with each stem's moves in every thread it prefixes."""
+    if not isinstance(f, (And, Or, Pst, Pcost, St, Cost)):
+        raise HarnessError(f"cannot evaluate {f!r}")
+    moves = []
     for lm in run:
         head, sep, tail = lm.move.partition(".")
-        if sep and tail and want(head):
-            out.append(Labmove(lm.player, tail))
-    return tuple(out)
+        if not sep or not tail:
+            return None
+        moves.append((head, Labmove(lm.player, tail)))
+    heads = [head for head, _ in moves]
+    match = str.__eq__
+    if isinstance(f, (And, Or)):
+        if not all(head in ("1", "2") for head in heads):
+            return None
+        keys = [(f.left, "1"), (f.right, "2")]
+    elif isinstance(f, (Pst, Pcost)):
+        if not all(_is_pos(head) for head in heads):
+            return None
+        top = max(map(int, heads), default=0)
+        keys = [(f.body, str(u)) for u in range(1, top + 2)]
+    else:
+        if not all(set(head) <= {"0", "1"} for head in heads):
+            return None
+        length = max(map(len, heads), default=0) + 1
+        keys = [(f.body, "".join(bits)) for bits in itertools.product("01", repeat=length)]
+        match = str.startswith
+    return isinstance(f, (And, Pst, St)), [
+        (g, tuple(lm for head, lm in moves if match(key, head))) for g, key in keys
+    ]
 
 
 def _oracle_legal_formula(f: Formula, interp: Interpretation, run: Run) -> bool:
@@ -81,42 +111,8 @@ def _oracle_legal_formula(f: Formula, interp: Interpretation, run: Run) -> bool:
         return interp[f.name].legal(run)
     if isinstance(f, NegAtom):
         return interp[f.name].legal(negate_run(run))
-    if isinstance(f, (And, Or)):
-        for lm in run:
-            head, sep, tail = lm.move.partition(".")
-            if not sep or not tail or head not in ("1", "2"):
-                return False
-        return _oracle_legal_formula(
-            f.left, interp, _keep_tail(run, lambda h: h == "1")
-        ) and _oracle_legal_formula(f.right, interp, _keep_tail(run, lambda h: h == "2"))
-    if isinstance(f, (Pst, Pcost)):
-        used = []
-        for lm in run:
-            head, sep, tail = lm.move.partition(".")
-            if not sep or not tail or not _is_pos(head):
-                return False
-            used.append(int(head))
-        return all(
-            _oracle_legal_formula(
-                f.body, interp, _keep_tail(run, lambda h, u=u: h == str(u))
-            )
-            for u in range(1, max(used, default=0) + 2)
-        )
-    if isinstance(f, (St, Cost)):
-        stems = []
-        for lm in run:
-            head, sep, tail = lm.move.partition(".")
-            if not sep or not tail or any(ch not in "01" for ch in head):
-                return False
-            stems.append(head)
-        length = max((len(w) for w in stems), default=0) + 1
-        return all(
-            _oracle_legal_formula(
-                f.body, interp, _keep_tail(run, lambda h, x=x: x.startswith(h))
-            )
-            for x in ("".join(bits) for bits in itertools.product("01", repeat=length))
-        )
-    raise HarnessError(f"cannot evaluate {f!r}")
+    parts = _oracle_parts(f, run)
+    return parts is not None and all(_oracle_legal_formula(g, interp, r) for g, r in parts[1])
 
 
 def _oracle_won_formula(f: Formula, interp: Interpretation, run: Run) -> Player:
@@ -125,115 +121,51 @@ def _oracle_won_formula(f: Formula, interp: Interpretation, run: Run) -> Player:
         return interp[f.name].winner(run)
     if isinstance(f, NegAtom):
         return interp[f.name].winner(negate_run(run)).opponent
-    if isinstance(f, (And, Or)):
-        lw = _oracle_won_formula(f.left, interp, _keep_tail(run, lambda h: h == "1"))
-        rw = _oracle_won_formula(f.right, interp, _keep_tail(run, lambda h: h == "2"))
-        if isinstance(f, And):
-            return TOP if lw is TOP and rw is TOP else BOT
-        return TOP if lw is TOP or rw is TOP else BOT
-    if isinstance(f, (Pst, Pcost)):
-        used = []
-        for lm in run:
-            head = lm.move.partition(".")[0]
-            if _is_pos(head):
-                used.append(int(head))
-        results = [
-            _oracle_won_formula(
-                f.body, interp, _keep_tail(run, lambda h, u=u: h == str(u))
-            )
-            for u in range(1, max(used, default=0) + 2)
-        ]
-        if isinstance(f, Pst):
-            return TOP if all(r is TOP for r in results) else BOT
-        return TOP if any(r is TOP for r in results) else BOT
-    if isinstance(f, (St, Cost)):
-        length = max((len(lm.move.partition(".")[0]) for lm in run), default=0) + 1
-        results = [
-            _oracle_won_formula(
-                f.body, interp, _keep_tail(run, lambda h, x=x: x.startswith(h))
-            )
-            for x in ("".join(bits) for bits in itertools.product("01", repeat=length))
-        ]
-        if isinstance(f, St):
-            return TOP if all(r is TOP for r in results) else BOT
-        return TOP if any(r is TOP for r in results) else BOT
-    raise HarnessError(f"cannot evaluate {f!r}")
+    conjunctive, parts = _oracle_parts(f, run)
+    won = (_oracle_won_formula(g, interp, r) is TOP for g, r in parts)
+    return TOP if (all if conjunctive else any)(won) else BOT
 
 
-def _oracle_split_cell(move: str) -> tuple[int, tuple[int, ...], str] | None:
-    a_part, sep, rest = move.partition(";")
-    if not sep or not _is_pos(a_part):
-        return None
-    coords_part, sep2, tail = rest.partition(".")
-    if not sep2 or not tail:
-        return None
-    if coords_part == "":
-        return int(a_part), (), tail
-    parts = coords_part.split(",")
-    if not all(_is_nat(p) for p in parts):
-        return None
-    return int(a_part), tuple(int(p) for p in parts), tail
-
-
-def _oracle_cell_project(run: Run, a: int, xs: tuple[int, ...]) -> Run:
-    out = []
+def _oracle_cells(c: Cirquent, run: Run) -> Iterator[list[Run]] | None:
+    """None if a move of `run` is no cell move of `c`: `a;u1,...,un.tail`
+    with oformula `a`, one coordinate per overgroup, positive exactly in
+    the overgroups holding `a`.  Otherwise, for each vector of the full
+    product of coordinates 1..max+1, each oformula's part of `run`: its
+    moves whose coordinates are the vector's or 0."""
+    moves = []
     for lm in run:
-        split = _oracle_split_cell(lm.move)
-        if split is None:
-            continue
-        b, coords, tail = split
-        if b != a or len(coords) != len(xs):
-            continue
-        if all(u == 0 or u == x for u, x in zip(coords, xs)):
-            out.append(Labmove(lm.player, tail))
-    return tuple(out)
-
-
-def _oracle_cell_vectors(c: Cirquent, run: Run) -> list[tuple[int, ...]]:
-    """Full product of per-coordinate ranges 1..max_used+1."""
-    n = len(c.overgroups)
-    highest = [0] * n
-    for lm in run:
-        split = _oracle_split_cell(lm.move)
-        if split is not None and len(split[1]) == n:
-            for j, u in enumerate(split[1]):
-                highest[j] = max(highest[j], u)
-    ranges = [range(1, h + 2) for h in highest]
-    return [tuple(v) for v in itertools.product(*ranges)]
+        a_part, sep, rest = lm.move.partition(";")
+        coords_part, sep2, tail = rest.partition(".")
+        coords = coords_part.split(",") if coords_part else []
+        if not (sep and sep2 and tail and _is_pos(a_part) and all(map(_is_nat, coords))):
+            return None
+        a, us = int(a_part), tuple(map(int, coords))
+        if not 1 <= a <= c.size or len(us) != len(c.overgroups):
+            return None
+        if any((u > 0) != (a in g) for u, g in zip(us, c.overgroups)):
+            return None
+        moves.append((a, us, Labmove(lm.player, tail)))
+    ranges = [range(1, max((us[j] for _, us, _ in moves), default=0) + 2)
+              for j in range(len(c.overgroups))]
+    return ([tuple(lm for b, us, lm in moves
+                   if b == a and all(u == 0 or u == x for u, x in zip(us, xs)))
+             for a in range(1, c.size + 1)]
+            for xs in itertools.product(*ranges))
 
 
 def _oracle_legal_cirquent(c: Cirquent, interp: Interpretation, run: Run) -> bool:
-    n = len(c.overgroups)
-    for lm in run:
-        split = _oracle_split_cell(lm.move)
-        if split is None:
-            return False
-        a, coords, _ = split
-        if not 1 <= a <= c.size or len(coords) != n:
-            return False
-        for j, u in enumerate(coords, start=1):
-            if (u > 0) != (a in c.overgroups[j - 1]):
-                return False
-    for xs in _oracle_cell_vectors(c, run):
-        for a in range(1, c.size + 1):
-            if not _oracle_legal_formula(
-                c.oformulas[a - 1], interp, _oracle_cell_project(run, a, xs)
-            ):
-                return False
-    return True
+    cells = _oracle_cells(c, run)
+    return cells is not None and all(
+        _oracle_legal_formula(f, interp, r) for parts in cells for f, r in zip(c.oformulas, parts)
+    )
 
 
 def _oracle_won_cirquent(c: Cirquent, interp: Interpretation, run: Run) -> Player:
-    for xs in _oracle_cell_vectors(c, run):
-        for under in c.undergroups:
-            if not any(
-                _oracle_won_formula(
-                    c.oformulas[a - 1], interp, _oracle_cell_project(run, a, xs)
-                )
-                is TOP
-                for a in under
-            ):
-                return BOT
+    for parts in _oracle_cells(c, run):
+        won = {a for a, (f, r) in enumerate(zip(c.oformulas, parts), start=1)
+               if _oracle_won_formula(f, interp, r) is TOP}
+        if not all(won & under for under in c.undergroups):
+            return BOT
     return TOP
 
 
@@ -322,32 +254,6 @@ def random_formula(rng: random.Random, atoms=("P", "Q"), depth: int = 3) -> Form
         return Or(random_formula(rng, atoms, depth - 1), random_formula(rng, atoms, depth - 1))
     body = random_formula(rng, atoms, depth - 1)
     return (Pst, Pcost, St, Cost)[kind - 2](body)
-
-
-def random_cirquent(
-    rng: random.Random, atoms=("P", "Q"), max_size: int = 3, depth: int = 2
-) -> Cirquent:
-    """A random valid cirquent: every oformula in at least one undergroup
-    and one overgroup, no empty groups."""
-    size = rng.randint(1, max_size)
-    oformulas = tuple(random_formula(rng, atoms, depth) for _ in range(size))
-
-    def random_groups(count: int) -> list[set[int]]:
-        groups: list[set[int]] = [set() for _ in range(count)]
-        for a in range(1, size + 1):
-            groups[rng.randrange(count)].add(a)
-        for g in groups:
-            if not g:
-                g.add(rng.randint(1, size))
-        for g in groups:
-            for a in range(1, size + 1):
-                if rng.random() < 0.25:
-                    g.add(a)
-        return groups
-
-    return make_cirquent(
-        oformulas, random_groups(rng.randint(1, 2)), random_groups(rng.randint(1, 2))
-    )
 
 
 # Adversaries

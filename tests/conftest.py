@@ -12,12 +12,12 @@ from pathlib import Path
 from hypothesis import HealthCheck, settings
 
 from cl15 import cl15 as rules
-from cl15.cirquent import Cirquent, parse_cirquent
+from cl15.cirquent import Cirquent, make_cirquent, parse_cirquent
 from cl15.cl15 import Translator
 from cl15.formula import And, AtomRef, Cost, Formula, NegAtom, Or, Pcost, Pst, St, parse_formula
-from cl15.games import FiniteGame, Interpretation, PermissiveGame
-from cl15.harness import Choose, HarnessError, ScriptMachine
-from cl15.runs import BOT, TOP, Labmove, Run, format_cell_move, project_cell, project_prefix, split_cell_move
+from cl15.games import FiniteGame, Game, GameError, Interpretation, Position
+from cl15.harness import Choose, HarnessError, ScriptMachine, random_formula
+from cl15.runs import BOT, TOP, Labmove, Player, Run, format_cell_move, project_cell, project_prefix, split_cell_move
 from cl15.strategy import (
     CIRQUENT_EDGE,
     FORMULA_EDGE,
@@ -73,6 +73,51 @@ def read_fixture(name: str) -> str:
 
 
 # Helpers that only tests use.
+
+class PermissiveGame(Game):
+    """Everything is legal and won by the machine; used for translation
+    experiments where only the run matters."""
+
+    def start(self) -> Position:
+        return _PermissivePosition()
+
+
+class _PermissivePosition(Position):
+    def _step(self, lm: Labmove) -> bool:
+        return True
+
+    def _moves(self, player: Player) -> list[str]:
+        raise GameError("a permissive game has no list of moves")
+
+    def _won(self) -> Player:
+        return TOP
+
+
+def random_cirquent(
+    rng: random.Random, atoms=("P", "Q"), max_size: int = 3, depth: int = 2
+) -> Cirquent:
+    """A random valid cirquent: every oformula in at least one undergroup
+    and one overgroup, no empty groups."""
+    size = rng.randint(1, max_size)
+    oformulas = tuple(random_formula(rng, atoms, depth) for _ in range(size))
+
+    def random_groups(count: int) -> list[set[int]]:
+        groups: list[set[int]] = [set() for _ in range(count)]
+        for a in range(1, size + 1):
+            groups[rng.randrange(count)].add(a)
+        for g in groups:
+            if not g:
+                g.add(rng.randint(1, size))
+        for g in groups:
+            for a in range(1, size + 1):
+                if rng.random() < 0.25:
+                    g.add(a)
+        return groups
+
+    return make_cirquent(
+        oformulas, random_groups(rng.randint(1, 2)), random_groups(rng.randint(1, 2))
+    )
+
 
 def moves_after(game: FiniteGame, run: Run) -> list[Labmove]:
     """Labmoves extending the given position inside a finite game's tree,

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LEMMAS, PLAY_LOOP = ("tests/test_rule_lemmas.py",), ("tests/test_play_loop.py",)
 LISTING, ACCEPTANCE = ("tests/test_positions.py", "-k", "list"), ("tests/test_acceptance.py",)
 GAMES = ("tests/test_games.py",)
+ORACLE = ("tests/test_harness.py", "tests/test_acceptance.py", "tests/test_positions.py")
 COHERENCE, SPAWNS = ("tests/test_strategy.py", "-k", "coherent"), ("tests/test_strategy.py", "-k", "spawns")
 STARTUP, ERRORS = ("tests/test_cli.py", "-k", "startup or wrapper"), ("tests/test_cli.py", "-k", "input_error")
 
@@ -52,6 +53,16 @@ MUTANTS = [
     ("strategy.py", "tuple(tr.fresh() for tr in self.translators)", "self.translators", SPAWNS),
     # The oracle's numerals: a non-ASCII digit read as a copy index.
     ("harness.py", "text.isascii() and text.isdigit()", "text.isdigit()", ("tests/test_harness.py", "-k", "ascii")),
+    # The oracle's ranges and splits: no fresh copy, no fresh coordinate, the
+    # sides of /\ and \/ swapped, conjunctive read as disjunctive, and a
+    # cell's 0 coordinates no longer matching every vector.  Dropping the + 1
+    # from the thread length is equivalent: a thread's class is fixed by its
+    # first L bits, L the length of the longest stem.
+    ("harness.py", "top + 2", "top + 1", ORACLE),
+    ("harness.py", "default=0) + 2)", "default=0) + 1)", ORACLE),
+    ("harness.py", '[(f.left, "1"), (f.right, "2")]', '[(f.left, "2"), (f.right, "1")]', ORACLE),
+    ("harness.py", "(all if conjunctive else any)", "(any if conjunctive else all)", ORACLE),
+    ("harness.py", "all(u == 0 or u == x", "all(u == x", ORACLE),
     # The CLI's start: the game layer imported with the CLI, or bound over a
     # wrapper put in its place; and one module's error outside the CLI's base.
     ("cli.py", "from .values import InputError\n", "from .values import InputError\nfrom . import harness\n",

@@ -27,7 +27,6 @@ from cl15.games import (
     FormulaGame,
     Game,
     GameError,
-    PermissiveGame,
     thread_representatives,
 )
 from cl15.runs import (
@@ -45,6 +44,8 @@ from cl15.runs import (
     split_cell_move,
     split_index_move,
 )
+
+from conftest import PermissiveGame
 
 
 def reference_legal(g: Game, run: Run) -> bool:

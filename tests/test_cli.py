@@ -609,7 +609,7 @@ def test_project_bad_coords_is_a_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad --coords {coords!r}: expected numbers like 1,2\n"
-    for cell in ("01", "+1", "\u0661", "-1"):
+    for cell in ("01", "+1", "\u0661", "-1", "0"):
         assert main(["project", RUNFILE, "--cell", cell, "--coords", "1,2"]) == USAGE
         assert capsys.readouterr() == ("", f"error: bad --cell {cell!r}: expected a number like 1\n")
 

@@ -10,7 +10,6 @@ from cl15.games import (
     CirquentGame,
     EnumerationGame,
     GameError,
-    PermissiveGame,
     interpret_cirquent,
     interpret_formula,
     parse_finite_game,
@@ -19,7 +18,7 @@ from cl15.games import (
 from cl15.harness import random_finite_game, random_finite_interpretation
 from cl15.runs import BOT, TOP, InfiniteBitstring, Labmove, parse_run
 
-from conftest import C, move_alphabet, moves_after, render_finite_game
+from conftest import C, PermissiveGame, move_alphabet, moves_after, render_finite_game
 
 lm = Labmove
 

@@ -18,7 +18,6 @@ from cl15.harness import (
     cycle_chooser,
     loop_counterstrategy,
     random_adversary,
-    random_cirquent,
     random_finite_game,
     random_finite_interpretation,
     random_formula,
@@ -29,7 +28,7 @@ from cl15.harness import (
 from cl15.runs import BOT, TOP, Labmove
 from cl15.strategy import EnvStrategy, PureGranter, extract_solution, simulate
 
-from conftest import C, move_builder, random_run, read_fixture
+from conftest import C, move_builder, random_cirquent, random_run, read_fixture
 
 
 # --- oracles -----------------------------------------------------------------
@@ -52,8 +51,10 @@ def test_oracle_agrees_on_formula_games():
 def test_oracle_agrees_on_cirquent_games():
     interp = random_finite_interpretation(["P", "Q"], 2, 2, 12)
     rng = random.Random(12)
-    for i in range(30):
-        c = random_cirquent(rng, ("P", "Q"), max_size=3, depth=1)
+    for i in range(31):
+        # random_cirquent draws one or two overgroups; the last input has three.
+        c = (random_cirquent(rng, ("P", "Q"), max_size=3, depth=1) if i < 30
+             else C("oformulas: ~P | P | ~P | P ; under: {1,2}{3,4} ; over: {1,2}{3,4}{1,3}"))
         assert not validate_cirquent(c)
         game = interpret_cirquent(c, interp)
         for _ in range(3):

@@ -21,7 +21,6 @@ from cl15.formula import And, AtomRef, Cost, NegAtom, Or, Pcost, Pst, St, render
 from cl15.games import (
     EnumerationGame,
     GameError,
-    PermissiveGame,
     interpret_cirquent,
     interpret_formula,
     parse_finite_game,
@@ -43,7 +42,7 @@ from cl15.runs import (
     split_cell_move,
 )
 
-from conftest import C, FIXTURES, move_builder, rng_chooser
+from conftest import C, FIXTURES, PermissiveGame, move_builder, rng_chooser
 from reference_games import (
     reference_legal,
     reference_offender,

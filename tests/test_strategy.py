@@ -24,7 +24,7 @@ from cl15.cl15 import (
     verify_proof,
 )
 from cl15.formula import atoms, parse_formula
-from cl15.games import PermissiveGame, interpret_cirquent, interpret_formula, parse_finite_game
+from cl15.games import interpret_cirquent, interpret_formula, parse_finite_game
 from cl15.runs import BOT, TOP, Labmove, format_cell_move, split_cell_move, split_index_move
 from cl15.harness import (
     ScriptMachine,
@@ -60,6 +60,7 @@ from conftest import (
     LEMMA_CASES,
     RULE_CASES,
     C,
+    PermissiveGame,
     as_texts,
     generated_proof,
     long_structural_proof,
