@@ -51,8 +51,7 @@ class Translator(Value):
     move texts: outside it the moves are the real run's.  A `structural`
     translator's maps read and change only a move's oformula and
     coordinates and keep its payload, so whether it drops or absorbs a move
-    depends on those alone; only the rules' translators and a pipeline's
-    fused layers set it.  Maps that keep a play's copy tables come with
+    depends on those alone; only the rules' translators set it.  Maps that keep a play's copy tables come with
     `renew`, which builds the translator again with empty tables."""
 
     __slots__ = __match_args__ = ("name", "outer_to_inner", "inner_to_outer", "structural", "renew")
@@ -120,14 +119,11 @@ class Rule(Value):
 
 
 class Axiom(Rule):
-    """The axiom on formulas F1..Fn.  Its step header takes no parameters:
-    `formulas` is read from its cirquent ~F1, F1, ..., ~Fn, Fn."""
+    """The axiom on formulas F1..Fn.  Its cirquent ~F1, F1, ..., ~Fn, Fn
+    says everything about it, so it has no parameters and no fields."""
 
-    __slots__ = __match_args__ = ("formulas",)
-    name, params, mismatch = "axiom", (), "axiom has no premise"
-
-    def __init__(self, formulas: tuple[Formula, ...]):
-        set_field(self, "formulas", formulas)
+    __slots__ = params = ()
+    name, mismatch = "axiom", "axiom has no premise"
 
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
         return False
@@ -314,14 +310,16 @@ class Weakening(Rule):
         set_field(self, "oformula", oformula)
 
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
-        return premise_of_weakening(c, self.under, self.oformula)[0] == p
+        return premise_of_weakening(c, self.under, self.oformula) == p
 
     def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
         name = f"weakening@{self.under},{self.oformula}"
-        _, d, deleted_overs = premise_of_weakening(conclusion, self.under, self.oformula)
-        if d is None:
+        # The checked step deleted oformula d exactly when its premise is
+        # shorter, and with d each overgroup that held d alone.
+        if premise.size == conclusion.size:
             return identity_translator(name)
-        dropped = set(deleted_overs)
+        d = self.oformula
+        dropped = {j for j, g in enumerate(conclusion.overgroups, start=1) if g == {d}}
 
         def outer_to_inner(cell: Cell) -> Cell | None:
             a, coords, rest = cell
@@ -639,13 +637,10 @@ def _merge_groups(groups: tuple[Group, ...], j: int) -> tuple[Group, ...]:
 
 # Backward constructors (premise from conclusion)
 
-def premise_of_weakening(
-    conclusion: Cirquent, under: int, oformula: int
-) -> tuple[Cirquent, int | None, tuple[int, ...]]:
+def premise_of_weakening(conclusion: Cirquent, under: int, oformula: int) -> Cirquent:
     """Delete the arc (undergroup `under`, oformula), cascading: an oformula
     left in no undergroup is deleted with its overgroup arcs, and overgroups
-    left empty are deleted.  Returns (premise, deleted oformula index or
-    None, deleted overgroup positions), indices in conclusion terms."""
+    left empty are deleted."""
     if not 1 <= under <= len(conclusion.undergroups):
         raise ValueError(f"undergroup {under} out of range")
     a = oformula
@@ -654,11 +649,7 @@ def premise_of_weakening(
     unders = list(conclusion.undergroups)
     unders[under - 1] = unders[under - 1] - {a}
     if any(a in g for g in unders):
-        return (
-            Cirquent(conclusion.oformulas, tuple(unders), conclusion.overgroups),
-            None,
-            (),
-        )
+        return Cirquent(conclusion.oformulas, tuple(unders), conclusion.overgroups)
     # The oformula became homeless: delete it and renumber.
     of = list(conclusion.oformulas)
     del of[a - 1]
@@ -666,13 +657,8 @@ def premise_of_weakening(
     def drop(g: Group) -> Group:
         return frozenset(c - 1 if c > a else c for c in g if c != a)
 
-    unders2 = tuple(drop(g) for g in unders)
-    overs2 = [drop(g) for g in conclusion.overgroups]
-    deleted_overs = tuple(
-        j for j, g in enumerate(overs2, start=1) if not g
-    )
-    overs3 = tuple(g for g in overs2 if g)
-    return Cirquent(tuple(of), unders2, overs3), a, deleted_overs
+    overs = (drop(g) for g in conclusion.overgroups)
+    return Cirquent(tuple(of), tuple(drop(g) for g in unders), tuple(g for g in overs if g))
 
 
 # How a diagnostic names each kind of oformula.
@@ -707,9 +693,11 @@ def premise_of_pcost(conclusion: Cirquent, a: int, add_over: frozenset[int]) -> 
 
 # Checking
 
-def axiom_violation(c: Cirquent, formulas: tuple[Formula, ...]) -> Violation | None:
-    """None when c is the axiom cirquent on the given formulas: oformulas
-    ~F1, F1, ..., ~Fn, Fn with matched undergroup/overgroup pairs."""
+def axiom_violation(c: Cirquent) -> Violation | None:
+    """None when c is the axiom cirquent on the formulas F1..Fn of its even
+    oformulas: oformulas ~F1, F1, ..., ~Fn, Fn with matched
+    undergroup/overgroup pairs."""
+    formulas = c.oformulas[1::2]
     n = len(formulas)
     if n == 0:
         return Violation("axiom needs at least one formula")
@@ -755,7 +743,7 @@ def verify_proof(proof: Proof, goal: Formula | None = None) -> tuple[int, Violat
     first = proof.steps[0]
     if not isinstance(first.rule, Axiom):
         return (1, Violation("first step must be an axiom"))
-    v = axiom_violation(first.cirquent, first.rule.formulas)
+    v = axiom_violation(first.cirquent)
     if v is not None:
         return (1, v)
     for k in range(1, len(proof.steps)):
@@ -805,15 +793,13 @@ def _parse_params(text: str, lineno: int) -> dict[str, object]:
     return params
 
 
-def _build_rule(name: str, params: dict[str, object], cirq: Cirquent, lineno: int) -> Rule:
+def _build_rule(name: str, params: dict[str, object], lineno: int) -> Rule:
     cls = _RULES.get(name)
     if cls is None:
         raise ProofError(f"line {lineno}: unknown rule {name!r}")
     extra = params.keys() - cls.params
     if extra:
         raise ProofError(f"line {lineno}: rule {name} does not take {', '.join(sorted(extra))}")
-    if cls is Axiom:
-        return Axiom(cirq.oformulas[1::2])
     # add_over is optional, and is checked before the required parameters.
     add = params.get("add_over", frozenset())
     if not isinstance(add, frozenset):
@@ -834,14 +820,13 @@ def _build_rule(name: str, params: dict[str, object], cirq: Cirquent, lineno: in
 def parse_proof(text: str) -> Proof:
     """Parse the proof file format: `step <k>: rule=<name> <params>` headers
     each followed by one cirquent line; `#` starts a comment.  Each distinct
-    cirquent line, section, oformula text, group text and non-axiom step
-    header `(rule, parameters)` in the file is parsed once."""
+    cirquent line, section, oformula text, group text and step header
+    `(rule, parameters)` in the file is parsed once."""
     steps: list[ProofStep] = []
     cirquents: dict[str, Cirquent] = {}
     formulas: dict[str, Formula] = {}
     groups: dict[str, Group] = {}
     sections: dict[str, tuple] = {}
-    # An axiom's formulas come from its cirquent, so only other rules are kept.
     rules: dict[tuple[str, str], Rule] = {}
     # The pending step: its number, header, parameters and header line.
     pending: tuple[int, tuple[str, str], dict[str, object] | None, int] | None = None
@@ -871,9 +856,7 @@ def parse_proof(text: str) -> Proof:
         _, header, params, header_line = pending
         rule = rules.get(header)
         if rule is None:
-            rule = _build_rule(header[0], params, cirq, header_line)  # type: ignore[arg-type]
-            if not isinstance(rule, Axiom):
-                rules[header] = rule
+            rule = rules[header] = _build_rule(header[0], params, header_line)  # type: ignore[arg-type]
         steps.append(ProofStep(cirq, rule))
         pending = None
     if pending is not None:

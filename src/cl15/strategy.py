@@ -339,20 +339,18 @@ def _fused_map(memo: dict, move_maps: tuple[Callable[[Cell], Cell | None], ...],
     return None if address is None else (address[0], address[1], cell[2])
 
 
-def _layers(translators: tuple[Translator, ...]) -> Iterator[Translator]:
-    """The pipeline's layers, innermost first: each maximal run of adjacent
-    structural translators, a run of one included, fused into one
-    translator whose two maps are memoized per address, and every other
-    translator as it is."""
+def _layers(translators: tuple[Translator, ...]) -> Iterator[tuple[Callable, Callable]]:
+    """The pipeline's layers, innermost first, each as its two maps (inward,
+    outward): each maximal run of adjacent structural translators, a run of
+    one included, fused into one pair of maps memoized per address, and
+    every other translator's own maps."""
     for structural, run in groupby(translators, attrgetter("structural")):
         if not structural:
-            yield from run
+            yield from ((tr.outer_to_inner, tr.inner_to_outer) for tr in run)
             continue
         members = tuple(run)
-        inward = tuple(tr.outer_to_inner for tr in reversed(members))
-        outward = tuple(tr.inner_to_outer for tr in members)
-        yield Translator("+".join(tr.name for tr in members), partial(_fused_map, {}, inward),
-                         partial(_fused_map, {}, outward), structural=True)
+        yield (partial(_fused_map, {}, tuple(tr.outer_to_inner for tr in reversed(members))),
+               partial(_fused_map, {}, tuple(tr.inner_to_outer for tr in members)))
 
 
 class Pipeline(MachineStrategy):
@@ -382,8 +380,8 @@ class Pipeline(MachineStrategy):
     def spawn(self) -> "Pipeline":
         fresh = Pipeline(self.base, self.translators)
         layers = tuple(_layers(tuple(tr.fresh() for tr in self.translators)))
-        fresh._inward = tuple(layer.outer_to_inner for layer in reversed(layers))
-        fresh._outward = tuple(layer.inner_to_outer for layer in layers)
+        fresh._inward = tuple(inward for inward, _ in reversed(layers))
+        fresh._outward = tuple(outward for _, outward in layers)
         fresh._base = self.base.spawn()
         fresh._base_step = 0
         fresh._cursor = 0
@@ -442,8 +440,6 @@ def extract_solution(proof: rules.Proof, formula_level: bool = False) -> Machine
     report = rules.verify_proof(proof)
     if report is not None:
         raise ProofViolation(*report)
-    axiom_rule = proof.steps[0].rule
-    assert isinstance(axiom_rule, rules.Axiom)
     steps = proof.steps
     translators = tuple(
         steps[k].rule.translator(steps[k - 1].cirquent, steps[k].cirquent)
@@ -452,4 +448,4 @@ def extract_solution(proof: rules.Proof, formula_level: bool = False) -> Machine
     if formula_level:
         proof_goal(proof, formula_level)
     edge = FORMULA_EDGE if formula_level else CIRQUENT_EDGE
-    return Pipeline(AxiomStrategy(len(axiom_rule.formulas)), translators + (edge,))
+    return Pipeline(AxiomStrategy(steps[0].cirquent.size // 2), translators + (edge,))

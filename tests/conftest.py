@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, settings
 from cl15 import cl15 as rules
 from cl15.cirquent import Cirquent, make_cirquent, parse_cirquent
 from cl15.cl15 import Translator
-from cl15.formula import And, AtomRef, Cost, Formula, NegAtom, Or, Pcost, Pst, St, parse_formula
+from cl15.formula import And, AtomRef, Cost, Formula, NegAtom, Or, Pcost, Pst, St
 from cl15.games import FiniteGame, Game, GameError, Interpretation, Position
 from cl15.harness import Choose, HarnessError, ScriptMachine, random_formula
 from cl15.runs import BOT, TOP, Labmove, Player, Run, format_cell_move, project_cell, project_prefix, split_cell_move
@@ -205,7 +205,7 @@ def random_run(structure, interp, rng: random.Random, length: int,
 RULE_CASES = [
     ("axiom", None,
      "oformulas: ~F1 | F1 | ~F2 | F2 ; under: {1,2}{3,4} ; over: {1,2}{3,4}",
-     rules.Axiom((parse_formula("F1"), parse_formula("F2")))),
+     rules.Axiom()),
     ("exchange_oformulas",
      "oformulas: E | F | G ; under: {1,2}{2}{3} ; over: {1}{2,3}",
      "oformulas: F | E | G ; under: {1,2}{1}{3} ; over: {2}{1,3}",
@@ -300,7 +300,7 @@ def rule_case(name):
 def instance_accepted(premise, conclusion, rule) -> bool:
     if premise is None:
         assert isinstance(rule, rules.Axiom)
-        return rules.axiom_violation(conclusion, rule.formulas) is None
+        return rules.axiom_violation(conclusion) is None
     return rules.check_step(premise, conclusion, rule) is None
 
 
@@ -361,8 +361,6 @@ def _cirquent_mutants(side: str, c: Cirquent, skip_over_toggles: bool,
 
 def _rule_mutants(rule):
     if isinstance(rule, rules.Axiom):
-        yield "rule: formulas reversed", rules.Axiom(tuple(reversed(rule.formulas)))
-        yield "rule: formula dropped", rules.Axiom(rule.formulas[:-1])
         return
     if isinstance(
         rule,
@@ -394,10 +392,14 @@ def single_corruptions(premise, conclusion, rule):
     alternative instances rather than corruptions: overgroup edits inside a
     merged pair (merging identifies such premises), and overgroup swaps
     around the singleton a pst introduction inserts (any insertion position
-    is allowed)."""
+    is allowed).  So is a swap of the two oformulas of an axiom pair, which
+    gives the axiom on the negated formula."""
     out = []
+    pair_swaps = set() if premise is not None else {
+        f"conclusion: swap oformulas {a},{a + 1}" for a in range(1, conclusion.size, 2)}
     for desc, mutated in _cirquent_mutants("conclusion", conclusion, False, False):
-        out.append((desc, premise, mutated, rule))
+        if desc not in pair_swaps:
+            out.append((desc, premise, mutated, rule))
     if premise is not None:
         is_merge = isinstance(rule, rules.Merging)
         skip_swaps = is_merge or isinstance(rule, rules.PstIntro)
@@ -450,45 +452,21 @@ def transform_strategy(rule, premise, conclusion, inner: MachineStrategy,
 # after the axiom is structural, so an extracted pipeline fuses all its rule
 # translators into one layer, inside the edge.
 
-def _structural_conclusion(c: Cirquent, rule) -> Cirquent:
-    of, un, ov = list(c.oformulas), list(c.undergroups), list(c.overgroups)
-    k = getattr(rule, "pos", None) or getattr(rule, "over", None)
-    if isinstance(rule, rules.OformulaExchange):
-        of[k - 1], of[k] = of[k], of[k - 1]
-        swap = {k: k + 1, k + 1: k}
-        un = [frozenset(swap.get(a, a) for a in g) for g in un]
-        ov = [frozenset(swap.get(a, a) for a in g) for g in ov]
-    elif isinstance(rule, (rules.UndergroupExchange, rules.OvergroupExchange)):
-        groups = un if isinstance(rule, rules.UndergroupExchange) else ov
-        groups[k - 1], groups[k] = groups[k], groups[k - 1]
-    elif isinstance(rule, (rules.UndergroupDuplication, rules.OvergroupDuplication)):
-        groups = un if isinstance(rule, rules.UndergroupDuplication) else ov
-        groups.insert(k, groups[k - 1])
-    else:
-        assert isinstance(rule, rules.Merging)
-        ov[k - 1:k + 1] = [ov[k - 1] | ov[k]]
-    return Cirquent(tuple(of), tuple(un), tuple(ov))
-
-
 def long_structural_proof(seed: int, steps: int = 40) -> rules.Proof:
     rng = random.Random(seed)
-    proof = [rules.parse_proof(read_fixture("p1.proof")).steps[0]]
-
-    def apply(rule) -> None:
-        proof.append(rules.ProofStep(_structural_conclusion(proof[-1].cirquent, rule), rule))
-
-    apply(rules.OvergroupDuplication(1))
-    apply(rules.UndergroupDuplication(1))
-    while len(proof) < steps:
-        kind = rng.choice((rules.OformulaExchange, rules.UndergroupExchange,
-                           rules.OvergroupExchange, rules.OvergroupDuplication))
-        if kind is rules.OvergroupDuplication and len(proof) < steps - 1:
+    gen = benchmark_generator()
+    builder = gen.ProofBuilder([gen.atom("P")])
+    builder.dup_over(1)
+    builder.dup_under(1)
+    while builder.steps < steps:
+        kind = rng.choice(("exchange_oformulas", "exchange_unders", "exchange_overs", "dup_over"))
+        if kind == "dup_over" and builder.steps < steps - 1:
             j = rng.randint(1, 2)
-            apply(kind(j))
-            apply(rules.Merging(j))
-        elif kind is not rules.OvergroupDuplication:
-            apply(kind(1))
-    return rules.Proof(tuple(proof))
+            builder.dup_over(j)
+            builder.merging(j)
+        elif kind != "dup_over":
+            getattr(builder, kind)(1)
+    return rules.parse_proof(builder.text())
 
 
 # Scripted plays through one translation layer, for the run-correspondence

@@ -30,6 +30,12 @@ MUTANTS = [
     ("cl15.py", "c - 1 if c > a + 1 else c", "c", LEMMAS),
     ("cl15.py", "                return j\n", "                return j - 1\n", LEMMAS),
     ("cl15.py", "for j in sorted(dropped):", "for j in sorted(dropped, reverse=True):", LEMMAS),
+    # Weakening's deletion read off the checked step: an overgroup that held
+    # the deleted oformula with others dropped too.
+    ("cl15.py", "if g == {d}}", "if d in g}", LEMMAS),
+    # The axiom cirquent without its overgroup pairs.
+    ("cl15.py", "Cirquent(tuple(expected_of), pairs, pairs)", "Cirquent(tuple(expected_of), pairs, c.overgroups)",
+     ("tests/test_cl15.py",)),
     # The play loop.  The adversary mutant plays as the code does (it is asked
     # whether it is settled only after it passed), so only the contract fails.
     ("harness.py", "self.MAX_MOVES or self._grants >=", "self.MAX_MOVES - 1 or self._grants >=", PLAY_LOOP),

@@ -81,13 +81,14 @@ def test_check_step_verdicts_are_pinned():
 
 
 def test_check_axiom_shape():
-    p = (parse_formula("P"),)
-    assert axiom_violation(C("oformulas: ~P | P ; under: {1,2} ; over: {1,2}"), p) is None
-    assert axiom_violation(C("oformulas: P | ~P ; under: {1,2} ; over: {1,2}"), p) is not None
-    assert axiom_violation(C("oformulas: ~P | P ; under: {1}{2} ; over: {1,2}"), p) is not None
-    assert axiom_violation(C("oformulas: ~P | P ; under: {1,2} ; over: {1}{2}"), p) is not None
-    assert axiom_violation(C("oformulas: ~P | P ; under: {1,2} ; over: {1,2}"), ()) is not None
-    v = axiom_violation(C("oformulas: P ; under: {1} ; over: {1}"), p)
+    assert axiom_violation(C("oformulas: ~P | P ; under: {1,2} ; over: {1,2}")) is None
+    # The axiom on ~P.
+    assert axiom_violation(C("oformulas: P | ~P ; under: {1,2} ; over: {1,2}")) is None
+    assert axiom_violation(C("oformulas: ~P | P ; under: {1}{2} ; over: {1,2}")) is not None
+    assert axiom_violation(C("oformulas: ~P | P ; under: {1,2} ; over: {1}{2}")) is not None
+    v = axiom_violation(C("oformulas: P ; under: {1} ; over: {1}"))
+    assert v == Violation("axiom needs at least one formula")
+    v = axiom_violation(C("oformulas: ~Q | P ; under: {1,2} ; over: {1,2}"))
     assert "not the axiom cirquent for P" in str(v)
 
 
@@ -103,7 +104,7 @@ def test_check_step_reports_invalid_cirquents():
 
 def test_check_step_rejects_axiom_rule():
     c = C("oformulas: ~P | P ; under: {1,2} ; over: {1,2}")
-    v = check_step(c, c, Axiom((parse_formula("P"),)))
+    v = check_step(c, c, Axiom())
     assert v is not None and "no premise" in str(v)
 
 
@@ -150,10 +151,10 @@ def test_verify_structural_requirements():
     doubled = Proof((p1.steps[0], p1.steps[0]))
     k, violation = verify_proof(doubled)
     assert k == 2 and "axiom allowed only at step 1" in str(violation)
-    # A first step claiming the axiom rule on the wrong cirquent.
+    # A first step claiming the axiom rule on a one-oformula cirquent.
     bad_first = Proof((ProofStep(p1.steps[1].cirquent, p1.steps[0].rule),))
     k, violation = verify_proof(bad_first)
-    assert k == 1 and "not the axiom cirquent" in str(violation)
+    assert k == 1 and "axiom needs at least one formula" in str(violation)
 
 
 def test_parse_render_roundtrip_on_fixture_proofs():
@@ -220,9 +221,8 @@ def test_parse_proof_errors(text, fragment):
 def test_parse_proof_recovers_axiom_formulas():
     proof = parse_proof(read_fixture("p2.proof"))
     step1 = proof.steps[0]
-    assert isinstance(step1.rule, Axiom)
-    assert step1.rule.formulas == (parse_formula("P"),)
-    assert step1.cirquent.oformulas[1::2] == step1.rule.formulas
+    assert step1.rule == Axiom()
+    assert step1.cirquent.oformulas[1::2] == (parse_formula("P"),)
 
 
 def test_render_proof_mentions_rule_parameters():
@@ -300,8 +300,7 @@ def test_repeated_step_headers_give_each_step_its_own_rule():
                                   for k, (header, line) in enumerate(steps, start=1)))
     alone = [parse_proof(f"step 1: {header}\n{line}").steps[0] for header, line in steps]
     assert list(proof.steps) == alone
-    assert proof.steps[3].rule == Axiom((parse_formula("Q"), parse_formula("R")))
-    assert proof.steps[0].rule == Axiom((parse_formula("P"),))
+    assert proof.steps[3].rule == proof.steps[0].rule == Axiom()
 
 
 DUP_STEP = "step 2: rule=dup_over pos=1\noformulas: ~P | P ; under: {1,2} ; over: {1,2}{1,2}"

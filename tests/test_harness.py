@@ -33,34 +33,62 @@ from conftest import C, move_builder, random_cirquent, random_run, read_fixture
 
 # --- oracles -----------------------------------------------------------------
 
+# Random runs mostly leave the atoms' trees, so they test the oracle through
+# the offender rule; runs of listed moves test it on long legal runs.
+
+def _listed_run(game, rng: random.Random, length: int) -> tuple[Labmove, ...]:
+    """A legal run of up to `length` labmoves, each one of the moves that
+    the position lists for either player, chosen by `rng`."""
+    pos, run = game.start(), ()
+    for _ in range(length):
+        listed = [Labmove(player, m) for player in (TOP, BOT) for m in pos.moves(player)]
+        if not listed:
+            break
+        lm = listed[rng.randrange(len(listed))]
+        assert pos.extend(lm)
+        run += (lm,)
+    return run
+
+
+def _check_oracle(subject, interp, game, runs) -> int:
+    """The oracle agrees with the game on each run; returns how many of
+    them are legal with 3 or more labmoves."""
+    long_legal = 0
+    for run in runs:
+        legal = brute_force_legal(subject, interp, run)
+        assert legal == game.legal(run)
+        assert brute_force_winner(subject, interp, run) is game.winner(run)
+        long_legal += legal and len(run) >= 3
+    return long_legal
+
+
 def test_oracle_agrees_on_formula_games():
     interp = random_finite_interpretation(["P", "Q"], 2, 2, 11)
-    rng = random.Random(11)
-    checked = 0
+    rng, listing = random.Random(11), random.Random(111)
+    long_legal = 0
     for i in range(40):
         f = random_formula(rng, ("P", "Q"), depth=2)
         game = interpret_formula(f, interp)
-        for _ in range(4):
-            run = random_run(f, interp, rng, rng.randint(0, 6))
-            assert brute_force_legal(f, interp, run) == game.legal(run)
-            assert brute_force_winner(f, interp, run) is game.winner(run)
-            checked += 1
-    assert checked == 160
+        runs = [random_run(f, interp, rng, rng.randint(0, 6)) for _ in range(4)]
+        runs += [_listed_run(game, listing, 6) for _ in range(2)]
+        long_legal += _check_oracle(f, interp, game, runs)
+    assert long_legal >= 30
 
 
 def test_oracle_agrees_on_cirquent_games():
     interp = random_finite_interpretation(["P", "Q"], 2, 2, 12)
-    rng = random.Random(12)
+    rng, listing = random.Random(12), random.Random(112)
+    long_legal = 0
     for i in range(31):
         # random_cirquent draws one or two overgroups; the last input has three.
         c = (random_cirquent(rng, ("P", "Q"), max_size=3, depth=1) if i < 30
              else C("oformulas: ~P | P | ~P | P ; under: {1,2}{3,4} ; over: {1,2}{3,4}{1,3}"))
         assert not validate_cirquent(c)
         game = interpret_cirquent(c, interp)
-        for _ in range(3):
-            run = random_run(c, interp, rng, rng.randint(0, 5))
-            assert brute_force_legal(c, interp, run) == game.legal(run)
-            assert brute_force_winner(c, interp, run) is game.winner(run)
+        runs = [random_run(c, interp, rng, rng.randint(0, 5)) for _ in range(3)]
+        runs += [_listed_run(game, listing, 6) for _ in range(2)]
+        long_legal += _check_oracle(c, interp, game, runs)
+    assert long_legal >= 30
 
 
 def test_oracle_handles_axiom_copycat_run():

@@ -44,10 +44,10 @@ def _identity(move):
 DATA = [
     Formula(), P, Q, And(P, Q), Or(P, Q), Pst(P), Pcost(Q), St(P), Cost(Q),
     CIRQUENT, Labmove(TOP, "1.m"), InfiniteBitstring("01", "1"),
-    Violation("no"), Rule(), Axiom((P,)), OformulaExchange(1), UndergroupExchange(1),
+    Violation("no"), Rule(), Axiom(), OformulaExchange(1), UndergroupExchange(1),
     OvergroupExchange(1), UndergroupDuplication(1), OvergroupDuplication(1), Merging(1),
     Weakening(1, 2), Contraction(1), OrIntro(1), AndIntro(1), PstIntro(1), PcostIntro(1),
-    ProofStep(CIRQUENT, Axiom((P,))), Proof(()), MakeMove("1.m"), GRANT, IDLE,
+    ProofStep(CIRQUENT, Axiom()), Proof(()), MakeMove("1.m"), GRANT, IDLE,
 ]
 FROZEN = DATA + [Translator("t", _identity, _identity)]
 
