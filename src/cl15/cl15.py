@@ -21,7 +21,7 @@ from collections.abc import Callable
 
 from .cirquent import Cirquent, CirquentError, Group, clubsuit, parse_cirquent, render_cirquent, validate_cirquent
 from .formula import And, Formula, FormulaError, Or, Pcost, Pst, negate, render_formula
-from .runs import RunError, numeral_value, split_index_move
+from .runs import RunError, content_lines, numeral_value, split_index_move
 from .values import InputError, Value, set_field
 
 
@@ -243,9 +243,9 @@ class OvergroupDuplication(_AtPos):
 
 
 class Merging(Rule):
-    """A copy v of an oformula in both merged overgroups is the premise pair
-    (v, v), and an inner move of such an oformula off that diagonal is
-    absorbed.  A copy of an oformula in one of them keeps its number."""
+    """Copy v of an oformula is v in each merged overgroup that holds it and
+    0 in the other.  Going out, a pair whose zeros match that membership is
+    its larger entry, and two different positive entries are absorbed."""
 
     __slots__ = __match_args__ = params = ("over",)
     name, mismatch = "merging", _FORWARD_MISMATCH
@@ -258,45 +258,23 @@ class Merging(Rule):
 
     def translator(self, premise: Cirquent, conclusion: Cirquent) -> Translator:
         j = self.over
-        in_j = premise.overgroups[j - 1]
-        in_j1 = premise.overgroups[j]
+        left, right = premise.overgroups[j - 1:j + 1]
 
         def outer_to_inner(cell: Cell) -> Cell | None:
             a, coords, rest = cell
-            if len(coords) < j:
+            member = a in left, a in right
+            if len(coords) < j or (coords[j - 1] > 0) != any(member):
                 return None
             v = coords[j - 1]
-            member = a in in_j or a in in_j1
-            if (v > 0) != member:
-                return None
-            if a in in_j and a in in_j1:
-                expanded = (v, v)
-            elif a in in_j:
-                expanded = (v, 0)
-            elif a in in_j1:
-                expanded = (0, v)
-            else:
-                expanded = (0, 0)
-            return a, coords[:j - 1] + expanded + coords[j:], rest
+            return a, coords[:j - 1] + tuple(v if m else 0 for m in member) + coords[j:], rest
 
         def inner_to_outer(cell: Cell) -> Cell | None:
             a, coords, rest = cell
-            if len(coords) < j + 1:
+            pair = coords[j - 1:j + 1]
+            if (len(pair) < 2 or (pair[0] > 0, pair[1] > 0) != (a in left, a in right)
+                    or 0 < min(pair) < max(pair)):
                 return None
-            v1, v2 = coords[j - 1], coords[j]
-            if (v1 > 0) != (a in in_j) or (v2 > 0) != (a in in_j1):
-                return None
-            if a in in_j and a in in_j1:
-                if v1 != v2:
-                    return None
-                merged = v1
-            elif a in in_j:
-                merged = v1
-            elif a in in_j1:
-                merged = v2
-            else:
-                merged = 0
-            return a, coords[:j - 1] + (merged,) + coords[j + 1:], rest
+            return a, coords[:j - 1] + (max(pair),) + coords[j + 1:], rest
 
         return Translator(f"merging@{j}", outer_to_inner, inner_to_outer, structural=True)
 
@@ -447,6 +425,10 @@ class AndIntro(_BinaryIntro):
 
 
 class PstIntro(_AtOformula):
+    """Every cell gets the coordinate u of the singleton overgroup {a} at its
+    place j: 0 in every oformula but a, where move `u.m` is move m in copy u.
+    Going out, u must be positive exactly in a, and leaves the cell."""
+
     __slots__ = ()
     name, mismatch = "pst", "premise does not add a singleton overgroup as required"
 
@@ -472,25 +454,19 @@ class PstIntro(_AtOformula):
 
         def outer_to_inner(cell: Cell) -> Cell | None:
             c, coords, rest = cell
-            if c != a:
-                return c, coords[:j - 1] + (0,) + coords[j - 1:], rest
-            payload = split_index_move(rest)
-            if payload is None:
-                return None
-            u, tail = payload
-            return a, coords[:j - 1] + (u,) + coords[j - 1:], tail
+            u = 0
+            if c == a:
+                payload = split_index_move(rest)
+                if payload is None:
+                    return None
+                u, rest = payload
+            return c, coords[:j - 1] + (u,) + coords[j - 1:], rest
 
         def inner_to_outer(cell: Cell) -> Cell | None:
             c, coords, rest = cell
-            if len(coords) < j:
+            if len(coords) < j or (coords[j - 1] > 0) != (c == a):
                 return None
-            u = coords[j - 1]
-            coords2 = coords[:j - 1] + coords[j:]
-            if c != a:
-                return (c, coords2, rest) if u == 0 else None
-            if u < 1:
-                return None
-            return a, coords2, f"{u}.{rest}"
+            return c, coords[:j - 1] + coords[j:], f"{coords[j - 1]}.{rest}" if c == a else rest
 
         return Translator(f"pst@{a},{j}", outer_to_inner, inner_to_outer)
 
@@ -516,38 +492,31 @@ class PcostIntro(Rule):
         n = len(positions)
         inner, outer = {}, {}  # one play's copy table, both ways
 
+        def put(coords: tuple[int, ...], us: tuple[int, ...]) -> tuple[int, ...]:
+            cs = list(coords)
+            for p, u in zip(positions, us):
+                cs[p - 1] = u
+            return tuple(cs)
+
         def outer_to_inner(cell: Cell) -> Cell | None:
             c, coords, rest = cell
             if c != a:
                 return cell
-            if positions and len(coords) < positions[-1]:
-                return None
-            if any(coords[p - 1] != 0 for p in positions):
-                return None
             payload = split_index_move(rest)
-            if payload is None:
+            if (payload is None or any(coords[p - 1:p] != (0,) for p in positions)
+                    or (us := _copy_number(inner, outer, payload[:1], n)) is None):
                 return None
-            v, tail = payload
-            us = _copy_number(inner, outer, (v,), n)
-            if us is None:
-                return None
-            cs = list(coords)
-            for p, u in zip(positions, us):
-                cs[p - 1] = u
-            return a, tuple(cs), tail
+            return a, put(coords, us), payload[1]
 
         def inner_to_outer(cell: Cell) -> Cell | None:
             c, coords, rest = cell
             if c != a:
                 return cell
             us = tuple(coords[p - 1] for p in positions if p <= len(coords))
-            if len(us) != n or any(u < 1 for u in us):
+            if len(us) != n or 0 in us:
                 return None
             (v,) = _copy_number(outer, inner, us, 1)
-            cs = list(coords)
-            for p in positions:
-                cs[p - 1] = 0
-            return a, tuple(cs), f"{v}.{rest}"
+            return a, put(coords, (0,) * n), f"{v}.{rest}"
 
         return Translator(f"pcost@{a}", outer_to_inner, inner_to_outer,
                           renew=lambda: self.translator(premise, conclusion))
@@ -830,10 +799,7 @@ def parse_proof(text: str) -> Proof:
     rules: dict[tuple[str, str], Rule] = {}
     # The pending step: its number, header, parameters and header line.
     pending: tuple[int, tuple[str, str], dict[str, object] | None, int] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         try:
             m = _STEP_RE.fullmatch(line)
             if m:

@@ -18,6 +18,7 @@ from .runs import (
     TOP,
     Labmove,
     RunError,
+    content_lines,
     numeral_value,
     parse_bitstring_spec,
     parse_run,
@@ -76,8 +77,7 @@ def parse_interpretation(text: str) -> Interpretation:
     """Parse an interpretation file: an `interpretation` header, then
     `atom <Name>` sections each holding finite-game lines."""
     _load_game_layer()
-    body = [(n, ln) for n, ln in enumerate(map(str.strip, text.splitlines()), start=1)
-            if ln and not ln.startswith("#")]
+    body = content_lines(text)
     if not body or body[0][1] != "interpretation":
         raise GameError("line 1: expected 'interpretation' header")
     out: Interpretation = {}
@@ -215,10 +215,7 @@ def _make_adversary(spec: str, seed: int):
         return scripted_adversary(script)
     if spec.startswith("script:"):
         moves = []
-        for lineno, ln in enumerate(_read(spec[len("script:"):]).splitlines(), start=1):
-            move = ln.strip()
-            if not move or move.startswith("#"):
-                continue
+        for lineno, move in content_lines(_read(spec[len("script:"):])):
             if re.search(r"\s", move):
                 raise HarnessError(f"line {lineno}: whitespace inside move")
             moves.append(move)

@@ -42,6 +42,7 @@ tests rather than enforced at call time.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable, Iterable
 
@@ -54,6 +55,7 @@ from .runs import (
     Labmove,
     Player,
     Run,
+    content_lines,
     is_numeral,
     split_bit_move,
     split_cell_move,
@@ -275,8 +277,7 @@ def finite_game(lines: Iterable[tuple[int, str]]) -> FiniteGame:
 def parse_finite_game(text: str) -> FiniteGame:
     """Parse the finite-game text format: a `finitegame` header, then one
     position line per legal run (see `finite_game`)."""
-    lines = [(n, ln) for n, ln in enumerate(map(str.strip, text.splitlines()), start=1)
-             if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines or lines[0][1] != "finitegame":
         raise GameError("missing 'finitegame' header")
     return finite_game(lines[1:])
@@ -490,6 +491,11 @@ class CirquentGame(Game):
             for under in c.undergroups
         ]
 
+    @functools.cached_property
+    def empty_won(self) -> tuple[bool, ...]:
+        """Per oformula, does the machine win its empty cell?  Built on first use."""
+        return tuple(game.start().winner() is TOP for game in self.base_games)
+
     def start(self) -> Position:
         return _CirquentPosition(self)
 
@@ -538,7 +544,6 @@ class _CirquentPosition(_RoutingPosition):
     def _won(self) -> Player:
         g = self.game
         won = {key: cell.winner() is TOP for key, cell in self.cells.items()}
-        empty_won: dict[int, bool] = {}
         n = len(g.cirquent.overgroups)
         for under, overs in zip(g.cirquent.undergroups, g.under_overs):
             options = []
@@ -549,18 +554,10 @@ class _CirquentPosition(_RoutingPosition):
             for values in itertools.product(*options):
                 for j, u in zip(overs, values):
                     xs[j] = u
-                if not any(self._cell_won(a, xs, won, empty_won) for a in under):
+                if not any(won.get((a, tuple(u if m else 0 for u, m in zip(xs, g.membership[a - 1]))),
+                                   g.empty_won[a - 1]) for a in under):
                     return BOT
         return TOP
-
-    def _cell_won(self, a: int, xs: list[int], won: dict, empty_won: dict[int, bool]) -> bool:
-        coords = tuple(u if member else 0 for u, member in zip(xs, self.game.membership[a - 1]))
-        result = won.get((a, coords))
-        if result is None:
-            result = empty_won.get(a)
-            if result is None:
-                result = empty_won[a] = self.game.base_games[a - 1].start().winner() is TOP
-        return result
 
 
 def interpret_cirquent(c: Cirquent, interp: Interpretation) -> Game:

@@ -51,13 +51,17 @@ class Labmove(Value):
 Run = tuple[Labmove, ...]
 
 
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """Each line of `text` that is neither blank nor a `#` comment, stripped,
+    with its 1-based number: the comment syntax of every input format."""
+    numbered = enumerate(map(str.strip, text.splitlines()), start=1)
+    return [(lineno, line) for lineno, line in numbered if line and not line.startswith("#")]
+
+
 def parse_run(text: str) -> Run:
     """Parse run text: one `T <move>` or `B <move>` per line, `#` comments."""
     out: list[Labmove] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise RunError(f"line {lineno}: expected '<label> <move>'")

@@ -287,6 +287,11 @@ LEMMA_CASES = [
      "oformulas: E | F ; under: {1,2} ; over: {1,2}{1,2}{2}",
      "oformulas: E | ?F ; under: {1,2} ; over: {1}{1}{2}",
      rules.PcostIntro(2, frozenset({1, 2}))),
+    # The singleton overgroup goes first, not last as in the `pst` case.
+    ("pst_first",
+     "oformulas: E | F ; under: {1,2} ; over: {2}{1,2}",
+     "oformulas: E | !F ; under: {1,2} ; over: {1,2}",
+     rules.PstIntro(2)),
 ]
 
 

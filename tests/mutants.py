@@ -18,6 +18,7 @@ LISTING, ACCEPTANCE = ("tests/test_positions.py", "-k", "list"), ("tests/test_ac
 GAMES = ("tests/test_games.py",)
 ORACLE = ("tests/test_harness.py", "tests/test_acceptance.py", "tests/test_positions.py")
 COHERENCE, SPAWNS = ("tests/test_strategy.py", "-k", "coherent"), ("tests/test_strategy.py", "-k", "spawns")
+ROUND_TRIP = ("tests/test_strategy.py", "-k", "round_trip")
 STARTUP, ERRORS = ("tests/test_cli.py", "-k", "startup or wrapper"), ("tests/test_cli.py", "-k", "input_error")
 
 # (file under src/cl15, text, replacement, pytest arguments)
@@ -30,6 +31,8 @@ MUTANTS = [
     ("cl15.py", "c - 1 if c > a + 1 else c", "c", LEMMAS),
     ("cl15.py", "                return j\n", "                return j - 1\n", LEMMAS),
     ("cl15.py", "for j in sorted(dropped):", "for j in sorted(dropped, reverse=True):", LEMMAS),
+    # The `pst` coordinate put last in both directions instead of at its place.
+    ("cl15.py", "j = self.position(premise, conclusion)", "j = len(premise.overgroups)", LEMMAS),
     # Weakening's deletion read off the checked step: an overgroup that held
     # the deleted oformula with others dropped too.
     ("cl15.py", "if g == {d}}", "if d in g}", LEMMAS),
@@ -49,12 +52,16 @@ MUTANTS = [
     ("games.py", "(self.parts[0], isinstance(f, St))", "(self.parts[0], isinstance(f, Cost))", GAMES),
     # One mutant per translator branch of the ROADMAP's survey.
     ("cl15.py", "cs[i - 1], cs[i] = cs[i], cs[i - 1]", "cs[i - 1], cs[i] = cs[i - 1], cs[i]", ACCEPTANCE),
-    ("cl15.py", "(u,) + coords[j - 1:], tail", "(u + 1,) + coords[j - 1:], tail", ACCEPTANCE),
+    ("cl15.py", "u, rest = payload\n", "u, rest = payload[0] + 1, payload[1]\n", ACCEPTANCE),
     ("strategy.py", "(a + 1 if a % 2 == 1 else a - 1, coords, rest)", "(a, coords, rest)", ACCEPTANCE),
-    # Merging's diagonal moved, or an inner move off it let out; a copy table
+    # Merging's diagonal moved for copies in both groups, every merged copy
+    # shifted alike, or an inner move off the diagonal let out; a copy table
     # that forgets its reverse entries; and spawns that share their tables.
-    ("cl15.py", "expanded = (v, v)", "expanded = (v, v + 1)", COHERENCE),
-    ("cl15.py", "if v1 != v2:\n                    return None\n", "", ACCEPTANCE),
+    ("cl15.py", "tuple(v if m else 0 for m in member)",
+     "(v, v + 1) if all(member) else tuple(v if m else 0 for m in member)", COHERENCE),
+    ("cl15.py", "tuple(v if m else 0 for m in member)",
+     "tuple(v + i if m else 0 for i, m in enumerate(member))", ROUND_TRIP),
+    ("cl15.py", "\n                    or 0 < min(pair) < max(pair))", ")", ACCEPTANCE),
     ("cl15.py", "        back[image] = key\n", "", ACCEPTANCE),
     ("strategy.py", "tuple(tr.fresh() for tr in self.translators)", "self.translators", SPAWNS),
     # The oracle's numerals: a non-ASCII digit read as a copy index.
