@@ -1,19 +1,20 @@
-"""The two-pass formula parser and the section-by-section cirquent parser,
-kept as a test-only reference for the one-pass readers in `cl15.formula`
-and `cl15.cirquent`.
+"""The two-pass formula parser, the section-by-section cirquent parser and
+the line-by-line proof parser, kept as a test-only reference for the
+one-pass readers in `cl15.formula`, `cl15.cirquent` and `cl15.cl15`.
 
 The formula parser here builds a tree with general negation (`Neg`) and
 then pushes negation down to the atoms in a second pass; the cirquent
-parser parses every group section character by character.  Both are the
-direct reading of the text formats, and the one-pass readers must agree
-with them: equal values, or the same exception class with the same
-message.
+parser parses every group section character by character; the proof
+parser reads each line afresh, with no memo.  All three are the direct
+reading of the text formats, and the one-pass readers must agree with
+them: equal values, or the same exception class with the same message.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 
+from cl15 import cl15 as rules
 from cl15.cirquent import Cirquent, CirquentError, Group
 from cl15.formula import (
     And,
@@ -255,3 +256,93 @@ def parse_cirquent(text: str) -> Cirquent:
     return Cirquent(
         oformulas, _parse_groups(sections["under"], "under"), _parse_groups(sections["over"], "over")
     )
+
+
+# Proof files: `step <k>: rule=<name> <params>` headers, each followed by one
+# cirquent line; blank lines and `#` comments anywhere.
+
+_STEP_RE = re.compile(r"step\s+(0|[1-9][0-9]*)\s*:\s*rule=(\S+)\s*(.*)")
+
+_RULE_CLASSES = {cls.name: cls for cls in (
+    rules.Axiom, rules.OformulaExchange, rules.UndergroupExchange, rules.OvergroupExchange,
+    rules.UndergroupDuplication, rules.OvergroupDuplication, rules.Merging, rules.Weakening,
+    rules.Contraction, rules.OrIntro, rules.AndIntro, rules.PstIntro, rules.PcostIntro)}
+
+
+def _header_parameters(text: str, lineno: int) -> dict[str, object]:
+    """The `key=value` chunks of a header: each value a numeral or a `{...}`
+    set of them, each key once."""
+    params: dict[str, object] = {}
+    for chunk in text.split():
+        key, eq, value = chunk.partition("=")
+        if not eq:
+            raise rules.ProofError(f"line {lineno}: bad parameter {chunk!r}")
+        if key in params:
+            raise rules.ProofError(f"line {lineno}: repeated parameter {key}")
+        try:
+            if not value.startswith("{"):
+                params[key] = _index(value)
+            elif not value.endswith("}"):
+                raise ValueError(value)
+            else:
+                inner = value[1:-1].strip()
+                params[key] = frozenset(map(_index, inner.split(","))) if inner else frozenset()
+        except ValueError:
+            kind = "set parameter" if value.startswith("{") else "parameter"
+            raise rules.ProofError(f"line {lineno}: bad {kind} {chunk!r}") from None
+    return params
+
+
+def _rule(name: str, params: dict[str, object], lineno: int) -> rules.Rule:
+    """The rule a header names; `add_over` is optional and checked first."""
+    cls = _RULE_CLASSES.get(name)
+    if cls is None:
+        raise rules.ProofError(f"line {lineno}: unknown rule {name!r}")
+    extra = sorted(set(params) - set(cls.params))
+    if extra:
+        raise rules.ProofError(f"line {lineno}: rule {name} does not take {', '.join(extra)}")
+    if not isinstance(params.get("add_over", frozenset()), frozenset):
+        raise rules.ProofError(f"line {lineno}: add_over must be a set like {{1,2}}")
+    args = []
+    for key in cls.params:
+        if key == "add_over":
+            args.append(params.get(key, frozenset()))
+        elif key not in params:
+            raise rules.ProofError(f"line {lineno}: rule {name} needs parameter {key}")
+        elif isinstance(params[key], frozenset):
+            raise rules.ProofError(f"line {lineno}: {key} must be a number, not a set")
+        else:
+            args.append(params[key])
+    return cls(*args)
+
+
+def parse_proof(text: str) -> rules.Proof:
+    """Parse a proof file line by line, every line afresh."""
+    steps: list[rules.ProofStep] = []
+    header = None  # the pending step: number, rule name, parameters, line
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        m = _STEP_RE.fullmatch(line)
+        if m:
+            if header is not None:
+                raise rules.ProofError(f"line {lineno}: step {header[0]} has no cirquent")
+            number = int(m.group(1))
+            if number != len(steps) + 1:
+                raise rules.ProofError(f"line {lineno}: expected step {len(steps) + 1}, got {number}")
+            header = (number, m.group(2), _header_parameters(m.group(3), lineno), lineno)
+            continue
+        if header is None:
+            raise rules.ProofError(f"line {lineno}: expected a 'step <k>: rule=...' header")
+        try:
+            cirquent = parse_cirquent(line)
+        except (CirquentError, FormulaError) as exc:
+            raise rules.ProofError(f"line {lineno}: {exc}") from None
+        steps.append(rules.ProofStep(cirquent, _rule(*header[1:])))
+        header = None
+    if header is not None:
+        raise rules.ProofError(f"step {header[0]} has no cirquent")
+    if not steps:
+        raise rules.ProofError("empty proof file")
+    return rules.Proof(tuple(steps))

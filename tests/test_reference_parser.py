@@ -1,10 +1,13 @@
-"""The one-pass formula and cirquent readers against the two-pass,
+"""The one-pass formula, cirquent and proof readers against the two-pass,
 memo-free reference in `reference_parser`: on the same text both return
 equal values or raise the same exception class with the same message."""
+import functools
 import random
 
 from cl15.cirquent import CirquentError, parse_cirquent
+from cl15.cl15 import ProofError, parse_proof
 from cl15.formula import Formula, FormulaError, parse_formula
+from conftest import benchmark_generator, read_fixture
 
 import reference_parser as ref
 
@@ -159,3 +162,139 @@ def test_empty_oformula_entries_fail_like_the_reference():
         line = f"oformulas: {oformulas} ; under: {{1}} ; over: {{1}}"
         got = _outcome(parse_cirquent, line, {}, {}, {})
         assert got == _outcome(ref.parse_cirquent, line) == (CirquentError, "empty oformula entry")
+
+
+# Proof files: generated proofs, respaced and commented, then corrupted.
+
+def _proof_pairs(rng: random.Random) -> list[tuple[str, str, list[str], str]]:
+    """(step number, rule name, parameter chunks, cirquent line) for each
+    step of a slice of a generated proof, renumbered from 1."""
+    source = rng.choice(_PROOF_POOL())
+    lines = source.split("\n")
+    start = rng.randrange(len(lines) // 2)
+    count = rng.randint(1, min(10, len(lines) // 2 - start))
+    pairs = []
+    for k in range(count):
+        header, line = lines[2 * (start + k)], lines[2 * (start + k) + 1]
+        rule, *params = header.split(": rule=", 1)[1].split()
+        pairs.append((str(k + 1), rule, params, line))
+    return pairs
+
+
+@functools.cache
+def _PROOF_POOL() -> tuple[str, ...]:
+    gen = benchmark_generator()
+    rng = random.Random(45)
+    return (read_fixture("p1.proof").strip(), read_fixture("p2.proof").strip(),
+            *(gen.deep_proof(rng, target).text() for target in (5, 10, 20, 30)))
+
+
+def _header(rng: random.Random, number: str, rule: str, params: list[str]) -> str:
+    sp = rng.choice(SPACES[:5])
+    params = rng.sample(params, len(params))
+    return (f"step{rng.choice((' ', '  ', chr(9)))}{number}{sp}:{rng.choice(SPACES[:5])}rule={rule}"
+            + "".join(rng.choice((" ", "  ", "\t")) + p for p in params))
+
+
+def _respaced_line(rng: random.Random, line: str) -> str:
+    """The cirquent line with its sections reordered, respaced, and blank
+    sections or a trailing `;` added."""
+    parts = [tuple(p.strip() for p in part.split(":", 1)) for part in line.split(";")]
+    if rng.random() < 0.5:
+        rng.shuffle(parts)
+    kind = rng.randrange(10)
+    if kind < 2:
+        parts = _corrupt_parts(rng, parts)
+    elif kind == 2:
+        # One oformula spoilt.
+        k = next(k for k, (name, _) in enumerate(parts) if name == "oformulas")
+        entries = parts[k][1].split(" | ")
+        j = rng.randrange(len(entries))
+        entries[j] = _corrupt(rng, entries[j])
+        parts[k] = ("oformulas", " | ".join(entries))
+    text = _render_parts(rng, parts)
+    if rng.random() < 0.2:
+        text += rng.choice((";", " ;", "; ", ";;"))
+    if rng.random() < 0.1:
+        text = text.replace(";", rng.choice((";;", "; ;")), 1)
+    return text
+
+
+def _corrupt_header(rng: random.Random, number: str, rule: str,
+                    params: list[str]) -> tuple[str, str, list[str]]:
+    """A step number out of order or with a leading zero, or a repeated,
+    unknown, missing or malformed parameter, or an unknown rule."""
+    params = list(params)
+    kind = rng.randrange(8)
+    if kind == 0:
+        number = rng.choice((str(int(number) + 1), str(int(number) - 1), "0" + number, "0"))
+    elif kind == 1 and params:
+        params.append(rng.choice(params).split("=")[0] + "=" + rng.choice(("1", "2", "{1}")))
+    elif kind == 2:
+        params.append(rng.choice(("extra=1", "add_over={1,2}", "add_over={}", "add_over=3",
+                                  "add_over={2}", "pos=1", "oformula={1}")))
+    elif kind == 3 and params:
+        params.remove(rng.choice(params))
+    elif kind == 4 and params:
+        k = rng.randrange(len(params))
+        key = params[k].split("=")[0]
+        params[k] = rng.choice((key, f"{key}=", f"{key}=x", f"{key}=01", f"{key}=+1", f"{key}={{1",
+                                f"{key}={{1,,2}}", f"{key}={{ }}", f"{key}={{01}}", f"={key}",
+                                f"{key}={{1}}", f"{key}=2"))
+    elif kind == 5:
+        rule = rng.choice(("frobnicate", "Axiom", "or,", rule + "x"))
+    elif kind == 6:
+        params.append(rng.choice(("add_over={ 1,2 }", "add_over={1, 2}", "add_over={ }")))
+    return number, rule, params
+
+
+def _proof_file(rng: random.Random) -> str:
+    pairs = _proof_pairs(rng)
+    if rng.random() < 0.3:
+        # Steps again, renumbered: repeated headers and lines.
+        again = rng.sample(pairs, rng.randint(1, len(pairs)))
+        pairs += [(str(len(pairs) + i + 1), rule, params, line)
+                  for i, (_, rule, params, line) in enumerate(again)]
+    lines: list[str] = []
+    for k, (number, rule, params, line) in enumerate(pairs):
+        if rng.random() < 0.04:
+            number, rule, params = _corrupt_header(rng, number, rule, params)
+        lines.append(_header(rng, number, rule, params) if rng.random() < 0.3
+                     else f"step {number}: rule={rule}" + "".join(" " + p for p in params))
+        lines.append(_respaced_line(rng, line) if rng.random() < 0.3 else line)
+    kind = rng.randrange(10)
+    if kind == 0:
+        del lines[rng.randrange(len(lines))]          # a header or a cirquent line lost
+    elif kind == 1:
+        k = rng.randrange(len(lines) - 1)             # a cirquent line before its header
+        lines[k], lines[k + 1] = lines[k + 1], lines[k]
+    elif kind == 2:
+        lines.append(lines[-2])                       # a header with no cirquent at the end
+    for _ in range(rng.choice((0, 0, 1, 3))):
+        lines.insert(rng.randint(0, len(lines)),
+                     rng.choice(("", "   ", "# a comment", "  # step 1: rule=axiom", "#", "\t")))
+    ends = rng.choice(("\n", "\r\n", "mixed"))
+    if ends == "mixed":
+        return "".join(line + rng.choice(("\n", "\r\n", "\r")) for line in lines)
+    return ends.join(lines) + rng.choice(("", ends))
+
+
+def _proof_outcome(parse, text):
+    try:
+        return parse(text)
+    except ProofError as exc:
+        return str(exc)
+
+
+def test_proof_files_read_like_the_reference():
+    """Good and corrupted proof files read to an equal proof, or fail with
+    the same message, through the one-pass reader and the line-by-line
+    reference."""
+    rng = random.Random(44)
+    failures = 0
+    for _ in range(1500):
+        text = _proof_file(rng)
+        got = _proof_outcome(parse_proof, text)
+        assert got == _proof_outcome(ref.parse_proof, text), text
+        failures += isinstance(got, str)
+    assert 300 < failures < 1000
