@@ -42,22 +42,6 @@ class Cirquent(Value):
         return len(self.oformulas)
 
 
-def group(*indices: int) -> Group:
-    return frozenset(indices)
-
-
-def make_cirquent(
-    oformulas: tuple[Formula, ...] | list[Formula],
-    undergroups,
-    overgroups,
-) -> Cirquent:
-    return Cirquent(
-        tuple(oformulas),
-        tuple(frozenset(g) for g in undergroups),
-        tuple(frozenset(g) for g in overgroups),
-    )
-
-
 def validate_cirquent(c: Cirquent) -> list[str]:
     """Return all invariant violations; empty list means valid.  A cirquent
     is valid when it has oformulas and groups of both kinds, no group is
@@ -113,49 +97,86 @@ def as_clubsuit(c: Cirquent) -> Formula | None:
 
 # Text format: `oformulas: f1 | f2 ; under: {1,2}{2} ; over: {1}`
 
-# One scan: group 1 is a whole group; group 2 is the rest of the text from
-# any other non-space character on, which ends the scan.
-_GROUP_RE = re.compile(r"\s*(?:(\{[^}]*\})|(\S.*))", re.DOTALL)
-
 # The sections of a cirquent line, in the order they are parsed.
-_SECTIONS = dict.fromkeys(("oformulas", "under", "over"))
+_SECTIONS = ("oformulas", "under", "over")
+
+# A line in one scan: three `name: body` sections between `;`s, in any
+# order, with blank sections anywhere.  Groups 3k+1, 3k+2 and 3k+3 are the
+# k-th section's whole text, its name and its body.  Blank sections after
+# the last body begin with its `;`, so a refused line costs linear time.
+_SECTION = r"[\s;]*((oformulas|under|over)\s*:([^;]*))"
+_LINE_RE = re.compile(f"{_SECTION};{_SECTION};{_SECTION}(?:;[\\s;]*)?")
+
+
+def _parse_group(pieces: list[str], j: int, what: str) -> Group:
+    """Group `j` of a section split at each `}`: piece `j` is the group's
+    text from after the `}` before it up to its own `}`."""
+    g = pieces[j].lstrip()
+    if g[:1] != "{":
+        raise CirquentError(f"malformed {what} groups at {'}'.join(pieces[j:]).strip()!r}")
+    inner = g[1:].strip()
+    try:
+        return frozenset(map(numeral_value, inner.split(","))) if inner else frozenset()
+    except RunError:
+        raise
+    except ValueError as exc:
+        raise CirquentError(f"bad index in {what} group: {inner!r}") from exc
 
 
 def _parse_groups(text: str, what: str, known: dict[str, Group]) -> tuple[Group, ...]:
-    """The groups of an `under:` or `over:` section.  `known` maps each
-    group text already parsed, braces included, to its set."""
-    groups: list[Group] = []
-    for g, rest in _GROUP_RE.findall(text):
+    """The groups of an `under:` or `over:` section.  `known` maps the text
+    of each group already parsed, up to its `}` and from the `}` before it
+    or the start of the section, to its set."""
+    pieces = text.split("}")
+    groups = tuple(map(known.get, pieces[:-1]))
+    if None in groups or not groups or pieces[-1].strip():
+        for j, piece in enumerate(pieces[:-1]):
+            if piece not in known:
+                known[piece] = _parse_group(pieces, j, what)
+        rest = pieces[-1].strip()
         if rest:
-            if rest[0] == "{":
-                raise CirquentError(f"unclosed group in {what}")
-            raise CirquentError(f"malformed {what} groups at {rest.rstrip()!r}")
-        indices = known.get(g)
-        if indices is None:
-            inner = g[1:-1].strip()
-            try:
-                indices = frozenset(map(numeral_value, inner.split(","))) if inner else frozenset()
-            except RunError:
-                raise
-            except ValueError as exc:
-                raise CirquentError(f"bad index in {what} group: {inner!r}") from exc
-            known[g] = indices
-        groups.append(indices)
-    if not groups:
-        raise CirquentError(f"no {what} groups")
-    return tuple(groups)
+            raise CirquentError(f"unclosed group in {what}" if rest[0] == "{"
+                                else f"malformed {what} groups at {rest!r}")
+        if len(pieces) == 1:
+            raise CirquentError(f"no {what} groups")
+        groups = tuple(map(known.get, pieces[:-1]))
+    return groups
 
 
 def _parse_oformulas(text: str, known: dict[str, Formula]) -> tuple[Formula, ...]:
     """The formulas of an `oformulas:` section.  `known` maps each
     oformula text already parsed to its formula."""
-    of_texts = [p.strip() for p in text.split("|")]
-    if not all(of_texts):
+    of_texts = list(map(str.strip, text.split("|")))
+    if "" in of_texts:
         raise CirquentError("empty oformula entry")
-    for t in of_texts:
-        if t not in known:
-            known[t] = parse_formula(t)
-    return tuple(known[t] for t in of_texts)
+    formulas = tuple(map(known.get, of_texts))
+    if None in formulas:
+        for t in of_texts:
+            if t not in known:
+                known[t] = parse_formula(t, known)
+        formulas = tuple(map(known.get, of_texts))
+    return formulas
+
+
+def _sections_error(text: str) -> CirquentError:
+    """What is wrong with the sections of a line that `_LINE_RE` refused,
+    in the order checked: a part that is not `name: ...`, a repeated name,
+    missing names, unknown names."""
+    names: list[str] = []
+    for part in text.split(";"):
+        name, colon, _ = part.partition(":")
+        if not colon:
+            if part.strip():
+                return CirquentError(f"expected 'name: ...' section, got {part.strip()!r}")
+            continue
+        name = name.strip()
+        if name in names:
+            return CirquentError(f"duplicate section {name!r}")
+        names.append(name)
+    missing = set(_SECTIONS).difference(names)
+    if missing:
+        return CirquentError(f"missing sections: {', '.join(sorted(missing))}")
+    return CirquentError(f"unknown sections: {', '.join(sorted(set(names).difference(_SECTIONS)))}")
 
 
 def parse_cirquent(
@@ -166,40 +187,31 @@ def parse_cirquent(
 ) -> Cirquent:
     """Parse the one-line cirquent text format.  `formulas`, if given, maps
     oformula texts already parsed to their formulas; each text is parsed at
-    most once.  `groups` does the same for single group texts such as
-    `{1,2}`, and `sections` for whole section texts, name included."""
-    parts: dict[str, str] = {}
-    for part in text.split(";"):
-        name, colon, _ = part.partition(":")
-        if not colon:
-            if part.strip():
-                raise CirquentError(f"expected 'name: ...' section, got {part.strip()!r}")
-            continue
-        name = name.strip()
-        if name in parts:
-            raise CirquentError(f"duplicate section {name!r}")
-        parts[name] = part
-    if parts.keys() != _SECTIONS.keys():
-        missing = _SECTIONS.keys() - parts.keys()
-        if missing:
-            raise CirquentError(f"missing sections: {', '.join(sorted(missing))}")
-        raise CirquentError(f"unknown sections: {', '.join(sorted(parts.keys() - _SECTIONS.keys()))}")
-    known_formulas = {} if formulas is None else formulas
-    known_groups = {} if groups is None else groups
-    known_sections = {} if sections is None else sections
-    values = []
-    for name in _SECTIONS:
-        part = parts[name]
-        value = known_sections.get(part)
-        if value is None:
-            body = part.partition(":")[2]
-            if name == "oformulas":
-                value = _parse_oformulas(body, known_formulas)
-            else:
-                value = _parse_groups(body, name, known_groups)
-            known_sections[part] = value
-        values.append(value)
-    return Cirquent(*values)
+    most once, and built from its operands' entries where it can be.
+    `groups` does the same for single group texts, and `sections` for whole
+    section texts, name included.  The section names are checked before
+    any section is parsed, and the sections are parsed in the order
+    oformulas, under, over."""
+    m = _LINE_RE.fullmatch(text)
+    if m is None:
+        raise _sections_error(text)
+    of, of_name, of_body, un, un_name, un_body, ov, ov_name, ov_body = m.groups()
+    if (of_name, un_name, ov_name) != _SECTIONS:
+        found = {of_name: (of, of_body), un_name: (un, un_body), ov_name: (ov, ov_body)}
+        if len(found) < 3:
+            raise _sections_error(text)
+        (of, of_body), (un, un_body), (ov, ov_body) = map(found.get, _SECTIONS)
+    known = {} if sections is None else sections
+    oformulas = known.get(of)
+    if oformulas is None:
+        oformulas = known[of] = _parse_oformulas(of_body, {} if formulas is None else formulas)
+    undergroups = known.get(un)
+    if undergroups is None:
+        undergroups = known[un] = _parse_groups(un_body, "under", {} if groups is None else groups)
+    overgroups = known.get(ov)
+    if overgroups is None:
+        overgroups = known[ov] = _parse_groups(ov_body, "over", {} if groups is None else groups)
+    return Cirquent(oformulas, undergroups, overgroups)
 
 
 def _render_groups(groups: tuple[Group, ...]) -> str:

@@ -788,45 +788,47 @@ def _build_rule(name: str, params: dict[str, object], lineno: int) -> Rule:
 
 def parse_proof(text: str) -> Proof:
     """Parse the proof file format: `step <k>: rule=<name> <params>` headers
-    each followed by one cirquent line; `#` starts a comment.  Each distinct
-    cirquent line, section, oformula text, group text and step header
-    `(rule, parameters)` in the file is parsed once."""
+    each followed by one cirquent line; `#` starts a comment.  Reading makes
+    one pass over the lines, a header and its cirquent line at a time.  Per
+    file, each distinct cirquent line, section, oformula text, group text
+    and step header `(rule, parameters)` is parsed once, and an oformula
+    text made of oformula texts read before is built from theirs."""
+    lines = content_lines(text)
     steps: list[ProofStep] = []
     cirquents: dict[str, Cirquent] = {}
     formulas: dict[str, Formula] = {}
     groups: dict[str, Group] = {}
     sections: dict[str, tuple] = {}
     rules: dict[tuple[str, str], Rule] = {}
-    # The pending step: its number, header, parameters and header line.
-    pending: tuple[int, tuple[str, str], dict[str, object] | None, int] | None = None
-    for lineno, line in content_lines(text):
+    for i in range(0, len(lines), 2):
+        lineno, line = lines[i]
+        number = len(steps) + 1
         try:
             m = _STEP_RE.fullmatch(line)
-            if m:
-                if pending is not None:
-                    raise ProofError(f"line {lineno}: step {pending[0]} has no cirquent")
-                number = numeral_value(m.group(1))
-                if number != len(steps) + 1:
-                    raise ProofError(f"line {lineno}: expected step {len(steps) + 1}, got {number}")
-                header = m.group(2, 3)
-                params = None if header in rules else _parse_params(header[1], lineno)
-                pending = (number, header, params, lineno)
-                continue
-            if pending is None:
+            if m is None:
                 raise ProofError(f"line {lineno}: expected a 'step <k>: rule=...' header")
-            cirq = cirquents.get(line)
-            if cirq is None:
-                cirq = cirquents[line] = parse_cirquent(line, formulas, groups, sections)
-        except (CirquentError, FormulaError, RunError) as exc:
+            if m.group(1) != str(number):
+                raise ProofError(f"line {lineno}: expected step {number}, got {numeral_value(m.group(1))}")
+            header = m.group(2, 3)
+            rule = rules.get(header)
+            params = _parse_params(header[1], lineno) if rule is None else None
+        except RunError as exc:
             raise ProofError(f"line {lineno}: {exc}") from exc
-        _, header, params, header_line = pending
-        rule = rules.get(header)
+        if i + 1 == len(lines):
+            raise ProofError(f"step {number} has no cirquent")
+        cirquent_line, line = lines[i + 1]
+        cirq = cirquents.get(line)
+        if cirq is None:
+            try:
+                cirq = cirquents[line] = parse_cirquent(line, formulas, groups, sections)
+            except (CirquentError, FormulaError, RunError) as exc:
+                # A header where the cirquent line belongs fails to parse as one.
+                if _STEP_RE.fullmatch(line):
+                    raise ProofError(f"line {cirquent_line}: step {number} has no cirquent") from None
+                raise ProofError(f"line {cirquent_line}: {exc}") from exc
         if rule is None:
-            rule = rules[header] = _build_rule(header[0], params, header_line)  # type: ignore[arg-type]
+            rule = rules[header] = _build_rule(header[0], params, lineno)  # type: ignore[arg-type]
         steps.append(ProofStep(cirq, rule))
-        pending = None
-    if pending is not None:
-        raise ProofError(f"step {pending[0]} has no cirquent")
     if not steps:
         raise ProofError("empty proof file")
     return Proof(tuple(steps))

@@ -119,20 +119,20 @@ def _load_subject(path: str, level_flag: str | None) -> tuple[rules.Proof, bool]
     `level_flag`; a flag that names the other level than the header is an
     error."""
     text = _read(path)
-    stripped = text.lstrip()
-    if stripped.startswith("strategy"):
-        header, _, rest = stripped.partition("\n")
-        # The header's line is left blank, so proof errors keep the file's line numbers.
-        blank = text[:len(text) - len(stripped)]
-        m = re.fullmatch(r"strategy\s+level=(cirquent|formula)", header.strip())
+    first = content_lines(text)[:1]
+    if first and first[0][1].startswith("strategy"):
+        lineno, header = first[0]
+        m = re.fullmatch(r"strategy\s+level=(cirquent|formula)", header)
         if not m:
-            raise rules.ProofError(f"line {blank.count(chr(10)) + 1}: "
-                                   "expected 'strategy level=cirquent|formula'")
+            raise rules.ProofError(f"line {lineno}: expected 'strategy level=cirquent|formula'")
         level = m.group(1)
         if level_flag not in (None, level):
             raise StrategyError(f"--level {level_flag} conflicts with the strategy file's "
                                 f"level={level}")
-        return rules.parse_proof(f"{blank}\n{rest}"), level == "formula"
+        # The header's line is left blank, so proof errors keep the file's line numbers.
+        lines = text.splitlines()
+        lines[lineno - 1] = ""
+        return rules.parse_proof("\n".join(lines)), level == "formula"
     return rules.parse_proof(text), level_flag == "formula"
 
 

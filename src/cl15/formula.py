@@ -97,23 +97,25 @@ _DUAL: dict[type, type] = {
 _PREFIX = {"!": Pst, "?": Pcost, "b!": St, "b?": Cost}
 
 
-# One scan: group 1 is a token, and group 2 any other non-space character.
-_TOKEN_RE = re.compile(r"\s*(?:([A-Z][A-Za-z0-9]*|b!|b\?|->|/\\|\\/|[~!?()])|(\S))")
+_TOKEN = r"[A-Z][A-Za-z0-9]*|b!|b\?|->|/\\|\\/|[~!?()]"
+_TOKEN_RE = re.compile(_TOKEN)
+# Only for the positions in messages, one scan: group 1 is a token, and
+# group 2 any other non-space character.  Compiled on first use.
+_SCAN = r"\s*(?:(" + _TOKEN + r")|(\S))"
 
 
-def _tokenize(text: str) -> tuple[list[str | None], list[int]]:
-    """The tokens of text, ending in a None sentinel, and their positions."""
-    tokens: list[str | None] = []
-    positions = []
-    for m in _TOKEN_RE.finditer(text):
-        tok = m.group(1)
-        if tok is None:
-            bad = m.start(2)
-            raise FormulaError(f"unknown token at position {m.start()}: {text[bad:bad + 10]!r}")
-        tokens.append(tok)
-        positions.append(m.start(1))
+def _tokenize(text: str) -> list[str | None]:
+    """The tokens of text, ending in a None sentinel."""
+    tokens: list[str | None] = _TOKEN_RE.findall(text)
+    # Tokens hold no white space, so they cover every other character
+    # unless the scan skipped one.
+    if sum(map(len, tokens)) != len("".join(text.split())):
+        for m in re.finditer(_SCAN, text):
+            if m.group(2) is not None:
+                bad = m.start(2)
+                raise FormulaError(f"unknown token at position {m.start()}: {text[bad:bad + 10]!r}")
     tokens.append(None)
-    return tokens, positions
+    return tokens
 
 
 class _Parser:
@@ -121,9 +123,9 @@ class _Parser:
     reads one construct under a polarity: with `neg` set it builds the
     negation of what it reads, taking each node class from `_DUAL`."""
 
-    def __init__(self, tokens: list[str | None], positions: list[int]):
+    def __init__(self, tokens: list[str | None], text: str):
         self.tokens = tokens
-        self.positions = positions
+        self.text = text
         self.i = 0
 
     def take(self) -> str:
@@ -136,7 +138,8 @@ class _Parser:
     def expect(self, tok: str) -> None:
         got = self.take()
         if got != tok:
-            raise FormulaError(f"expected {tok!r}, got {got!r} at position {self.positions[self.i - 1]}")
+            position = [m.start(1) for m in re.finditer(_SCAN, self.text)][self.i - 1]
+            raise FormulaError(f"expected {tok!r}, got {got!r} at position {position}")
 
     def parse_impl(self, neg: bool) -> Formula:
         left = self.parse_or(neg)
@@ -190,12 +193,63 @@ def negate(f: Formula) -> Formula:
     return dual(negate(f.body))
 
 
-def parse_formula(text: str) -> Formula:
-    """Parse formula text into a normalized Formula."""
-    tokens, positions = _tokenize(text)
+# Texts up to this long may be built from their operands' texts: they nest
+# too shallowly for the descent, or `negate`, to reach the recursion limit,
+# so both ways read the same texts.
+_BUILD_MAX = 200
+# How loosely each class binds at the top of a text without `->`: the text
+# of a formula of that class binds at least this tightly.
+_BINDING = {Or: 1, And: 2}
+
+
+def _operand(text: str, known: dict[str, Formula], binding: int) -> Formula | None:
+    """The formula of text from `known`, bare or in one pair of parentheses,
+    if text binds at least as tightly as `binding`."""
+    f = known.get(text)
+    if f is not None:
+        return f if _BINDING.get(type(f), 3) >= binding else None
+    if text[:1] == "(" and text[-1:] == ")":
+        return known.get(text[1:-1])
+    return None
+
+
+def _build(text: str, known: dict[str, Formula]) -> Formula | None:
+    """The formula of text when text is a prefix, or an infix `\\/` or
+    `/\\` between single spaces, applied to operand texts in `known`; else
+    None.  The grammar reads such a text one way only, so this is the
+    formula the descent would build."""
+    if len(text) > _BUILD_MAX or "->" in text:
+        return None
+    sym = text[:2] if text[:1] == "b" else text[:1]
+    if sym in _PREFIX or sym == "~":
+        body = _operand(text[len(sym):], known, 3)
+        if body is not None:
+            return negate(body) if sym == "~" else _PREFIX[sym](body)
+    for sym, cls in ((" \\/ ", Or), (" /\\ ", And)):
+        binding = _BINDING[cls]
+        i = text.find(sym)
+        while i >= 0:
+            left = _operand(text[:i], known, binding)
+            if left is not None:
+                right = _operand(text[i + len(sym):], known, binding + 1)
+                if right is not None:
+                    return cls(left, right)
+            i = text.find(sym, i + 1)
+    return None
+
+
+def parse_formula(text: str, known: dict[str, Formula] | None = None) -> Formula:
+    """Parse formula text into a normalized Formula.  `known`, if given,
+    maps texts already parsed to their formulas; a text made of operand
+    texts there is built from them instead of parsed token by token."""
+    if known:
+        node = _build(text, known)
+        if node is not None:
+            return node
+    tokens = _tokenize(text)
     if len(tokens) == 1:
         raise FormulaError("empty formula")
-    parser = _Parser(tokens, positions)
+    parser = _Parser(tokens, text)
     try:
         node = parser.parse_impl(False)
     except RecursionError:

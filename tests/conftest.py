@@ -12,7 +12,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, settings
 
 from cl15 import cl15 as rules
-from cl15.cirquent import Cirquent, make_cirquent, parse_cirquent
+from cl15.cirquent import Cirquent, Group, parse_cirquent
 from cl15.cl15 import Translator
 from cl15.formula import And, AtomRef, Cost, Formula, NegAtom, Or, Pcost, Pst, St
 from cl15.games import FiniteGame, Game, GameError, Interpretation, Position
@@ -73,6 +73,19 @@ def read_fixture(name: str) -> str:
 
 
 # Helpers that only tests use.
+
+def group(*indices: int) -> Group:
+    return frozenset(indices)
+
+
+def make_cirquent(oformulas, undergroups, overgroups) -> Cirquent:
+    """A cirquent from any iterables of oformulas and of index groups."""
+    return Cirquent(
+        tuple(oformulas),
+        tuple(frozenset(g) for g in undergroups),
+        tuple(frozenset(g) for g in overgroups),
+    )
+
 
 class PermissiveGame(Game):
     """Everything is legal and won by the machine; used for translation

@@ -20,6 +20,7 @@ ORACLE = ("tests/test_harness.py", "tests/test_acceptance.py", "tests/test_posit
 COHERENCE, SPAWNS = ("tests/test_strategy.py", "-k", "coherent"), ("tests/test_strategy.py", "-k", "spawns")
 ROUND_TRIP = ("tests/test_strategy.py", "-k", "round_trip")
 STARTUP, ERRORS = ("tests/test_cli.py", "-k", "startup or wrapper"), ("tests/test_cli.py", "-k", "input_error")
+PROOF_FILES = ("tests/test_reference_parser.py", "-k", "proof_files")
 
 # (file under src/cl15, text, replacement, pytest arguments)
 MUTANTS = [
@@ -82,6 +83,12 @@ MUTANTS = [
      STARTUP),
     ("cli.py", "@functools.cache\ndef _load_game_layer", "def _load_game_layer", STARTUP),
     ("games.py", "class GameError(InputError):", "class GameError(ValueError):", ERRORS),
+    # The proof reader: a step number one past the expected one accepted,
+    # and a header followed by a header read as taking the next cirquent.
+    ("cl15.py", "if m.group(1) != str(number):", "if m.group(1) not in (str(number), str(number + 1)):",
+     PROOF_FILES),
+    ("cl15.py", "cirquent_line, line = lines[i + 1]",
+     "cirquent_line, line = next(p for p in lines[i + 1:] if not _STEP_RE.fullmatch(p[1]))", PROOF_FILES),
 ]
 
 

@@ -8,16 +8,14 @@ from cl15.cirquent import (
     CirquentError,
     as_clubsuit,
     clubsuit,
-    group,
     is_valid,
-    make_cirquent,
     parse_cirquent,
     render_cirquent,
     validate_cirquent,
 )
 from cl15.formula import parse_formula, render_formula
 
-from conftest import RULE_CASES, C
+from conftest import RULE_CASES, C, group, make_cirquent
 
 
 def test_make_and_size():

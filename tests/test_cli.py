@@ -196,6 +196,21 @@ def test_extract_formula_level_header_sticks(tmp_path, capsys):
     assert "game: ?~P \\/ !P" in sim
 
 
+@pytest.mark.parametrize("prefix", ["# note\n", "# note\n\n", "\n  # note\r\n\t\n"])
+def test_a_strategy_file_may_open_with_comments(prefix, tmp_path, capsys):
+    plain = tmp_path / "p2.strategy"
+    assert main(["extract", P2, "--out", str(plain)]) == OK
+    commented = tmp_path / "commented.strategy"
+    commented.write_text(prefix + plain.read_text())
+    capsys.readouterr()
+    transcripts = []
+    for path in (plain, commented):
+        assert main(["simulate", str(path), "--adversary", "random", "--seed", "3"]) == OK
+        transcripts.append(capsys.readouterr())
+    assert transcripts[0] == transcripts[1]
+    assert "winner: T" in transcripts[0].out
+
+
 @pytest.mark.parametrize("command", ["simulate", "play"])
 def test_a_level_flag_against_the_strategy_file_is_a_usage_error(command, tmp_path, monkeypatch,
                                                                  capsys):
@@ -431,7 +446,12 @@ P1_AXIOM = "step 1: rule=axiom\noformulas: ~P | P ; under: {1,2} ; over: {1,2}\n
      "line 6: repeated parameter pos"),
     ("\n\nstrategy level=weird\n" + P1_AXIOM,
      "line 3: expected 'strategy level=cirquent|formula'"),
-], ids=["header-first", "blank-lines-first", "bad-header"])
+    ("# extracted\n  # by hand\nstrategy level=weird\n" + P1_AXIOM,
+     "line 3: expected 'strategy level=cirquent|formula'"),
+    ("# note\n\nstrategy level=cirquent\n" + P1_AXIOM.replace("{1,2}\n", "{1,2\n"),
+     "line 5: unclosed group in over"),
+], ids=["header-first", "blank-lines-first", "bad-header", "bad-header-after-comments",
+        "comments-first"])
 def test_strategy_file_errors_give_file_line_numbers(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.strategy"
     bad.write_text(text)

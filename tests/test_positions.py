@@ -15,7 +15,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cl15.cirquent import Cirquent, make_cirquent
+from cl15.cirquent import Cirquent
 from cl15.cli import main
 from cl15.formula import And, AtomRef, Cost, NegAtom, Or, Pcost, Pst, St, render_formula
 from cl15.games import (
@@ -42,7 +42,7 @@ from cl15.runs import (
     split_cell_move,
 )
 
-from conftest import C, FIXTURES, PermissiveGame, move_builder, rng_chooser
+from conftest import C, FIXTURES, PermissiveGame, make_cirquent, move_builder, rng_chooser
 from reference_games import (
     reference_legal,
     reference_offender,

@@ -3,6 +3,7 @@ memo-free reference in `reference_parser`: on the same text both return
 equal values or raise the same exception class with the same message."""
 import functools
 import random
+import time
 
 from cl15.cirquent import CirquentError, parse_cirquent
 from cl15.cl15 import ProofError, parse_proof
@@ -66,6 +67,31 @@ def test_random_formulas_parse_like_the_reference():
         got = _outcome(parse_formula, text)
         assert isinstance(got, Formula), text
         assert got == ref.parse_formula(text), text
+
+
+def test_formulas_built_from_earlier_texts_parse_like_the_reference():
+    """Texts made by joining texts read before, bare or in parentheses, with
+    a prefix or an infix between single spaces: through one memo, as in one
+    proof file, whether built from the memo or parsed token by token."""
+    rng = random.Random(46)
+    known = {atom: parse_formula(atom) for atom in ATOMS}
+    texts = list(ATOMS)
+    for _ in range(1500):
+        parts = [rng.choice(texts) for _ in range(2)]
+        parts = ["(" + p + ")" if rng.random() < 0.3 else p for p in parts]
+        r = rng.random()
+        if r < 0.3:
+            text = rng.choice(PREFIXES) + parts[0]
+        elif r < 0.9:
+            text = parts[0] + " " + rng.choice(BINARY[:2] * 3 + BINARY[2:]) + " " + parts[1]
+        else:
+            text = parts[0] + rng.choice(("", "  ", " ~ ")) + parts[1]
+        got = _outcome(parse_formula, text, known)
+        assert got == _outcome(ref.parse_formula, text), text
+        if isinstance(got, Formula):
+            known[text] = got
+            if len(text) < 60:
+                texts.append(text)
 
 
 def test_corrupted_formulas_fail_like_the_reference():
@@ -157,6 +183,18 @@ def test_cirquent_lines_parse_like_the_reference():
     assert 300 < failures < 1200
 
 
+def test_long_refused_lines_fail_in_linear_time():
+    # Runs of white space and `;` that a backtracking scan would retry
+    # once per character: 100,000 characters take milliseconds.
+    good = "oformulas: P ; under: {1} ; over: {1}"
+    for line in (good + " " * 100_000 + ";x", good + "; " * 50_000 + "x",
+                 "oformulas:" + " " * 100_000 + "x;" + " " * 100_000, " " * 100_000 + "x"):
+        start = time.perf_counter()
+        got = _outcome(parse_cirquent, line)
+        assert time.perf_counter() - start < 1
+        assert got == _outcome(ref.parse_cirquent, line)
+
+
 def test_empty_oformula_entries_fail_like_the_reference():
     for oformulas in ("", " ", "P ||Q", "| P", "P |", "P | \t | Q", "|"):
         line = f"oformulas: {oformulas} ; under: {{1}} ; over: {{1}}"
@@ -169,7 +207,7 @@ def test_empty_oformula_entries_fail_like_the_reference():
 def _proof_pairs(rng: random.Random) -> list[tuple[str, str, list[str], str]]:
     """(step number, rule name, parameter chunks, cirquent line) for each
     step of a slice of a generated proof, renumbered from 1."""
-    source = rng.choice(_PROOF_POOL())
+    source = rng.choice(_proof_pool())
     lines = source.split("\n")
     start = rng.randrange(len(lines) // 2)
     count = rng.randint(1, min(10, len(lines) // 2 - start))
@@ -182,7 +220,7 @@ def _proof_pairs(rng: random.Random) -> list[tuple[str, str, list[str], str]]:
 
 
 @functools.cache
-def _PROOF_POOL() -> tuple[str, ...]:
+def _proof_pool() -> tuple[str, ...]:
     gen = benchmark_generator()
     rng = random.Random(45)
     return (read_fixture("p1.proof").strip(), read_fixture("p2.proof").strip(),
