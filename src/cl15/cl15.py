@@ -786,14 +786,16 @@ def _build_rule(name: str, params: dict[str, object], lineno: int) -> Rule:
     return cls(*args)
 
 
-def parse_proof(text: str) -> Proof:
+def parse_proof(text: str | list[tuple[int, str]]) -> Proof:
     """Parse the proof file format: `step <k>: rule=<name> <params>` headers
-    each followed by one cirquent line; `#` starts a comment.  Reading makes
-    one pass over the lines, a header and its cirquent line at a time.  Per
-    file, each distinct cirquent line, section, oformula text, group text
-    and step header `(rule, parameters)` is parsed once, and an oformula
-    text made of oformula texts read before is built from theirs."""
-    lines = content_lines(text)
+    each followed by one cirquent line; `#` starts a comment.  `text` is the
+    file's text or its numbered content lines, as `content_lines` gives
+    them.  Reading makes one pass over the lines, a header and its cirquent
+    line at a time.  Per file, each distinct cirquent line, section,
+    oformula text, group text and step header `(rule, parameters)` is parsed
+    once, and an oformula text made of oformula texts read before is built
+    from theirs."""
+    lines = content_lines(text) if isinstance(text, str) else text
     steps: list[ProofStep] = []
     cirquents: dict[str, Cirquent] = {}
     formulas: dict[str, Formula] = {}

@@ -3,12 +3,12 @@ play, run projection, the bounded separation demo, and an interactive
 human-as-environment play mode."""
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import os
 import re
 import sys
+import types
 
 from . import cl15 as rules
 from .cirquent import Cirquent
@@ -118,10 +118,9 @@ def _load_subject(path: str, level_flag: str | None) -> tuple[rules.Proof, bool]
     whether the formula level was requested, by the header or else by
     `level_flag`; a flag that names the other level than the header is an
     error."""
-    text = _read(path)
-    first = content_lines(text)[:1]
-    if first and first[0][1].startswith("strategy"):
-        lineno, header = first[0]
+    lines = content_lines(_read(path))
+    if lines and lines[0][1].startswith("strategy"):
+        lineno, header = lines[0]
         m = re.fullmatch(r"strategy\s+level=(cirquent|formula)", header)
         if not m:
             raise rules.ProofError(f"line {lineno}: expected 'strategy level=cirquent|formula'")
@@ -129,11 +128,8 @@ def _load_subject(path: str, level_flag: str | None) -> tuple[rules.Proof, bool]
         if level_flag not in (None, level):
             raise StrategyError(f"--level {level_flag} conflicts with the strategy file's "
                                 f"level={level}")
-        # The header's line is left blank, so proof errors keep the file's line numbers.
-        lines = text.splitlines()
-        lines[lineno - 1] = ""
-        return rules.parse_proof("\n".join(lines)), level == "formula"
-    return rules.parse_proof(text), level_flag == "formula"
+        return rules.parse_proof(lines[1:]), level == "formula"
+    return rules.parse_proof(lines), level_flag == "formula"
 
 
 def _build_interp(args, goal: Formula | Cirquent) -> Interpretation:
@@ -355,58 +351,116 @@ def cmd_play(args) -> int:
 
 # Argument parsing and dispatch
 
-def _add_interp_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--interp", default="random",
-                     help="interpretation file, or 'random' (default)")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--depth", type=int, default=2)
-    sub.add_argument("--branching", type=int, default=2)
+_LEVELS = ("cirquent", "formula")
+_INTERP_FLAGS = (
+    ("--interp", {"default": "random", "help": "interpretation file, or 'random' (default)"}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--depth", {"type": int, "default": 2}),
+    ("--branching", {"type": int, "default": 2}),
+)
+
+# The grammar, stated once: per command, its help and its arguments in
+# order, each a name (`--name` for an option) with its `add_argument`
+# keywords.  A tuple of options in place of one is a required mutually
+# exclusive group.
+_GRAMMAR = {
+    "check": ("verify a proof file", (("proof", {}),)),
+    "extract": ("extract a winning strategy from a proof", (
+        ("proof", {}),
+        ("--out", {"required": True}),
+        ("--level", {"choices": _LEVELS, "default": "cirquent"}),
+    )),
+    "simulate": ("play an extracted strategy against an adversary", (
+        ("subject", {"help": "proof file or extracted strategy file"}),
+        ("--adversary", {"default": "silent", "help": "silent | random | scripted | script:<file>"}),
+        ("--budget", {"type": int, "default": 200}),
+        ("--level", {"choices": _LEVELS, "default": None}),
+        *_INTERP_FLAGS,
+    )),
+    "project": ("project a run file", (
+        ("runfile", {}),
+        (("--prefix", {"help": "strip this prefix, e.g. 1."}),
+         ("--branch", {"help": "infinite bitstring stem:tail, e.g. 111:1"}),
+         ("--cell", {"help": "oformula index"})),
+        ("--coords", {"default": "", "help": "cell coordinates, e.g. 1,2"}),
+    )),
+    "demo-separation": ("bounded thread-distinctness demo", (
+        ("--machine", {"choices": ("granter", "copycat"), "default": "granter"}),
+        ("--k", {"type": int, "default": 8}),
+        ("--budget", {"type": int, "default": 200}),
+    )),
+    "play": ("play as the environment against a proof's strategy", (
+        ("proof", {}),
+        ("--budget", {"type": int, "default": 200}),
+        ("--level", {"choices": _LEVELS, "default": None}),
+        *_INTERP_FLAGS,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of `_GRAMMAR`: the source of every help, usage
+    and error text."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="cl15",
         description="Proof checking, strategy extraction, and game simulation "
         "for a cirquent-calculus proof system.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="verify a proof file")
-    p.add_argument("proof")
-
-    p = sub.add_parser("extract", help="extract a winning strategy from a proof")
-    p.add_argument("proof")
-    p.add_argument("--out", required=True)
-    p.add_argument("--level", choices=("cirquent", "formula"), default="cirquent")
-
-    p = sub.add_parser("simulate", help="play an extracted strategy against an adversary")
-    p.add_argument("subject", help="proof file or extracted strategy file")
-    p.add_argument("--adversary", default="silent",
-                   help="silent | random | scripted | script:<file>")
-    p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--level", choices=("cirquent", "formula"), default=None)
-    _add_interp_flags(p)
-
-    p = sub.add_parser("project", help="project a run file")
-    p.add_argument("runfile")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--prefix", help="strip this prefix, e.g. 1.")
-    group.add_argument("--branch", help="infinite bitstring stem:tail, e.g. 111:1")
-    group.add_argument("--cell", help="oformula index")
-    p.add_argument("--coords", default="", help="cell coordinates, e.g. 1,2")
-
-    p = sub.add_parser("demo-separation", help="bounded thread-distinctness demo")
-    p.add_argument("--machine", choices=("granter", "copycat"), default="granter")
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--budget", type=int, default=200)
-
-    p = sub.add_parser("play", help="play as the environment against a proof's strategy")
-    p.add_argument("proof")
-    p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--level", choices=("cirquent", "formula"), default=None)
-    _add_interp_flags(p)
-
+    for command, (help_text, specs) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=help_text)
+        for spec in specs:
+            if isinstance(spec[0], str):
+                p.add_argument(spec[0], **spec[1])
+            else:
+                group = p.add_mutually_exclusive_group(required=True)
+                for name, keywords in spec:
+                    group.add_argument(name, **keywords)
     return parser
+
+
+def _read_canonical(argv: list[str]) -> types.SimpleNamespace | None:
+    """The arguments argparse would give for a command line in canonical
+    form: a command, then its positionals and `--option value` pairs in any
+    order, each option spelled in full and given once, no value starting
+    with `-`, each value of its option's type and among its choices, and
+    every required argument present.  None for any other command line,
+    which argparse then reads, and for a command with an exclusive group."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    specs = _GRAMMAR[argv[0]][1]
+    if not all(isinstance(spec[0], str) for spec in specs):
+        return None
+    options = dict(spec for spec in specs if spec[0].startswith("--"))
+    positionals = [spec for spec in specs if not spec[0].startswith("--")]
+    values = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            keywords = options.pop(token, None)
+            value = next(tokens, "-")  # a missing value is declined like a dashed one
+            if keywords is None or value.startswith("-"):
+                return None
+            name = token[2:]
+        elif positionals:
+            name, keywords = positionals.pop(0)
+            value = token
+        else:
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[name] = value
+    if positionals or any(keywords.get("required") for keywords in options.values()):
+        return None
+    for option, keywords in options.items():
+        values[option[2:]] = keywords.get("default")
+    return types.SimpleNamespace(**values)
 
 
 _DISPATCH = {
@@ -450,7 +504,8 @@ def main(argv=None) -> int:
     stdout = sys.stdout
     sys.stdout = guard = _Stdout(stdout)
     try:
-        args = _parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _read_canonical(argv) or _parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except SystemExit as exc:  # from the parser: help, or a usage error
         code = exc.code

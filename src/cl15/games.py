@@ -496,6 +496,13 @@ class CirquentGame(Game):
         """Per oformula, does the machine win its empty cell?  Built on first use."""
         return tuple(game.start().winner() is TOP for game in self.base_games)
 
+    @functools.cached_property
+    def empty_moves(self) -> dict[Player, tuple[list[str], ...]]:
+        """Per player, per oformula, the moves of its empty cell.  Built on
+        first use."""
+        starts = [game.start() for game in self.base_games]
+        return {player: tuple(start.moves(player) for start in starts) for player in (TOP, BOT)}
+
     def start(self) -> Position:
         return _CirquentPosition(self)
 
@@ -533,8 +540,7 @@ class _CirquentPosition(_RoutingPosition):
             used = sorted({coords[j] for _, coords in self.cells if coords[j]})
             options.append(used + [used[-1] + 1 if used else 1])
         out = []
-        for a, member in enumerate(g.membership, start=1):
-            empty = g.base_games[a - 1].start().moves(player)
+        for a, (member, empty) in enumerate(zip(g.membership, g.empty_moves[player]), start=1):
             for coords in itertools.product(*(o if m else (0,) for o, m in zip(options, member))):
                 cell = self.cells.get((a, coords))
                 head = f"{a};{','.join(map(str, coords))}."

@@ -247,10 +247,17 @@ class SimResult(Record):
         return "\n".join(self.trace + [f"winner: {self.winner.value} grants:{self.grants}"])
 
 
+# `simulate` keeps one trace line per turn, about 90 bytes each.
+SIMULATE_MAX_BUDGET = 1_000_000
+
+
 def simulate(m: MachineStrategy, e: EnvStrategy, g: Game, budget: int) -> SimResult:
     """Play fresh spawns of the machine and the environment on `g` for at
     most `budget` machine turns, and collect the run, the trace and the
-    winner of the final position."""
+    winner of the final position.  A budget over SIMULATE_MAX_BUDGET raises
+    `StrategyError` before the play."""
+    if budget > SIMULATE_MAX_BUDGET:
+        raise StrategyError(f"budget must be at most {SIMULATE_MAX_BUDGET:,}")
     position = g.start()
     run: list[Labmove] = []
     trace: list[str] = []

@@ -21,6 +21,7 @@ COHERENCE, SPAWNS = ("tests/test_strategy.py", "-k", "coherent"), ("tests/test_s
 ROUND_TRIP = ("tests/test_strategy.py", "-k", "round_trip")
 STARTUP, ERRORS = ("tests/test_cli.py", "-k", "startup or wrapper"), ("tests/test_cli.py", "-k", "input_error")
 PROOF_FILES = ("tests/test_reference_parser.py", "-k", "proof_files")
+READER = ("tests/test_cli.py", "-k", "canonical_reader")
 
 # (file under src/cl15, text, replacement, pytest arguments)
 MUTANTS = [
@@ -89,6 +90,11 @@ MUTANTS = [
      PROOF_FILES),
     ("cl15.py", "cirquent_line, line = lines[i + 1]",
      "cirquent_line, line = next(p for p in lines[i + 1:] if not _STEP_RE.fullmatch(p[1]))", PROOF_FILES),
+    # The canonical command-line reader: a value outside its choices taken,
+    # and a required option let go missing.  An abbreviation mutant would
+    # read what argparse reads.
+    ("cli.py", 'if "choices" in keywords and value not in keywords["choices"]:', "if False:", READER),
+    ("cli.py", ' or any(keywords.get("required") for keywords in options.values())', "", READER),
 ]
 
 

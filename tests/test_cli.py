@@ -2,7 +2,9 @@
 the interactive play loop driven through StringIO."""
 import hashlib
 import io
+import itertools
 import os
+import random
 import re
 import subprocess
 import sys
@@ -29,7 +31,17 @@ from cl15.formula import FormulaError
 from cl15.games import GameError
 from cl15.harness import RANDOM_GAME_MAX_NODES, HarnessError, ScriptMachine
 from cl15.runs import RunError
-from cl15.strategy import IdleStrategy, ProofViolation, StrategyError, extract_solution, proof_goal
+import cl15.strategy as strategy
+from cl15.strategy import (
+    SIMULATE_MAX_BUDGET,
+    IdleStrategy,
+    ProofViolation,
+    SilentEnv,
+    StrategyError,
+    extract_solution,
+    proof_goal,
+    simulate,
+)
 from cl15.values import InputError
 
 from conftest import FIXTURES, long_structural_proof, read_fixture
@@ -167,6 +179,104 @@ def test_one_parser_serves_every_call_like_a_fresh_process(monkeypatch, capsys):
     assert in_process == fresh
     assert [code for code, _, _ in fresh] == [OK, USAGE, OK, OK, OK]
     assert len(builds) == 1
+
+
+# --- the canonical reader against argparse ----------------------------------------
+
+# Values by the argument they go to: mostly ones the reader takes, then near
+# misses.  Signs, `1_0`, Unicode digits and spaces are what `int` itself reads.
+_INTS = (["0", "7", "200", "1_0", "\u0661\u0662", " 5", "+4", "9" * 30],
+         ["-3", "x", "", "1.5", "0x10", "--budget"])
+_TEXTS = (["p.proof", "random", "script:s.txt", "", "a b", "\u0661", "x=1"],
+          ["-", "-x", "--level", "-1"])
+_COMMANDS = ["frobnicate", "chek", "Check", "sim", "", "-h", "--help", "--"]
+
+
+def _value(keywords, rng):
+    if "choices" in keywords:
+        good, bad = list(keywords["choices"]), ["form", "FORMULA", "", "-1"]
+    else:
+        good, bad = _INTS if keywords.get("type") is int else _TEXTS
+    return rng.choice(good if rng.random() < 0.8 else bad)
+
+
+def _near_miss(pieces, specs, rng):
+    """Spoil a command line, given as pieces kept whole by the shuffle."""
+    keywords = dict(specs)
+    options = [p for p in pieces if len(p) == 2 and p[0] in keywords]
+    kind = rng.randrange(8)
+    if kind == 0 and options:                                   # repeated
+        option = rng.choice(options)[0]
+        pieces.append([option, _value(keywords[option], rng)])
+    elif kind == 1 and options:                                 # abbreviated
+        piece = rng.choice(options)
+        piece[0] = piece[0][:rng.randint(3, len(piece[0]) - 1)] if len(piece[0]) > 3 else "--"
+    elif kind == 2 and options:                                 # --opt=value
+        piece = rng.choice(options)
+        piece[:] = ["=".join(piece)]
+    elif kind == 3:
+        pieces.append([rng.choice(["-h", "--help"])])
+    elif kind == 4:
+        pieces.append(["--"])
+    elif kind == 5:                                             # extra positional
+        pieces.append([rng.choice(_TEXTS[0])])
+    elif kind == 6:
+        pieces.append([rng.choice(["--nope", "-budget", "-k"]), "3"])
+    elif any(pieces):                                           # a value or positional lost
+        rng.choice([p for p in pieces if p]).pop()
+
+
+def _random_argv(rng):
+    if rng.random() < 0.05:
+        return [rng.choice(_COMMANDS), *rng.sample(_TEXTS[0], rng.randint(0, 2))]
+    command = rng.choice(list(cli._GRAMMAR))
+    specs = [spec for entry in cli._GRAMMAR[command][1]
+             for spec in ((entry,) if isinstance(entry[0], str) else entry)]
+    pieces = []
+    for name, keywords in specs:
+        if not name.startswith("--"):
+            if rng.random() < 0.95:
+                pieces.append([_value(keywords, rng)])
+        elif rng.random() < (0.95 if keywords.get("required") else 0.5):
+            pieces.append([name, _value(keywords, rng)])
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        _near_miss(pieces, specs, rng)
+    rng.shuffle(pieces)
+    return [command, *itertools.chain.from_iterable(pieces)]
+
+
+def test_the_canonical_reader_reads_what_argparse_reads(capsys):
+    # Wherever the reader gives arguments, argparse takes the same command
+    # line and gives the same ones.  A line the reader declines goes to
+    # argparse in `main`, so its text is argparse's by construction.
+    rng, parser = random.Random(37), build_parser()
+    read = 0
+    for _ in range(3000):
+        argv = _random_argv(rng)
+        args = cli._read_canonical(argv)
+        if args is not None:
+            read += 1
+            try:
+                expected = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse refuses {argv!r}, which the reader took: "
+                            f"{capsys.readouterr().err}")
+            assert vars(args) == vars(expected), argv
+    assert 600 < read < 2400
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "p.proof"],
+    ["extract", "p.proof", "--out", "p-formula.strategy", "--level", "formula"],
+    ["simulate", "p.strategy", "--adversary", "scripted", "--seed", "123456", "--budget", "200"],
+    ["simulate", "p.strategy", "--adversary", "script:p.script", "--interp", "p.interp",
+     "--budget", "34"],
+    ["simulate", "p.strategy", "--seed", "5"],
+], ids=["check", "extract", "simulate", "simulate-script", "simulate-seed"])
+def test_the_reader_takes_each_benchmark_command_shape(argv):
+    args = cli._read_canonical(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser().parse_args(argv))
 
 
 # --- extract + simulate ---------------------------------------------------------
@@ -539,6 +649,21 @@ def test_budget_below_one_is_a_usage_error(command, budget, monkeypatch, capsys)
     assert capsys.readouterr() == ("", "error: budget must be at least 1\n")
 
 
+def test_a_simulate_budget_over_its_bound_is_refused_before_the_play(monkeypatch, capsys):
+    # `simulate` keeps a trace line per turn, so a larger budget could run
+    # out of memory.
+    monkeypatch.setattr(strategy, "play", lambda *args: pytest.fail("the play started"))
+    assert main(["simulate", P1, "--budget", str(SIMULATE_MAX_BUDGET + 1)]) == USAGE
+    assert capsys.readouterr() == ("", "error: budget must be at most 1,000,000\n")
+
+
+def test_simulate_takes_a_budget_up_to_its_bound():
+    proof = parse_proof(read_fixture("p1.proof"))
+    game = cli._interpret(proof_goal(proof, False)[0], parse_interpretation(read_fixture("interp.txt")))
+    result = simulate(IdleStrategy(), SilentEnv(), game, SIMULATE_MAX_BUDGET)
+    assert (result.steps, result.trace) == (1, ["1 M:idle"])
+
+
 def test_play_command_through_main(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("1;1.1.m\nquit\n"))
     code = main(["play", P1, "--interp", INTERP, "--budget", "20"])
@@ -687,23 +812,27 @@ def test_startup_imports_no_code_generation_modules(tmp_path):
     # keeps `site`, which loads `typing` itself, out of the count; `-B`
     # leaves no bytecode cache in the source tree.  Nor does it load the
     # game layer, or `random`: `check` and `project` never do, and `extract`
-    # loads only the strategy module, for the goal's text.
+    # loads only the strategy module, for the goal's text.  A canonical
+    # command line does not load `argparse`; `project`'s always goes to it,
+    # so it runs in a process of its own.
     src = str(Path(cl15.__file__).resolve().parent.parent)
-    commands = [[], ["check", P1], ["project", RUNFILE, "--cell", "1"],
-                ["extract", P1, "--out", str(tmp_path / "p1.strategy")]]
-    code = ("import contextlib, io, sys\n"
-            f"sys.path.insert(0, {src!r})\n"
-            "import cl15.cli\n"
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'typing'} & set(sys.modules)))\n"
-            f"for argv in {commands!r}:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        code = cl15.cli.main(argv) if argv else None\n"
-            "    game_layer = {'cl15.games', 'cl15.strategy', 'cl15.harness', 'random'}\n"
-            "    print(code, sorted(game_layer & set(sys.modules)))\n")
-    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True,
-                          text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (
-        0, "[]\nNone []\n0 []\n0 []\n0 ['cl15.strategy']\n", "")
+    runs = [([[], ["check", P1], ["extract", P1, "--out", str(tmp_path / "p1.strategy")]],
+             "[]\nNone []\n0 []\n0 ['cl15.strategy']\n"),
+            ([["project", RUNFILE, "--cell", "1"]], "[]\n0 ['argparse']\n")]
+    for commands, expected in runs:
+        code = ("import contextlib, io, sys\n"
+                f"sys.path.insert(0, {src!r})\n"
+                "import cl15.cli\n"
+                "print(sorted({'dataclasses', 'inspect', 'ast', 'typing', 'argparse'}"
+                " & set(sys.modules)))\n"
+                f"for argv in {commands!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        code = cl15.cli.main(argv) if argv else None\n"
+                "    watched = {'cl15.games', 'cl15.strategy', 'cl15.harness', 'random', 'argparse'}\n"
+                "    print(code, sorted(watched & set(sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 
 # One error of each module's class.
