@@ -101,11 +101,25 @@ _FORWARD_MISMATCH = "conclusion does not match the rule applied to the premise"
 
 class Rule(Value):
     """A rule instance; each rule's class subclasses this one and sets
-    `name`, `params` (its fields, in file order) and `mismatch`."""
+    `name`, `params` (its fields, in file order) and `mismatch`.
+
+    A rule `implies_validity` when a valid premise and a conclusion that
+    `holds` make the conclusion valid, so `check_step` need not validate
+    it.  The six forward rules do: `holds` compares the conclusion with a
+    permutation, a copy or a union of the premise's parts, which is valid,
+    and reads only the premise.  So do the `_Split` rules (see there).  The
+    backward checks of `weakening`, `pst` and `pcost` do not: each accepts
+    an invalid conclusion whose oformula is in no overgroup, such as
+    `weakening under=1 oformula=3` on `~P | P | P ; under: {1,2,3} ; over:
+    {1,2}` and `pcost oformula=1 add_over={1}` on `?~P | P ; under: {1,2} ;
+    over: {2}` against the axiom `~P | P`, and `pst oformula=2` on `~P | !P
+    ; under: {1,2} ; over: {1}` against `~P | P ; under: {1,2} ; over:
+    {1}{2}`."""
 
     __slots__ = ()
     name = mismatch = ""
     params: tuple[str, ...]
+    implies_validity = False
 
     def holds(self, p: Cirquent, c: Cirquent) -> bool:
         """Is (premise p, conclusion c) an instance of this rule?  May raise
@@ -132,6 +146,7 @@ class Axiom(Rule):
 class _AtPos(Rule):
     __slots__ = __match_args__ = params = ("pos",)
     mismatch = _FORWARD_MISMATCH
+    implies_validity = True
 
     def __init__(self, pos: int):
         set_field(self, "pos", pos)
@@ -249,6 +264,7 @@ class Merging(Rule):
 
     __slots__ = __match_args__ = params = ("over",)
     name, mismatch = "merging", _FORWARD_MISMATCH
+    implies_validity = True
 
     def __init__(self, over: int):
         set_field(self, "over", over)
@@ -324,9 +340,17 @@ class _Split(_AtOformula):
     of oformula a and how a payload `k.tail` in a goes in, to side 1 or 2
     (`inward`; None drops it), and how a side's move comes out (`outward`;
     None absorbs it).  With `split_unders`, an undergroup that held a
-    becomes two: one that holds side 1, then one that holds side 2."""
+    becomes two: one that holds side 1, then one that holds side 2.
+
+    These rules imply validity: `premise` makes each kind of invalid
+    conclusion an invalid premise.  An empty group stays empty; an index
+    below 1 or above m stays out of 1..m+1; an oformula in no undergroup or
+    no overgroup leaves one or two premise oformulas in none; no oformulas
+    makes `premise` raise ValueError, and no groups of one kind carries
+    over."""
 
     __slots__ = ()
+    implies_validity = True
     kind: type
     split_unders = False
     sides: Callable[[Formula], tuple[Formula, Formula]]
@@ -688,14 +712,33 @@ def check_step(
 ) -> Violation | None:
     """Is (premise, conclusion) exactly an instance of rule?  None if so.
     Both cirquents are validated first, or only the conclusion when the
-    caller has already validated the premise (`premise_valid`)."""
+    caller has already validated the premise (`premise_valid`).
+
+    With a valid premise, a rule that `implies_validity` (the six forward
+    rules, contraction, `or` and `and`) is checked first: if it holds, the
+    conclusion is valid, and it is not validated.  Otherwise the conclusion
+    is validated before the rule's verdict is returned, so the violation
+    is the one the validate-first order gives."""
+    known = _RULES.get(rule.name) is type(rule)
+    early = premise_valid and known and rule.implies_validity
+    if early:
+        v = _rule_verdict(premise, conclusion, rule)
+        if v is None:
+            return None
     sides = (("premise", premise), ("conclusion", conclusion))
     for name, c in sides[premise_valid:]:
         issues = validate_cirquent(c)
         if issues:
             return Violation(f"invalid {name}: {issues[0]}")
-    if _RULES.get(rule.name) is not type(rule):
+    if early:
+        return v
+    if not known:
         return Violation(f"unknown rule {rule!r}")
+    return _rule_verdict(premise, conclusion, rule)
+
+
+def _rule_verdict(premise: Cirquent, conclusion: Cirquent, rule: Rule) -> Violation | None:
+    """The rule's own check of a step: None if it holds."""
     try:
         if rule.holds(premise, conclusion):
             return None
@@ -719,8 +762,8 @@ def verify_proof(proof: Proof, goal: Formula | None = None) -> tuple[int, Violat
         step = proof.steps[k]
         if isinstance(step.rule, Axiom):
             return (k + 1, Violation("axiom allowed only at step 1"))
-        # The premise was validated as the previous step's conclusion, or
-        # is the axiom cirquent, which is valid.
+        # The premise is the previous step's conclusion, which check_step
+        # found valid, or the axiom cirquent, which is valid.
         v = check_step(proof.steps[k - 1].cirquent, step.cirquent, step.rule, True)
         if v is not None:
             return (k + 1, v)

@@ -22,6 +22,7 @@ ROUND_TRIP = ("tests/test_strategy.py", "-k", "round_trip")
 STARTUP, ERRORS = ("tests/test_cli.py", "-k", "startup or wrapper"), ("tests/test_cli.py", "-k", "input_error")
 PROOF_FILES = ("tests/test_reference_parser.py", "-k", "proof_files")
 READER = ("tests/test_cli.py", "-k", "canonical_reader")
+CHECKER = ("tests/test_cl15.py", "-k", "reference or backward_rules")
 
 # (file under src/cl15, text, replacement, pytest arguments)
 MUTANTS = [
@@ -90,6 +91,12 @@ MUTANTS = [
      PROOF_FILES),
     ("cl15.py", "cirquent_line, line = lines[i + 1]",
      "cirquent_line, line = next(p for p in lines[i + 1:] if not _STEP_RE.fullmatch(p[1]))", PROOF_FILES),
+    # The checker: weakening taken to make its conclusion valid, and a
+    # failed rule check reported before the conclusion is validated.
+    ("cl15.py", 'name, mismatch = "weakening", "premise is not the arc-deletion of the conclusion"',
+     'name, mismatch, implies_validity = "weakening", "premise is not the arc-deletion of the conclusion", True',
+     CHECKER),
+    ("cl15.py", "        if v is None:\n            return None\n", "        return v\n", CHECKER),
     # The canonical command-line reader: a value outside its choices taken,
     # and a required option let go missing.  An abbreviation mutant would
     # read what argparse reads.

@@ -4,14 +4,17 @@ import random
 
 import pytest
 
-from cl15.cirquent import Cirquent, parse_cirquent, render_cirquent
+from cl15.cirquent import Cirquent, is_valid, parse_cirquent, render_cirquent, validate_cirquent
 from cl15.cl15 import (
     Axiom,
+    PcostIntro,
     Proof,
     ProofError,
     ProofStep,
+    PstIntro,
     Rule,
     Violation,
+    Weakening,
     axiom_violation,
     check_step,
     parse_proof,
@@ -22,7 +25,9 @@ from cl15.formula import parse_formula
 
 from conftest import (
     C,
+    LEMMA_CASES,
     RULE_CASES,
+    benchmark_generator,
     instance_accepted,
     read_fixture,
     rule_case,
@@ -45,26 +50,35 @@ def test_single_corruptions_rejected(name):
         assert not instance_accepted(prem2, concl2, rule2), f"{name} -- {label}"
 
 
-def _check_step_verdicts() -> list[str]:
-    """One line per check_step verdict over the rule cases that have a
-    premise: the instance, each of its single corruptions, and each number
-    parameter set to 0 and to 9."""
-    lines = []
+def _out_of_range_rules(rule: Rule) -> list[tuple[str, Rule]]:
+    """`rule` with each number parameter set to 0 and to 9."""
+    fields = {key: getattr(rule, key) for key in rule.__match_args__}
+    return [(f"{key}={value}", type(rule)(**{**fields, key: value}))
+            for key, current in fields.items() if isinstance(current, int)
+            for value in (0, 9)]
+
+
+def _check_step_variants():
+    """(case name, label, premise, conclusion, rule) over the rule cases
+    that have a premise: the instance, each of its single corruptions, and
+    each number parameter set to 0 and to 9."""
     for name, prem, _, _ in RULE_CASES:
         if prem is None:
             continue
         premise, conclusion, rule = rule_case(name)
         variants = [("instance", premise, conclusion, rule)]
         variants += single_corruptions(premise, conclusion, rule)
-        fields = {key: getattr(rule, key) for key in rule.__match_args__}
-        for key, current in fields.items():
-            if isinstance(current, int):
-                for value in (0, 9):
-                    changed = type(rule)(**{**fields, key: value})
-                    variants.append((f"{key}={value}", premise, conclusion, changed))
+        variants += [(label, premise, conclusion, changed) for label, changed in _out_of_range_rules(rule)]
         for label, prem2, concl2, rule2 in variants:
-            v = check_step(prem2, concl2, rule2)
-            lines.append(f"{name} -- {label}: {'ok' if v is None else v.reason}")
+            yield name, label, prem2, concl2, rule2
+
+
+def _check_step_verdicts() -> list[str]:
+    """One line per check_step verdict over `_check_step_variants`."""
+    lines = []
+    for name, label, prem, concl, rule in _check_step_variants():
+        v = check_step(prem, concl, rule)
+        lines.append(f"{name} -- {label}: {'ok' if v is None else v.reason}")
     return lines
 
 
@@ -78,6 +92,112 @@ def test_check_step_verdicts_are_pinned():
     assert len(lines) == 554
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == VERDICTS_SHA256
+
+
+def test_check_step_verdicts_keep_with_a_valid_premise():
+    # The pinned verdicts validate both sides; a caller that vouches for a
+    # valid premise must get the same verdict line.
+    compared = 0
+    for name, label, prem, concl, rule in _check_step_variants():
+        if is_valid(prem):
+            assert check_step(prem, concl, rule, True) == check_step(prem, concl, rule), f"{name} -- {label}"
+            compared += 1
+    assert compared == 490
+
+
+def reference_check_step(premise, conclusion, rule, premise_valid=False):
+    """check_step in the validate-first order: the premise unless
+    `premise_valid`, then the conclusion, then the rule's check."""
+    sides = (("premise", premise), ("conclusion", conclusion))
+    for name, c in sides[premise_valid:]:
+        issues = validate_cirquent(c)
+        if issues:
+            return Violation(f"invalid {name}: {issues[0]}")
+    try:
+        if rule.holds(premise, conclusion):
+            return None
+    except ValueError as exc:
+        return Violation(str(exc))
+    return Violation(rule.mismatch)
+
+
+def _assert_same_verdicts(premise, conclusion, rule, label):
+    """check_step agrees with the reference with both sides validated and,
+    where the premise is valid, with the premise vouched for."""
+    for premise_valid in (False, True) if is_valid(premise) else (False,):
+        got = check_step(premise, conclusion, rule, premise_valid)
+        assert got == reference_check_step(premise, conclusion, rule, premise_valid), (label, premise_valid)
+
+
+def _generated_proof_texts():
+    """Seeded deep-proof and long-play proofs of the benchmark's generator,
+    each with a copy corrupted at a middle step."""
+    gen = benchmark_generator()
+    texts = []
+    for seed in (1, 2, 3):
+        texts.append(gen.deep_proof(random.Random(seed), 40 * seed).text())
+        rng = random.Random(seed)
+        texts += [gen.long_play(rng, overgroups, 2, 10).proof.text() for overgroups in (1, 2, 3)]
+    return texts + [gen.corrupt(text, len(text.split("\n")) // 4) for text in texts]
+
+
+def test_check_step_agrees_with_reference_on_generated_proofs():
+    checked = 0
+    for text in _generated_proof_texts():
+        steps = parse_proof(text).steps
+        for k in range(1, len(steps)):
+            _assert_same_verdicts(steps[k - 1].cirquent, steps[k].cirquent, steps[k].rule, f"step {k + 1}")
+            checked += 1
+    assert checked > 1000
+
+
+def _invalid_variants(c: Cirquent):
+    """`c` made invalid one way at a time."""
+    m = c.size
+    for kind in ("undergroups", "overgroups"):
+        groups = getattr(c, kind)
+
+        def with_groups(gs):
+            return Cirquent(c.oformulas, *((gs, c.overgroups) if kind == "undergroups" else (c.undergroups, gs)))
+
+        yield f"{kind}: empty group first", with_groups((frozenset(),) + groups)
+        yield f"{kind}: empty group last", with_groups(groups + (frozenset(),))
+        yield f"{kind}: index 0", with_groups((groups[0] | {0},) + groups[1:])
+        yield f"{kind}: index m+1", with_groups(groups[:-1] + (groups[-1] | {m + 1},))
+        yield f"{kind}: none", with_groups(())
+        for a in range(1, m + 1):
+            yield f"{kind}: oformula {a} in none", with_groups(tuple(g - {a} for g in groups if g - {a}))
+    yield "no oformulas", Cirquent((), c.undergroups, c.overgroups)
+
+
+def test_check_step_agrees_with_reference_on_invalid_conclusions():
+    checked = 0
+    for name, prem, _, _ in RULE_CASES + LEMMA_CASES:
+        if prem is None:
+            continue
+        premise, conclusion, rule = rule_case(name)
+        for label, broken in _invalid_variants(conclusion):
+            assert not is_valid(broken), (name, label)
+            for params, rule2 in [("", rule)] + _out_of_range_rules(rule):
+                _assert_same_verdicts(premise, broken, rule2, f"{name} -- {label} {params}")
+                checked += 1
+    assert checked == 1005
+
+
+@pytest.mark.parametrize("rule,premise,conclusion", [
+    (PstIntro(2), "~P | P ; under: {1,2} ; over: {1}{2}", "~P | !P ; under: {1,2} ; over: {1}"),
+    (PcostIntro(1, frozenset({1})), "~P | P ; under: {1,2} ; over: {1,2}", "?~P | P ; under: {1,2} ; over: {2}"),
+    (Weakening(1, 3), "~P | P ; under: {1,2} ; over: {1,2}", "~P | P | P ; under: {1,2,3} ; over: {1,2}"),
+])
+def test_backward_rules_validate_the_conclusions_they_accept(rule, premise, conclusion):
+    # Each backward check holds on a valid premise and an invalid
+    # conclusion, so these rules cannot skip validating it.
+    premise, conclusion = C(f"oformulas: {premise}"), C(f"oformulas: {conclusion}")
+    assert rule.holds(premise, conclusion)
+    for premise_valid in (False, True):
+        v = check_step(premise, conclusion, rule, premise_valid)
+        assert v is not None and v.reason.startswith("invalid conclusion: oformula ")
+        assert v.reason.endswith(" in no overgroup")
 
 
 def test_check_axiom_shape():
